@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import cramer, kernel, limitlaw, measure, model, transforms
+from . import __version__, cramer, kernel, limitlaw, measure, model, transforms
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -91,7 +92,8 @@ def write_manifest(out_dir, config: dict) -> Path:
         "config_digest": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "versions": {"python": sys.version.split()[0],
-                     "numpy": np.__version__},
+                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "cwsoc": __version__},
         "artifacts": digests,
     }
     path = out_dir / "manifest.json"
@@ -207,8 +209,7 @@ def _cmd_simulate(args) -> int:
     _write_csv(out, ["S", "T", "weight"],
                zip(batch.S.tolist(), batch.T.tolist(), batch.weight.tolist()))
     meta = {"method": batch.method, "n": batch.n, "seed": args.seed,
-            "diagnostics": {k: (float(v) if isinstance(v, (int, float, np.floating))
-                                else v)
+            "diagnostics": {k: (v.item() if isinstance(v, np.generic) else v)
                             for k, v in batch.diagnostics.items()}}
     _write_json(out.with_suffix(".meta.json"), meta)
     print(f"wrote {len(batch.S)} samples to {out}")
@@ -392,3 +393,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .measure import Measure1D, moments
+from .measure import GaussianDensity, Measure1D, moments
 from .quadrature import adaptive_gauss_legendre
 
 
@@ -28,42 +28,15 @@ class CharEvaluator:
     def __post_init__(self):
         self.base.validate()
 
-    # -- analytic shortcut for Gaussian density components ----------------
-    def _gaussian_params(self):
-        d = self.base.density
-        if d is not None and d.spec.get("kind") == "gaussian":
-            return d.spec.get("mass", 1.0), d.spec.get("sigma", 1.0)
-        return None
-
     def char_grid(self, s, t) -> np.ndarray:
         """Vectorized ``M`` on the outer product of ``s`` and ``t`` values."""
-        s = np.asarray(s, dtype=float)[:, None]
-        t = np.asarray(t, dtype=float)[None, :]
-        out = np.zeros(np.broadcast_shapes(s.shape, t.shape), dtype=complex)
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
+        out = np.zeros((len(s), len(t)), dtype=complex)
         for z, p in self.base.atoms:
-            out = out + p * np.exp(1j * (s * z + t * z * z))
-        d = self.base.density
-        if d is None:
-            return out
-        gp = self._gaussian_params()
-        if gp is not None:
-            mass, sigma = gp
-            q = 1 - 2j * t * sigma * sigma
-            out = out + mass * np.exp(-s * s * sigma * sigma / (2 * q)) / np.sqrt(q)
-            return out
-        # generic density: fixed fine grid, one row of s per t value
-        R = d.support_radius
-        smax = float(np.max(np.abs(s)))
-        tmax = float(np.max(np.abs(t)))
-        npts = int(max(2048, 16 * (smax * R + tmax * R * R) / math.pi))
-        z = np.linspace(-R, R, npts + 1)
-        w = np.full(npts + 1, 2 * R / npts)
-        w[0] = w[-1] = R / npts  # trapezoid
-        fz = d.pdf(z) * w
-        phase_s = np.exp(1j * np.outer(s.ravel(), z))
-        for j in range(out.shape[1]):
-            ht = fz * np.exp(1j * t.ravel()[j] * z * z)
-            out[:, j] += phase_s @ ht
+            out = out + p * np.exp(1j * (s[:, None] * z + t[None, :] * z * z))
+        if self.base.density is not None:
+            out = out + self.base.density.char_grid(s, t)
         return out
 
     def lipschitz(self) -> float:
@@ -120,33 +93,6 @@ def _approx_gcd(values, tol: float = 1e-10) -> float:
     return g
 
 
-def detect_arithmetic(e: CharEvaluator, s0) -> Optional[tuple]:
-    """Lattice ``a + b Z`` carrying all values ``<s0, (z, z^2)>``, if any.
-
-    Any density mass rules out arithmetic structure (returns None).
-    """
-    s0 = np.asarray(s0, dtype=float)
-    if float(np.linalg.norm(s0)) == 0.0:
-        raise ValueError("s0 must be nonzero")
-    if e.base.density is not None and e.base.ac_mass > 0:
-        return None
-    w = np.array([s0[0] * z + s0[1] * z * z for z, _ in e.base.atoms])
-    tol = 1e-10
-    # homogeneous lattice first (a = 0), then the shifted one
-    g = _approx_gcd(w, tol)
-    if g > tol and np.all(np.abs(w / g - np.round(w / g)) < 1e-8):
-        return (0.0, g)
-    if np.all(np.abs(w) < tol):
-        return (0.0, 0.0)
-    d = w - w[0]
-    g = _approx_gcd(d, tol)
-    if g <= tol:
-        return (float(w[0]), 0.0) if np.all(np.abs(d) < tol) else None
-    if np.all(np.abs(d / g - np.round(d / g)) < 1e-8):
-        return (float(w[0]), g)
-    return None
-
-
 def _lattice_witness(e: CharEvaluator, alpha: float) -> Optional[tuple]:
     """Direction with |M| = 1 at norm >= alpha for purely atomic measures.
 
@@ -171,23 +117,6 @@ def _lattice_witness(e: CharEvaluator, alpha: float) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 # mixture bound
 
-def _ac_char_modulus_sq(e: CharEvaluator, s, t) -> np.ndarray:
-    """|psi(s,t)|^2 for the normalized a.c. component psi."""
-    a = e.base.ac_mass
-    gp = e._gaussian_params()
-    if gp is not None:
-        mass, sigma = gp
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        q = 1 + 4 * t * t * sigma**4
-        return np.exp(-s * s * sigma * sigma / q) / np.sqrt(q)
-    d = e.base.density
-    # pad with a bookkeeping atom at 0 so the measure validates, then remove it
-    sub = CharEvaluator(Measure1D(atoms=((0.0, 1 - a),), density=d))
-    vals = sub.char_grid(np.atleast_1d(s), np.atleast_1d(t)) - (1 - a)
-    return np.abs(np.squeeze(vals) / a) ** 2
-
-
 def mixture_bound(e: CharEvaluator, alpha: float, circle_points: int = 2048,
                   radius: float = 50.0) -> dict:
     """Certified bound sqrt(a^2 eta + 1 - a^2) on sup |M| over the annulus.
@@ -202,36 +131,34 @@ def mixture_bound(e: CharEvaluator, alpha: float, circle_points: int = 2048,
     a = e.base.ac_mass
     if a <= 0:
         raise ValueError("mixture bound needs an absolutely continuous part")
-    gp = e._gaussian_params()
-    theta = np.linspace(0, 2 * math.pi, circle_points, endpoint=False)
-    if gp is not None:
-        vals = _ac_char_modulus_sq(e, alpha * np.cos(theta), alpha * np.sin(theta))
+    d = e.base.density
+    radius_uniform = isinstance(d, GaussianDensity)
+    lip = 2 * e.lipschitz()
+    if radius_uniform:
+        def eta_on_circle(th):
+            # |psi|^2 of the normalized a.c. part at angle th on the circle
+            return np.abs(d.char(alpha * np.cos(th), alpha * np.sin(th)) / a) ** 2
+
+        theta = np.linspace(0, 2 * math.pi, circle_points, endpoint=False)
+        vals = eta_on_circle(theta)
         i = int(np.argmax(vals))
         ref = minimize_scalar(
-            lambda th: -float(_ac_char_modulus_sq(
-                e, alpha * math.cos(th), alpha * math.sin(th))),
+            lambda th: -float(eta_on_circle(th)),
             bracket=(theta[i] - 0.01, theta[i], theta[i] + 0.01))
         eta = max(float(np.max(vals)), -float(ref.fun))
         # covering pad on the circle from the gradient bound
-        lip = 2 * e.lipschitz()
         pad = lip * alpha * (math.pi / circle_points)
-        eta = min(eta + pad, 1.0)
-        radius_uniform = True
-        err = pad
     else:
         step = 0.1
         grid = np.arange(-radius, radius + step, step)
-        vals = _ac_char_modulus_sq(e, *np.meshgrid(grid, grid, indexing="ij"))
+        vals = np.abs(d.char_grid(grid, grid) / a) ** 2
         r2 = grid[:, None] ** 2 + grid[None, :] ** 2
-        vals = np.where(r2 >= alpha * alpha, vals, 0.0)
-        lip = 2 * e.lipschitz()
+        eta = float(np.max(np.where(r2 >= alpha * alpha, vals, 0.0)))
         pad = lip * step * math.sqrt(0.5)
-        eta = min(float(np.max(vals)) + pad, 1.0)
-        radius_uniform = False
-        err = pad
+    eta = min(eta + pad, 1.0)
     bound = math.sqrt(a * a * eta + 1 - a * a)
     return {"bound": bound, "eta": eta, "ac_mass": a,
-            "radius_uniform": radius_uniform, "error_estimate": err}
+            "radius_uniform": radius_uniform, "error_estimate": pad}
 
 
 # ---------------------------------------------------------------------------

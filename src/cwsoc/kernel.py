@@ -11,13 +11,13 @@ variance blowup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .cramer import CharEvaluator, _lattice_witness
-from .measure import Measure1D, convolution_density_f2
+from .measure import GaussianDensity, Measure1D, convolution_density_f2
 from .quadrature import adaptive_gauss_legendre
 from .transforms import LogLaplace, RateFunction
 
@@ -79,12 +79,15 @@ def kernel_ft_bound(u_range: tuple, s_max: float = 1e3,
 
 @dataclass
 class SmoothedDensity:
-    """Smoothed n-fold law, d=1 for a line measure or d=2 for the pair law."""
+    """Smoothed n-fold law, d=1 for a line measure or d=2 for the pair law.
+
+    Both dimensions need a pure Gaussian base (closed-form n-fold and tilted
+    laws); d=1 also takes the point mass at 0.
+    """
     base: Measure1D
     n: int
     c: Optional[float] = None       # default coupling 1/n
     d: int = 1
-    nfold_density: Optional[Callable] = None   # d=1 override
     samples: int = 10**5
     seed: int = 0
 
@@ -93,44 +96,20 @@ class SmoothedDensity:
             self.c = 1.0 / self.n
         if self.d not in (1, 2):
             raise KernelError("d must be 1 or 2")
-        if self.d == 1 and self.nfold_density is None:
-            self.nfold_density = _auto_nfold(self.base, self.n)
+        if self.d == 1 and not _point_mass_at_zero(self.base):
+            _gaussian_density(self.base)  # KernelError for other bases
 
 
-def _auto_nfold(base: Measure1D, n: int) -> Callable:
-    """Explicit n-fold convolution density/law for the supported bases."""
-    if base.density is not None and not base.atoms \
-            and base.density.spec.get("kind") == "gaussian":
-        sigma2 = base.density.spec.get("sigma", 1.0) ** 2 * n
-        return lambda s: np.exp(-s * s / (2 * sigma2)) / math.sqrt(
-            2 * math.pi * sigma2)
-    if base.density is None and base.atoms == ((0.0, 1.0),):
-        return None  # point mass at 0; handled directly
-    raise KernelError("no explicit n-fold density for this base measure")
+def _point_mass_at_zero(base: Measure1D) -> bool:
+    return base.density is None and base.atoms == ((0.0, 1.0),)
 
 
-def _tilted_coordinate_law(base: Measure1D, theta) -> tuple:
-    """Mean/std and density of ``rho`` tilted by ``exp(t1 z + t2 z^2)``.
-
-    Only the Gaussian-density case is supported (closed form).  Returns
-    ``(mean, std, pdf)`` of the normalized tilted law.
-    """
-    dspec = None if base.density is None else base.density.spec
-    if base.atoms or dspec is None or dspec.get("kind") != "gaussian":
-        raise KernelError("tilted sampling implemented for Gaussian bases")
-    sigma2 = dspec.get("sigma", 1.0) ** 2
-    t1, t2 = float(theta[0]), float(theta[1])
-    prec = 1.0 / sigma2 - 2 * t2
-    if prec <= 0:
-        raise KernelError("tilt outside the finiteness domain")
-    var = 1.0 / prec
-    mean = t1 * var
-
-    def pdf(z):
-        return np.exp(-(z - mean) ** 2 / (2 * var)) / math.sqrt(
-            2 * math.pi * var)
-
-    return mean, math.sqrt(var), pdf
+def _gaussian_density(base: Measure1D) -> GaussianDensity:
+    """The density of a pure Gaussian base; KernelError for any other base."""
+    if base.atoms or not isinstance(base.density, GaussianDensity):
+        raise KernelError("the smoothed density is implemented for pure "
+                          "Gaussian bases (and the point mass at 0 in d=1)")
+    return base.density
 
 
 def phi_estimate(s: SmoothedDensity, x) -> tuple:
@@ -142,11 +121,12 @@ def phi_estimate(s: SmoothedDensity, x) -> tuple:
     if s.d == 1:
         xv = float(np.atleast_1d(x)[0])
         k = TriangularKernel(s.c, 1)
-        if s.nfold_density is None:
+        if _point_mass_at_zero(s.base):
             return float(k(s.n * xv)), 0.0
+        nfold = _gaussian_density(s.base).nfold_pdf(s.n)
         lo, hi = s.n * xv - s.c, s.n * xv + s.c
         val = adaptive_gauss_legendre(
-            lambda t: k(t - s.n * xv) * s.nfold_density(t), lo, hi,
+            lambda t: k(t - s.n * xv) * nfold(t), lo, hi,
             tol=1e-14, initial_panels=4)
         return float(val), 0.0
     scaled, se, nJ = _phi2_tilted(s, x)
@@ -163,13 +143,14 @@ def _phi2_tilted(s: SmoothedDensity, x) -> tuple:
     """
     x = np.asarray(x, dtype=float)
     n, c = s.n, s.c
+    density = _gaussian_density(s.base)
     R = RateFunction(LogLaplace(s.base))
     r = R.solve(x)
     if not r.converged:
         raise KernelError(f"point {x.tolist()} outside the admissible domain")
     theta = r.argmax
     nJ = n * r.value
-    mean, std, pdf = _tilted_coordinate_law(s.base, theta)
+    mean, std, pdf = density.tilted_coordinate_law(theta)
 
     # Gauss rule on the kernel box, split at 0 where k_c has a kink
     gx, gw = np.polynomial.legendre.leggauss(6)

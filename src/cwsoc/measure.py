@@ -1,16 +1,18 @@
 """Symmetric probability measures on the line: atoms plus a density component.
 
 A measure is stored as a finite list of atoms together with an optional
-absolutely continuous part.  The density callable carries its own mass ``a``
-(it integrates to ``a``, not to 1) and must come with a Gaussian domination
+absolutely continuous part.  The density carries its own mass ``a`` (it
+integrates to ``a``, not to 1) and must come with a Gaussian domination
 pair ``(A, v)`` such that ``density(z) <= A * exp(-v z^2)``: this pair feeds
 the rejection sampler envelope and the analytic quadrature tail bounds.
+Densities are typed: the generic ``DensityComponent`` wraps a pdf callable,
+and ``GaussianDensity`` and ``TableDensity`` are the kinds a JSON spec names.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,15 +24,168 @@ class MeasureError(ValueError):
     """Raised for invalid or degenerate measure specifications."""
 
 
-@dataclass(frozen=True)
 class DensityComponent:
-    pdf: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
-    domination: tuple[float, float]  # (A, v)
-    spec: Optional[dict] = None      # JSON description, kept for round-trips
+    """Generic density component: a ``pdf`` callable with its domination pair
+    and support radius.
 
-    def __call__(self, z):
-        return self.pdf(np.asarray(z, dtype=float))
+    The pdf integrates to the component's mass ``a``, satisfies
+    ``pdf(z) <= A exp(-v z^2)`` for ``domination = (A, v)`` and is treated as
+    zero outside ``[-support_radius, support_radius]``.  Sampling is by
+    rejection from the Gaussian envelope and the characteristic function by
+    the trapezoid rule; subclasses with closed forms override both.  A
+    density given by a Python callable has no JSON form.
+    """
+
+    def __init__(self, pdf: Callable[[np.ndarray], np.ndarray],
+                 support_radius: float, domination: tuple[float, float]):
+        self.pdf = pdf
+        self.support_radius = float(support_radius)
+        A, v = domination
+        self.domination = (float(A), float(v))
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` draws from the normalized density."""
+        A, v = self.domination
+        sigma = 1.0 / math.sqrt(2 * v)
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            todo = count - filled
+            batch = max(64, int(1.5 * todo))
+            z = rng.normal(0.0, sigma, size=batch)
+            envelope = A * np.exp(-v * z * z)
+            accept = rng.random(batch) * envelope < self.pdf(z)
+            z = z[accept][:todo]
+            out[filled:filled + len(z)] = z
+            filled += len(z)
+        return out
+
+    def char_grid(self, s, t) -> np.ndarray:
+        """``integral of exp(i(s z + t z^2)) pdf(z) dz`` on the outer product
+        of the 1-D arrays ``s`` and ``t``."""
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
+        R = self.support_radius
+        smax = float(np.max(np.abs(s)))
+        tmax = float(np.max(np.abs(t)))
+        # fixed fine grid, one row of s per t value
+        npts = int(max(2048, 16 * (smax * R + tmax * R * R) / math.pi))
+        z = np.linspace(-R, R, npts + 1)
+        w = np.full(npts + 1, 2 * R / npts)
+        w[0] = w[-1] = R / npts  # trapezoid
+        fz = self.pdf(z) * w
+        phase_s = np.exp(1j * np.outer(s, z))
+        out = np.empty((len(s), len(t)), dtype=complex)
+        for j, tj in enumerate(t):
+            out[:, j] = phase_s @ (fz * np.exp(1j * tj * z * z))
+        return out
+
+
+class GaussianDensity(DensityComponent):
+    """``mass`` times the centered normal density of scale ``sigma``.
+
+    Overrides sampling and the characteristic function with closed forms,
+    and is the one place that knows the n-fold law and the tilted
+    coordinate law.
+    """
+
+    def __init__(self, mass: float = 1.0, sigma: float = 1.0, *,
+                 support_radius: float, domination: tuple[float, float]):
+        mass, sigma = float(mass), float(sigma)
+        if not (mass > 0 and sigma > 0):
+            raise MeasureError("Gaussian density needs mass > 0 and sigma > 0")
+        super().__init__(
+            lambda z: mass * np.exp(-z * z / (2 * sigma**2)) / (
+                sigma * math.sqrt(2 * math.pi)),
+            support_radius, domination)
+        self.mass = mass
+        self.sigma = sigma
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        # exact sampler; redraw the (astronomically rare) truncation overflow
+        z = rng.normal(0.0, self.sigma, size=count)
+        bad = np.abs(z) > self.support_radius
+        while np.any(bad):
+            z[bad] = rng.normal(0.0, self.sigma, size=int(bad.sum()))
+            bad = np.abs(z) > self.support_radius
+        return z
+
+    def char(self, s, t) -> np.ndarray:
+        """Closed-form ``mass e^{-s^2 sigma^2 / 2q} / sqrt(q)``,
+        ``q = 1 - 2 i t sigma^2``, elementwise over broadcast ``s`` and ``t``."""
+        sigma = self.sigma
+        q = 1 - 2j * np.asarray(t, dtype=float) * sigma * sigma
+        s = np.asarray(s, dtype=float)
+        return self.mass * np.exp(-s * s * sigma * sigma / (2 * q)) / np.sqrt(q)
+
+    def char_grid(self, s, t) -> np.ndarray:
+        return self.char(np.asarray(s, dtype=float)[:, None],
+                         np.asarray(t, dtype=float)[None, :])
+
+    def nfold_pdf(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Density of the sum of ``n`` draws from the normalized density."""
+        sigma2 = self.sigma**2 * n
+        return lambda s: np.exp(-s * s / (2 * sigma2)) / math.sqrt(
+            2 * math.pi * sigma2)
+
+    def tilted_coordinate_law(self, theta) -> tuple:
+        """``(mean, std, pdf)`` of the normalized density tilted by
+        ``exp(t1 z + t2 z^2)``, ``theta = (t1, t2)``."""
+        t1, t2 = float(theta[0]), float(theta[1])
+        prec = 1.0 / self.sigma**2 - 2 * t2
+        if prec <= 0:
+            raise MeasureError("tilt outside the finiteness domain")
+        var = 1.0 / prec
+        mean = t1 * var
+
+        def pdf(z):
+            return np.exp(-(z - mean) ** 2 / (2 * var)) / math.sqrt(
+                2 * math.pi * var)
+
+        return mean, math.sqrt(var), pdf
+
+
+class TableDensity(DensityComponent):
+    """Piecewise-linear density through the points ``(x, y)``, zero outside."""
+
+    def __init__(self, x, y, *, support_radius: float,
+                 domination: tuple[float, float]):
+        xa = np.asarray(x, dtype=float)
+        ya = np.asarray(y, dtype=float)
+        if xa.ndim != 1 or xa.shape != ya.shape:
+            raise MeasureError("table density needs equal-length 1-D x and y")
+        super().__init__(lambda z: np.interp(z, xa, ya, left=0.0, right=0.0),
+                         support_radius, domination)
+        self.x = xa.tolist()
+        self.y = ya.tolist()
+
+
+# JSON density kinds: the one map between a spec's "kind" and its class,
+# with the constructor parameters the spec stores
+_JSON_KINDS = {"gaussian": (GaussianDensity, ("mass", "sigma")),
+               "table": (TableDensity, ("x", "y"))}
+
+
+def _density_to_spec(d: DensityComponent) -> dict:
+    for kind, (cls, params) in _JSON_KINDS.items():
+        if type(d) is cls:
+            return {"kind": kind, **{p: getattr(d, p) for p in params}}
+    raise MeasureError("a density given by a Python callable has no JSON form")
+
+
+def _density_from_spec(spec, R, dom) -> DensityComponent:
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _JSON_KINDS:
+        raise MeasureError(f"unknown density kind {kind!r}; "
+                           f"expected one of {sorted(_JSON_KINDS)}")
+    cls, params = _JSON_KINDS[kind]
+    try:
+        return cls(**{p: spec[p] for p in params if p in spec},
+                   support_radius=R, domination=dom)
+    except MeasureError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise MeasureError(f"invalid {kind} density: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -124,7 +279,7 @@ class Measure1D:
     def to_json(self) -> str:
         doc: dict = {"atoms": [[z, m] for z, m in self.atoms]}
         if self.density is not None:
-            doc["density"] = self.density.spec or {"kind": "opaque"}
+            doc["density"] = _density_to_spec(self.density)
             doc["domination"] = list(self.density.domination)
             doc["support_radius"] = self.density.support_radius
         if self.v0 is not None:
@@ -140,29 +295,10 @@ class Measure1D:
         atoms = tuple((float(z), float(m)) for z, m in doc.get("atoms", []))
         density = None
         if "density" in doc:
-            spec = doc["density"]
-            dom = tuple(doc["domination"])
-            R = float(doc["support_radius"])
-            density = _density_from_spec(spec, R, dom)
+            density = _density_from_spec(doc["density"],
+                                         doc.get("support_radius"),
+                                         doc.get("domination"))
         return Measure1D(atoms=atoms, density=density, v0=doc.get("v0"))
-
-
-def _density_from_spec(spec: dict, R: float, dom: tuple[float, float]) -> DensityComponent:
-    kind = spec.get("kind")
-    if kind == "gaussian":
-        mass = float(spec.get("mass", 1.0))
-        sigma = float(spec.get("sigma", 1.0))
-        pdf = lambda z: mass * np.exp(-z * z / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
-    elif kind == "table":
-        x = np.asarray(spec["x"], dtype=float)
-        y = np.asarray(spec["y"], dtype=float)
-        pdf = lambda z: np.interp(z, x, y, left=0.0, right=0.0)
-    elif kind == "expr":
-        expr = spec["expr"]
-        pdf = lambda z: eval(expr, {"np": np, "z": z})  # lab tool, trusted input
-    else:
-        raise MeasureError(f"unknown density kind {kind!r}")
-    return DensityComponent(pdf=pdf, support_radius=R, domination=dom, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +306,10 @@ def _density_from_spec(spec: dict, R: float, dom: tuple[float, float]) -> Densit
 
 def gaussian(sigma: float = 1.0, mass: float = 1.0, support_radius: float = 10.0,
              atoms: Sequence[tuple[float, float]] = ()) -> Measure1D:
-    spec = {"kind": "gaussian", "mass": mass, "sigma": sigma}
     A = 1.01 * mass / (sigma * math.sqrt(2 * math.pi))
     v = 1.0 / (2 * sigma**2)
-    dens = _density_from_spec(spec, support_radius * sigma, (A, v))
+    dens = GaussianDensity(mass, sigma, support_radius=support_radius * sigma,
+                           domination=(A, v))
     return Measure1D(atoms=tuple(atoms), density=dens)
 
 
@@ -212,54 +348,26 @@ def moments(m: Measure1D, tol: float = 1e-12, _validated: bool = False) -> Momen
 
 
 def sample(m: Measure1D, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. draws: inverse CDF over atoms, rejection for the density."""
+    """``count`` i.i.d. draws: inverse CDF over atoms, the density's sampler
+    for the rest."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if not m.atoms:
         if m.density is None:
             raise MeasureError("empty measure")
-        return _rejection_sample(m.density, count, rng)
+        return m.density.sample(count, rng)
     u = rng.random(count)
     out = np.empty(count)
-    if m.atoms:
-        locs = np.array([z for z, _ in m.atoms])
-        cum = np.cumsum([mass for _, mass in m.atoms])
-        discrete = u < cum[-1]
-        idx = np.searchsorted(cum, u[discrete], side="right")
-        out[discrete] = locs[np.minimum(idx, len(locs) - 1)]
-    else:
-        discrete = np.zeros(count, dtype=bool)
+    locs = np.array([z for z, _ in m.atoms])
+    cum = np.cumsum([mass for _, mass in m.atoms])
+    discrete = u < cum[-1]
+    idx = np.searchsorted(cum, u[discrete], side="right")
+    out[discrete] = locs[np.minimum(idx, len(locs) - 1)]
     n_ac = int(np.sum(~discrete))
     if n_ac:
         if m.density is None:
             raise MeasureError("no density component but ac mass requested")
-        out[~discrete] = _rejection_sample(m.density, n_ac, rng)
-    return out
-
-
-def _rejection_sample(dens: DensityComponent, count: int, rng: np.random.Generator) -> np.ndarray:
-    if dens.spec.get("kind") == "gaussian":
-        # exact sampler; redraw the (astronomically rare) truncation overflow
-        sigma = dens.spec.get("sigma", 1.0)
-        z = rng.normal(0.0, sigma, size=count)
-        bad = np.abs(z) > dens.support_radius
-        while np.any(bad):
-            z[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-            bad = np.abs(z) > dens.support_radius
-        return z
-    A, v = dens.domination
-    sigma = 1.0 / math.sqrt(2 * v)
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        todo = count - filled
-        batch = max(64, int(1.5 * todo))
-        z = rng.normal(0.0, sigma, size=batch)
-        envelope = A * np.exp(-v * z * z)
-        accept = rng.random(batch) * envelope < dens.pdf(z)
-        z = z[accept][:todo]
-        out[filled:filled + len(z)] = z
-        filled += len(z)
+        out[~discrete] = m.density.sample(n_ac, rng)
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .measure import Measure1D, moments, sample as sample_measure
+from .measure import GaussianDensity, Measure1D, moments, sample as sample_measure
 
 
 class ModelError(ValueError):
@@ -217,7 +217,6 @@ def _enumerate_three_atom(m, tri, budget, collapse):
         S_out = a * (np.arange(2 * n + 1)[keep] - n)
         w_out = w_by_s[keep]
         T_out = tw_by_s[keep] / w_out
-        Z = math.exp(gmax + math.log(np.sum(w_out))) if np.sum(w_out) else 0.0
         return EmpiricalBatch(
             S=S_out, T=T_out, weight=w_out / np.sum(w_out),
             method="enumeration", n=n,
@@ -291,11 +290,6 @@ def _enumerate_general(m, budget, collapse):
     return batch
 
 
-def partition_function(m: TiltedModel, budget: int = 60_000_000) -> float:
-    """Exact normalization constant for atomic ``rho``."""
-    return math.exp(enumerate_exact(m, budget).diagnostics["log_Z"])
-
-
 # ---------------------------------------------------------------------------
 # importance sampling
 
@@ -328,6 +322,9 @@ def sample_importance(m: TiltedModel, count: int, rng: np.random.Generator,
     S = np.concatenate(S_all)
     T = np.concatenate(T_all)
     lw = np.concatenate(lw_all)
+    if not len(lw):
+        raise ModelError(f"none of the {count} proposal draws has T > 0; "
+                         "the importance sample is empty")
     w = np.exp(lw - np.max(lw))
     ess = float(np.sum(w)) ** 2 / float(np.sum(w * w))
     diag = {"effective_sample_size": ess, "proposal_draws": count,
@@ -421,11 +418,9 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
     S = X.sum(axis=1)
     logw = logw_fn(S, T)
 
-    dspec = None if m.rho.density is None else m.rho.density.spec
-    shift_ok = (not m.rho.atoms) and dspec is not None \
-        and dspec.get("kind") == "gaussian"
+    shift_ok = not m.rho.atoms and isinstance(m.rho.density, GaussianDensity)
     if shift_ok:
-        sig2 = dspec.get("sigma", 1.0) ** 2
+        sig2 = m.rho.density.sigma ** 2
         eps_scale = 2.0 * math.sqrt(sig2 / n)
         c_off = np.zeros(chains)
 

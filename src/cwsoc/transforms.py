@@ -136,17 +136,6 @@ class LogLaplace:
         return mean, cov
 
 
-def log_laplace(L: LogLaplace, u: float, v: float | None = None) -> float:
-    """Surface value at ``(u, v)`` (or ``u`` alone for the 1-D variant)."""
-    theta = [u] if v is None and L.d == 1 else [u, v]
-    return L.value(np.asarray(theta, dtype=float))
-
-
-def log_laplace_grad_hess(L: LogLaplace, u: float, v: float | None = None):
-    theta = [u] if v is None and L.d == 1 else [u, v]
-    return L.grad_hess(np.asarray(theta, dtype=float))
-
-
 @dataclass
 class SolverSettings:
     gtol: float = 1e-10
@@ -162,10 +151,6 @@ class CramerResult:
     converged: bool
     iterations: int
     message: str = ""
-
-    @property
-    def inside(self) -> bool:
-        return self.converged
 
 
 class RateFunction:
@@ -268,31 +253,23 @@ def rate_at_origin(R: RateFunction) -> float:
     return -math.log(p0) if p0 > 0 else math.inf
 
 
-def admissible_domain_probe(R: RateFunction, x) -> dict:
-    r = R.solve(x)
-    return {
-        "inside": r.inside,
-        "iterations": r.iterations,
-        "argmax": None if r.argmax is None else r.argmax.tolist(),
-        "gradient_gap": None,
-        "message": r.message,
-    }
-
-
 def rate_expansion_residual(R: RateFunction, g, x: float, y: float) -> float:
     """(I - F_g)(x, y) divided by its leading quartic/quadratic form.
 
     ``g`` is an interaction carrying ``m4``, ``variant`` and the functional
     ``F(x, y)``.  The denominator uses the fourth-moment constant matching the
-    variant; at the exact minimum the ratio is 1 by convention.
+    variant; at the minimum ``(0, sigma^2)`` the ratio is 1 by convention.
     """
     ms = R._moments
     s2, mu4 = ms.sigma2, ms.mu4
     sig_pow = s2**3 if g.variant == "star" else s2**2
     coeff = mu4 + g.m4 * sig_pow
-    form = coeff * x**4 / (12 * s2**4) + (y - s2) ** 2 / (2 * (mu4 - s2**2))
-    if form == 0.0:
+    # sigma^2 is a quadrature value: a target within roundoff of (0, sigma^2)
+    # is the minimum, where the rate and the form both vanish
+    tol = 8 * np.finfo(float).eps * s2
+    if abs(x) <= tol and abs(y - s2) <= tol:
         return 1.0
+    form = coeff * x**4 / (12 * s2**4) + (y - s2) ** 2 / (2 * (mu4 - s2**2))
     r = R.solve([x, y])
     if not r.converged:
         raise DomainFault(f"target ({x}, {y}) outside admissible domain")

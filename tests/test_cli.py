@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,41 @@ class TestValidationErrors:
         rc, _, err = run(capsys, "rate", "eval", "--x", "0", "--y", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("density", [
+        # evaluating this would exit with 99 instead of 2
+        {"kind": "expr", "expr": "__import__('sys').exit(99)"},
+        {"kind": "bogus"},
+    ])
+    def test_density_kind_rejected(self, tmp_path, capsys, density):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"atoms": [], "density": density,
+                                    "domination": [0.41, 0.5],
+                                    "support_radius": 10.0}))
+        rc, _, err = run(capsys, "measure", "info", "--spec", str(spec))
+        assert rc == 2
+        assert "unknown density kind" in err
+
+    def test_empty_importance_sample(self, tmp_path, capsys):
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps(
+            {"atoms": [[-1.0, 1e-9], [0.0, 1 - 2e-9], [1.0, 1e-9]]}))
+        rc, _, err = run(capsys, "simulate", "--spec", str(spec),
+                         "--method", "importance", "--n", "1",
+                         "--count", "100", "--out", str(tmp_path / "b.csv"))
+        assert rc == 2
+        assert "T > 0" in err
+
+
+class TestEntryPoint:
+    def test_module_help(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        r = subprocess.run([sys.executable, "-m", "cwsoc.cli", "--help"],
+                           capture_output=True, text=True, env=env, timeout=120)
+        assert r.returncode == 0
+        assert r.stdout.startswith("usage: cwsoc")
+
 
 class TestSimulateVerify:
     def test_round_trip(self, tmp_path, capsys):
@@ -85,7 +124,10 @@ class TestSimulateVerify:
                        "--method", "enumeration", "--n", "200",
                        "--out", str(batch))
         assert rc == 0
-        assert batch.with_suffix(".meta.json").exists()
+        diag = json.loads(batch.with_suffix(".meta.json").read_text())[
+            "diagnostics"]
+        assert type(diag["states"]) is int
+        assert type(diag["log_Z"]) is float
 
         report = tmp_path / "lln.json"
         rc, out, _ = run(capsys, "verify", "lln", "--preset", "three-point",
@@ -114,6 +156,11 @@ class TestSimulateVerify:
             assert rc == 0
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+        diag = json.loads(out.with_suffix(".meta.json").read_text())[
+            "diagnostics"]
+        assert type(diag["proposal_draws"]) is int
+        assert type(diag["ess_warning"]) is bool
+        assert type(diag["effective_sample_size"]) is float
 
 
 class TestManifest:
@@ -124,7 +171,7 @@ class TestManifest:
         doc = json.loads((tmp_path / "manifest.json").read_text())
         expect = hashlib.sha256(b"a,b\n1,2\n").hexdigest()
         assert doc["artifacts"]["x.csv"] == expect
-        assert "numpy" in doc["versions"]
+        assert {"python", "numpy", "scipy", "cwsoc"} <= set(doc["versions"])
         assert len(doc["config_digest"]) == 64
 
     def test_report_missing_dir(self, capsys):

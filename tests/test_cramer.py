@@ -8,7 +8,6 @@ from cwsoc.cramer import (
     CharEvaluator,
     char_fn,
     check_condition,
-    detect_arithmetic,
     mixture_bound,
 )
 
@@ -79,40 +78,12 @@ class TestCharFn:
                     char_fn(e_rho0, si, tj), abs=1e-9)
 
     def test_generic_density_path(self):
-        # expr density forces the trapezoid fallback; compare to quadrature
-        spec = {"kind": "expr",
-                "expr": "np.exp(-z*z/2) / np.sqrt(2*np.pi)"}
-        dens = measure._density_from_spec(spec, 10.0, (0.41, 0.5))
+        # a callable density forces the trapezoid fallback; compare to quadrature
+        dens = measure.DensityComponent(
+            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
         e = CharEvaluator(measure.Measure1D(density=dens))
         got = e.char_grid(np.array([1.5]), np.array([0.7]))[0, 0]
         assert got == pytest.approx(char_fn(e, 1.5, 0.7), abs=1e-7)
-
-
-class TestDetectArithmetic:
-    def test_rademacher(self, e_rad):
-        a, b = detect_arithmetic(e_rad, (math.pi, 0.0))
-        assert a == 0.0
-        assert b == pytest.approx(math.pi, abs=1e-12)
-
-    def test_three_point_integer_lattice(self):
-        e = CharEvaluator(measure.three_point(p=0.25))
-        a, b = detect_arithmetic(e, (1.0, 0.0))
-        assert (a, b) == (0.0, pytest.approx(1.0, abs=1e-12))
-
-    def test_density_returns_none(self, e_rho0):
-        assert detect_arithmetic(e_rho0, (1.0, 0.0)) is None
-        assert detect_arithmetic(e_rho0, (0.3, 4.0)) is None
-
-    def test_incommensurable_atoms(self):
-        m = measure.Measure1D(atoms=(
-            (-math.sqrt(2), 0.2), (-1.0, 0.2), (0.0, 0.2),
-            (1.0, 0.2), (math.sqrt(2), 0.2)))
-        e = CharEvaluator(m)
-        assert detect_arithmetic(e, (1.0, 0.0)) is None
-
-    def test_zero_direction_rejected(self, e_rad):
-        with pytest.raises(ValueError):
-            detect_arithmetic(e_rad, (0.0, 0.0))
 
 
 class TestMixtureBound:

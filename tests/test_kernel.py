@@ -131,6 +131,18 @@ class TestPhiEstimateD1:
         with pytest.raises(KernelError):
             SmoothedDensity(base=measure.rademacher(), n=5, d=1)
 
+    def test_callable_density_base_refused(self):
+        # a normal pdf given as a callable has no closed-form n-fold law
+        dens = measure.DensityComponent(
+            lambda z: np.exp(-z * z / 2) / math.sqrt(2 * math.pi), 10.0,
+            (0.41, 0.5))
+        base = measure.Measure1D(density=dens)
+        with pytest.raises(KernelError):
+            SmoothedDensity(base=base, n=5, d=1)
+        s = SmoothedDensity(base=base, n=10, d=2, samples=100)
+        with pytest.raises(KernelError):
+            phi_estimate(s, [0.0, 1.0])
+
 
 class TestTheorem3:
     def test_d1_gaussian_ratios(self):

@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from cwsoc import measure
 from cwsoc.measure import (
+    DensityComponent,
+    GaussianDensity,
     Measure1D,
     MeasureError,
+    TableDensity,
     convolution_density_f2,
     moments,
     sample,
@@ -68,8 +73,8 @@ class TestValidation:
             m.validate()
 
     def test_asymmetric_density_rejected(self):
-        spec = {"kind": "expr", "expr": "np.exp(-(z - 0.3)**2) / np.sqrt(np.pi)"}
-        dens = measure._density_from_spec(spec, 8.0, (0.6, 0.5))
+        dens = measure.DensityComponent(
+            lambda z: np.exp(-(z - 0.3)**2) / np.sqrt(np.pi), 8.0, (0.6, 0.5))
         with pytest.raises(MeasureError):
             Measure1D(density=dens).validate()
 
@@ -110,6 +115,18 @@ class TestSample:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             sample(measure.rademacher(), 0, np.random.default_rng(0))
+
+    def test_callable_density_rejection_moments(self):
+        # z^2 phi(z) is not Gaussian, so only the rejection sampler can draw
+        # it: E z^2 = 3, E z^4 = 15, E z^8 = 945 (normal moments 2 orders up)
+        pdf = lambda z: z * z * np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        m = Measure1D(density=DensityComponent(pdf, 12.0, (0.59, 0.25)))
+        m.validate()
+        draws = sample(m, 2 * 10**5, np.random.default_rng(4))
+        n = len(draws)
+        # 5-sigma CLT bands: Var(z^2) = 15 - 9, Var(z^4) = 945 - 225
+        assert abs(np.mean(draws**2) - 3.0) < 5 * math.sqrt(6 / n)
+        assert abs(np.mean(draws**4) - 15.0) < 5 * math.sqrt(720 / n)
 
 
 class TestConvolutionDensity:
@@ -168,3 +185,70 @@ class TestJsonRoundTrip:
     def test_malformed_json(self):
         with pytest.raises(MeasureError):
             Measure1D.from_json("{not json")
+
+    @pytest.mark.parametrize("density, match", [
+        ({"kind": "expr", "expr": "np.exp(-z*z/2)"}, "unknown density kind"),
+        ({"kind": "opaque"}, "unknown density kind"),
+        ({"mass": 1.0}, "unknown density kind"),
+        ({"kind": "gaussian", "sigma": "wide"}, "invalid gaussian density"),
+        ({"kind": "table", "x": [0.0, 1.0]}, "invalid table density"),
+    ])
+    def test_bad_density_spec_rejected(self, density, match):
+        doc = {"atoms": [], "density": density, "domination": [0.41, 0.5],
+               "support_radius": 10.0}
+        with pytest.raises(MeasureError, match=match):
+            Measure1D.from_json(json.dumps(doc))
+
+    def test_density_needs_domination(self):
+        doc = {"atoms": [], "density": {"kind": "gaussian"}}
+        with pytest.raises(MeasureError):
+            Measure1D.from_json(json.dumps(doc))
+
+    def test_callable_density_has_no_json_form(self):
+        dens = DensityComponent(stats.norm.pdf, 10.0, (0.41, 0.5))
+        with pytest.raises(MeasureError, match="no JSON form"):
+            Measure1D(density=dens).to_json()
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def json_measures(draw):
+    """Atom-only, Gaussian and table measures; round-trips need not validate."""
+    atoms = draw(st.lists(
+        st.tuples(st.floats(-5, 5, **_finite), st.floats(1e-6, 1.0)),
+        max_size=4, unique_by=lambda a: a[0]))
+    v0 = draw(st.none() | st.floats(1e-3, 0.4))
+    kind = draw(st.sampled_from(["atoms", "gaussian", "table"]))
+    R = draw(st.floats(1.0, 20.0))
+    dom = (draw(st.floats(0.1, 5.0)), draw(st.floats(0.05, 2.0)))
+    density = None
+    if kind == "gaussian":
+        density = GaussianDensity(draw(st.floats(1e-3, 1.0)),
+                                  draw(st.floats(0.1, 5.0)),
+                                  support_radius=R, domination=dom)
+    elif kind == "table":
+        x = sorted(draw(st.lists(st.floats(-R, R, **_finite), min_size=2,
+                                 max_size=8, unique=True)))
+        y = draw(st.lists(st.floats(0.0, 2.0), min_size=len(x),
+                          max_size=len(x)))
+        density = TableDensity(x, y, support_radius=R, domination=dom)
+    return Measure1D(atoms=tuple(atoms), density=density, v0=v0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_measures())
+def test_json_round_trip_property(m):
+    m2 = Measure1D.from_json(m.to_json())
+    assert m2.atoms == m.atoms
+    assert m2.v0 == m.v0
+    if m.density is None:
+        assert m2.density is None
+        return
+    assert type(m2.density) is type(m.density)
+    assert m2.density.domination == m.density.domination
+    assert m2.density.support_radius == m.density.support_radius
+    R = m.density.support_radius
+    z = np.linspace(-1.1 * R, 1.1 * R, 201)
+    np.testing.assert_array_equal(m2.density.pdf(z), m.density.pdf(z))

@@ -139,6 +139,12 @@ class TestImportance:
         b = sample_importance(tp100, 500, np.random.default_rng(2))
         assert "ess_warning" in b.diagnostics
 
+    def test_no_draw_with_positive_T(self):
+        # P(Z != 0) = 2e-9 per draw: every seeded draw is 0, so T = 0 always
+        m = TiltedModel(rho=measure.three_point(p=1e-9), g=quadratic(), n=1)
+        with pytest.raises(ModelError, match="T > 0"):
+            sample_importance(m, 100, np.random.default_rng(0))
+
 
 class TestMetropolis:
     def test_rademacher_agreement(self, rad2):

@@ -9,10 +9,7 @@ from cwsoc.transforms import (
     DomainFault,
     LogLaplace,
     RateFunction,
-    admissible_domain_probe,
     cramer_transform,
-    log_laplace,
-    log_laplace_grad_hess,
     rate_at_origin,
     rate_expansion_residual,
 )
@@ -43,18 +40,18 @@ class TestLogLaplace:
         # wide truncation so the compact support does not bias strong tilts
         L = LogLaplace(measure.gaussian(support_radius=30.0))
         for u, v in [(0.0, 0.0), (0.5, 0.2), (-1.0, 0.4), (2.0, -3.0), (0.3, 0.45)]:
-            got = log_laplace(L, u, v)
+            got = L.value([u, v])
             assert got == pytest.approx(gaussian_L(u, v), abs=1e-10)
 
     def test_origin_grad_hess(self, gauss_pair):
-        grad, hess = log_laplace_grad_hess(gauss_pair, 0.0, 0.0)
+        grad, hess = gauss_pair.grad_hess([0.0, 0.0])
         np.testing.assert_allclose(grad, [0.0, 1.0], atol=1e-10)
         np.testing.assert_allclose(hess, [[1.0, 0.0], [0.0, 2.0]], atol=1e-9)
 
     def test_outside_domain_infinite(self, gauss_pair):
-        assert log_laplace(gauss_pair, 0.0, 0.6) == math.inf
+        assert gauss_pair.value([0.0, 0.6]) == math.inf
         with pytest.raises(DomainFault):
-            log_laplace_grad_hess(gauss_pair, 0.0, 0.5)
+            gauss_pair.grad_hess([0.0, 0.5])
 
     def test_finite_difference_gradient(self, gauss_pair):
         theta = np.array([0.3, 0.1])
@@ -70,12 +67,12 @@ class TestLogLaplace:
         L = LogLaplace(measure.rademacher())
         # L(u,v) = v + ln cosh u
         for u, v in [(0.0, 0.0), (1.5, -2.0), (-0.7, 3.0)]:
-            assert log_laplace(L, u, v) == pytest.approx(
+            assert L.value([u, v]) == pytest.approx(
                 v + math.log(math.cosh(u)), abs=1e-14)
 
     def test_line_lift(self):
         L = LogLaplace(measure.gaussian(), lift="line")
-        assert log_laplace(L, 0.7) == pytest.approx(0.49 / 2, abs=1e-10)
+        assert L.value([0.7]) == pytest.approx(0.49 / 2, abs=1e-10)
 
 
 class TestCramerTransform:
@@ -157,9 +154,9 @@ class TestRateAtOrigin:
 
 class TestDomainProbe:
     def test_inside_and_outside(self, gauss_rate):
-        assert admissible_domain_probe(gauss_rate, [0.0, 1.0])["inside"]
-        assert admissible_domain_probe(gauss_rate, [0.0, 0.01])["inside"]
-        assert not admissible_domain_probe(gauss_rate, [1.0, 1.0])["inside"]
+        assert gauss_rate.solve([0.0, 1.0]).converged
+        assert gauss_rate.solve([0.0, 0.01]).converged
+        assert not gauss_rate.solve([1.0, 1.0]).converged
 
 
 class TestExpansionResidual:
