@@ -223,16 +223,33 @@ def _read_batch(path) -> model.EmpiricalBatch:
     meta_path = path.with_suffix(".meta.json")
     if not meta_path.exists():
         raise CliError(f"batch metadata not found: {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+        method, n = meta["method"], int(meta["n"])
+    except KeyError as exc:
+        raise CliError(f"batch metadata {meta_path} lacks {exc}")
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid batch metadata {meta_path}: {exc}")
     S, T, w = [], [], []
     with open(path) as fh:
-        for row in csv.DictReader(fh):
-            S.append(float(row["S"]))
-            T.append(float(row["T"]))
-            w.append(float(row["weight"]))
+        reader = csv.DictReader(fh)
+        missing = {"S", "T", "weight"} - set(reader.fieldnames or ())
+        if missing:
+            raise CliError(f"batch {path} lacks column(s) {sorted(missing)}")
+        try:
+            for row in reader:
+                S.append(float(row["S"]))
+                T.append(float(row["T"]))
+                w.append(float(row["weight"]))
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"batch {path} line {reader.line_num}: {exc}")
+    if not S:
+        raise CliError(f"batch {path} has no rows")
+    S, T, w = np.array(S), np.array(T), np.array(w)
+    if not np.isfinite([S, T, w]).all():
+        raise CliError(f"batch {path} has non-finite values")
     return model.EmpiricalBatch(
-        S=np.array(S), T=np.array(T), weight=np.array(w),
-        method=meta["method"], n=meta["n"],
+        S=S, T=T, weight=w, method=method, n=n,
         diagnostics=meta.get("diagnostics", {}), seed=meta.get("seed"))
 
 

@@ -85,8 +85,8 @@ class GaussianDensity(DensityComponent):
     """``mass`` times the centered normal density of scale ``sigma``.
 
     Overrides sampling and the characteristic function with closed forms,
-    and is the one place that knows the n-fold law and the tilted
-    coordinate law.
+    and is the one place that knows the n-fold law, the law of a block's
+    ``(sum Z, sum Z^2)`` and the tilted coordinate law.
     """
 
     def __init__(self, mass: float = 1.0, sigma: float = 1.0, *,
@@ -109,6 +109,18 @@ class GaussianDensity(DensityComponent):
             z[bad] = rng.normal(0.0, self.sigma, size=int(bad.sum()))
             bad = np.abs(z) > self.support_radius
         return z
+
+    def block_sums(self, k: int, size, rng: np.random.Generator) -> tuple:
+        """``(sum Z, sum Z^2)`` of ``k`` i.i.d. draws, ``size`` times over.
+
+        Closed form: ``sum Z ~ N(0, k sigma^2)`` and, independently of it,
+        ``sum Z^2 - (sum Z)^2 / k ~ sigma^2 chi^2_{k-1}``.  The normal is not
+        truncated at ``support_radius`` (``sample`` is).
+        """
+        s = rng.normal(0.0, self.sigma * math.sqrt(k), size=size)
+        # 2 Gamma((k-1)/2) is chi^2_{k-1}, and exactly 0 for k = 1
+        q = 2.0 * rng.standard_gamma((k - 1) / 2, size=size)
+        return s, s * s / k + self.sigma**2 * q
 
     def char(self, s, t) -> np.ndarray:
         """Closed-form ``mass e^{-s^2 sigma^2 / 2q} / sqrt(q)``,

@@ -361,6 +361,27 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 5.0) -> float:
     return max(tau, 1.0)
 
 
+def split_rhat(series: np.ndarray) -> float:
+    """Classic split-R-hat of ``series`` shaped (chains, records).
+
+    Each chain is cut into halves (the middle record of an odd length is
+    dropped) and the potential scale reduction ``sqrt(var+ / W)`` is taken
+    over the half-chains (Gelman et al., BDA3; Vehtari et al. 2021 without
+    rank normalization).  Near 1 the chains agree; NaN when a half-chain
+    has fewer than 2 records.
+    """
+    x = np.atleast_2d(np.asarray(series, dtype=float))
+    half = x.shape[1] // 2
+    if half < 2:
+        return math.nan
+    x = np.concatenate([x[:, :half], x[:, -half:]])
+    W = float(x.var(axis=1, ddof=1).mean())
+    B = float(x.mean(axis=1).var(ddof=1))  # between-chain variance / length
+    if W <= 0:
+        return 1.0 if B <= 0 else math.inf
+    return math.sqrt(((half - 1) / half * W + B) / W)
+
+
 def _fast_log_weight(m: TiltedModel):
     """Vectorized log weight without the Interaction call overhead."""
     g = m.g
@@ -382,21 +403,46 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
                       block_size: Optional[int] = None) -> EmpiricalBatch:
     """Random-block Metropolis chains targeting the tilted measure.
 
-    Each move refreshes ``block_size`` contiguous coordinates (a common
-    random offset across chains) with fresh draws from ``rho``; the target
-    is exchangeable so contiguous blocks lose nothing.  ``count`` is the
-    total number of recorded ``(S, T)`` pairs across all chains; ``burn_in``
-    and ``thin`` are in single-coordinate proposals per chain (defaults:
-    10 n sweeps and one sweep).  Moves to ``T = 0`` are rejected.
+    ``count`` is the total number of recorded ``(S, T)`` pairs across all
+    chains, returned chain by chain.  ``burn_in`` and ``thin`` are in
+    single-coordinate proposals per chain (defaults: 10 n sweeps and one
+    sweep), so with ``k = block_size`` a chain makes ``ceil(burn_in / k)``
+    block moves before its first record and ``ceil(thin / k)`` between
+    records.  A block move replaces ``k`` coordinates with fresh draws from
+    ``rho`` and is accepted with the ratio of the tilt weights ``exp(n F)``;
+    moves to ``T = 0`` are rejected.  The base picks one of two paths:
 
-    For a pure Gaussian ``rho`` every block move is followed by a common
-    shift of all coordinates.  The product-measure log ratio of a shift is
-    closed form, and near criticality the tilt almost cancels it, so these
-    moves transport ``S`` across its whole range quickly; coordinates are
-    tracked lazily through a per-chain offset.
+    - Pure Gaussian ``rho`` (no atoms, a ``GaussianDensity``): the state of a
+      chain is ``(S, T)`` alone and a step costs O(1) per chain, whatever
+      ``n`` and ``k``.  The tilt sees a configuration only through
+      ``(S, T)``, so under the target ``X`` given ``(S, T)`` is uniform on
+      the sphere ``{sum x = S, sum x^2 = T}``.  Each step first refreshes
+      ``X`` exactly on that fiber, a Gibbs step that leaves the target
+      invariant, and then makes the block move.  After the refresh the move
+      needs only the old block's ``(sum X, sum X^2)`` under the fiber law and
+      the new block's pair under ``rho^k`` (``GaussianDensity.block_sums``),
+      so the ``(S, T)`` marginal of this invariant chain is itself a Markov
+      chain, and it is the one simulated.  Each block move is followed by a
+      common shift of all coordinates by a normal ``eps``, accepted with the
+      closed-form ratio of the product measure times the tilt ratio; near
+      criticality the two almost cancel, so these moves carry ``S`` across
+      its range quickly.  This path draws the untruncated normal, as
+      ``char``, ``nfold_pdf`` and ``tilted_coordinate_law`` do; only
+      ``GaussianDensity.sample`` redraws beyond ``support_radius``.
+    - Every other base (atomic, atom-plus-Gaussian such as ``rho0``, table
+      and callable densities): each chain stores its ``n`` coordinates and a
+      move refreshes ``k`` contiguous ones, at one random offset shared by
+      the chains; the target is exchangeable, so contiguous blocks lose
+      nothing.
+
+    ``diagnostics`` holds the acceptance rate of the block moves, the
+    integrated autocorrelation time, ESS and split-R-hat of the recorded
+    ``S``, and the schedule.
     """
     if count < 1:
         raise ModelError("count must be >= 1")
+    if chains < 1:
+        raise ModelError("chains must be >= 1")
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
     n = m.n
@@ -407,91 +453,162 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
     k = max(1, min(k, n))
     records = -(-count // chains)
     logw_fn = _fast_log_weight(m)
-
-    # initial states from the product measure, resampled until T > 0
-    X = sample_measure(m.rho, chains * n, rng).reshape(chains, n)
-    T = (X * X).sum(axis=1)
-    while np.any(T <= 0):
-        dead = T <= 0
-        X[dead] = sample_measure(m.rho, int(dead.sum()) * n, rng).reshape(-1, n)
-        T = (X * X).sum(axis=1)
-    S = X.sum(axis=1)
-    logw = logw_fn(S, T)
-
-    shift_ok = not m.rho.atoms and isinstance(m.rho.density, GaussianDensity)
-    if shift_ok:
-        sig2 = m.rho.density.sigma ** 2
-        eps_scale = 2.0 * math.sqrt(sig2 / n)
-        c_off = np.zeros(chains)
-
-    S_rec = np.empty((chains, records))
-    T_rec = np.empty((chains, records))
-    accepted = 0
-    proposed = 0
-    thin_steps = max(1, -(-thin // k))
+    if not m.rho.atoms and isinstance(m.rho.density, GaussianDensity):
+        moves = _collapsed_moves(m.rho.density, n, k, chains, logw_fn, rng)
+    else:
+        moves = _coordinate_moves(m.rho, n, k, chains, logw_fn, rng)
     burn_steps = -(-burn_in // k)
+    thin_steps = max(1, -(-thin // k))
+    S_rec, T_rec, accepted = _run_schedule(*moves, burn_steps, thin_steps,
+                                           records)
+    tau = integrated_autocorr_time(S_rec)
+    diag = {"acceptance_rate":
+            accepted / (chains * (burn_steps + records * thin_steps)),
+            "integrated_autocorrelation_time": tau,
+            "effective_sample_size": chains * records / tau,
+            "split_rhat": split_rhat(S_rec),
+            "chains": chains, "burn_in": burn_in, "thin": thin,
+            "block_size": k}
+    S_out = S_rec.ravel()[:count]
+    T_out = T_rec.ravel()[:count]
+    return EmpiricalBatch(S=S_out, T=T_out, weight=np.ones(len(S_out)),
+                          method="metropolis", n=n, diagnostics=diag)
+
+
+def _run_schedule(S, T, draw, move, batch, burn_steps, thin_steps, records):
+    """Make ``burn_steps + records * thin_steps`` moves and record the state.
+
+    ``draw(b)`` returns the random numbers of ``b`` moves at once,
+    ``move(draws, i)`` makes the i-th of them on every chain, updates ``S``
+    and ``T`` in place and returns the number of accepted block moves.  The
+    state is recorded every ``thin_steps`` moves after burn-in.  Returns
+    ``(S_rec, T_rec, accepted)`` with records shaped (chains, records).
+    """
+    S_rec = np.empty((len(S), records))
+    T_rec = np.empty((len(S), records))
+    accepted = 0
     total_steps = burn_steps + records * thin_steps
-    batch = max(1, min(2048, 8 * 10**6 // (chains * k) + 1))
     step = 0
     rec = 0
     while step < total_steps:
         b = min(batch, total_steps - step)
-        offsets = rng.integers(0, n - k + 1, size=b)
-        props = sample_measure(m.rho, b * chains * k, rng).reshape(b, chains, k)
-        logu = np.log(rng.random((b, chains)))
-        if shift_ok:
-            eps_draw = rng.normal(0.0, eps_scale, size=(b, chains))
-            logu2 = np.log(rng.random((b, chains)))
+        draws = draw(b)
         for i in range(b):
-            j0 = int(offsets[i])
-            z = props[i]
-            old = X[:, j0:j0 + k]
-            if shift_ok:
-                old = old + c_off[:, None]
-            S2 = S + z.sum(axis=1) - old.sum(axis=1)
-            T2 = T + (z * z).sum(axis=1) - (old * old).sum(axis=1)
-            ok = T2 > 0
-            lw2 = np.where(ok, logw_fn(S2, np.where(ok, T2, 1.0)), -np.inf)
-            acc = ok & (logu[i] < lw2 - logw)
-            if shift_ok:
-                X[acc, j0:j0 + k] = z[acc] - c_off[acc, None]
-            else:
-                X[acc, j0:j0 + k] = z[acc]
-            S[acc] = S2[acc]
-            T[acc] = T2[acc]
-            logw[acc] = lw2[acc]
+            accepted += move(draws, i)
             step += 1
-            proposed += chains
-            accepted += int(acc.sum())
-            if shift_ok:
-                eps = eps_draw[i]
-                S3 = S + n * eps
-                T3 = T + 2 * eps * S + n * eps * eps
-                good = T3 > 0
-                lw3 = np.where(good, logw_fn(S3, np.where(good, T3, 1.0)),
-                               -np.inf)
-                dlog = lw3 - logw - (2 * eps * S + n * eps * eps) / (2 * sig2)
-                acc2 = good & (logu2[i] < dlog)
-                c_off[acc2] += eps[acc2]
-                S[acc2] = S3[acc2]
-                T[acc2] = T3[acc2]
-                logw[acc2] = lw3[acc2]
-            if step > burn_steps and (step - burn_steps) % thin_steps == 0 \
-                    and rec < records:
+            if step > burn_steps and (step - burn_steps) % thin_steps == 0:
                 S_rec[:, rec] = S
                 T_rec[:, rec] = T
                 rec += 1
-    tau = integrated_autocorr_time(S_rec)
-    ess = chains * rec / tau
-    diag = {"acceptance_rate": accepted / proposed,
-            "integrated_autocorrelation_time": tau,
-            "effective_sample_size": ess,
-            "chains": chains, "burn_in": burn_in, "thin": thin,
-            "block_size": k}
-    S_out = S_rec[:, :rec].ravel()[:count]
-    T_out = T_rec[:, :rec].ravel()[:count]
-    return EmpiricalBatch(S=S_out, T=T_out, weight=np.ones(len(S_out)),
-                          method="metropolis", n=n, diagnostics=diag)
+    return S_rec, T_rec, accepted
+
+
+def _coordinate_moves(rho: Measure1D, n, k, chains, logw_fn, rng):
+    """Initial state and moves of chains that store the ``n`` coordinates."""
+    # initial states from the product measure, resampled until T > 0
+    X = sample_measure(rho, chains * n, rng).reshape(chains, n)
+    T = (X * X).sum(axis=1)
+    while np.any(T <= 0):
+        dead = T <= 0
+        X[dead] = sample_measure(rho, int(dead.sum()) * n, rng).reshape(-1, n)
+        T = (X * X).sum(axis=1)
+    S = X.sum(axis=1)
+    logw = logw_fn(S, T)
+
+    def draw(b):
+        offsets = rng.integers(0, n - k + 1, size=b)
+        props = sample_measure(rho, b * chains * k, rng).reshape(b, chains, k)
+        return offsets, props, np.log(rng.random((b, chains)))
+
+    def move(draws, i):
+        offsets, props, logu = draws
+        j0 = int(offsets[i])
+        z = props[i]
+        old = X[:, j0:j0 + k]
+        S2 = S + z.sum(axis=1) - old.sum(axis=1)
+        T2 = T + (z * z).sum(axis=1) - (old * old).sum(axis=1)
+        ok = T2 > 0
+        lw2 = np.where(ok, logw_fn(S2, np.where(ok, T2, 1.0)), -np.inf)
+        acc = ok & (logu[i] < lw2 - logw)
+        X[acc, j0:j0 + k] = z[acc]
+        np.copyto(S, S2, where=acc)
+        np.copyto(T, T2, where=acc)
+        np.copyto(logw, lw2, where=acc)
+        return int(acc.sum())
+
+    batch = max(1, min(2048, 8 * 10**6 // (chains * k) + 1))
+    return S, T, draw, move, batch
+
+
+def _collapsed_moves(dens: GaussianDensity, n, k, chains, logw_fn, rng):
+    """Initial state and moves of ``(S, T)`` chains for a pure Gaussian base.
+
+    On the fiber of ``(S, T)``, ``X = S/n + sqrt(R) PG / |PG|`` with
+    ``R = T - S^2/n``, ``G ~ N(0, I_n)`` and ``P`` the centring projection.
+    The old block's sums then need only the block sum ``G_b`` of ``PG``, its
+    block sum of squares ``G_b2`` and ``|PG|^2``.  With ``a`` and ``c`` the
+    sums of ``G`` over the block and the rest, ``G_b = ((n-k) a - k c) / n
+    ~ N(0, k(n-k)/n)``, ``G_b2 = q_b + G_b^2 / k`` and ``|PG|^2 = q_b + q_r
+    + G_b^2 n / (k(n-k))``, where ``q_b ~ chi^2_{k-1}`` and
+    ``q_r ~ chi^2_{n-k-1}`` are the spreads of ``G`` inside the block and the
+    rest.  So one normal ``w = G_b / sqrt(k(n-k)/n)`` and the two chi^2
+    draws are all an old block needs.
+    """
+    S, T = dens.block_sums(n, chains, rng)
+    logw = logw_fn(S, T)
+    sig2 = dens.sigma ** 2
+    eps_scale = 2.0 * math.sqrt(sig2 / n)
+    spread = math.sqrt(k * (n - k) / n)
+    keep = (n - k) / n
+
+    def draw(b):
+        size = (b, chains)
+        if k < n:
+            w = rng.normal(size=size)
+            # 2 Gamma(d/2) is chi^2_d, and exactly 0 for d = 0
+            qb = 2.0 * rng.standard_gamma((k - 1) / 2, size=size)
+            qr = 2.0 * rng.standard_gamma((n - k - 1) / 2, size=size)
+            pg2 = qb + qr + w * w                  # |PG|^2
+            u = spread * w / np.sqrt(pg2)          # G_b / |PG|
+            v_rest = (qr + (k / n) * w * w) / pg2  # 1 - G_b2 / |PG|^2
+        else:
+            # the old block is the whole configuration
+            u = v_rest = np.zeros(size)
+        zs, zss = dens.block_sums(k, size, rng)
+        logu = np.log(rng.random(size))
+        eps = rng.normal(0.0, eps_scale, size=size)
+        return (u, v_rest, zs, zss, logu, eps, n * eps,
+                np.log(rng.random(size)))
+
+    def move(draws, i):
+        u, v_rest, zs, zss, logu, eps, neps, logu2 = (d[i] for d in draws)
+        xb = S / n
+        R = np.maximum(T - S * xb, 0.0)
+        ru = np.sqrt(R) * u
+        Sk = S * keep
+        # the n - k coordinates kept have sum Sk - ru and sum of squares
+        # xb (Sk - 2 ru) + R v_rest
+        S2 = Sk - ru + zs
+        T2 = xb * (Sk - 2 * ru) + R * v_rest + zss
+        lw2 = logw_fn(S2, T2)
+        acc = (T2 > 0) & (logu < lw2 - logw)
+        np.copyto(S, S2, where=acc)
+        np.copyto(T, T2, where=acc)
+        np.copyto(logw, lw2, where=acc)
+        # common shift x -> x + eps; the product measure changes by
+        # exp(-(T3 - T) / (2 sigma^2))
+        dT = (2 * S + neps) * eps
+        S3 = S + neps
+        T3 = T + dT
+        lw3 = logw_fn(S3, T3)
+        acc2 = (T3 > 0) & (logu2 < lw3 - logw - dT / (2 * sig2))
+        np.copyto(S, S3, where=acc2)
+        np.copyto(T, T3, where=acc2)
+        np.copyto(logw, lw3, where=acc2)
+        return int(np.count_nonzero(acc))
+
+    batch = max(1, min(2048, 2**18 // chains))
+    return S, T, draw, move, batch
 
 
 # ---------------------------------------------------------------------------

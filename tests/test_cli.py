@@ -105,6 +105,35 @@ class TestValidationErrors:
         assert rc == 2
         assert "T > 0" in err
 
+    def test_metropolis_zero_chains(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "simulate", "--preset", "gaussian",
+                         "--method", "metropolis", "--n", "4",
+                         "--chains", "0", "--out", str(tmp_path / "b.csv"))
+        assert rc == 2
+        assert "chains must be >= 1" in err
+
+    @pytest.mark.parametrize("rows,meta,message", [
+        ("S,T,weight\n1.0,abc,1.0\n", {"method": "importance", "n": 4},
+         "line 2"),
+        ("S,weight\n1.0,1.0\n", {"method": "importance", "n": 4},
+         "lacks column(s) ['T']"),
+        ("S,T,weight\n1.0,2.0,1.0\n", {"n": 4}, "lacks 'method'"),
+        ("S,T,weight\n1.0,2.0,1.0\n", {"method": "importance"},
+         "lacks 'n'"),
+        ("S,T,weight\n", {"method": "importance", "n": 4}, "no rows"),
+        ("S,T,weight\nnan,2.0,1.0\n", {"method": "importance", "n": 4},
+         "non-finite"),
+    ])
+    def test_malformed_batch(self, tmp_path, capsys, rows, meta, message):
+        batch = tmp_path / "b.csv"
+        batch.write_text(rows)
+        batch.with_suffix(".meta.json").write_text(json.dumps(meta))
+        rc, _, err = run(capsys, "verify", "lln", "--preset", "gaussian",
+                         "--batch", str(batch),
+                         "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        assert message in err
+
 
 class TestEntryPoint:
     def test_module_help(self):
@@ -161,6 +190,20 @@ class TestSimulateVerify:
         assert type(diag["proposal_draws"]) is int
         assert type(diag["ess_warning"]) is bool
         assert type(diag["effective_sample_size"]) is float
+
+    def test_metropolis_meta(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        rc, _, _ = run(capsys, "simulate", "--preset", "gaussian",
+                       "--method", "metropolis", "--n", "8",
+                       "--count", "512", "--chains", "16", "--out", str(out))
+        assert rc == 0
+        diag = json.loads(out.with_suffix(".meta.json").read_text())[
+            "diagnostics"]
+        for key in ("acceptance_rate", "integrated_autocorrelation_time",
+                    "effective_sample_size", "split_rhat"):
+            assert type(diag[key]) is float
+        assert type(diag["chains"]) is int
+        assert 0.9 < diag["split_rhat"] < 1.2
 
 
 class TestManifest:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import logsumexp
 
 from cwsoc import measure, model
+from cwsoc.measure import moments
 from cwsoc.model import (
     InteractionError,
     ModelError,
@@ -15,6 +18,7 @@ from cwsoc.model import (
     rescaled_statistic,
     sample_importance,
     sample_metropolis,
+    split_rhat,
     varadhan_decay,
 )
 
@@ -179,6 +183,99 @@ class TestMetropolis:
         assert abs(np.mean(b.S) / m.n) < 3 * se_x
         se_y = np.std(b.T / m.n) / math.sqrt(ess)
         assert abs(np.mean(b.T) / m.n - 1.0) < max(3 * se_y, 0.05)
+
+    def test_chains_below_one_rejected(self, rad2):
+        with pytest.raises(ModelError, match="chains"):
+            sample_metropolis(rad2, 100, rng=0, chains=0)
+
+
+def _gaussian_tilted_cdf(m: TiltedModel, points: int = 2000, draws: int = 1000):
+    """Exact CDF of S under the tilted Gaussian base, on a grid.
+
+    Under N(0, sigma^2)^n, S ~ N(0, n sigma^2) and R = T - S^2/n ~
+    sigma^2 chi^2_{n-1} are independent, so the tilted density of S is
+    phi(s) E_R[exp(n F)] with T = R + s^2/n: a 1-D integral, taken here over
+    midpoint quantiles of R (R = 0 for n = 1, where an even number of grid
+    points keeps s = 0, hence T = 0, off the grid).
+    """
+    n, sig2 = m.n, moments(m.rho).sigma2
+    L = (2 * n + 10 * math.sqrt(n) + 10) * math.sqrt(sig2)
+    s = np.linspace(-L, L, points)
+    p = (np.arange(draws) + 0.5) / draws
+    r = sig2 * stats.chi2.ppf(p, n - 1) if n > 1 else np.zeros(1)
+    T = r[None, :] + (s * s / n)[:, None]
+    lw = m.log_weight(np.broadcast_to(s[:, None], T.shape), T)
+    logpdf = -s * s / (2 * n * sig2) + logsumexp(lw, axis=1)
+    pdf = np.exp(logpdf - logpdf.max())
+    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2)])
+    return s, cdf / cdf[-1]
+
+
+def _ks(sample, grid, cdf):
+    x = np.sort(sample)
+    F = np.interp(x, grid, cdf)
+    i = np.arange(1, len(x) + 1) / len(x)
+    return max(float(np.max(i - F)), float(np.max(F - (i - 1 / len(x)))))
+
+
+def _gaussian_cases():
+    for n in (1, 2, 8, 64):
+        for k in sorted({1, max(n - 1, 1), n}):
+            for g in ("quadratic", "quartic"):
+                yield n, k, g
+
+
+class TestGaussianExactLaw:
+    @pytest.mark.parametrize("n,k,g", list(_gaussian_cases()))
+    def test_metropolis_matches_exact_law(self, n, k, g):
+        gi = quadratic() if g == "quadratic" else quartic(1.0)
+        m = TiltedModel(rho=measure.gaussian(), g=gi, n=n)
+        b = sample_metropolis(m, 64 * 256, burn_in=20 * n, thin=n, rng=n + k,
+                              chains=64, block_size=k)
+        ess = b.diagnostics["effective_sample_size"]
+        grid, cdf = _gaussian_tilted_cdf(m)
+        # Kolmogorov critical value at level 1e-3
+        assert _ks(b.S, grid, cdf) < 1.95 / math.sqrt(ess)
+
+    def test_oracle_n1_is_the_base(self):
+        # for n = 1 the tilt exp(g(+-1)) is constant: S ~ N(0, 1)
+        m = TiltedModel(rho=measure.gaussian(), g=quartic(1.0), n=1)
+        grid, cdf = _gaussian_tilted_cdf(m)
+        np.testing.assert_allclose(cdf, stats.norm.cdf(grid), atol=1e-5)
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_block_sums_law(self, k):
+        sigma, N = 1.7, 400_000
+        dens = measure.gaussian(sigma=sigma).density
+        s, ss = dens.block_sums(k, N, np.random.default_rng(k))
+        var = k * sigma**2
+        assert abs(np.mean(s)) < 5 * math.sqrt(var / N)
+        assert np.var(s) == pytest.approx(var, rel=5 * math.sqrt(2 / N))
+        # sum Z^2 ~ sigma^2 chi^2_k: mean k sigma^2, variance 2 k sigma^4
+        assert np.mean(ss) == pytest.approx(
+            var, abs=5 * sigma**2 * math.sqrt(2 * k / N))
+        assert np.var(ss) == pytest.approx(2 * k * sigma**4, rel=0.05)
+        assert np.all(s * s <= k * ss * (1 + 1e-12))
+
+
+class TestSplitRhat:
+    def test_iid_chains(self):
+        x = np.random.default_rng(0).normal(size=(16, 2000))
+        assert split_rhat(x) < 1.01
+
+    def test_shifted_chain_means(self):
+        x = np.random.default_rng(1).normal(size=(16, 2000))
+        x += np.arange(16)[:, None] * 0.5
+        assert split_rhat(x) > 1.1
+
+    def test_drift_within_chains(self):
+        # a single drifting chain: its two halves disagree
+        x = np.random.default_rng(2).normal(size=(1, 2000))
+        x += np.linspace(0.0, 3.0, 2000)
+        assert split_rhat(x) > 1.1
+
+    def test_too_short(self):
+        assert math.isnan(split_rhat(np.zeros((4, 3))))
 
 
 class TestDerivedStatistics:
