@@ -233,6 +233,21 @@ class Measure1D:
             return 0.5 * self.density.domination[1]
         return 1.0
 
+    def mirror_magnitudes(self) -> tuple[tuple[float, float], ...]:
+        """``(z, mass)`` for each positive atom location ``z``, ascending.
+
+        The symmetry rule for atoms: every atom ``z`` has its mirror ``-z``
+        with the same mass to within 1e-12; raise MeasureError otherwise.
+        The mass returned is that of ``+z``.
+        """
+        atom_map = dict(self.atoms)
+        for z, m in self.atoms:
+            mirror = atom_map.get(-z)
+            if mirror is None or abs(mirror - m) > 1e-12:
+                raise MeasureError(
+                    f"atom at {z} lacks a mirror atom of equal mass")
+        return tuple(sorted((z, m) for z, m in self.atoms if z > 0))
+
     def density_integral(self, g, tol: float = 1e-12):
         """Quadrature of ``g(z) * density(z)`` over the effective support."""
         if self.density is None:
@@ -251,10 +266,7 @@ class Measure1D:
         for z, m in self.atoms:
             if not (0.0 < m <= 1.0):
                 raise MeasureError(f"atom mass {m} outside (0, 1]")
-        atom_map = dict(self.atoms)
-        for z, m in self.atoms:
-            if abs(atom_map.get(-z, np.nan) - m) > 1e-12:
-                raise MeasureError(f"missing mirror atom for location {z}")
+        self.mirror_magnitudes()
         a = self.ac_mass
         if self.density is None:
             if abs(a) > 1e-12:

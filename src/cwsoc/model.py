@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .measure import GaussianDensity, Measure1D, moments, sample as sample_measure
+from .measure import (GaussianDensity, Measure1D, MeasureError, moments,
+                      sample as sample_measure)
 
 
 class ModelError(ValueError):
@@ -151,143 +154,126 @@ class EmpiricalBatch:
 # ---------------------------------------------------------------------------
 # exact enumeration
 
-def _symmetric_three_atoms(rho: Measure1D):
-    """Return (a, p, p0) for measures with atoms {-a, +a} or {-a, 0, +a}."""
-    nonzero = sorted((z, m) for z, m in rho.atoms if z != 0.0)
-    if rho.density is not None or len(nonzero) != 2:
-        return None
-    (zm, pm), (zp, pp) = nonzero
-    if zm != -zp or abs(pm - pp) > 1e-15:
-        return None
-    return zp, pp, rho.mass_at_zero
+def _compositions(total: int, parts: int):
+    """Tuples of ``parts`` nonnegative ints summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _class_rows(rho: Measure1D, n: int, budget: int):
+    """Multinomial classes of atom counts under ``rho^{x n}`` with ``T > 0``,
+    one row at a time.
+
+    ``rho`` must be symmetric and atomic: a zero atom of mass ``p0`` (which
+    may be absent) and ``K`` mirror magnitudes ``z_j``, each of ``+-z_j``
+    with mass ``p_j``.  A row fixes the zero count ``c0`` and the totals
+    ``m = (m_1, ..., m_K)``, ``m_j = c(+z_j) + c(-z_j)``, so
+    ``T = sum_j z_j^2 m_j`` is constant on it.  The signed splits
+    ``kp_j = c(+z_j)`` in ``[0, m_j]`` span a grid of shape
+    ``(m_1 + 1, ..., m_K + 1)``, on which the row gives
+    ``S = sum_j z_j (2 kp_j - m_j)`` and the log probability of the class,
+    ``ln n! - ln c0! + c0 ln p0 + sum_j [m_j ln p_j - ln kp_j! - ln (m_j -
+    kp_j)!]``.  Each magnitude's factorial term is symmetric on its own, so
+    mirror classes get bitwise-equal values.  Rows come with ``c0`` falling
+    and then ``m`` in lexicographic order; yields ``(m, S, T, logmult)``.
+    """
+    if rho.density is not None:
+        raise ModelError("exact enumeration requires a purely atomic measure")
+    try:
+        mags = rho.mirror_magnitudes()
+    except MeasureError as exc:
+        raise ModelError(f"exact enumeration needs a symmetric base: "
+                         f"{exc}") from exc
+    if not mags:
+        raise ModelError("no class has T > 0: the base has no nonzero atom")
+    A = len(rho.atoms)
+    n_states = math.comb(n + A - 1, A - 1)
+    if n_states > budget:
+        raise ModelError(f"enumeration budget exceeded: {n_states} classes "
+                         f"at n = {n}")
+    z = [zj for zj, _ in mags]
+    lp = [math.log(pj) for _, pj in mags]
+    p0 = rho.mass_at_zero
+    lp0 = math.log(p0) if p0 > 0 else -math.inf
+    ln_fact = gammaln(np.arange(n + 1) + 1.0)
+    K = len(z)
+    axis = [(-1,) + (1,) * (K - 1 - j) for j in range(K)]  # kp_j on axis j
+    for mm in (range(1, n + 1) if p0 > 0 else range(n, n + 1)):
+        base = ln_fact[n] - ln_fact[n - mm] + ((n - mm) * lp0 if mm < n else 0.0)
+        for ms in _compositions(mm, K):
+            # d_j = 2 kp_j - m_j and ln kp_j! + ln (m_j - kp_j)! for kp_j = 0..m_j
+            S = reduce(add, ((zj * np.arange(-mj, mj + 1, 2)).reshape(ax)
+                             for zj, mj, ax in zip(z, ms, axis)))
+            T = reduce(add, (zj * zj * mj for zj, mj in zip(z, ms)))
+            row_base = reduce(add, (mj * lpj for mj, lpj in zip(ms, lp)), base)
+            logmult = row_base - reduce(add, (
+                (ln_fact[:mj + 1] + ln_fact[mj::-1]).reshape(ax)
+                for mj, ax in zip(ms, axis)))
+            yield ms, S, T, logmult
 
 
 def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
                     collapse: Optional[str] = None) -> EmpiricalBatch:
-    """Exact law of ``(S, T)`` under the tilted measure for atomic ``rho``.
+    """Exact law of ``(S, T)`` under the tilted measure for a symmetric
+    atomic ``rho``.
 
-    States are multinomial classes over atom counts, so the cost is
-    polynomial in ``n``.  With ``collapse='S'`` only the marginal of ``S``
-    is kept (``T`` is replaced by its conditional mean per ``S`` value),
-    which is what large-``n`` fluctuation studies need.
+    States are the multinomial classes of atom counts (``_class_rows``), so
+    the cost is polynomial in ``n``; more than ``budget`` classes
+    (``comb(n + A - 1, A - 1)`` for ``A`` atoms) raise ModelError, as do a
+    density component, an atom without its mirror and a base with no class
+    of ``T > 0``.  With ``collapse='S'`` only the marginal of ``S`` is kept
+    (``T`` is replaced by its conditional mean per ``S`` value), which is
+    what large-``n`` fluctuation studies need; the classes are then summed
+    row by row and never held all at once.
     """
-    if m.rho.density is not None:
-        raise ModelError("exact enumeration requires a purely atomic measure")
-    tri = _symmetric_three_atoms(m.rho)
-    if tri is not None:
-        return _enumerate_three_atom(m, tri, budget, collapse)
-    return _enumerate_general(m, budget, collapse)
-
-
-def _enumerate_three_atom(m, tri, budget, collapse):
-    a, p, p0 = tri
     n = m.n
-    if (n + 1) * (n + 2) // 2 > budget:
-        raise ModelError(f"enumeration budget exceeded at n = {n}")
-    lp, lp0 = math.log(p), (math.log(p0) if p0 > 0 else -math.inf)
-    ln_fact = gammaln(np.arange(n + 1) + 1.0)
 
-    # first pass: global maximum of the log state weights
-    def row(mm):
-        # mm nonzero coordinates, kp of them positive
-        kp = np.arange(mm + 1)
-        S = a * (2 * kp - mm)
-        T = a * a * mm
-        zero_term = (n - mm) * lp0 if mm < n else 0.0
-        # grouped so the value is bitwise symmetric under kp <-> mm - kp
-        base = ln_fact[n] - ln_fact[n - mm] + zero_term + mm * lp
-        logmult = base - (ln_fact[kp] + ln_fact[mm - kp])
-        return S, T, logmult + m.log_weight(S, np.full(mm + 1, T))
-
-    m_values = range(1, n + 1) if p0 > 0 else range(n, n + 1)
-    gmax = -math.inf
-    for mm in m_values:
-        gmax = max(gmax, float(np.max(row(mm)[2])))
+    def rows():
+        for ms, S, T, logmult in _class_rows(m.rho, n, budget):
+            yield ms, S, T, logmult + m.log_weight(S, T)
 
     if collapse == "S":
-        w_by_s = np.zeros(2 * n + 1)   # index n + S/a
-        tw_by_s = np.zeros(2 * n + 1)
-        for mm in m_values:
-            S, T, lw = row(mm)
+        gmax = max(float(np.max(lw)) for *_, lw in rows())
+        z = [zj for zj, _ in m.rho.mirror_magnitudes()]
+        shape = (2 * n + 1,) * len(z)
+        w_cell = np.zeros(shape)   # cell n + d_j on axis j
+        tw_cell = np.zeros(shape)
+        for ms, S, T, lw in rows():
+            # a row's classes fill a stride-2 block of the d = 2 kp - m cells
+            block = tuple(slice(n - mj, n + mj + 1, 2) for mj in ms)
             w = np.exp(lw - gmax)
-            idx = (n + np.round(S / a)).astype(int)
-            np.add.at(w_by_s, idx, w)
-            np.add.at(tw_by_s, idx, w * T)
-        keep = w_by_s > 0
-        S_out = a * (np.arange(2 * n + 1)[keep] - n)
-        w_out = w_by_s[keep]
-        T_out = tw_by_s[keep] / w_out
+            w_cell[block] += w
+            tw_cell[block] += w * T
+        d = np.ix_(*[np.arange(-n, n + 1)] * len(z))
+        S_cell = reduce(add, (zj * dj for zj, dj in zip(z, d)))
+        keep = w_cell > 0
+        # cells with different d can share S when K > 1
+        S_out, inv = np.unique(S_cell[keep], return_inverse=True)
+        w_out = np.bincount(inv, weights=w_cell[keep])
+        T_out = np.bincount(inv, weights=tw_cell[keep]) / w_out
         return EmpiricalBatch(
             S=S_out, T=T_out, weight=w_out / np.sum(w_out),
             method="enumeration", n=n,
             diagnostics={"log_Z": gmax + math.log(np.sum(w_out)),
-                         "collapsed": "S", "states": int(np.sum(keep))})
+                         "collapsed": "S", "states": len(S_out)})
 
-    S_all, T_all, w_all = [], [], []
-    for mm in m_values:
-        S, T, lw = row(mm)
-        S_all.append(S)
-        T_all.append(np.full(mm + 1, T))
-        w_all.append(np.exp(lw - gmax))
-    S_all = np.concatenate(S_all)
-    T_all = np.concatenate(T_all)
-    w_all = np.concatenate(w_all)
+    S_all, T_all, lw_all = [], [], []
+    for _, S, T, lw in rows():
+        S_all.append(S.ravel())
+        T_all.append(np.full(S.size, T))
+        lw_all.append(lw.ravel())
+    S_all, T_all, lw_all = (np.concatenate(a) for a in (S_all, T_all, lw_all))
+    gmax = float(np.max(lw_all))
+    w_all = np.exp(lw_all - gmax)
     total = float(np.sum(w_all))
     return EmpiricalBatch(
         S=S_all, T=T_all, weight=w_all / total, method="enumeration", n=n,
         diagnostics={"log_Z": gmax + math.log(total), "states": len(S_all)})
-
-
-def _enumerate_general(m, budget, collapse):
-    # compositions of n over k atoms; exponential in k, fine for small cases
-    atoms = list(m.rho.atoms)
-    k = len(atoms)
-    n = m.n
-    n_states = math.comb(n + k - 1, k - 1)
-    if n_states > budget:
-        raise ModelError(f"enumeration budget exceeded: {n_states} classes")
-    locs = np.array([z for z, _ in atoms])
-    logp = np.log([p for _, p in atoms])
-    ln_fact = gammaln(np.arange(n + 1) + 1.0)
-
-    counts, S, T, logmult = [], [], [], []
-
-    def rec(i, left, cur):
-        if i == k - 1:
-            c = cur + [left]
-            cc = np.array(c)
-            s = float(np.dot(cc, locs))
-            t = float(np.dot(cc, locs**2))
-            if t <= 0:
-                return  # excluded by the positive-T indicator
-            lm = ln_fact[n] - float(np.sum(ln_fact[c])) + float(np.dot(cc, logp))
-            S.append(s)
-            T.append(t)
-            logmult.append(lm)
-            return
-        for c in range(left + 1):
-            rec(i + 1, left - c, cur + [c])
-
-    rec(0, n, [])
-    S = np.array(S)
-    T = np.array(T)
-    lw = np.array(logmult) + m.log_weight(S, T)
-    gmax = float(np.max(lw))
-    w = np.exp(lw - gmax)
-    total = float(np.sum(w))
-    batch = EmpiricalBatch(
-        S=S, T=T, weight=w / total, method="enumeration", n=n,
-        diagnostics={"log_Z": gmax + math.log(total), "states": len(S)})
-    if collapse == "S":
-        uniq, inv = np.unique(S, return_inverse=True)
-        wm = np.zeros(len(uniq))
-        tm = np.zeros(len(uniq))
-        np.add.at(wm, inv, batch.weight)
-        np.add.at(tm, inv, batch.weight * T)
-        batch = EmpiricalBatch(
-            S=uniq, T=tm / wm, weight=wm, method="enumeration", n=n,
-            diagnostics=dict(batch.diagnostics, collapsed="S"))
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +326,14 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 5.0) -> float:
     """Sokal-windowed integrated autocorrelation time.
 
     ``series`` has shape (chains, records); autocovariances are averaged
-    across chains before integrating.
+    across chains before integrating.  NaN when a chain has fewer than 4
+    records, too few to estimate it.
     """
     x = np.atleast_2d(np.asarray(series, dtype=float))
     x = x - x.mean()
     nrec = x.shape[1]
     if nrec < 4:
-        return 1.0
+        return math.nan
     npad = 2 ** int(math.ceil(math.log2(2 * nrec)))
     f = np.fft.rfft(x, n=npad, axis=1)
     acf = np.fft.irfft(f * np.conj(f), n=npad, axis=1)[:, :nrec].mean(axis=0)
@@ -437,7 +424,8 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
 
     ``diagnostics`` holds the acceptance rate of the block moves, the
     integrated autocorrelation time, ESS and split-R-hat of the recorded
-    ``S``, and the schedule.
+    ``S``, and the schedule.  With fewer than 4 records per chain those
+    three statistics are NaN.
     """
     if count < 1:
         raise ModelError("count must be >= 1")
@@ -644,24 +632,11 @@ def rescaled_statistic(m: TiltedModel, batch: EmpiricalBatch):
 def varadhan_decay(rho: Measure1D, n: int, x_threshold: float = 0.5,
                    budget: int = 60_000_000) -> float:
     """(1/n) log of the untilted integral of ``exp(n x^2 / (2y))`` over
-    ``{|x| >= x_threshold}`` intersected with the admissible cone."""
-    tri = _symmetric_three_atoms(rho)
-    if tri is None:
-        raise ModelError("decay check implemented for symmetric atomic measures")
-    a, p, p0 = tri
-    lp, lp0 = math.log(p), (math.log(p0) if p0 > 0 else -math.inf)
-    ln_fact = gammaln(np.arange(n + 1) + 1.0)
+    ``{|x| >= x_threshold}`` intersected with the admissible cone, exact over
+    the multinomial classes of a symmetric atomic ``rho``."""
     pieces = []
-    for mm in (range(1, n + 1) if p0 > 0 else range(n, n + 1)):
-        kp = np.arange(mm + 1)
-        S = a * (2 * kp - mm)
-        T = np.full(mm + 1, a * a * mm)
+    for _, S, T, logmult in _class_rows(rho, n, budget):
         mask = np.abs(S / n) >= x_threshold
-        if not np.any(mask):
-            continue
-        zero_term = (n - mm) * lp0 if mm < n else 0.0
-        logmult = (ln_fact[n] - ln_fact[n - mm] - ln_fact[kp] - ln_fact[mm - kp]
-                   + zero_term + mm * lp)
-        terms = logmult[mask] + S[mask] ** 2 / (2 * T[mask])
-        pieces.append(logsumexp(terms))
+        if np.any(mask):
+            pieces.append(logsumexp(logmult[mask] + S[mask] ** 2 / (2 * T)))
     return float(logsumexp(pieces)) / n

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -204,6 +205,19 @@ class TestSimulateVerify:
             assert type(diag[key]) is float
         assert type(diag["chains"]) is int
         assert 0.9 < diag["split_rhat"] < 1.2
+
+    def test_metropolis_short_chains_report_nan(self, tmp_path, capsys):
+        # one record per chain: too few to estimate tau, ESS or split-R-hat
+        out = tmp_path / "m.csv"
+        rc, _, _ = run(capsys, "simulate", "--preset", "gaussian",
+                       "--method", "metropolis", "--n", "4",
+                       "--count", "64", "--chains", "64", "--out", str(out))
+        assert rc == 0
+        diag = json.loads(out.with_suffix(".meta.json").read_text())[
+            "diagnostics"]
+        for key in ("integrated_autocorrelation_time",
+                    "effective_sample_size", "split_rhat"):
+            assert math.isnan(diag[key])
 
 
 class TestManifest:

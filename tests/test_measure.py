@@ -67,6 +67,17 @@ class TestValidation:
         with pytest.raises(MeasureError):
             m.validate()
 
+    def test_missing_mirror_rejected(self):
+        m = Measure1D(atoms=((-1.0, 0.3), (2.0, 0.7)))
+        with pytest.raises(MeasureError, match="mirror"):
+            m.validate()
+        with pytest.raises(MeasureError, match="mirror"):
+            m.mirror_magnitudes()
+
+    def test_mirror_magnitudes(self):
+        assert measure.three_point(p=0.25).mirror_magnitudes() == ((1.0, 0.25),)
+        assert measure.rho_zero().mirror_magnitudes() == ((1.0, 1 / 16),)
+
     def test_mass_deficit_rejected(self):
         m = Measure1D(atoms=((-1.0, 0.25), (1.0, 0.25)))
         with pytest.raises(MeasureError):

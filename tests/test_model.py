@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import logsumexp
 
@@ -105,22 +108,140 @@ class TestEnumeration:
         assert marg.diagnostics["log_Z"] == pytest.approx(
             full.diagnostics["log_Z"], abs=1e-12)
 
-    def test_general_path_matches_fast_path(self):
-        m = TiltedModel(rho=measure.rademacher(), g=quadratic(), n=6)
-        fast = enumerate_exact(m)
-        gen = model._enumerate_general(m, 10**6, None)
-        assert gen.diagnostics["log_Z"] == pytest.approx(
-            fast.diagnostics["log_Z"], abs=1e-12)
-
     def test_budget_guard(self):
         m = TiltedModel(rho=measure.three_point(), g=quadratic(), n=1000)
         with pytest.raises(ModelError):
             enumerate_exact(m, budget=100)
 
+    def test_budget_counts_classes_of_all_atoms(self):
+        # comb(n + A - 1, A - 1) classes for A atoms, the all-zero one included
+        m = TiltedModel(rho=FIVE_ATOM, g=quadratic(), n=24)
+        with pytest.raises(ModelError, match="budget"):
+            enumerate_exact(m, budget=math.comb(28, 4) - 1)
+        b = enumerate_exact(m, budget=math.comb(28, 4))
+        assert len(b.S) == math.comb(28, 4) - 1
+
+    @pytest.mark.parametrize("collapse", [None, "S"])
+    def test_asymmetric_atoms_rejected(self, collapse):
+        for atoms in (((-1.0, 0.3), (2.0, 0.7)),
+                      ((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5))):
+            m = TiltedModel(rho=measure.Measure1D(atoms=atoms), g=quadratic(),
+                            n=4)
+            with pytest.raises(ModelError, match="mirror"):
+                enumerate_exact(m, collapse=collapse)
+            with pytest.raises(ModelError, match="mirror"):
+                varadhan_decay(m.rho, 4)
+
+    @pytest.mark.parametrize("collapse", [None, "S"])
+    def test_no_class_with_positive_T(self, collapse):
+        m = TiltedModel(rho=measure.Measure1D(atoms=((0.0, 1.0),)),
+                        g=quadratic(), n=3)
+        with pytest.raises(ModelError, match="T > 0"):
+            enumerate_exact(m, collapse=collapse)
+
     def test_density_measure_rejected(self):
         m = TiltedModel(rho=measure.gaussian(), g=quadratic(), n=4)
         with pytest.raises(ModelError):
             enumerate_exact(m)
+
+
+FIVE_ATOM = measure.Measure1D(
+    atoms=((-2.0, 0.1), (-1.0, 0.15), (0.0, 0.5), (1.0, 0.15), (2.0, 0.1)))
+NAMED_BASES = {
+    "rademacher": measure.rademacher(),
+    "three-point": measure.three_point(p=0.25),
+    "five-atom": FIVE_ATOM,
+    "two-magnitudes-no-zero": measure.Measure1D(
+        atoms=((-2.5, 0.2), (-1.0, 0.3), (1.0, 0.3), (2.5, 0.2))),
+}
+
+
+def _brute_force(rho, n):
+    """``(S, T, log probability)`` of each of the A^n configurations with
+    T > 0.  The atom locations used here are dyadic, so S and T are exact
+    whatever the order of summation."""
+    locs = np.array([z for z, _ in rho.atoms])
+    logp = np.log([p for _, p in rho.atoms])
+    idx = np.array(list(itertools.product(range(len(locs)), repeat=n)))
+    x = locs[idx]
+    S, T, lp = x.sum(axis=1), (x * x).sum(axis=1), logp[idx].sum(axis=1)
+    alive = T > 0
+    return S[alive], T[alive], lp[alive]
+
+
+def _law(keys, weights):
+    """Sum ``weights`` over equal keys."""
+    law = {}
+    for k, w in zip(keys, weights):
+        law[k] = law.get(k, 0.0) + w
+    return law
+
+
+def _check_against_brute_force(rho, n, g):
+    m = TiltedModel(rho=rho, g=g, n=n)
+    S, T, lp = _brute_force(rho, n)
+    lw = lp + m.log_weight(S, T)
+    log_Z = logsumexp(lw)
+    w = np.exp(lw - log_Z)
+
+    full = enumerate_exact(m)
+    assert full.diagnostics["log_Z"] == pytest.approx(log_Z, abs=1e-12)
+    want = _law(zip(S, T), w)
+    got = _law(zip(full.S, full.T), full.weight)
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k] == pytest.approx(want[k], abs=1e-12)
+
+    marg = enumerate_exact(m, collapse="S")
+    assert marg.diagnostics["log_Z"] == pytest.approx(log_Z, abs=1e-12)
+    want_w, want_tw = _law(S, w), _law(S, w * T)
+    np.testing.assert_array_equal(marg.S, sorted(want_w))
+    for s, ws, ts in zip(marg.S, marg.weight, marg.T):
+        assert ws == pytest.approx(want_w[s], abs=1e-12)
+        assert ts == pytest.approx(want_tw[s] / want_w[s], rel=1e-12)
+
+    # x_threshold at half the largest magnitude keeps some classes for any n
+    thr = max(z for z, _ in rho.atoms) / 2
+    far = np.abs(S / n) >= thr
+    want_v = logsumexp(lp[far] + S[far] ** 2 / (2 * T[far])) / n
+    assert varadhan_decay(rho, n, x_threshold=thr) == pytest.approx(
+        want_v, abs=1e-12)
+
+
+@st.composite
+def symmetric_atomic_bases(draw):
+    """A zero atom (or none) and up to three mirror pairs at dyadic
+    magnitudes, with a number of coordinates that keeps A^n small."""
+    mags = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3,
+                         unique=True))
+    raw = draw(st.lists(st.integers(1, 10), min_size=len(mags),
+                        max_size=len(mags)))
+    raw0 = draw(st.integers(0, 10))
+    total = 2 * sum(raw) + raw0
+    atoms = [(0.0, raw0 / total)] if raw0 else []
+    for k, r in zip(mags, raw):
+        atoms += [(-k / 4, r / total), (k / 4, r / total)]
+    n_max = int(math.log(3000) / math.log(len(atoms)))
+    n = draw(st.integers(1, min(6, n_max)))
+    return measure.Measure1D(atoms=tuple(atoms)), n
+
+
+class TestBruteForceOracle:
+    """Full output, ``collapse='S'`` and ``varadhan_decay`` against a sum
+    over all A^n configurations."""
+
+    @pytest.mark.parametrize(
+        "name,n", [(name, n) for name in NAMED_BASES for n in range(1, 7)],
+        ids=lambda v: str(v))
+    def test_named_bases(self, name, n):
+        _check_against_brute_force(NAMED_BASES[name], n, quartic(1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetric_atomic_bases(),
+           st.sampled_from([quadratic(), quartic(1.0), quadratic("star")]))
+    def test_random_symmetric_bases(self, base, g):
+        rho, n = base
+        _check_against_brute_force(rho, n, g)
 
 
 class TestImportance:
