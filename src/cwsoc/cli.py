@@ -38,6 +38,12 @@ class CliError(Exception):
         self.code = code
 
 
+def _require(ok: bool, message: str) -> None:
+    """Raise ``CliError`` (exit 2) with ``message`` unless ``ok``."""
+    if not ok:
+        raise CliError(message)
+
+
 def _load_measure(args) -> measure.Measure1D:
     if getattr(args, "preset", None):
         m = _PRESETS[args.preset]()
@@ -119,6 +125,9 @@ def _cmd_measure_info(args) -> int:
 
 
 def _cmd_cramer_check(args) -> int:
+    _require(0 < args.alpha < args.radius < math.inf,
+             "need 0 < --alpha < --radius < inf")
+    _require(0 < args.step < math.inf, "--step must be positive and finite")
     m = _load_measure(args)
     report = cramer.check_condition(
         cramer.CharEvaluator(m), alpha=args.alpha, radius=args.radius,
@@ -142,6 +151,8 @@ def _rate_solver(args):
 
 
 def _cmd_rate_eval(args) -> int:
+    _require(math.isfinite(args.x) and math.isfinite(args.y),
+             "--x and --y must be finite")
     r = transforms.cramer_transform(_rate_solver(args), args.x, args.y)
     payload = {
         "x": args.x, "y": args.y, "value": r.value,
@@ -155,6 +166,10 @@ def _cmd_rate_eval(args) -> int:
 
 
 def _cmd_rate_grid(args) -> int:
+    _require(args.nx >= 1 and args.ny >= 1, "--nx and --ny must be >= 1")
+    _require(all(map(math.isfinite, (args.x_min, args.x_max, args.y_min,
+                                     args.y_max))),
+             "grid bounds must be finite")
     R = _rate_solver(args)
     xs = np.linspace(args.x_min, args.x_max, args.nx)
     ys = np.linspace(args.y_min, args.y_max, args.ny)
@@ -171,12 +186,20 @@ def _cmd_rate_grid(args) -> int:
 
 
 def _cmd_kernel_verify(args) -> int:
+    _require(args.n >= 1, "--n must be >= 1")
+    _require(args.samples >= 1, "--samples must be >= 1")
+    _require(args.c is None or args.c > 0, "--c must be positive")
+    try:
+        points = [[float(v) for v in p.split(",")] for p in args.points]
+    except ValueError as exc:
+        raise CliError(f"--points: {exc}")
+    _require(all(len(p) == args.d for p in points),
+             f"each --points entry needs {args.d} comma-separated coordinates")
     m = _load_measure(args)
     lift = "line" if args.d == 1 else "pair"
     R = transforms.RateFunction(transforms.LogLaplace(m, lift=lift))
     s = kernel.SmoothedDensity(base=m, n=args.n, c=args.c, d=args.d,
                                samples=args.samples, seed=args.seed)
-    points = [[float(v) for v in p.split(",")] for p in args.points]
     try:
         rows = kernel.theorem3_comparison(s, R, points)
     except kernel.KernelError as exc:

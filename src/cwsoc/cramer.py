@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .measure import GaussianDensity, Measure1D, moments
 from .quadrature import adaptive_gauss_legendre
@@ -23,7 +22,6 @@ from .quadrature import adaptive_gauss_legendre
 @dataclass
 class CharEvaluator:
     base: Measure1D
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         self.base.validate()
@@ -51,16 +49,31 @@ class CharEvaluator:
 
 
 def char_fn(e: CharEvaluator, s: float, t: float) -> complex:
-    """Pointwise ``M(s, t)`` by atom sum plus oscillatory quadrature."""
+    """Pointwise ``M(s, t)``: atom sum plus the density's ``char``."""
     val = sum(p * np.exp(1j * (s * z + t * z * z)) for z, p in e.base.atoms)
-    d = e.base.density
-    if d is not None:
-        R = d.support_radius
-        panels = int(max(8, math.ceil((abs(s) * R + abs(t) * R * R) / math.pi)))
-        val += adaptive_gauss_legendre(
-            lambda z: np.exp(1j * (s * z + t * z * z)) * d.pdf(z),
-            -R, R, tol=e.quad_tol, initial_panels=panels)
+    if e.base.density is not None:
+        val += e.base.density.char(s, t)
     return complex(val)
+
+
+_INV_PHI = (math.sqrt(5) - 1) / 2
+
+
+def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple:
+    """``(x, f(x))`` at the maximum of ``f`` on ``[lo, hi]`` by golden-section
+    search, which assumes ``f`` unimodal there."""
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xtol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
 
 
 @dataclass
@@ -142,10 +155,9 @@ def mixture_bound(e: CharEvaluator, alpha: float, circle_points: int = 2048,
         theta = np.linspace(0, 2 * math.pi, circle_points, endpoint=False)
         vals = eta_on_circle(theta)
         i = int(np.argmax(vals))
-        ref = minimize_scalar(
-            lambda th: -float(eta_on_circle(th)),
-            bracket=(theta[i] - 0.01, theta[i], theta[i] + 0.01))
-        eta = max(float(np.max(vals)), -float(ref.fun))
+        _, ref = _golden_max(lambda th: float(eta_on_circle(th)),
+                             theta[i] - 0.01, theta[i] + 0.01, xtol=1e-9)
+        eta = max(float(np.max(vals)), ref)
         # covering pad on the circle from the gradient bound
         pad = lip * alpha * (math.pi / circle_points)
     else:
@@ -221,10 +233,6 @@ def _refine_local(e, s0, t0, alpha, h):
         return abs(char_fn(e, ss, tt))
 
     for _ in range(3):
-        r = minimize_scalar(lambda ss: -val(ss, t), bracket=(s - h, s, s + h),
-                            method="golden", options={"xtol": 1e-6})
-        s = float(r.x)
-        r = minimize_scalar(lambda tt: -val(s, tt), bracket=(t - h, t, t + h),
-                            method="golden", options={"xtol": 1e-6})
-        t = float(r.x)
+        s = _golden_max(lambda ss: val(ss, t), s - h, s + h, xtol=1e-6)[0]
+        t = _golden_max(lambda tt: val(s, tt), t - h, t + h, xtol=1e-6)[0]
     return val(s, t), s, t

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import erfcx, log_ndtr
 
 from .quadrature import adaptive_gauss_legendre, gaussian_tail_bound
 
@@ -31,8 +32,9 @@ class DensityComponent:
     The pdf integrates to the component's mass ``a``, satisfies
     ``pdf(z) <= A exp(-v z^2)`` for ``domination = (A, v)`` and is treated as
     zero outside ``[-support_radius, support_radius]``.  Sampling is by
-    rejection from the Gaussian envelope and the characteristic function by
-    the trapezoid rule; subclasses with closed forms override both.  A
+    rejection from the Gaussian envelope, the characteristic function by
+    adaptive quadrature at a point (``char``) and by the trapezoid rule on a
+    grid (``char_grid``); subclasses with closed forms override them.  A
     density given by a Python callable has no JSON form.
     """
 
@@ -60,6 +62,15 @@ class DensityComponent:
             filled += len(z)
         return out
 
+    def char(self, s: float, t: float) -> complex:
+        """``integral of exp(i(s z + t z^2)) pdf(z) dz`` at one point, by
+        adaptive quadrature with one initial panel per half-oscillation."""
+        R = self.support_radius
+        panels = int(max(8, math.ceil((abs(s) * R + abs(t) * R * R) / math.pi)))
+        return complex(adaptive_gauss_legendre(
+            lambda z: np.exp(1j * (s * z + t * z * z)) * self.pdf(z),
+            -R, R, tol=1e-10, initial_panels=panels))
+
     def char_grid(self, s, t) -> np.ndarray:
         """``integral of exp(i(s z + t z^2)) pdf(z) dz`` on the outer product
         of the 1-D arrays ``s`` and ``t``."""
@@ -81,12 +92,42 @@ class DensityComponent:
         return out
 
 
+# tilted_moments: a mode within this many s of the window uses the
+# truncated-normal recursion about the mode, whose cancellation grows like
+# the distance^(2k); farther out, Laplace's continued fraction of this depth
+# has converged to double precision
+_NEAR_MODE = 4.0
+_CF_DEPTH = 60
+_LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _half_line_moments(c: float, kmax: int) -> np.ndarray:
+    """``E[x^k]``, ``k = 0..kmax``, for ``x >= 0`` with density proportional
+    to ``exp(-c x - x^2 / 2)``: the ratios ``E[x^k] / E[x^{k-1}] =
+    k / (c + E[x^{k+1}] / E[x^k])`` of Laplace's continued fraction,
+    evaluated bottom-up."""
+    ratios = np.ones(kmax + 1)
+    r = 0.0
+    for k in range(max(_CF_DEPTH, kmax), 0, -1):
+        r = k / (c + r)
+        if k <= kmax:
+            ratios[k] = r
+    return np.cumprod(ratios)
+
+
 class GaussianDensity(DensityComponent):
     """``mass`` times the centered normal density of scale ``sigma``.
 
     Overrides sampling and the characteristic function with closed forms,
-    and is the one place that knows the n-fold law, the law of a block's
-    ``(sum Z, sum Z^2)`` and the tilted coordinate law.
+    and is the one place that knows the tilted moments, the n-fold law, the
+    law of a block's ``(sum Z, sum Z^2)`` and the tilted coordinate law.
+
+    Truncation rule: ``sample``, ``tilted_moments`` (hence the log-Laplace
+    transform, the rate function and ``moments``) and the mass quadrature
+    of ``Measure1D.validate`` treat the density as zero outside
+    ``[-support_radius, support_radius]``; ``char``, ``char_grid``,
+    ``block_sums``, ``nfold_pdf``, ``tilted_coordinate_law`` and the
+    collapsed Metropolis chain use the untruncated normal.
     """
 
     def __init__(self, mass: float = 1.0, sigma: float = 1.0, *,
@@ -109,6 +150,70 @@ class GaussianDensity(DensityComponent):
             z[bad] = rng.normal(0.0, self.sigma, size=int(bad.sum()))
             bad = np.abs(z) > self.support_radius
         return z
+
+    def tilted_moments(self, u: float, v: float, shift: float,
+                       kmax: int) -> np.ndarray:
+        """``integral over [-R, R] of z^k exp(u z + v z^2 - shift) f(z) dz``
+        for ``k = 0..kmax``, in closed form (``R = support_radius``).
+
+        The tilted law is ``N(mu, s^2)`` with ``s^2 = sigma^2 / (1 - 2 v
+        sigma^2)`` and ``mu = u s^2``, so each integral is the normal mass
+        of the window times a truncated-normal moment.  With the mode within
+        ``4 s`` of the window, the moments of ``(z - mu) / s`` on ``[a, b]``
+        follow ``M_k = (k-1) M_{k-2} + (a^{k-1} phi(a) - b^{k-1} phi(b)) / P``
+        (Johnson, Kotz & Balakrishnan), with ``log P`` from ``log_ndtr`` and
+        each boundary term as ``exp(log phi - log P)``.  Farther out that
+        recursion cancels, so the moments of the distance to the near end
+        come from Laplace's continued fraction for the half line, corrected
+        for the far end with ``erfcx``.  Every quantity before the final
+        scale is O(1), so no tilt in the domain overflows or underflows.
+        """
+        q = 1.0 - 2.0 * v * self.sigma**2
+        if not q > 0:
+            raise MeasureError("tilt outside the finiteness domain")
+        R = self.support_radius
+        s = self.sigma / math.sqrt(q)
+        sign = -1.0 if u < 0 else 1.0  # the law is symmetric: reflect u >= 0
+        u = abs(u)
+        mu = u * s * s
+        D = np.zeros(kmax + 1)  # moments of D = (z - z0) / s
+        if mu <= R + _NEAR_MODE * s:
+            z0 = mu
+            a, b = (-R - mu) / s, (R - mu) / s
+            lb = log_ndtr(b)
+            log_p = lb + math.log1p(-math.exp(log_ndtr(a) - lb))
+            # the exponent u z - z^2 / (2 s^2) at its maximum z = mu
+            log_scale = 0.5 * u * mu + log_p
+            pa = math.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_p)
+            pb = math.exp(-0.5 * b * b - _LOG_SQRT_2PI - log_p)
+            D[0] = 1.0
+            for k in range(1, kmax + 1):
+                D[k] = a ** (k - 1) * pa - b ** (k - 1) * pb
+                if k >= 2:
+                    D[k] += (k - 1) * D[k - 2]
+        else:
+            # anchor at z0 = R: x = -D in [0, w] has density
+            # proportional to exp(-(x + c)^2 / 2), and c >= _NEAR_MODE
+            z0 = R
+            c, w = (mu - R) / s, 2 * R / s
+            ec = erfcx(c / math.sqrt(2))
+            # far-end share Q(c + w) / Q(c) of the half-line mass
+            g = math.exp(-c * w - 0.5 * w * w) * erfcx(
+                (c + w) / math.sqrt(2)) / ec
+            # the exponent at z = R plus the log window mass
+            log_scale = u * R - 0.5 * (R / s) ** 2 + math.log(
+                0.5 * ec) + math.log1p(-g)
+            near = _half_line_moments(c, kmax)
+            far = _half_line_moments(c + w, kmax)
+            for k in range(kmax + 1):
+                tail = sum(math.comb(k, i) * w ** (k - i) * far[i]
+                           for i in range(k + 1))
+                D[k] = (-1) ** k * (near[k] - g * tail) / (1 - g)
+        # raw moments of z = z0 + s D, reflected back to the sign of u
+        out = np.array([sign ** k * sum(
+            math.comb(k, i) * z0 ** (k - i) * s ** i * D[i]
+            for i in range(k + 1)) for k in range(kmax + 1)])
+        return self.mass * s / self.sigma * math.exp(log_scale - shift) * out
 
     def block_sums(self, k: int, size, rng: np.random.Generator) -> tuple:
         """``(sum Z, sum Z^2)`` of ``k`` i.i.d. draws, ``size`` times over.
@@ -358,12 +463,17 @@ def rho_zero() -> Measure1D:
 # operations
 
 def moments(m: Measure1D, tol: float = 1e-12, _validated: bool = False) -> MomentSummary:
-    """Second and fourth moments via exact atom sums plus quadrature."""
+    """Second and fourth moments: exact atom sums plus the density's closed
+    form (``GaussianDensity``) or quadrature (any other density)."""
     if not _validated:
         m.validate()
     s2 = sum(mass * z * z for z, mass in m.atoms)
     m4 = sum(mass * z**4 for z, mass in m.atoms)
-    if m.density is not None:
+    if isinstance(m.density, GaussianDensity):
+        dm = m.density.tilted_moments(0.0, 0.0, 0.0, 4)
+        s2 += float(dm[2])
+        m4 += float(dm[4])
+    elif m.density is not None:
         s2 += float(m.density_integral(lambda z: z * z, tol=tol))
         m4 += float(m.density_integral(lambda z: z**4, tol=tol))
     if s2 <= 0:

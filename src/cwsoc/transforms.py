@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import Measure1D, moments
+from .measure import GaussianDensity, Measure1D, moments
 from .quadrature import adaptive_gauss_legendre
 
 
@@ -49,10 +49,8 @@ class LogLaplace:
             return True
         return self._quadratic_coeff(theta) < self.base.density.domination[1]
 
-    def _exponent_shift(self, theta: np.ndarray) -> float:
-        """Exact maximum of <theta, psi(z)> over the effective support."""
-        u = float(theta[0])
-        v = float(theta[1]) if self.d == 2 else 0.0
+    def _exponent_shift(self, u: float, v: float) -> float:
+        """Exact maximum of ``u z + v z^2`` over the effective support."""
         best = max((u * z + v * z * z for z, _ in self.base.atoms),
                    default=-np.inf)
         if self.base.density is not None:
@@ -62,33 +60,43 @@ class LogLaplace:
                 zc = -u / (2 * v)
                 cands.append(u * zc + v * zc * zc)
             best = max(best, *cands)
-        return best if np.isfinite(best) else 0.0
+        return best if math.isfinite(best) else 0.0
+
+    def _raw_moments(self, theta: np.ndarray, kmax: int, tol: float):
+        """``(c, m)``: the exponent shift ``c`` and the raw moments
+        ``m_k = E[z^k exp(<theta, psi(z)> - c)]``, ``k = 0..kmax``.
+
+        Atoms are summed exactly; a ``GaussianDensity`` contributes its
+        closed form, any other density adaptive quadrature to ``tol``.
+        """
+        u, v = float(theta[0]), self._quadratic_coeff(theta)
+        c = self._exponent_shift(u, v)
+        weighted = [(z, mass * math.exp(u * z + v * z * z - c))
+                    for z, mass in self.base.atoms]
+        m = np.array([sum(w * z**k for z, w in weighted)
+                      for k in range(kmax + 1)], dtype=float)
+        d = self.base.density
+        if isinstance(d, GaussianDensity):
+            m += d.tilted_moments(u, v, c, kmax)
+        elif d is not None:
+            powers = np.arange(kmax + 1)
+
+            def integrand(z):
+                w = np.exp(u * z + v * z * z - c) * d.pdf(z)
+                return w[:, None] * z[:, None] ** powers
+
+            R = d.support_radius
+            m += np.asarray(adaptive_gauss_legendre(
+                integrand, -R, R, tol=tol, initial_panels=8), dtype=float)
+        return c, m
 
     def tilted_stats(self, theta, tol: float = 1e-12):
         """Return ``(L(theta), tilted mean of psi, tilted covariance of psi)``."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if not self.in_domain(theta):
             return math.inf, None, None
-        c = self._exponent_shift(theta)
         d = self.d
-        n_mom = 2 * d + 1  # raw moments of z up to order 2d
-        m = np.zeros(n_mom)
-        for z, mass in self.base.atoms:
-            w = mass * math.exp(
-                theta[0] * z + (theta[1] * z * z if d == 2 else 0.0) - c)
-            m += w * np.asarray(z, dtype=float) ** np.arange(n_mom)
-        if self.base.density is not None:
-            R = self.base.density.support_radius
-            pdf = self.base.density.pdf
-            powers = np.arange(n_mom)
-
-            def integrand(z):
-                e = theta[0] * z + (theta[1] * z * z if d == 2 else 0.0)
-                w = np.exp(e - c) * pdf(z)
-                return w[:, None] * z[:, None] ** powers
-
-            m += np.asarray(adaptive_gauss_legendre(
-                integrand, -R, R, tol=tol, initial_panels=8), dtype=float)
+        c, m = self._raw_moments(theta, 2 * d, tol)
         if m[0] <= 0:
             return math.inf, None, None
         value = c + math.log(m[0])
@@ -109,24 +117,10 @@ class LogLaplace:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if not self.in_domain(theta):
             return math.inf
-        c = self._exponent_shift(theta)
-        d = self.d
-        m0 = sum(mass * math.exp(
-            theta[0] * z + (theta[1] * z * z if d == 2 else 0.0) - c)
-            for z, mass in self.base.atoms)
-        if self.base.density is not None:
-            R = self.base.density.support_radius
-            pdf = self.base.density.pdf
-
-            def integrand(z):
-                e = theta[0] * z + (theta[1] * z * z if d == 2 else 0.0)
-                return np.exp(e - c) * pdf(z)
-
-            m0 += float(adaptive_gauss_legendre(
-                integrand, -R, R, tol=tol, initial_panels=8))
-        if m0 <= 0:
+        c, m = self._raw_moments(theta, 0, tol)
+        if m[0] <= 0:
             return math.inf
-        return c + math.log(m0)
+        return c + math.log(m[0])
 
     def grad_hess(self, theta):
         """Gradient (tilted first moments) and Hessian (tilted covariance)."""
@@ -174,7 +168,7 @@ class RateFunction:
             if gnorm <= s.gtol:
                 break
             if np.linalg.cond(cov) > s.cond_limit:
-                return self._solve_degenerate(x, theta, it)
+                return self._solve_degenerate(x, theta, val, it)
             step = np.linalg.solve(cov, -grad)
             # backtracking on the dual objective L(theta) - <theta, x>; the
             # slack term keeps the search from stalling once the predicted
@@ -208,20 +202,24 @@ class RateFunction:
                 converged=False, iterations=it,
                 message="argmax diverged; outside admissible domain")
         if np.linalg.cond(cov) > s.cond_limit:
-            return self._solve_degenerate(x, theta, it)
+            return self._solve_degenerate(x, theta, val, it)
         hess = np.linalg.inv(cov)
         return CramerResult(
             value=float(np.dot(theta, x)) - val, argmax=theta, hess=hess,
             converged=True, iterations=it)
 
-    def _solve_degenerate(self, x, theta, it) -> CramerResult:
-        # pair lift with z^2 a.s. constant: conjugate finite only on y = const
+    def _solve_degenerate(self, x, theta, val, it) -> CramerResult:
         L = self.source
-        if L.lift != "pair":
+        _, mean0, cov0 = L.tilted_stats(np.zeros(L.d))
+        if np.linalg.cond(cov0) <= self.settings.cond_limit:
+            # the base has full curvature, so it vanished along the path:
+            # the target sits on the boundary of the admissible domain
             return CramerResult(
-                value=math.nan, argmax=theta, hess=None, converged=False,
-                iterations=it, message="degenerate curvature")
-        c0 = float(L.tilted_stats(np.zeros(2))[1][1])
+                value=float(np.dot(theta, x)) - val, argmax=theta, hess=None,
+                converged=False, iterations=it,
+                message="curvature vanished; outside admissible domain")
+        # pair lift with z^2 a.s. constant: conjugate finite only on y = const
+        c0 = float(mean0[1])
         if abs(x[1] - c0) > 1e-9:
             return CramerResult(
                 value=math.inf, argmax=theta, hess=None, converged=False,
@@ -264,8 +262,9 @@ def rate_expansion_residual(R: RateFunction, g, x: float, y: float) -> float:
     s2, mu4 = ms.sigma2, ms.mu4
     sig_pow = s2**3 if g.variant == "star" else s2**2
     coeff = mu4 + g.m4 * sig_pow
-    # sigma^2 is a quadrature value: a target within roundoff of (0, sigma^2)
-    # is the minimum, where the rate and the form both vanish
+    # sigma^2 carries the rounding of its closed form or quadrature: a target
+    # within roundoff of (0, sigma^2) is the minimum, where the rate and the
+    # form both vanish
     tol = 8 * np.finfo(float).eps * s2
     if abs(x) <= tol and abs(y - s2) <= tol:
         return 1.0

@@ -136,6 +136,31 @@ class TestValidationErrors:
         assert message in err
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["rate", "grid", "--preset", "gaussian", "--x-min", "0",
+          "--x-max", "1", "--y-min", "1", "--y-max", "2", "--nx", "-1"],
+         "--nx and --ny"),
+        (["cramer", "check", "--preset", "gaussian", "--alpha", "0"],
+         "--alpha"),
+        (["cramer", "check", "--preset", "gaussian", "--alpha", "60"],
+         "--alpha"),
+        (["cramer", "check", "--preset", "gaussian", "--alpha", "0.5",
+          "--step", "0"], "--step"),
+        (["kernel", "verify", "--preset", "gaussian", "--n", "0",
+          "--points", "0.1"], "--n"),
+        (["kernel", "verify", "--preset", "gaussian", "--n", "4", "--d", "2",
+          "--points", "0.1"], "2 comma-separated coordinates"),
+        (["rate", "eval", "--preset", "gaussian", "--x", "nan", "--y", "1"],
+         "finite"),
+    ])
+    def test_bad_analysis_arguments(self, tmp_path, capsys, argv, message):
+        if argv[0] != "rate" or argv[1] != "eval":
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert message in err
+
+
 class TestEntryPoint:
     def test_module_help(self):
         src = str(Path(cli.__file__).resolve().parents[1])

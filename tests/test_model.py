@@ -449,3 +449,20 @@ class TestVaradhanDecay:
         vals = {n: n * varadhan_decay(measure.three_point(p=0.25), n)
                 for n in (50, 100, 200, 400)}
         assert vals[400] < vals[200] < vals[100] < vals[50] < 0
+
+    def test_rises_toward_the_limit(self):
+        # notes/decisions.md: v_n = L - ln(n)/(2n) + c/n + O(1/n^2), with
+        # the Varadhan limit L and c from the lattice Laplace sum, so v_n
+        # rises toward L and c(n) = n (v_n - L) + ln(n)/2 closes on c at
+        # rate O(1/n)
+        L, c = -0.0537958, 1.4265
+        table = {50: -0.0672633, 100: -0.0633856, 200: -0.0601360,
+                 400: -0.0577787, 800: -0.0562059, 1600: -0.0552137}
+        ns = sorted(table)
+        v = {n: varadhan_decay(measure.three_point(p=0.25), n) for n in ns}
+        for n in ns:
+            assert v[n] == pytest.approx(table[n], abs=5e-8)
+        assert all(v[a] < v[b] < L for a, b in zip(ns, ns[1:]))
+        gaps = [c - (n * (v[n] - L) + math.log(n) / 2) for n in ns]
+        assert all(0.45 < b / a < 0.6 for a, b in zip(gaps, gaps[1:]))
+        assert 0 < gaps[-1] < 0.01

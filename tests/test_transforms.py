@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from cwsoc import measure
+from cwsoc.measure import DensityComponent
 from cwsoc.model import quadratic, quartic
 from cwsoc.transforms import (
     DomainFault,
@@ -75,6 +79,99 @@ class TestLogLaplace:
         assert L.value([0.7]) == pytest.approx(0.49 / 2, abs=1e-10)
 
 
+def _normal_stats(sigma, u, v):
+    # L, mean and covariance of (z, z^2) under the untruncated N(0, sigma^2)
+    s2 = sigma**2 / (1 - 2 * v * sigma**2)
+    mu = u * s2
+    L = -0.5 * math.log(1 - 2 * v * sigma**2) + 0.5 * u * mu
+    mean = np.array([mu, mu * mu + s2])
+    cov = np.array([[s2, 2 * mu * s2],
+                    [2 * mu * s2, 2 * s2 * s2 + 4 * mu * mu * s2]])
+    return L, mean, cov
+
+
+def _quad_stats(density, u, v):
+    # scipy.integrate.quad of the shifted integrand, with break points
+    # around the peak of the tilted density on the window
+    R, sigma = density.support_radius, density.sigma
+    s2 = sigma**2 / (1 - 2 * v * sigma**2)
+    mu = u * s2
+    peak = min(max(mu, -R), R)
+    width = math.sqrt(s2) if abs(mu) <= R else s2 / (abs(mu) - R)
+    points = [p for p in (peak + j * width for j in (-16, -4, -1, 1, 4, 16))
+              if -R < p < R]
+    shift = max(u * z + v * z * z for z in (-R, R, peak))
+    m = np.array([integrate.quad(
+        lambda z: z**k * math.exp(u * z + v * z * z - shift)
+        * float(density.pdf(np.array(z))), -R, R, points=points or None,
+        epsabs=0, epsrel=1e-13, limit=200)[0] for k in range(5)])
+    mom = m / m[0]
+    cov = np.array([[mom[2] - mom[1]**2, mom[3] - mom[1] * mom[2]],
+                    [mom[3] - mom[1] * mom[2], mom[4] - mom[2]**2]])
+    return shift + math.log(m[0]), mom[1:3], cov
+
+
+class TestGaussianClosedForm:
+    """``GaussianDensity.tilted_moments`` behind ``LogLaplace``."""
+
+    @pytest.mark.parametrize("sigma,radius", [(1.0, 10.0), (0.7, 10.0),
+                                              (2.0, 6.0)])
+    def test_untruncated_limit(self, sigma, radius):
+        L = LogLaplace(measure.gaussian(sigma=sigma, support_radius=radius))
+        R = sigma * radius
+        checked = 0
+        for u in np.linspace(-6, 6, 13) / sigma:
+            for v in np.array([-20, -4, -1, 0, 0.2, 0.4, 0.45]) / sigma**2:
+                s = sigma / math.sqrt(1 - 2 * v * sigma**2)
+                if abs(u * s * s) > R - 8 * s:
+                    continue
+                value, mean, cov = L.tilted_stats([u, v])
+                want = _normal_stats(sigma, u, v)
+                assert value == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(mean, want[1], rtol=1e-12,
+                                           atol=1e-12)
+                np.testing.assert_allclose(cov, want[2], rtol=1e-12,
+                                           atol=1e-12)
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("base", [
+        measure.gaussian, measure.rho_zero,
+        # a window narrow enough that the far-end correction shows
+        lambda: measure.gaussian(support_radius=2.0)],
+        ids=["gaussian", "rho0", "gaussian-R2"])
+    def test_matches_generic_quadrature(self, base):
+        closed = base()
+        d = closed.density
+        generic = measure.Measure1D(atoms=closed.atoms, density=DensityComponent(
+            d.pdf, d.support_radius, d.domination))
+        Lc, Lg = LogLaplace(closed), LogLaplace(generic)
+        rng = np.random.default_rng(6)
+        for u, v in zip(rng.uniform(-3, 3, 25), rng.uniform(-4, 0.45, 25)):
+            vc, mc, cc = Lc.tilted_stats([u, v])
+            vg, mg, cg = Lg.tilted_stats([u, v])
+            assert vc == pytest.approx(vg, abs=1e-12)
+            np.testing.assert_allclose(mc, mg, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(cc, cg, rtol=1e-9)
+
+    @pytest.mark.parametrize("u,v", [(40.0, 0.0), (-40.0, 0.0), (40.0, 0.49),
+                                     (-40.0, 0.49), (12.0, -20.0),
+                                     (3.0, 0.45), (0.2, 0.499)])
+    def test_extreme_tilts(self, u, v):
+        base = measure.gaussian()
+        value, mean, cov = LogLaplace(base).tilted_stats([u, v])
+        assert math.isfinite(value)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
+        want = _quad_stats(base.density, u, v)
+        assert value == pytest.approx(want[0], rel=1e-9)
+        np.testing.assert_allclose(mean, want[1], rtol=1e-9)
+        np.testing.assert_allclose(cov, want[2], rtol=1e-9)
+
+    def test_outside_domain_raises(self):
+        with pytest.raises(measure.MeasureError):
+            measure.gaussian().density.tilted_moments(0.0, 0.5, 0.0, 2)
+
+
 class TestCramerTransform:
     def test_gaussian_closed_form_grid(self, gauss_rate):
         # brute-force cross check: maximize ux + vy - L on a dense grid
@@ -140,6 +237,33 @@ class TestCramerTransform:
         x = 0.4
         expect = 0.5 * ((1 + x) * math.log(1 + x) + (1 - x) * math.log(1 - x))
         assert cramer_transform(R, x).value == pytest.approx(expect, abs=1e-10)
+
+
+_FENCHEL_BASES = {"gaussian": measure.gaussian, "rho0": measure.rho_zero,
+                  "three-point": measure.three_point}
+
+
+@pytest.fixture(scope="module")
+def fenchel_pairs():
+    return {name: LogLaplace(make()) for name, make in _FENCHEL_BASES.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_FENCHEL_BASES)),
+       a=st.floats(-0.95, 0.95), b=st.floats(0.05, 0.95),
+       u=st.floats(-4.0, 4.0), v=st.floats(-4.0, 0.45))
+def test_fenchel_inequality_property(fenchel_pairs, name, a, b, u, v):
+    # I(x) >= <theta, x> - L(theta) at an interior target x and a theta in
+    # the domain; targets: y - x^2 in [0.1, 1.9] with a density, and
+    # |x| <= 0.95 y, y in [0.05, 0.95] on the three-point atoms {-1, 0, 1}
+    L = fenchel_pairs[name]
+    if name == "three-point":
+        x, y = a * b, b
+    else:
+        x, y = a, a * a + 2 * b
+    r = RateFunction(L).solve([x, y])
+    assert r.converged
+    assert r.value >= u * x + v * y - L.value([u, v]) - 1e-9
 
 
 class TestRateAtOrigin:
