@@ -8,7 +8,6 @@ internally per chain in a fixed order, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -49,12 +48,10 @@ def _load_measure(args) -> measure.Measure1D:
         m = _PRESETS[args.preset]()
     elif getattr(args, "spec", None):
         path = Path(args.spec)
-        if not path.exists():
-            raise CliError(f"measure spec not found: {path}")
         try:
             m = measure.Measure1D.from_json(path.read_text())
-        except measure.MeasureError as exc:
-            raise CliError(f"invalid measure spec {path}: {exc}")
+        except (OSError, ValueError) as exc:  # MeasureError is a ValueError
+            raise CliError(f"measure spec {path}: {exc}")
     else:
         raise CliError("one of --preset or --spec is required")
     m.validate()
@@ -65,24 +62,27 @@ def _interaction(args) -> model.Interaction:
     kind = getattr(args, "g", "quadratic")
     variant = getattr(args, "variant", "standard")
     m4 = getattr(args, "m4", 0.0)
-    try:
-        if kind == "quadratic":
-            return model.quadratic(variant)
-        return model.quartic(m4, variant)
-    except model.InteractionError as exc:
-        raise CliError(str(exc))
+    if kind == "quadratic":
+        return model.quadratic(variant)
+    return model.quartic(m4, variant)
 
 
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path, header, rows) -> None:
+def _quote(text: str) -> str:
+    return f'"{text}"' if "," in text else text
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length ``columns`` under ``header`` as CSV rows: numbers
+    as ``repr``, text quoted when it holds a comma, CRLF line ends."""
+    cells = [map(_quote if c.dtype.kind == "U" else repr, c.tolist())
+             for c in map(np.asarray, columns)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def write_manifest(out_dir, config: dict) -> Path:
@@ -173,20 +173,17 @@ def _cmd_rate_grid(args) -> int:
     R = _rate_solver(args)
     xs = np.linspace(args.x_min, args.x_max, args.nx)
     ys = np.linspace(args.y_min, args.y_max, args.ny)
-    rows = []
-    for x in xs:
-        for y in ys:
-            r = R.solve([x, y])
-            rows.append((float(x), float(y),
-                         r.value if r.converged else math.inf,
-                         int(r.converged)))
-    _write_csv(args.out, ["x", "y", "value", "converged"], rows)
-    print(f"wrote {len(rows)} grid points to {args.out}")
+    results = [R.solve([x, y]) for x in xs for y in ys]
+    _write_csv(args.out, ["x", "y", "value", "converged"],
+               [np.repeat(xs, len(ys)), np.tile(ys, len(xs)),
+                [r.value if r.converged else math.inf for r in results],
+                [int(r.converged) for r in results]])
+    print(f"wrote {len(results)} grid points to {args.out}")
     return EXIT_OK
 
 
 def _cmd_kernel_verify(args) -> int:
-    _require(args.n >= 1, "--n must be >= 1")
+    _require(args.n >= args.d, f"--n must be >= {args.d} for --d {args.d}")
     _require(args.samples >= 1, "--samples must be >= 1")
     _require(args.c is None or args.c > 0, "--c must be positive")
     try:
@@ -200,15 +197,11 @@ def _cmd_kernel_verify(args) -> int:
     R = transforms.RateFunction(transforms.LogLaplace(m, lift=lift))
     s = kernel.SmoothedDensity(base=m, n=args.n, c=args.c, d=args.d,
                                samples=args.samples, seed=args.seed)
-    try:
-        rows = kernel.theorem3_comparison(s, R, points)
-    except kernel.KernelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    rows = kernel.theorem3_comparison(s, R, points)
     out_rows = [(",".join(repr(v) for v in r["x"]), args.n, s.c, r["phi"],
                  r["std_error"], r["asymptotic"], r["ratio"]) for r in rows]
     _write_csv(args.out, ["x", "n", "c", "phi", "se", "asymptotic", "ratio"],
-               out_rows)
+               zip(*out_rows))
     print(f"wrote {len(rows)} comparisons to {args.out}")
     return EXIT_OK
 
@@ -217,20 +210,15 @@ def _cmd_simulate(args) -> int:
     m = _load_measure(args)
     tm = model.TiltedModel(rho=m, g=_interaction(args), n=args.n)
     rng = np.random.default_rng(args.seed)
-    try:
-        if args.method == "enumeration":
-            batch = model.enumerate_exact(tm)
-        elif args.method == "importance":
-            batch = model.sample_importance(tm, args.count, rng)
-        else:
-            batch = model.sample_metropolis(
-                tm, args.count, rng=rng, chains=args.chains)
-    except model.ModelError as exc:
-        raise CliError(str(exc))
-    batch.seed = args.seed
+    if args.method == "enumeration":
+        batch = model.enumerate_exact(tm)
+    elif args.method == "importance":
+        batch = model.sample_importance(tm, args.count, rng)
+    else:
+        batch = model.sample_metropolis(
+            tm, args.count, rng=rng, chains=args.chains)
     out = Path(args.out)
-    _write_csv(out, ["S", "T", "weight"],
-               zip(batch.S.tolist(), batch.T.tolist(), batch.weight.tolist()))
+    _write_csv(out, ["S", "T", "weight"], [batch.S, batch.T, batch.weight])
     meta = {"method": batch.method, "n": batch.n, "seed": args.seed,
             "diagnostics": {k: (v.item() if isinstance(v, np.generic) else v)
                             for k, v in batch.diagnostics.items()}}
@@ -239,44 +227,52 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _bad_line(lines, cols) -> int:
+    """Line number (the header is line 1) of the first row that
+    ``np.loadtxt`` rejects; empty lines are skipped, as it skips them."""
+    for k, text in enumerate(lines, 2):
+        try:
+            if text:
+                np.loadtxt([text], delimiter=",", usecols=cols)
+        except ValueError:
+            return k
+
+
 def _read_batch(path) -> model.EmpiricalBatch:
     path = Path(path)
-    if not path.exists():
-        raise CliError(f"batch file not found: {path}")
+    try:
+        header, *lines = path.read_text().splitlines() or [""]
+    except (OSError, ValueError) as exc:
+        raise CliError(f"batch {path}: {exc}")
     meta_path = path.with_suffix(".meta.json")
-    if not meta_path.exists():
-        raise CliError(f"batch metadata not found: {meta_path}")
     try:
         meta = json.loads(meta_path.read_text())
         method, n = meta["method"], int(meta["n"])
     except KeyError as exc:
         raise CliError(f"batch metadata {meta_path} lacks {exc}")
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid batch metadata {meta_path}: {exc}")
-    S, T, w = [], [], []
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        missing = {"S", "T", "weight"} - set(reader.fieldnames or ())
-        if missing:
-            raise CliError(f"batch {path} lacks column(s) {sorted(missing)}")
-        try:
-            for row in reader:
-                S.append(float(row["S"]))
-                T.append(float(row["T"]))
-                w.append(float(row["weight"]))
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"batch {path} line {reader.line_num}: {exc}")
-    if not S:
+    except (OSError, TypeError, ValueError) as exc:
+        raise CliError(f"batch metadata {meta_path}: {exc}")
+    names = header.split(",")
+    missing = {"S", "T", "weight"} - set(names)
+    if missing:
+        raise CliError(f"batch {path} lacks column(s) {sorted(missing)}")
+    if not any(lines):
         raise CliError(f"batch {path} has no rows")
-    S, T, w = np.array(S), np.array(T), np.array(w)
+    cols = [names.index(c) for c in ("S", "T", "weight")]
+    try:
+        S, T, w = np.loadtxt(lines, delimiter=",", usecols=cols, ndmin=2,
+                             unpack=True)
+    except ValueError as exc:
+        raise CliError(f"batch {path} line {_bad_line(lines, cols)}: {exc}")
     if not np.isfinite([S, T, w]).all():
         raise CliError(f"batch {path} has non-finite values")
     return model.EmpiricalBatch(
         S=S, T=T, weight=w, method=method, n=n,
-        diagnostics=meta.get("diagnostics", {}), seed=meta.get("seed"))
+        diagnostics=meta.get("diagnostics", {}))
 
 
 def _cmd_verify(args) -> int:
+    _require(0 < args.tol < math.inf, "--tol must be positive and finite")
     m = _load_measure(args)
     batch = _read_batch(args.batch)
     tm = model.TiltedModel(rho=m, g=_interaction(args), n=batch.n)
@@ -292,23 +288,21 @@ def _cmd_verify(args) -> int:
     }
     _write_json(args.out, payload)
     if args.mode == "fluct":
-        vals, w = model.rescaled_statistic(tm, batch)
-        order = np.argsort(vals)
-        law = limitlaw.QuarticLaw()
-        emp = np.cumsum(w[order])
+        s, emp = limitlaw.empirical_cdf(*model.rescaled_statistic(tm, batch))
         _write_csv(Path(args.out).with_suffix(".cdf.csv"),
                    ["s", "empirical_cdf", "limit_cdf"],
-                   zip(vals[order].tolist(), emp.tolist(),
-                       law.cdf(vals[order]).tolist()))
+                   [s, emp, limitlaw.QuarticLaw().cdf(s)])
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     out_dir = Path(args.dir)
-    if not out_dir.is_dir():
-        raise CliError(f"not a directory: {out_dir}")
-    config = json.loads(Path(args.config).read_text()) if args.config else {}
+    _require(out_dir.is_dir(), f"not a directory: {out_dir}")
+    try:
+        config = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, ValueError) as exc:
+        raise CliError(f"config {args.config}: {exc}")
     path = write_manifest(out_dir, config)
     print(f"wrote {path}")
     return EXIT_OK
@@ -423,7 +417,7 @@ def dispatch(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (measure.MeasureError, transforms.DomainFault,
-            model.ModelError) as exc:
+            model.ModelError, model.InteractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (kernel.KernelError, limitlaw.LimitLawError) as exc:

@@ -92,10 +92,10 @@ class SmoothedDensity:
     seed: int = 0
 
     def __post_init__(self):
+        if self.d not in (1, 2) or self.n < self.d:
+            raise KernelError("need d = 1 or 2 and n >= d")
         if self.c is None:
             self.c = 1.0 / self.n
-        if self.d not in (1, 2):
-            raise KernelError("d must be 1 or 2")
         if self.d == 1 and not _point_mass_at_zero(self.base):
             _gaussian_density(self.base)  # KernelError for other bases
 

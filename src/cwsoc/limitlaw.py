@@ -54,23 +54,24 @@ class QuarticLaw:
         return self.ppf(rng.random(count))
 
 
-def ks_distance(values, weights, law: Optional[QuarticLaw] = None) -> float:
-    """Sup distance between the weighted empirical CDF and the law's CDF."""
-    law = law or QuarticLaw()
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+def empirical_cdf(values, weights) -> tuple:
+    """The weighted empirical CDF at its steps: the distinct ``values``,
+    ascending, and the share of the total weight at or below each."""
     if len(values) == 0:
         raise LimitLawError("empty batch")
-    total = float(np.sum(weights))
-    if total <= 0:
+    s, where = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    cum = np.cumsum(np.bincount(where, weights=weights))
+    if cum[-1] <= 0:
         raise LimitLawError("all-zero weights")
-    order = np.argsort(values)
-    v = values[order]
-    w = np.cumsum(weights[order]) / total
-    F = law.cdf(v)
-    upper = float(np.max(np.abs(w - F)))
-    lower = float(np.max(np.abs(np.concatenate([[0.0], w[:-1]]) - F)))
-    return max(upper, lower)
+    return s, cum / cum[-1]
+
+
+def ks_distance(values, weights, law: Optional[QuarticLaw] = None) -> float:
+    """Sup distance between the weighted empirical CDF and the law's CDF."""
+    s, emp = empirical_cdf(values, weights)
+    F = (law or QuarticLaw()).cdf(s)
+    below = np.concatenate(([0.0], emp[:-1]))
+    return float(max(np.abs(emp - F).max(), np.abs(below - F).max()))
 
 
 def kolmogorov_critical(n_eff: float, level: float = 0.01) -> float:

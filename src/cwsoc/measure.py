@@ -421,7 +421,12 @@ class Measure1D:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise MeasureError(f"malformed measure JSON: {exc}") from exc
-        atoms = tuple((float(z), float(m)) for z, m in doc.get("atoms", []))
+        if not isinstance(doc, dict):
+            raise MeasureError("a measure spec must be a JSON object")
+        try:
+            atoms = tuple((float(z), float(m)) for z, m in doc.get("atoms", []))
+        except (TypeError, ValueError) as exc:
+            raise MeasureError(f"atoms must be [z, mass] pairs: {exc}") from exc
         density = None
         if "density" in doc:
             density = _density_from_spec(doc["density"],

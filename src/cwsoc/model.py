@@ -135,7 +135,6 @@ class EmpiricalBatch:
     method: str               # 'enumeration' | 'importance' | 'metropolis'
     n: int
     diagnostics: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if np.any(self.T <= 0):

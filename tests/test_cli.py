@@ -4,9 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cwsoc import cli
 
@@ -152,11 +156,38 @@ class TestValidationErrors:
           "--points", "0.1"], "2 comma-separated coordinates"),
         (["rate", "eval", "--preset", "gaussian", "--x", "nan", "--y", "1"],
          "finite"),
+        (["kernel", "verify", "--preset", "gaussian", "--n", "1", "--d", "2",
+          "--points", "0.1,1.05"], "--n must be >= 2"),
+        (["verify", "fluct", "--preset", "gaussian", "--batch", "b.csv",
+          "--tol", "nan"], "--tol"),
+        (["verify", "lln", "--preset", "gaussian", "--batch", "b.csv",
+          "--tol", "0"], "--tol"),
     ])
     def test_bad_analysis_arguments(self, tmp_path, capsys, argv, message):
         if argv[0] != "rate" or argv[1] != "eval":
             argv = argv + ["--out", str(tmp_path / "out.csv")]
         rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert message in err
+
+    @pytest.mark.parametrize("flag,text,message", [
+        ("--spec", "[]", "JSON object"),
+        ("--spec", '{"atoms": [[1.0]]}', "atoms must be"),
+        ("--spec", '{"atoms": [["x", 0.5]]}', "atoms must be"),
+        ("--spec", None, "Is a directory"),
+        ("--config", "{", "Expecting property name"),
+        ("--config", None, "No such file"),
+    ])
+    def test_bad_input_file(self, tmp_path, capsys, flag, text, message):
+        # text None: a directory in place of the spec, no file for the config
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        elif flag == "--spec":
+            path.mkdir()
+        command = (["measure", "info"] if flag == "--spec"
+                   else ["report", "--dir", str(tmp_path)])
+        rc, _, err = run(capsys, *command, flag, str(path))
         assert rc == 2
         assert message in err
 
@@ -198,8 +229,20 @@ class TestSimulateVerify:
         doc = json.loads(report.read_text())
         assert doc["passed"]
         assert doc["cramer_condition"] == "no"
-        cdf = report.with_suffix(".cdf.csv").read_text().splitlines()
-        assert cdf[0] == "s,empirical_cdf,limit_cdf"
+        cdf_path = report.with_suffix(".cdf.csv")
+        assert cdf_path.read_text().splitlines()[0] == \
+            "s,empirical_cdf,limit_cdf"
+        # one row per distinct S = -200..200; the CDF steps only there
+        s, emp, limit = np.loadtxt(cdf_path, delimiter=",", skiprows=1,
+                                   unpack=True)
+        assert len(s) == 401
+        assert np.all(np.diff(s) > 0) and np.all(np.diff(emp) >= 0)
+        # every S has positive weight; the CDF stalls only once it rounds to 1
+        assert np.all(np.diff(emp[emp < 1]) > 0)
+        assert abs(emp[-1] - 1) <= 1e-12
+        below = np.concatenate(([0.0], emp[:-1]))
+        gap = max(np.max(np.abs(emp - limit)), np.max(np.abs(below - limit)))
+        assert doc["ks_distance"] == gap
 
     def test_determinism(self, tmp_path, capsys):
         digests = []
@@ -243,6 +286,26 @@ class TestSimulateVerify:
         for key in ("integrated_autocorrelation_time",
                     "effective_sample_size", "split_rhat"):
             assert math.isnan(diag[key])
+
+
+class TestBatchIO:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**6), st.lists(st.tuples(
+        st.floats(-1e150, 1e150), st.floats(0, 1e300),
+        st.floats(0, 1e300)), min_size=1, max_size=40))
+    def test_write_read_round_trip(self, n, draws):
+        # a valid batch: T > 0 and S^2 <= n T in floats, finite cells
+        rows = [(S, T, w) for S, T, w in draws if T > 0 and S * S <= n * T]
+        assume(rows)
+        S, T, w = map(np.array, zip(*rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "b.csv"
+            cli._write_csv(path, ["S", "T", "weight"], [S, T, w])
+            path.with_suffix(".meta.json").write_text(
+                json.dumps({"method": "importance", "n": n}))
+            batch = cli._read_batch(path)
+        for got, want in ((batch.S, S), (batch.T, T), (batch.weight, w)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestManifest:

@@ -130,6 +130,8 @@ class TestPhiEstimateD1:
     def test_unsupported_base(self):
         with pytest.raises(KernelError):
             SmoothedDensity(base=measure.rademacher(), n=5, d=1)
+        with pytest.raises(KernelError, match="n >= d"):
+            SmoothedDensity(base=measure.gaussian(), n=1, d=2)
 
     def test_callable_density_base_refused(self):
         # a normal pdf given as a callable has no closed-form n-fold law
