@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -171,13 +173,25 @@ def _cmd_rate_grid(args) -> int:
                                      args.y_max))),
              "grid bounds must be finite")
     R = _rate_solver(args)
-    xs = np.linspace(args.x_min, args.x_max, args.nx)
-    ys = np.linspace(args.y_min, args.y_max, args.ny)
-    results = [R.solve([x, y]) for x in xs for y in ys]
+    x = np.repeat(np.linspace(args.x_min, args.x_max, args.nx), args.ny)
+    y = np.tile(np.linspace(args.y_min, args.y_max, args.ny), args.nx)
+    t0 = time.perf_counter()
+    results = R.solve_many(np.column_stack([x, y]))
+    wall = time.perf_counter() - t0
     _write_csv(args.out, ["x", "y", "value", "converged"],
-               [np.repeat(xs, len(ys)), np.tile(ys, len(xs)),
-                [r.value if r.converged else math.inf for r in results],
+               [x, y, [r.value if r.converged else math.inf for r in results],
                 [int(r.converged) for r in results]])
+    iterations = [r.iterations for r in results]
+    _write_json(Path(args.out).with_suffix(".meta.json"), {
+        "points": len(results),
+        "converged": sum(r.converged for r in results),
+        "newton_iterations": {"total": sum(iterations),
+                              "max": max(iterations)},
+        "stop_messages": dict(Counter(r.message or "converged"
+                                      for r in results)),
+        "degenerate_fallbacks": sum(r.degenerate for r in results),
+        "solve_wall_s": wall,
+    })
     print(f"wrote {len(results)} grid points to {args.out}")
     return EXIT_OK
 
@@ -288,10 +302,8 @@ def _cmd_verify(args) -> int:
     }
     _write_json(args.out, payload)
     if args.mode == "fluct":
-        s, emp = limitlaw.empirical_cdf(*model.rescaled_statistic(tm, batch))
         _write_csv(Path(args.out).with_suffix(".cdf.csv"),
-                   ["s", "empirical_cdf", "limit_cdf"],
-                   [s, emp, limitlaw.QuarticLaw().cdf(s)])
+                   ["s", "empirical_cdf", "limit_cdf"], report.cdf)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -69,7 +69,12 @@ def empirical_cdf(values, weights) -> tuple:
 def ks_distance(values, weights, law: Optional[QuarticLaw] = None) -> float:
     """Sup distance between the weighted empirical CDF and the law's CDF."""
     s, emp = empirical_cdf(values, weights)
-    F = (law or QuarticLaw()).cdf(s)
+    return _sup_gap(emp, (law or QuarticLaw()).cdf(s))
+
+
+def _sup_gap(emp, F) -> float:
+    """KS distance from the empirical CDF ``emp`` and the law's CDF ``F``,
+    both at the steps: the gap is largest at a step or just below it."""
     below = np.concatenate(([0.0], emp[:-1]))
     return float(max(np.abs(emp - F).max(), np.abs(below - F).max()))
 
@@ -90,6 +95,8 @@ class VerificationReport:
     tolerances: dict = field(default_factory=dict)
     cramer_flag: str = "inconclusive"   # 'yes' | 'no' | 'inconclusive'
     details: dict = field(default_factory=dict)
+    # fluctuation reports: (s, empirical CDF, limit CDF) at the steps
+    cdf: Optional[tuple] = None
 
     def __post_init__(self):
         if self.ks_distance is not None:
@@ -143,7 +150,9 @@ def verify_fluctuations(m: TiltedModel, batch: EmpiricalBatch,
     """KS and moment comparison of the rescaled statistic vs the quartic law."""
     law = QuarticLaw()
     vals, w = rescaled_statistic(m, batch)
-    ks = ks_distance(vals, w, law)
+    s, emp = empirical_cdf(vals, w)
+    limit = law.cdf(s)
+    ks = _sup_gap(emp, limit)
     m2 = float(np.sum(w * vals**2))
     m4 = float(np.sum(w * vals**4))
     flag = _cramer_flag(m)
@@ -153,7 +162,8 @@ def verify_fluctuations(m: TiltedModel, batch: EmpiricalBatch,
         moment_table={"moment2": m2, "moment2_limit": law.moment(2),
                       "moment4": m4, "moment4_limit": law.moment(4)},
         tolerances={"tol_ks": tol_ks}, cramer_flag=flag,
-        details={"effective_sample_size": _batch_ess(batch)})
+        details={"effective_sample_size": _batch_ess(batch)},
+        cdf=(s, emp, limit))
     if flag != "yes":
         report.details["hypothesis_caveat"] = (
             "base measure does not certify the Cramer condition; the "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr
+from scipy.special import comb, erfcx, log_ndtr
 
 from .quadrature import adaptive_gauss_legendre, gaussian_tail_bound
 
@@ -101,18 +101,27 @@ _CF_DEPTH = 60
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 
-def _half_line_moments(c: float, kmax: int) -> np.ndarray:
-    """``E[x^k]``, ``k = 0..kmax``, for ``x >= 0`` with density proportional
-    to ``exp(-c x - x^2 / 2)``: the ratios ``E[x^k] / E[x^{k-1}] =
-    k / (c + E[x^{k+1}] / E[x^k])`` of Laplace's continued fraction,
-    evaluated bottom-up."""
-    ratios = np.ones(kmax + 1)
-    r = 0.0
+def _half_line_moments(c: np.ndarray, kmax: int) -> np.ndarray:
+    """``E[x^k]``, ``k = 0..kmax`` along the last axis, for ``x >= 0`` with
+    density proportional to ``exp(-c x - x^2 / 2)``, elementwise over the
+    array ``c``: the ratios ``E[x^k] / E[x^{k-1}] = k / (c + E[x^{k+1}] /
+    E[x^k])`` of Laplace's continued fraction, evaluated bottom-up."""
+    ratios = np.ones(np.shape(c) + (kmax + 1,))
+    r = np.zeros(np.shape(c))
     for k in range(max(_CF_DEPTH, kmax), 0, -1):
         r = k / (c + r)
         if k <= kmax:
-            ratios[k] = r
-    return np.cumprod(ratios)
+            ratios[..., k] = r
+    return np.cumprod(ratios, axis=-1)
+
+
+def _shifted_moments(x0: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``E[(x0 + Y)^k]``, ``k = 0..K-1``, from the rows ``m[p, i] =
+    E[Y^i]``: the binomial sums ``sum_i C(k, i) x0^(k-i) m_i``, row by row."""
+    k = np.arange(m.shape[1])
+    binom = comb(k[:, None], k[None, :])  # 0 above the diagonal
+    lag = np.maximum(k[:, None] - k[None, :], 0)  # k - i where C(k, i) > 0
+    return np.einsum("ki,pki,pi->pk", binom, x0[:, None, None] ** lag, m)
 
 
 class GaussianDensity(DensityComponent):
@@ -151,10 +160,13 @@ class GaussianDensity(DensityComponent):
             bad = np.abs(z) > self.support_radius
         return z
 
-    def tilted_moments(self, u: float, v: float, shift: float,
-                       kmax: int) -> np.ndarray:
+    def tilted_moments(self, u, v, shift, kmax: int) -> np.ndarray:
         """``integral over [-R, R] of z^k exp(u z + v z^2 - shift) f(z) dz``
         for ``k = 0..kmax``, in closed form (``R = support_radius``).
+
+        Elementwise over the broadcast 1-D arrays ``u``, ``v`` and ``shift``:
+        row ``p`` of the ``(P, kmax + 1)`` result belongs to the ``p``-th
+        tilt; scalar inputs give one row as a 1-D array.
 
         The tilted law is ``N(mu, s^2)`` with ``s^2 = sigma^2 / (1 - 2 v
         sigma^2)`` and ``mu = u s^2``, so each integral is the normal mass
@@ -168,52 +180,59 @@ class GaussianDensity(DensityComponent):
         for the far end with ``erfcx``.  Every quantity before the final
         scale is O(1), so no tilt in the domain overflows or underflows.
         """
+        scalar = all(np.ndim(a) == 0 for a in (u, v, shift))
+        u, v, shift = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (u, v, shift)))
         q = 1.0 - 2.0 * v * self.sigma**2
-        if not q > 0:
+        if not np.all(q > 0):
             raise MeasureError("tilt outside the finiteness domain")
         R = self.support_radius
-        s = self.sigma / math.sqrt(q)
-        sign = -1.0 if u < 0 else 1.0  # the law is symmetric: reflect u >= 0
-        u = abs(u)
+        s = self.sigma / np.sqrt(q)
+        sign = np.where(u < 0, -1.0, 1.0)  # the law is symmetric: reflect u >= 0
+        u = np.abs(u)
         mu = u * s * s
-        D = np.zeros(kmax + 1)  # moments of D = (z - z0) / s
-        if mu <= R + _NEAR_MODE * s:
-            z0 = mu
-            a, b = (-R - mu) / s, (R - mu) / s
+        near = mu <= R + _NEAR_MODE * s
+        z0 = np.where(near, mu, R)
+        powers = np.arange(kmax + 1)
+        D = np.empty(u.shape + (kmax + 1,))  # moments of D = (z - z0) / s
+        log_scale = np.empty_like(u)
+        if near.any():
+            un, mn, sn = u[near], mu[near], s[near]
+            a, b = (-R - mn) / sn, (R - mn) / sn
             lb = log_ndtr(b)
-            log_p = lb + math.log1p(-math.exp(log_ndtr(a) - lb))
+            log_p = lb + np.log1p(-np.exp(log_ndtr(a) - lb))
             # the exponent u z - z^2 / (2 s^2) at its maximum z = mu
-            log_scale = 0.5 * u * mu + log_p
-            pa = math.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_p)
-            pb = math.exp(-0.5 * b * b - _LOG_SQRT_2PI - log_p)
-            D[0] = 1.0
+            log_scale[near] = 0.5 * un * mn + log_p
+            pa = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_p)
+            pb = np.exp(-0.5 * b * b - _LOG_SQRT_2PI - log_p)
+            Dn = np.ones((len(un), kmax + 1))
             for k in range(1, kmax + 1):
-                D[k] = a ** (k - 1) * pa - b ** (k - 1) * pb
+                Dn[:, k] = a ** (k - 1) * pa - b ** (k - 1) * pb
                 if k >= 2:
-                    D[k] += (k - 1) * D[k - 2]
-        else:
+                    Dn[:, k] += (k - 1) * Dn[:, k - 2]
+            D[near] = Dn
+        far = ~near
+        if far.any():
             # anchor at z0 = R: x = -D in [0, w] has density
             # proportional to exp(-(x + c)^2 / 2), and c >= _NEAR_MODE
-            z0 = R
-            c, w = (mu - R) / s, 2 * R / s
+            uf, sf = u[far], s[far]
+            c, w = (mu[far] - R) / sf, 2 * R / sf
             ec = erfcx(c / math.sqrt(2))
             # far-end share Q(c + w) / Q(c) of the half-line mass
-            g = math.exp(-c * w - 0.5 * w * w) * erfcx(
+            g = np.exp(-c * w - 0.5 * w * w) * erfcx(
                 (c + w) / math.sqrt(2)) / ec
             # the exponent at z = R plus the log window mass
-            log_scale = u * R - 0.5 * (R / s) ** 2 + math.log(
-                0.5 * ec) + math.log1p(-g)
-            near = _half_line_moments(c, kmax)
-            far = _half_line_moments(c + w, kmax)
-            for k in range(kmax + 1):
-                tail = sum(math.comb(k, i) * w ** (k - i) * far[i]
-                           for i in range(k + 1))
-                D[k] = (-1) ** k * (near[k] - g * tail) / (1 - g)
+            log_scale[far] = uf * R - 0.5 * (R / sf) ** 2 + np.log(
+                0.5 * ec) + np.log1p(-g)
+            near_end, far_end = _half_line_moments(np.stack([c, c + w]), kmax)
+            tail = _shifted_moments(w, far_end)
+            D[far] = (-1.0) ** powers * (
+                near_end - g[:, None] * tail) / (1 - g)[:, None]
         # raw moments of z = z0 + s D, reflected back to the sign of u
-        out = np.array([sign ** k * sum(
-            math.comb(k, i) * z0 ** (k - i) * s ** i * D[i]
-            for i in range(k + 1)) for k in range(kmax + 1)])
-        return self.mass * s / self.sigma * math.exp(log_scale - shift) * out
+        out = sign[:, None] ** powers * _shifted_moments(
+            z0, s[:, None] ** powers * D)
+        out *= (self.mass * s / self.sigma * np.exp(log_scale - shift))[:, None]
+        return out[0] if scalar else out
 
     def block_sums(self, k: int, size, rng: np.random.Generator) -> tuple:
         """``(sum Z, sum Z^2)`` of ``k`` i.i.d. draws, ``size`` times over.

@@ -36,91 +36,93 @@ class LogLaplace:
         self.base = base
         self.lift = lift
         self.d = 2 if lift == "pair" else 1
+        self._atoms = np.array(base.atoms, dtype=float).reshape(-1, 2).T
 
-    def _psi(self, z: np.ndarray) -> list[np.ndarray]:
-        return [z, z * z] if self.lift == "pair" else [z]
-
-    def _quadratic_coeff(self, theta: np.ndarray) -> float:
-        return float(theta[1]) if self.lift == "pair" else 0.0
-
-    def in_domain(self, theta) -> bool:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.base.density is None:
-            return True
-        return self._quadratic_coeff(theta) < self.base.density.domination[1]
-
-    def _exponent_shift(self, u: float, v: float) -> float:
-        """Exact maximum of ``u z + v z^2`` over the effective support."""
-        best = max((u * z + v * z * z for z, _ in self.base.atoms),
-                   default=-np.inf)
-        if self.base.density is not None:
-            R = self.base.density.support_radius
-            cands = [u * R + v * R * R, -u * R + v * R * R]
-            if v < 0 and abs(u) < 2 * abs(v) * R:
-                zc = -u / (2 * v)
-                cands.append(u * zc + v * zc * zc)
-            best = max(best, *cands)
-        return best if math.isfinite(best) else 0.0
+    def in_domain(self, theta):
+        """Whether ``theta`` lies in the finiteness domain, elementwise over
+        the leading axes of an array of tilts (the last axis is the tilt)."""
+        theta = np.asarray(theta, dtype=float)
+        if self.base.density is None or self.lift == "line":
+            return np.ones(theta.shape[:-1], dtype=bool)
+        return theta[..., 1] < self.base.density.domination[1]
 
     def _raw_moments(self, theta: np.ndarray, kmax: int, tol: float):
-        """``(c, m)``: the exponent shift ``c`` and the raw moments
-        ``m_k = E[z^k exp(<theta, psi(z)> - c)]``, ``k = 0..kmax``.
+        """``(c, m)`` for the rows of ``theta`` (shape ``(P, d)``, every row
+        in the domain): the exponent shift ``c`` (shape ``(P,)``), the exact
+        maximum of ``<theta, psi(z)>`` over the effective support, and the
+        raw moments ``m[p, k] = E[z^k exp(<theta_p, psi(z)> - c_p)]``,
+        ``k = 0..kmax``.
 
-        Atoms are summed exactly; a ``GaussianDensity`` contributes its
-        closed form, any other density adaptive quadrature to ``tol``.
+        Atoms are summed exactly from one ``(P, A)`` exponent matrix; a
+        ``GaussianDensity`` contributes its closed form, any other density
+        adaptive quadrature to ``tol``, row by row.
         """
-        u, v = float(theta[0]), self._quadratic_coeff(theta)
-        c = self._exponent_shift(u, v)
-        weighted = [(z, mass * math.exp(u * z + v * z * z - c))
-                    for z, mass in self.base.atoms]
-        m = np.array([sum(w * z**k for z, w in weighted)
-                      for k in range(kmax + 1)], dtype=float)
+        u = theta[:, 0]
+        v = theta[:, 1] if self.lift == "pair" else np.zeros_like(u)
+        z, mass = self._atoms
+        expo = np.outer(u, z) + np.outer(v, z * z)
+        c = expo.max(axis=1, initial=-np.inf)
         d = self.base.density
+        if d is not None:
+            R = d.support_radius
+            c = np.maximum(c, np.abs(u) * R + v * R * R)
+            # an interior maximum of a concave exponent, at z = -u / (2 v)
+            inner = (v < 0) & (np.abs(u) < 2 * np.abs(v) * R)
+            c[inner] = np.maximum(c[inner], -u[inner] ** 2 / (4 * v[inner]))
+        c = np.where(np.isfinite(c), c, 0.0)
+        m = (mass * np.exp(expo - c[:, None])) @ (
+            z[:, None] ** np.arange(kmax + 1))
         if isinstance(d, GaussianDensity):
             m += d.tilted_moments(u, v, c, kmax)
         elif d is not None:
             powers = np.arange(kmax + 1)
+            for p, (up, vp, cp) in enumerate(zip(u, v, c)):
+                def integrand(z):
+                    w = np.exp(up * z + vp * z * z - cp) * d.pdf(z)
+                    return w[:, None] * z[:, None] ** powers
 
-            def integrand(z):
-                w = np.exp(u * z + v * z * z - c) * d.pdf(z)
-                return w[:, None] * z[:, None] ** powers
-
-            R = d.support_radius
-            m += np.asarray(adaptive_gauss_legendre(
-                integrand, -R, R, tol=tol, initial_panels=8), dtype=float)
+                m[p] += np.asarray(adaptive_gauss_legendre(
+                    integrand, -R, R, tol=tol, initial_panels=8), dtype=float)
         return c, m
+
+    def _log_moments(self, theta: np.ndarray, kmax: int, tol: float = 1e-12):
+        """``(L, mom)`` for the rows of ``theta`` (shape ``(P, d)``):
+        ``L(theta_p)`` and the tilted moments ``E_p[z^k]``, ``k = 0..kmax``.
+        Rows outside the domain, or whose tilted mass vanishes, get
+        ``L = inf`` and NaN moments; no closed form sees them."""
+        value = np.full(len(theta), math.inf)
+        mom = np.full((len(theta), kmax + 1), math.nan)
+        rows = np.flatnonzero(self.in_domain(theta))
+        if rows.size:
+            c, m = self._raw_moments(theta[rows], kmax, tol)
+            pos = m[:, 0] > 0
+            rows, c, m = rows[pos], c[pos], m[pos]
+            value[rows] = c + np.log(m[:, 0])
+            mom[rows] = m / m[:, :1]
+        return value, mom
+
+    def _stats(self, theta: np.ndarray, tol: float = 1e-12):
+        """``(L, mean, cov)`` of ``psi`` for the rows of ``theta``: shapes
+        ``(P,)``, ``(P, d)`` and ``(P, d, d)``, NaN where ``L`` is inf."""
+        value, mom = self._log_moments(theta, 2 * self.d, tol)
+        mean = mom[:, 1:self.d + 1]
+        # cov[i, j] = E[z^(i+j+2)] - E[z^(i+1)] E[z^(j+1)]
+        powers = np.add.outer(np.arange(self.d), np.arange(self.d)) + 2
+        cov = mom[:, powers] - mean[:, :, None] * mean[:, None, :]
+        return value, mean, cov
 
     def tilted_stats(self, theta, tol: float = 1e-12):
         """Return ``(L(theta), tilted mean of psi, tilted covariance of psi)``."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if not self.in_domain(theta):
+        value, mean, cov = self._stats(
+            np.atleast_1d(np.asarray(theta, dtype=float))[None], tol)
+        if not math.isfinite(value[0]):
             return math.inf, None, None
-        d = self.d
-        c, m = self._raw_moments(theta, 2 * d, tol)
-        if m[0] <= 0:
-            return math.inf, None, None
-        value = c + math.log(m[0])
-        mom = m / m[0]
-        if d == 1:
-            mean = np.array([mom[1]])
-            cov = np.array([[mom[2] - mom[1] ** 2]])
-        else:
-            mean = np.array([mom[1], mom[2]])
-            cov = np.array([
-                [mom[2] - mom[1] ** 2, mom[3] - mom[1] * mom[2]],
-                [mom[3] - mom[1] * mom[2], mom[4] - mom[2] ** 2],
-            ])
-        return value, mean, cov
+        return float(value[0]), mean[0], cov[0]
 
     def value(self, theta, tol: float = 1e-12) -> float:
         """L(theta) alone (cheaper than the full moment pass)."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if not self.in_domain(theta):
-            return math.inf
-        c, m = self._raw_moments(theta, 0, tol)
-        if m[0] <= 0:
-            return math.inf
-        return c + math.log(m[0])
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))[None]
+        return float(self._log_moments(theta, 0, tol)[0][0])
 
     def grad_hess(self, theta):
         """Gradient (tilted first moments) and Hessian (tilted covariance)."""
@@ -128,6 +130,28 @@ class LogLaplace:
         if not math.isfinite(value):
             raise DomainFault(f"theta {theta} outside the finiteness domain")
         return mean, cov
+
+
+def _cond(cov: np.ndarray) -> np.ndarray:
+    """Condition numbers of the symmetric ``(P, d, d)`` matrices, ``d <= 2``,
+    from their eigenvalues: ``lam_max / lam_min``, inf when ``lam_min <= 0``."""
+    if cov.shape[-1] == 1:
+        return np.where(cov[:, 0, 0] > 0, 1.0, math.inf)
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    mid, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    lo = mid - radius
+    return np.divide(mid + radius, lo, out=np.full_like(lo, math.inf),
+                     where=lo > 0)
+
+
+def _inv(cov: np.ndarray) -> np.ndarray:
+    """Inverses of the ``(P, d, d)`` matrices, ``d <= 2``: the adjugate over
+    the determinant."""
+    if cov.shape[-1] == 1:
+        return 1.0 / cov
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    adj = np.stack([np.stack([c, -b], -1), np.stack([-b, a], -1)], -2)
+    return adj / (a * c - b * b)[:, None, None]
 
 
 @dataclass
@@ -145,10 +169,11 @@ class CramerResult:
     converged: bool
     iterations: int
     message: str = ""
+    degenerate: bool = False  # settled by the degenerate-direction fallback
 
 
 class RateFunction:
-    """Convex conjugate of a log-Laplace surface, solved point by point."""
+    """Convex conjugate of a log-Laplace surface, solved by damped Newton."""
 
     def __init__(self, source: LogLaplace, settings: SolverSettings | None = None):
         self.source = source
@@ -156,84 +181,136 @@ class RateFunction:
         self._moments = moments(source.base)
 
     def solve(self, x) -> CramerResult:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self.solve_many([x])[0]
+
+    def solve_many(self, targets) -> list[CramerResult]:
+        """The conjugate at each row of the ``(P, d)`` array ``targets``.
+
+        One damped Newton iteration on ``grad L(theta) = x`` runs on all
+        rows at once under per-row masks.  A row leaves the batch when its
+        gradient meets ``gtol``, its curvature degenerates or its line
+        search fails, so it follows the trajectory it would follow alone.
+        """
         L = self.source
         s = self.settings
-        theta = np.zeros(L.d)
-        val, mean, cov = L.tilted_stats(theta)
-        it = 0
+        X = np.asarray(targets, dtype=float)
+        if X.ndim != 2 or X.shape[1] != L.d:
+            raise ValueError(
+                f"targets must have shape (P, {L.d}), got {X.shape}")
+        theta = np.zeros(X.shape)
+        val, mean, cov = L._stats(theta)
+        results: list = [None] * len(X)
+
+        def stop(rows, it, message, hess=None):
+            """Record the rows' results at their current iterate; only a
+            converged row carries ``hess``."""
+            if not rows.size:
+                return
+            values = np.einsum("pi,pi->p", theta[rows], X[rows]) - val[rows]
+            if hess is None:
+                hess = [None] * len(rows)
+            for p, value, argmax, h in zip(rows.tolist(), values.tolist(),
+                                           theta[rows], hess):
+                results[p] = CramerResult(
+                    value=value, argmax=argmax, hess=h,
+                    converged=h is not None, iterations=it, message=message)
+
+        def curved(rows, it):
+            """Hand the rows whose covariance is numerically singular to
+            the degenerate solver; return the others."""
+            flat = _cond(cov[rows]) > s.cond_limit
+            if not flat.any():
+                return rows
+            bad = rows[flat]
+            for p, r in zip(bad.tolist(), self._solve_degenerate(
+                    X[bad], theta[bad], val[bad], it)):
+                results[p] = r
+            return rows[~flat]
+
+        active = np.arange(len(X))
         for it in range(1, s.max_iter + 1):
-            grad = mean - x
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= s.gtol:
+            done = np.linalg.norm(mean[active] - X[active], axis=1) <= s.gtol
+            if done.any():
+                rows = active[done]
+                far = np.linalg.norm(theta[rows], axis=1) > 1e8
+                stop(rows[far], it,
+                     "argmax diverged; outside admissible domain")
+                rows = curved(rows[~far], it)
+                stop(rows, it, "", hess=_inv(cov[rows]))
+                active = active[~done]
+            active = curved(active, it)
+            if not active.size:
                 break
-            if np.linalg.cond(cov) > s.cond_limit:
-                return self._solve_degenerate(x, theta, val, it)
-            step = np.linalg.solve(cov, -grad)
+            grad = mean[active] - X[active]
+            step = -np.einsum("pij,pj->pi", _inv(cov[active]), grad)
             # backtracking on the dual objective L(theta) - <theta, x>; the
             # slack term keeps the search from stalling once the predicted
             # decrease falls below float precision of the objective
-            t = 1.0
-            obj = val - float(np.dot(theta, x))
-            slope = float(np.dot(grad, step))
-            slack = 1e-14 * (1.0 + abs(obj))
+            obj = val[active] - np.einsum("pi,pi->p", theta[active], X[active])
+            slope = np.einsum("pi,pi->p", grad, step)
+            slack = 1e-14 * (1.0 + np.abs(obj))
+            t = np.ones(len(active))
+            left = np.arange(len(active))  # positions still searching
             for _ in range(60):
-                cand = theta + t * step
-                cval = L.value(cand)
-                if math.isfinite(cval) and \
-                        cval - float(np.dot(cand, x)) <= obj + 0.25 * t * slope + slack:
+                rows = active[left]
+                cand = theta[rows] + t[left, None] * step[left]
+                # the full moment pass: an accepted candidate is the next
+                # iterate, and its mean and covariance come with its value
+                cval, cmean, ccov = L._stats(cand)
+                ok = np.isfinite(cval) & (
+                    cval - np.einsum("pi,pi->p", cand, X[rows])
+                    <= obj[left] + 0.25 * t[left] * slope[left] + slack[left])
+                moved = rows[ok]
+                theta[moved], val[moved] = cand[ok], cval[ok]
+                mean[moved], cov[moved] = cmean[ok], ccov[ok]
+                left = left[~ok]
+                if not left.size:
                     break
-                t *= 0.5
-            else:
-                return CramerResult(
-                    value=float(np.dot(theta, x)) - val, argmax=theta,
-                    hess=None, converged=False, iterations=it,
-                    message="line search failed; outside admissible domain")
-            theta = cand
-            val, mean, cov = L.tilted_stats(theta)
-        else:
-            return CramerResult(
-                value=float(np.dot(theta, x)) - val, argmax=theta, hess=None,
-                converged=False, iterations=it,
-                message="max iterations; outside admissible domain")
-        if float(np.linalg.norm(theta)) > 1e8:
-            return CramerResult(
-                value=float(np.dot(theta, x)) - val, argmax=theta, hess=None,
-                converged=False, iterations=it,
-                message="argmax diverged; outside admissible domain")
-        if np.linalg.cond(cov) > s.cond_limit:
-            return self._solve_degenerate(x, theta, val, it)
-        hess = np.linalg.inv(cov)
-        return CramerResult(
-            value=float(np.dot(theta, x)) - val, argmax=theta, hess=hess,
-            converged=True, iterations=it)
+                t[left] *= 0.5
+            stop(active[left], it,
+                 "line search failed; outside admissible domain")
+            active = np.delete(active, left)
+        stop(active, s.max_iter, "max iterations; outside admissible domain")
+        return results
 
-    def _solve_degenerate(self, x, theta, val, it) -> CramerResult:
+    def _solve_degenerate(self, x, theta, val, it) -> list[CramerResult]:
+        """Results for the targets ``x`` (rows, with their iterates
+        ``theta`` and values ``val``) whose covariance degenerated at
+        iteration ``it``."""
         L = self.source
         _, mean0, cov0 = L.tilted_stats(np.zeros(L.d))
-        if np.linalg.cond(cov0) <= self.settings.cond_limit:
+        if _cond(cov0[None])[0] <= self.settings.cond_limit:
             # the base has full curvature, so it vanished along the path:
             # the target sits on the boundary of the admissible domain
-            return CramerResult(
-                value=float(np.dot(theta, x)) - val, argmax=theta, hess=None,
-                converged=False, iterations=it,
+            return [CramerResult(
+                value=float(t @ xp - v), argmax=t, hess=None, converged=False,
+                iterations=it, degenerate=True,
                 message="curvature vanished; outside admissible domain")
+                for xp, t, v in zip(x, theta, val)]
         # pair lift with z^2 a.s. constant: conjugate finite only on y = const
         c0 = float(mean0[1])
-        if abs(x[1] - c0) > 1e-9:
-            return CramerResult(
-                value=math.inf, argmax=theta, hess=None, converged=False,
-                iterations=it,
-                message=f"second coordinate degenerate at {c0}; target unreachable")
-        line = RateFunction(LogLaplace(L.base, lift="line"), self.settings)
-        r = line.solve([x[0]])
-        hess = None
-        if r.hess is not None:
-            hess = np.array([[r.hess[0, 0], math.nan], [math.nan, math.nan]])
-        return CramerResult(
-            value=r.value, argmax=np.array([r.argmax[0], 0.0]), hess=hess,
-            converged=r.converged, iterations=it + r.iterations,
-            message="degenerate direction v reported as free")
+        reachable = np.abs(x[:, 1] - c0) <= 1e-9
+        line = iter(RateFunction(LogLaplace(L.base, lift="line"),
+                                 self.settings).solve_many(x[reachable, :1]))
+        out = []
+        for t, ok in zip(theta, reachable):
+            if not ok:
+                out.append(CramerResult(
+                    value=math.inf, argmax=t, hess=None, converged=False,
+                    iterations=it, degenerate=True, message="second coordinate "
+                    f"degenerate at {c0}; target unreachable"))
+                continue
+            r = next(line)
+            hess = None
+            if r.hess is not None:
+                hess = np.array([[r.hess[0, 0], math.nan],
+                                 [math.nan, math.nan]])
+            out.append(CramerResult(
+                value=r.value, argmax=np.array([r.argmax[0], 0.0]), hess=hess,
+                converged=r.converged, iterations=it + r.iterations,
+                degenerate=True,
+                message="degenerate direction v reported as free"))
+        return out
 
     def value(self, x) -> float:
         r = self.solve(x)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cwsoc import cli
+from cwsoc import cli, limitlaw, measure, model
 
 
 def run(capsys, *argv):
@@ -62,6 +64,29 @@ class TestDispatch:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "x,y,value,converged"
         assert len(lines) == 10
+        meta = json.loads(out_file.with_suffix(".meta.json").read_text())
+        assert meta["points"] == 9 and meta["converged"] == 9
+        assert meta["stop_messages"] == {"converged": 9}
+        assert meta["degenerate_fallbacks"] == 0
+        assert type(meta["solve_wall_s"]) is float
+
+    def test_rate_grid_meta_counts_stops(self, tmp_path, capsys):
+        # rademacher: z^2 = 1, so every point goes through the degenerate
+        # fallback, and only y = 1 is reachable
+        out_file = tmp_path / "grid.csv"
+        rc, _, _ = run(capsys, "rate", "grid", "--preset", "rademacher",
+                       "--x-min", "-0.5", "--x-max", "0.5",
+                       "--y-min", "0.5", "--y-max", "1.5",
+                       "--nx", "3", "--ny", "3", "--out", str(out_file))
+        assert rc == 0
+        meta = json.loads(out_file.with_suffix(".meta.json").read_text())
+        assert meta["converged"] == 3
+        assert meta["degenerate_fallbacks"] == 9
+        assert meta["stop_messages"] == {
+            "degenerate direction v reported as free": 3,
+            "second coordinate degenerate at 1.0; target unreachable": 6}
+        iters = meta["newton_iterations"]
+        assert type(iters["total"]) is int and 1 <= iters["max"] <= iters["total"]
 
 
 class TestValidationErrors:
@@ -243,6 +268,16 @@ class TestSimulateVerify:
         below = np.concatenate(([0.0], emp[:-1]))
         gap = max(np.max(np.abs(emp - limit)), np.max(np.abs(below - limit)))
         assert doc["ks_distance"] == gap
+        # the report's own step function, byte for byte what a second pass
+        # over the batch writes
+        tm = model.TiltedModel(rho=measure.three_point(), g=model.quadratic(),
+                               n=200)
+        s, emp = limitlaw.empirical_cdf(
+            *model.rescaled_statistic(tm, cli._read_batch(batch)))
+        ref = tmp_path / "ref.csv"
+        cli._write_csv(ref, ["s", "empirical_cdf", "limit_cdf"],
+                       [s, emp, limitlaw.QuarticLaw().cdf(s)])
+        assert cdf_path.read_bytes() == ref.read_bytes()
 
     def test_determinism(self, tmp_path, capsys):
         digests = []
@@ -286,6 +321,27 @@ class TestSimulateVerify:
         for key in ("integrated_autocorrelation_time",
                     "effective_sample_size", "split_rhat"):
             assert math.isnan(diag[key])
+
+
+@pytest.mark.parametrize("method", ["enumeration", "importance",
+                                    "metropolis"])
+@settings(max_examples=8, deadline=None)
+@given(preset=st.sampled_from(["rademacher", "three-point", "gaussian",
+                               "rho0"]),
+       n=st.integers(2, 12), seed=st.integers(0, 2**16))
+def test_simulate_batches_obey_cauchy_schwarz(method, preset, n, seed):
+    # S^2 <= n T for every (S, T) = (sum z, sum z^2) a batch holds
+    assume(method != "enumeration" or preset in ("rademacher", "three-point"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "b.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.dispatch(["simulate", "--preset", preset, "--method",
+                               method, "--n", str(n), "--count", "256",
+                               "--chains", "8", "--seed", str(seed),
+                               "--out", str(out)])
+        assert rc == 0
+        batch = cli._read_batch(out)
+    assert np.all(batch.S**2 <= n * batch.T * (1 + 1e-12))
 
 
 class TestBatchIO:

@@ -244,6 +244,24 @@ class TestBruteForceOracle:
         _check_against_brute_force(rho, n, g)
 
 
+@settings(max_examples=30, deadline=None)
+@given(symmetric_atomic_bases(), st.integers(1, 16),
+       st.sampled_from([quadratic(), quartic(1.0), quadratic("star")]))
+def test_enumeration_sign_symmetry_property(base, n, g):
+    # a symmetric base and a g even in S: the weight at (S, T) is the weight
+    # at (-S, T), and the S-marginal (with its mean T) is even in S; the
+    # dyadic atoms make S and T exact, so states match as dict keys
+    m = TiltedModel(rho=base[0], g=g, n=n)
+    full = enumerate_exact(m)
+    law = _law(zip(full.S, full.T), full.weight)
+    for (S, T), w in law.items():
+        assert law[(-S, T)] == pytest.approx(w, rel=1e-12, abs=1e-300)
+    marg = enumerate_exact(m, collapse="S")
+    np.testing.assert_array_equal(marg.S, -marg.S[::-1])
+    np.testing.assert_allclose(marg.weight, marg.weight[::-1], rtol=1e-12)
+    np.testing.assert_allclose(marg.T, marg.T[::-1], rtol=1e-12)
+
+
 class TestImportance:
     def test_rademacher_agreement(self, rad2):
         exact = enumerate_exact(rad2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import xlogy
 
 from cwsoc import measure
 from cwsoc.measure import DensityComponent
@@ -27,6 +28,14 @@ def gaussian_L(u, v):
 def gaussian_I(x, y):
     # closed form conjugate, finite on {y > x^2}
     return 0.5 * (y - 1 - math.log(y - x * x))
+
+
+def three_point_I(p, x, y):
+    # relative entropy of the frequencies (q+, q-, q0) from (p, p, 1 - 2p),
+    # with q+- = (y +- x) / 2 and q0 = 1 - y; finite on |x| <= y <= 1
+    qp, qm, q0 = (y + x) / 2, (y - x) / 2, 1 - y
+    return (xlogy(qp, qp / p) + xlogy(qm, qm / p)
+            + xlogy(q0, q0 / (1 - 2 * p)))
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +180,19 @@ class TestGaussianClosedForm:
         with pytest.raises(measure.MeasureError):
             measure.gaussian().density.tilted_moments(0.0, 0.5, 0.0, 2)
 
+    def test_batch_matches_scalar_calls(self):
+        # tilts on both sides of the near-mode / continued-fraction switch
+        d = measure.gaussian().density
+        u = np.array([0.0, -3.0, 5.0, 40.0, -40.0, 12.0, 0.2, 9.0])
+        v = np.array([0.0, 0.2, -4.0, 0.0, 0.49, -20.0, 0.499, 0.45])
+        shift = np.linspace(-1.0, 3.0, len(u))
+        batch = d.tilted_moments(u, v, shift, 4)
+        assert batch.shape == (len(u), 5)
+        for row, args in zip(batch, zip(u, v, shift)):
+            one = d.tilted_moments(*args, 4)
+            assert one.shape == (5,)
+            np.testing.assert_allclose(row, one, rtol=1e-13)
+
 
 class TestCramerTransform:
     def test_gaussian_closed_form_grid(self, gauss_rate):
@@ -264,6 +286,59 @@ def test_fenchel_inequality_property(fenchel_pairs, name, a, b, u, v):
     r = RateFunction(L).solve([x, y])
     assert r.converged
     assert r.value >= u * x + v * y - L.value([u, v]) - 1e-9
+
+
+class TestThreePointOracle:
+    """The three-point rate against its relative-entropy closed form."""
+
+    def test_benchmark_grid(self):
+        xs, ys = np.linspace(-0.25, 0.25, 21), np.linspace(0.3, 0.9, 21)
+        X = np.column_stack([np.repeat(xs, 21), np.tile(ys, 21)])
+        results = RateFunction(LogLaplace(measure.three_point())).solve_many(X)
+        assert all(r.converged for r in results)
+        got = np.array([r.value for r in results])
+        np.testing.assert_allclose(got, three_point_I(0.25, *X.T), rtol=0,
+                                   atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(0.05, 0.45), targets=st.lists(
+        st.tuples(st.floats(-0.95, 0.95), st.floats(0.05, 0.95)),
+        min_size=1, max_size=12))
+    def test_interior_property(self, p, targets):
+        # x = a y with |a| < 1 and y < 1: the interior |x| < y < 1
+        X = np.array([(a * y, y) for a, y in targets])
+        results = RateFunction(LogLaplace(measure.three_point(p=p))).solve_many(X)
+        for (x, y), r in zip(X, results):
+            assert r.converged
+            assert r.value == pytest.approx(three_point_I(p, x, y), rel=1e-10,
+                                            abs=1e-12)
+
+
+@pytest.mark.parametrize("base,targets", [
+    # interior targets and the boundary y = x^2, where Newton fails
+    (measure.gaussian, [[0.0, 1.0], [0.3, 1.4], [-0.2, 0.5], [1.0, 1.0],
+                        [0.5, 1.25], [0.0, 0.01]]),
+    # rows settled by the degenerate fallback: reachable and unreachable
+    (measure.rademacher, [[0.0, 1.0], [0.0, 1.5], [0.4, 1.0], [-0.7, 1.0]]),
+], ids=["gaussian", "rademacher"])
+def test_solve_many_matches_solve(base, targets):
+    R = RateFunction(LogLaplace(base()))
+    batch = R.solve_many(targets)
+    assert len(batch) == len(targets)
+    assert any(not r.converged for r in batch)
+    for x, got in zip(targets, batch):
+        want = R.solve(x)
+        assert got.value == pytest.approx(want.value, rel=1e-13, abs=1e-15)
+        assert (got.converged, got.iterations, got.message) == \
+            (want.converged, want.iterations, want.message)
+    if base is measure.rademacher:
+        assert all(r.degenerate for r in batch)
+        assert batch[1].value == math.inf
+
+
+def test_solve_many_rejects_wrong_shape(gauss_rate):
+    with pytest.raises(ValueError, match="shape"):
+        gauss_rate.solve_many([[0.0, 1.0, 2.0]])
 
 
 class TestRateAtOrigin:
