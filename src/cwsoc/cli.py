@@ -131,15 +131,18 @@ def _cmd_cramer_check(args) -> int:
              "need 0 < --alpha < --radius < inf")
     _require(0 < args.step < math.inf, "--step must be positive and finite")
     m = _load_measure(args)
+    t0 = time.perf_counter()
     report = cramer.check_condition(
         cramer.CharEvaluator(m), alpha=args.alpha, radius=args.radius,
         grid_step=args.step)
+    wall = time.perf_counter() - t0
     payload = {
         "alpha": report.alpha,
         "sup_estimate": report.sup_estimate,
         "sup_bound": report.sup_bound,
         "verdict": report.verdict,
         "witness": list(report.witness) if report.witness else None,
+        "details": {**report.details, "wall_s": wall},
     }
     text = json.dumps(payload, indent=2)
     if args.out:

@@ -19,7 +19,7 @@ import numpy as np
 from .cramer import CharEvaluator, _lattice_witness
 from .measure import GaussianDensity, Measure1D, convolution_density_f2
 from .quadrature import adaptive_gauss_legendre
-from .transforms import LogLaplace, RateFunction
+from .transforms import CramerResult, LogLaplace, RateFunction
 
 
 class KernelError(ValueError):
@@ -129,23 +129,24 @@ def phi_estimate(s: SmoothedDensity, x) -> tuple:
             lambda t: k(t - s.n * xv) * nfold(t), lo, hi,
             tol=1e-14, initial_panels=4)
         return float(val), 0.0
-    scaled, se, nJ = _phi2_tilted(s, x)
+    density = _gaussian_density(s.base)
+    x = np.asarray(x, dtype=float)
+    scaled, se, nJ = _phi2_tilted(
+        s, density, x, RateFunction(LogLaplace(s.base)).solve(x))
     return scaled * math.exp(-nJ), se * math.exp(-nJ)
 
 
-def _phi2_tilted(s: SmoothedDensity, x) -> tuple:
-    """d=2 estimate of ``phi * e^{nJ}`` with its std error, plus ``nJ``.
+def _phi2_tilted(s: SmoothedDensity, density: GaussianDensity, x,
+                 r: CramerResult) -> tuple:
+    """d=2 estimate of ``phi * e^{nJ}`` with its std error, plus ``nJ``,
+    given the pair-lift conjugate ``r`` solved at ``x``.
 
     The last two coordinates are integrated exactly: conditionally on
     ``(S', T')`` of the first n-2 tilted draws, the kernel average over the
     remaining pair is a 2-D integral of the tilted pair convolution density
     over the kernel box, done by a tensor Gauss rule per sample.
     """
-    x = np.asarray(x, dtype=float)
     n, c = s.n, s.c
-    density = _gaussian_density(s.base)
-    R = RateFunction(LogLaplace(s.base))
-    r = R.solve(x)
     if not r.converged:
         raise KernelError(f"point {x.tolist()} outside the admissible domain")
     theta = r.argmax
@@ -211,10 +212,9 @@ def theorem3_comparison(s: SmoothedDensity, R: RateFunction, points) -> list:
             "base measure is lattice-supported and fails the Cramer "
             "condition; the local CLT comparison does not apply")
     n = s.n
+    xs = np.asarray(points, dtype=float).reshape(len(points), -1)
     rows = []
-    for x in points:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        r = R.solve(xv)
+    for xv, r in zip(xs, R.solve_many(xs)):
         if not r.converged:
             raise KernelError(f"point {xv.tolist()} outside admissible domain")
         det = float(np.linalg.det(np.atleast_2d(r.hess)))
@@ -225,7 +225,8 @@ def theorem3_comparison(s: SmoothedDensity, R: RateFunction, points) -> list:
             ratio = phi / asym
             se_ratio = 0.0
         else:
-            scaled, se_scaled, nJ = _phi2_tilted(s, xv)
+            scaled, se_scaled, nJ = _phi2_tilted(
+                s, _gaussian_density(s.base), xv, r)
             asym = pref * math.exp(-nJ)
             ratio = scaled / pref
             phi, se = scaled * math.exp(-nJ), se_scaled * math.exp(-nJ)

@@ -46,6 +46,31 @@ class TestDispatch:
         assert doc["verdict"] == "fail"
         assert doc["witness"] is not None
 
+    def test_cramer_check_details(self, tmp_path, capsys):
+        out_file = tmp_path / "cramer.json"
+        rc, out, _ = run(capsys, "cramer", "check", "--preset", "rho0",
+                         "--alpha", "0.5", "--out", str(out_file))
+        assert rc == 0
+        doc = json.loads(out)
+        assert json.loads(out_file.read_text()) == doc
+        assert doc["verdict"] == "pass"
+        assert isinstance(doc["sup_estimate"], float)
+        assert isinstance(doc["sup_bound"], float)
+        details = doc["details"]
+        assert details["grid_cells"] == 1001 * 1001
+        assert details["grid_radius"] == 50.0
+        assert 0 < details["grid_pad"] < 0.1
+        assert details["wall_s"] > 0
+        mixture = details["mixture"]
+        assert mixture["radius_uniform"] is True
+        assert 0 < mixture["eta"] < 1
+        assert 0 < mixture["error_estimate"] < 0.01
+        rc, out, _ = run(capsys, "cramer", "check", "--preset", "rademacher",
+                         "--alpha", "0.5")
+        details = json.loads(out)["details"]
+        assert details["grid_cells"] == 0  # the lattice witness needs no grid
+        assert "mixture" not in details
+
     def test_measure_info(self, capsys):
         rc, out, _ = run(capsys, "measure", "info", "--preset", "rho0")
         assert rc == 0

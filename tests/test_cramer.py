@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwsoc import measure
 from cwsoc.cramer import (
@@ -84,6 +86,80 @@ class TestCharFn:
         e = CharEvaluator(measure.Measure1D(density=dens))
         got = e.char_grid(np.array([1.5]), np.array([0.7]))[0, 0]
         assert got == pytest.approx(char_fn(e, 1.5, 0.7), abs=1e-7)
+
+
+FIVE_ATOM = measure.Measure1D(
+    atoms=((-2.0, 0.1), (-1.0, 0.15), (0.0, 0.5), (1.0, 0.15), (2.0, 0.1)))
+
+
+def direct_char(m, s, t):
+    """Oracle: the complex atom sum over every atom, plus the Gaussian
+    closed form, on the outer product of ``s`` and ``t``."""
+    S, T = np.asarray(s)[:, None], np.asarray(t)[None, :]
+    out = sum(p * np.exp(1j * (S * z + T * z * z)) for z, p in m.atoms)
+    if m.density is not None:
+        d = m.density
+        q = 1 - 2j * T * d.sigma**2
+        out = out + d.mass * np.exp(-S * S * d.sigma**2 / (2 * q)) / np.sqrt(q)
+    return out
+
+
+class TestQuadrantGrid:
+    """``char_grid`` uses the symmetric form; the oracles do not."""
+
+    @pytest.mark.parametrize("base", [
+        measure.rademacher(), measure.three_point(), measure.rho_zero(),
+        FIVE_ATOM], ids=["rademacher", "three-point", "rho0", "five-atom"])
+    def test_matches_direct_sum(self, base):
+        s = np.linspace(-4.5, 4.5, 37)
+        t = np.linspace(-5.0, 5.0, 29)
+        got = CharEvaluator(base).char_grid(s, t)
+        assert np.max(np.abs(got - direct_char(base, s, t))) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(mags=st.lists(st.integers(1, 60), max_size=3, unique=True),
+           weights=st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5),
+           sigma=st.floats(0.3, 2.0),
+           s=st.floats(-8.0, 8.0), t=st.floats(-8.0, 8.0))
+    def test_modulus_symmetry_property(self, mags, weights, sigma, s, t):
+        # weights: one per magnitude, then the zero atom and the density
+        total = 2 * sum(weights[:len(mags)]) + weights[3] + weights[4]
+        atoms = [(sign * k / 20, w / total)
+                 for k, w in zip(mags, weights) for sign in (-1, 1)]
+        atoms.append((0.0, weights[3] / total))
+        base = measure.gaussian(sigma=sigma, mass=weights[4] / total,
+                                atoms=atoms)
+        e = CharEvaluator(base)
+        m = [abs(char_fn(e, *p)) for p in ((s, t), (-s, t), (s, -t))]
+        assert m[1] == pytest.approx(m[0], abs=1e-12)
+        assert m[2] == pytest.approx(m[0], abs=1e-12)
+        grid = e.char_grid(np.array([s, -s]), np.array([t, -t]))
+        assert np.abs(grid) == pytest.approx(abs(grid[0, 0]), abs=1e-14)
+        assert grid[0, 0] == pytest.approx(char_fn(e, s, t), abs=1e-12)
+
+    def test_gaussian_sup_estimate_below_circle_sup(self, e_gauss):
+        # |M| = exp(-s^2 / (2 q)) q^{-1/4}, q = 1 + 4 t^2, decays along every
+        # ray, so the sup over the annulus is the sup on its inner circle
+        alpha = 0.5
+        th = np.linspace(0, 2 * math.pi, 100_001)
+        s, t = alpha * np.cos(th), alpha * np.sin(th)
+        q = 1 + 4 * t * t
+        exact = float(np.max(np.exp(-s * s / (2 * q)) / q**0.25))
+        r = check_condition(e_gauss, alpha)
+        assert exact - 1e-4 <= r.sup_estimate <= exact + 1e-9
+        assert r.details["grid_cells"] == 1001 * 1001  # the quadrant only
+
+    def test_generic_density_check(self):
+        # a normal pdf given as a callable: the trapezoid grids of the scan
+        # and of the mixture bound; sup_estimate pinned from the half-plane
+        # scan this quadrant scan replaced
+        dens = measure.DensityComponent(
+            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
+        r = check_condition(CharEvaluator(measure.Measure1D(density=dens)),
+                            0.5, radius=20.0)
+        assert r.sup_estimate == pytest.approx(0.8824969025844662, abs=1e-9)
+        assert r.verdict == "inconclusive"
+        assert not r.details["mixture"]["radius_uniform"]
 
 
 class TestMixtureBound:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cwsoc import measure
+from cwsoc import kernel, measure
 from cwsoc.kernel import (
     KernelError,
     SmoothedDensity,
@@ -167,6 +167,25 @@ class TestTheorem3:
         assert abs(r["ratio"] - 1) < 0.15
         assert r["ratio_std_error"] < 0.05
         assert r["phi"] > 0
+
+    def test_points_solved_once(self, monkeypatch):
+        # one batched solve for all points, and no second solver per point
+        g = measure.gaussian()
+        R = RateFunction(LogLaplace(g))
+        s = SmoothedDensity(base=g, n=20, d=2, samples=500, seed=1)
+        points = [[0.1, 1.05], [0.0, 0.9]]
+        calls = []
+        solve_many = R.solve_many
+        monkeypatch.setattr(R, "solve_many",
+                            lambda xs: calls.append(len(xs)) or solve_many(xs))
+        monkeypatch.setattr(kernel, "RateFunction", None)
+        rows = theorem3_comparison(s, R, points)
+        monkeypatch.undo()
+        assert calls == [2]
+        for x, row in zip(points, rows):
+            phi, se = phi_estimate(s, x)
+            assert row["phi"] == pytest.approx(phi, rel=1e-12)
+            assert row["std_error"] == pytest.approx(se, rel=1e-12)
 
     def test_lattice_base_refused(self):
         R = RateFunction(LogLaplace(measure.rademacher()))
