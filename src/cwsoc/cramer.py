@@ -62,6 +62,8 @@ def char_fn(e: CharEvaluator, s: float, t: float) -> complex:
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
+_CIRCLE_POINTS = 2048  # mixture_bound: angles on a Gaussian's inner circle
+_NOTE_MARGIN = 1e-3  # check_condition: how far below 1 an atomic sup is noted
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple:
@@ -146,8 +148,7 @@ def _quadrant(radius: float, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # mixture bound
 
-def mixture_bound(e: CharEvaluator, alpha: float, circle_points: int = 2048,
-                  radius: float = 50.0) -> dict:
+def mixture_bound(e: CharEvaluator, alpha: float, radius: float = 50.0) -> dict:
     """Certified bound sqrt(a^2 eta + 1 - a^2) on sup |M| over the annulus.
 
     ``eta`` is the sup of the squared modulus of the normalized a.c.
@@ -168,14 +169,14 @@ def mixture_bound(e: CharEvaluator, alpha: float, circle_points: int = 2048,
             # |psi|^2 of the normalized a.c. part at angle th on the circle
             return np.abs(d.char(alpha * np.cos(th), alpha * np.sin(th)) / a) ** 2
 
-        theta = np.linspace(0, 2 * math.pi, circle_points, endpoint=False)
+        theta = np.linspace(0, 2 * math.pi, _CIRCLE_POINTS, endpoint=False)
         vals = eta_on_circle(theta)
         i = int(np.argmax(vals))
         _, ref = _golden_max(lambda th: float(eta_on_circle(th)),
                              theta[i] - 0.01, theta[i] + 0.01, xtol=1e-9)
         eta = max(float(np.max(vals)), ref)
         # covering pad on the circle from the gradient bound
-        pad = lip * alpha * (math.pi / circle_points)
+        pad = lip * alpha * (math.pi / _CIRCLE_POINTS)
     else:
         step = 0.1
         grid = _quadrant(radius, step)
@@ -193,7 +194,7 @@ def mixture_bound(e: CharEvaluator, alpha: float, circle_points: int = 2048,
 # the condition check
 
 def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
-                    grid_step: float = 0.05, margin: float = 1e-3) -> CramerReport:
+                    grid_step: float = 0.05) -> CramerReport:
     """Grid search of |M| over the annulus with the three-way verdict.
 
     The grid covers the quadrant ``s, t >= 0`` only (see ``_quadrant``);
@@ -234,7 +235,7 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
         return CramerReport(alpha=alpha, sup_estimate=sup_estimate,
                             sup_bound=mb["bound"], verdict=verdict,
                             details=details)
-    if sup_estimate + pad < 1 - margin:
+    if sup_estimate + pad < 1 - _NOTE_MARGIN:
         # atoms only, no lattice found: nothing controls the tail
         details["note"] = "sup below 1 on the probed annulus; tail uncontrolled"
     return CramerReport(alpha=alpha, sup_estimate=sup_estimate, sup_bound=None,

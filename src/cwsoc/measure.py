@@ -32,11 +32,12 @@ class DensityComponent:
     The pdf integrates to the component's mass ``a``, satisfies
     ``pdf(z) <= A exp(-v z^2)`` for ``domination = (A, v)`` and is treated as
     zero outside ``[-support_radius, support_radius]``.  Sampling is by
-    rejection from the Gaussian envelope, the characteristic function by
-    adaptive quadrature at a point (``char``) and by the trapezoid rule on a
-    grid (``char_grid``); subclasses with closed forms override them.  The
-    pdf is symmetric (``Measure1D.validate`` checks it).  A density given by
-    a Python callable has no JSON form.
+    rejection from the Gaussian envelope, the tilted moments
+    (``tilted_moments``) and the characteristic function at a point
+    (``char``) by adaptive quadrature, and the characteristic function on a
+    grid (``char_grid``) by the trapezoid rule; subclasses with closed forms
+    override them.  The pdf is symmetric (``Measure1D.validate`` checks it).
+    A density given by a Python callable has no JSON form.
     """
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray],
@@ -62,6 +63,31 @@ class DensityComponent:
             out[filled:filled + len(z)] = z
             filled += len(z)
         return out
+
+    def tilted_moments(self, u, v, shift, kmax: int) -> np.ndarray:
+        """``integral over [-R, R] of z^k exp(u z + v z^2 - shift) f(z) dz``
+        for ``k = 0..kmax`` (``R = support_radius``), by adaptive quadrature
+        to 1e-12, tilt by tilt.  The tolerance is absolute, so ``shift``
+        must be near the exponent's maximum on ``[-R, R]``, as ``LogLaplace``
+        passes it.
+
+        Elementwise over the broadcast 1-D arrays ``u``, ``v`` and ``shift``:
+        row ``p`` of the ``(P, kmax + 1)`` result belongs to the ``p``-th
+        tilt; scalar inputs give one row as a 1-D array.
+        """
+        scalar = all(np.ndim(a) == 0 for a in (u, v, shift))
+        u, v, shift = np.broadcast_arrays(*np.atleast_1d(u, v, shift))
+        R = self.support_radius
+        powers = np.arange(kmax + 1)
+        out = np.empty(u.shape + (kmax + 1,))
+        for p, (up, vp, cp) in enumerate(zip(u, v, shift)):
+            def integrand(z):
+                w = np.exp(up * z + vp * z * z - cp) * self.pdf(z)
+                return w[:, None] * z[:, None] ** powers
+
+            out[p] = adaptive_gauss_legendre(
+                integrand, -R, R, tol=1e-12, initial_panels=8)
+        return out[0] if scalar else out
 
     def char(self, s: float, t: float) -> complex:
         """``integral of exp(i(s z + t z^2)) pdf(z) dz`` at one point, by
@@ -103,6 +129,8 @@ class DensityComponent:
 
 # DensityComponent.char_grid: t values per block of its phase arrays
 _T_BLOCK = 256
+# Measure1D.validate: grid points on [0, R] for the density's shape checks
+_SHAPE_GRID_POINTS = 201
 
 # tilted_moments: a mode within this many s of the window uses the
 # truncated-normal recursion about the mode, whose cancellation grows like
@@ -143,9 +171,9 @@ class GaussianDensity(DensityComponent):
     and is the one place that knows the tilted moments, the n-fold law, the
     law of a block's ``(sum Z, sum Z^2)`` and the tilted coordinate law.
 
-    Truncation rule: ``sample``, ``tilted_moments`` (hence the log-Laplace
-    transform, the rate function and ``moments``) and the mass quadrature
-    of ``Measure1D.validate`` treat the density as zero outside
+    Truncation rule: ``sample`` and ``tilted_moments`` (hence the
+    log-Laplace transform, the rate function, ``moments`` and the mass check
+    of ``Measure1D.validate``) treat the density as zero outside
     ``[-support_radius, support_radius]``; ``char``, ``char_grid``,
     ``block_sums``, ``nfold_pdf``, ``tilted_coordinate_law`` and the
     collapsed Metropolis chain use the untruncated normal.
@@ -173,12 +201,7 @@ class GaussianDensity(DensityComponent):
         return z
 
     def tilted_moments(self, u, v, shift, kmax: int) -> np.ndarray:
-        """``integral over [-R, R] of z^k exp(u z + v z^2 - shift) f(z) dz``
-        for ``k = 0..kmax``, in closed form (``R = support_radius``).
-
-        Elementwise over the broadcast 1-D arrays ``u``, ``v`` and ``shift``:
-        row ``p`` of the ``(P, kmax + 1)`` result belongs to the ``p``-th
-        tilt; scalar inputs give one row as a 1-D array.
+        """``DensityComponent.tilted_moments`` in closed form.
 
         The tilted law is ``N(mu, s^2)`` with ``s^2 = sigma^2 / (1 - 2 v
         sigma^2)`` and ``mu = u s^2``, so each integral is the normal mass
@@ -388,17 +411,7 @@ class Measure1D:
                     f"atom at {z} lacks a mirror atom of equal mass")
         return tuple(sorted((z, m) for z, m in self.atoms if z > 0))
 
-    def density_integral(self, g, tol: float = 1e-12):
-        """Quadrature of ``g(z) * density(z)`` over the effective support."""
-        if self.density is None:
-            return 0.0
-        R = self.density.support_radius
-        pdf = self.density.pdf
-        return adaptive_gauss_legendre(
-            lambda z: g(z) * pdf(z), -R, R, tol=tol, initial_panels=8
-        )
-
-    def validate(self, grid_points: int = 201) -> None:
+    def validate(self) -> None:
         """Check the structural invariants; raise MeasureError on failure."""
         locs = [z for z, _ in self.atoms]
         if len(set(locs)) != len(locs):
@@ -418,7 +431,7 @@ class Measure1D:
             if A <= 0 or v <= 0:
                 raise MeasureError("domination pair must be positive")
             R = self.density.support_radius
-            grid = np.linspace(0.0, R, grid_points)
+            grid = np.linspace(0.0, R, _SHAPE_GRID_POINTS)
             fp = self.density.pdf(grid)
             fm = self.density.pdf(-grid)
             if np.any(fp < -1e-12):
@@ -427,7 +440,7 @@ class Measure1D:
                 raise MeasureError("density is not symmetric on the test grid")
             if np.any(fp > A * np.exp(-v * grid**2) + 1e-10):
                 raise MeasureError("density exceeds its Gaussian envelope")
-            mass = self.density_integral(lambda z: np.ones_like(z))
+            mass = float(self.density.tilted_moments(0, 0, 0, 0)[0])
             tail = gaussian_tail_bound(A, v, R)
             if abs(mass - a) > 1e-9 + 2 * tail:
                 raise MeasureError(
@@ -502,20 +515,17 @@ def rho_zero() -> Measure1D:
 # ---------------------------------------------------------------------------
 # operations
 
-def moments(m: Measure1D, tol: float = 1e-12, _validated: bool = False) -> MomentSummary:
-    """Second and fourth moments: exact atom sums plus the density's closed
-    form (``GaussianDensity``) or quadrature (any other density)."""
+def moments(m: Measure1D, _validated: bool = False) -> MomentSummary:
+    """Second and fourth moments: exact atom sums plus the density's
+    ``tilted_moments`` at zero tilt."""
     if not _validated:
         m.validate()
     s2 = sum(mass * z * z for z, mass in m.atoms)
     m4 = sum(mass * z**4 for z, mass in m.atoms)
-    if isinstance(m.density, GaussianDensity):
+    if m.density is not None:
         dm = m.density.tilted_moments(0.0, 0.0, 0.0, 4)
         s2 += float(dm[2])
         m4 += float(dm[4])
-    elif m.density is not None:
-        s2 += float(m.density_integral(lambda z: z * z, tol=tol))
-        m4 += float(m.density_integral(lambda z: z**4, tol=tol))
     if s2 <= 0:
         raise MeasureError("degenerate measure: variance is zero")
     return MomentSummary(sigma2=s2, mu4=m4, mass_at_zero=m.mass_at_zero)

@@ -20,6 +20,10 @@ from .measure import (GaussianDensity, Measure1D, MeasureError, moments,
                       sample as sample_measure)
 
 
+_ESS_FLOOR = 100.0  # sample_importance warns below this effective sample size
+_SOKAL_WINDOW = 5.0  # integrated_autocorr_time stops at lag >= this * tau
+
+
 class ModelError(ValueError):
     pass
 
@@ -65,6 +69,12 @@ class Interaction:
         T = np.asarray(T, dtype=float)
         if self.variant == "star":
             return n * n * self.g(S / n) / T
+        # closed forms in u^2 = S^2 / (n T) for the built-in kinds
+        if self.kind == "quadratic":
+            return S * S / (2 * T)
+        if self.kind == "quartic":
+            u2 = S * S / (n * T)
+            return n * (u2 / 2 - self.m4 * u2 * u2 / 12)
         return n * self.g(S / np.sqrt(n * T))
 
     def validate(self) -> None:
@@ -278,8 +288,8 @@ def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
 # ---------------------------------------------------------------------------
 # importance sampling
 
-def sample_importance(m: TiltedModel, count: int, rng: np.random.Generator,
-                      ess_floor: float = 100.0) -> EmpiricalBatch:
+def sample_importance(m: TiltedModel, count: int,
+                      rng: np.random.Generator) -> EmpiricalBatch:
     """Self-normalized importance sampling with the product proposal.
 
     Weights are ``exp(n F_g)`` on configurations with ``T > 0`` and zero
@@ -313,7 +323,7 @@ def sample_importance(m: TiltedModel, count: int, rng: np.random.Generator,
     w = np.exp(lw - np.max(lw))
     ess = float(np.sum(w)) ** 2 / float(np.sum(w * w))
     diag = {"effective_sample_size": ess, "proposal_draws": count,
-            "ess_warning": ess < ess_floor}
+            "ess_warning": ess < _ESS_FLOOR}
     return EmpiricalBatch(S=S, T=T, weight=w, method="importance", n=n,
                           diagnostics=diag)
 
@@ -321,7 +331,7 @@ def sample_importance(m: TiltedModel, count: int, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # Metropolis sampling
 
-def integrated_autocorr_time(series: np.ndarray, c: float = 5.0) -> float:
+def integrated_autocorr_time(series: np.ndarray) -> float:
     """Sokal-windowed integrated autocorrelation time.
 
     ``series`` has shape (chains, records); autocovariances are averaged
@@ -342,7 +352,7 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 5.0) -> float:
     tau = 1.0
     for k in range(1, nrec):
         tau += 2.0 * rho[k]
-        if k >= c * tau:
+        if k >= _SOKAL_WINDOW * tau:
             break
     return max(tau, 1.0)
 
@@ -366,22 +376,6 @@ def split_rhat(series: np.ndarray) -> float:
     if W <= 0:
         return 1.0 if B <= 0 else math.inf
     return math.sqrt(((half - 1) / half * W + B) / W)
-
-
-def _fast_log_weight(m: TiltedModel):
-    """Vectorized log weight without the Interaction call overhead."""
-    g = m.g
-    n = m.n
-    if g.variant == "standard" and g.kind == "quadratic":
-        return lambda S, T: S * S / (2 * T)
-    if g.variant == "standard" and g.kind == "quartic":
-        m4 = g.m4
-
-        def lw(S, T):
-            u2 = S * S / (n * T)
-            return n * (u2 / 2 - m4 * u2 * u2 / 12)
-        return lw
-    return lambda S, T: m.log_weight(S, T)
 
 
 def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
@@ -439,11 +433,11 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
     k = block_size if block_size is not None else max(1, min(n // 64, 256))
     k = max(1, min(k, n))
     records = -(-count // chains)
-    logw_fn = _fast_log_weight(m)
     if not m.rho.atoms and isinstance(m.rho.density, GaussianDensity):
-        moves = _collapsed_moves(m.rho.density, n, k, chains, logw_fn, rng)
+        moves = _collapsed_moves(m.rho.density, n, k, chains, m.log_weight,
+                                 rng)
     else:
-        moves = _coordinate_moves(m.rho, n, k, chains, logw_fn, rng)
+        moves = _coordinate_moves(m.rho, n, k, chains, m.log_weight, rng)
     burn_steps = -(-burn_in // k)
     thin_steps = max(1, -(-thin // k))
     S_rec, T_rec, accepted = _run_schedule(*moves, burn_steps, thin_steps,

@@ -9,13 +9,12 @@ which also yields the inverse-gradient map and the Hessian of the conjugate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .measure import GaussianDensity, Measure1D, moments
-from .quadrature import adaptive_gauss_legendre
+from .measure import Measure1D, moments
 
 
 class DomainFault(ValueError):
@@ -46,16 +45,15 @@ class LogLaplace:
             return np.ones(theta.shape[:-1], dtype=bool)
         return theta[..., 1] < self.base.density.domination[1]
 
-    def _raw_moments(self, theta: np.ndarray, kmax: int, tol: float):
+    def _raw_moments(self, theta: np.ndarray, kmax: int):
         """``(c, m)`` for the rows of ``theta`` (shape ``(P, d)``, every row
         in the domain): the exponent shift ``c`` (shape ``(P,)``), the exact
         maximum of ``<theta, psi(z)>`` over the effective support, and the
         raw moments ``m[p, k] = E[z^k exp(<theta_p, psi(z)> - c_p)]``,
         ``k = 0..kmax``.
 
-        Atoms are summed exactly from one ``(P, A)`` exponent matrix; a
-        ``GaussianDensity`` contributes its closed form, any other density
-        adaptive quadrature to ``tol``, row by row.
+        Atoms are summed exactly from one ``(P, A)`` exponent matrix, and
+        the density contributes its own ``tilted_moments``.
         """
         u = theta[:, 0]
         v = theta[:, 1] if self.lift == "pair" else np.zeros_like(u)
@@ -72,20 +70,11 @@ class LogLaplace:
         c = np.where(np.isfinite(c), c, 0.0)
         m = (mass * np.exp(expo - c[:, None])) @ (
             z[:, None] ** np.arange(kmax + 1))
-        if isinstance(d, GaussianDensity):
+        if d is not None:
             m += d.tilted_moments(u, v, c, kmax)
-        elif d is not None:
-            powers = np.arange(kmax + 1)
-            for p, (up, vp, cp) in enumerate(zip(u, v, c)):
-                def integrand(z):
-                    w = np.exp(up * z + vp * z * z - cp) * d.pdf(z)
-                    return w[:, None] * z[:, None] ** powers
-
-                m[p] += np.asarray(adaptive_gauss_legendre(
-                    integrand, -R, R, tol=tol, initial_panels=8), dtype=float)
         return c, m
 
-    def _log_moments(self, theta: np.ndarray, kmax: int, tol: float = 1e-12):
+    def _log_moments(self, theta: np.ndarray, kmax: int):
         """``(L, mom)`` for the rows of ``theta`` (shape ``(P, d)``):
         ``L(theta_p)`` and the tilted moments ``E_p[z^k]``, ``k = 0..kmax``.
         Rows outside the domain, or whose tilted mass vanishes, get
@@ -94,35 +83,35 @@ class LogLaplace:
         mom = np.full((len(theta), kmax + 1), math.nan)
         rows = np.flatnonzero(self.in_domain(theta))
         if rows.size:
-            c, m = self._raw_moments(theta[rows], kmax, tol)
+            c, m = self._raw_moments(theta[rows], kmax)
             pos = m[:, 0] > 0
             rows, c, m = rows[pos], c[pos], m[pos]
             value[rows] = c + np.log(m[:, 0])
             mom[rows] = m / m[:, :1]
         return value, mom
 
-    def _stats(self, theta: np.ndarray, tol: float = 1e-12):
+    def _stats(self, theta: np.ndarray):
         """``(L, mean, cov)`` of ``psi`` for the rows of ``theta``: shapes
         ``(P,)``, ``(P, d)`` and ``(P, d, d)``, NaN where ``L`` is inf."""
-        value, mom = self._log_moments(theta, 2 * self.d, tol)
+        value, mom = self._log_moments(theta, 2 * self.d)
         mean = mom[:, 1:self.d + 1]
         # cov[i, j] = E[z^(i+j+2)] - E[z^(i+1)] E[z^(j+1)]
         powers = np.add.outer(np.arange(self.d), np.arange(self.d)) + 2
         cov = mom[:, powers] - mean[:, :, None] * mean[:, None, :]
         return value, mean, cov
 
-    def tilted_stats(self, theta, tol: float = 1e-12):
+    def tilted_stats(self, theta):
         """Return ``(L(theta), tilted mean of psi, tilted covariance of psi)``."""
         value, mean, cov = self._stats(
-            np.atleast_1d(np.asarray(theta, dtype=float))[None], tol)
+            np.atleast_1d(np.asarray(theta, dtype=float))[None])
         if not math.isfinite(value[0]):
             return math.inf, None, None
         return float(value[0]), mean[0], cov[0]
 
-    def value(self, theta, tol: float = 1e-12) -> float:
+    def value(self, theta) -> float:
         """L(theta) alone (cheaper than the full moment pass)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))[None]
-        return float(self._log_moments(theta, 0, tol)[0][0])
+        return float(self._log_moments(theta, 0)[0][0])
 
     def grad_hess(self, theta):
         """Gradient (tilted first moments) and Hessian (tilted covariance)."""
@@ -154,11 +143,9 @@ def _inv(cov: np.ndarray) -> np.ndarray:
     return adj / (a * c - b * b)[:, None, None]
 
 
-@dataclass
-class SolverSettings:
-    gtol: float = 1e-10
-    max_iter: int = 100
-    cond_limit: float = 1e12
+_GTOL = 1e-10  # Newton has converged once |grad L(theta) - x| <= _GTOL
+_MAX_ITER = 100  # Newton iterations before a row gives up
+_COND_LIMIT = 1e12  # condition number above which a covariance is degenerate
 
 
 @dataclass
@@ -175,9 +162,8 @@ class CramerResult:
 class RateFunction:
     """Convex conjugate of a log-Laplace surface, solved by damped Newton."""
 
-    def __init__(self, source: LogLaplace, settings: SolverSettings | None = None):
+    def __init__(self, source: LogLaplace):
         self.source = source
-        self.settings = settings or SolverSettings()
         self._moments = moments(source.base)
 
     def solve(self, x) -> CramerResult:
@@ -188,11 +174,10 @@ class RateFunction:
 
         One damped Newton iteration on ``grad L(theta) = x`` runs on all
         rows at once under per-row masks.  A row leaves the batch when its
-        gradient meets ``gtol``, its curvature degenerates or its line
+        gradient meets ``_GTOL``, its curvature degenerates or its line
         search fails, so it follows the trajectory it would follow alone.
         """
         L = self.source
-        s = self.settings
         X = np.asarray(targets, dtype=float)
         if X.ndim != 2 or X.shape[1] != L.d:
             raise ValueError(
@@ -218,7 +203,7 @@ class RateFunction:
         def curved(rows, it):
             """Hand the rows whose covariance is numerically singular to
             the degenerate solver; return the others."""
-            flat = _cond(cov[rows]) > s.cond_limit
+            flat = _cond(cov[rows]) > _COND_LIMIT
             if not flat.any():
                 return rows
             bad = rows[flat]
@@ -228,8 +213,8 @@ class RateFunction:
             return rows[~flat]
 
         active = np.arange(len(X))
-        for it in range(1, s.max_iter + 1):
-            done = np.linalg.norm(mean[active] - X[active], axis=1) <= s.gtol
+        for it in range(1, _MAX_ITER + 1):
+            done = np.linalg.norm(mean[active] - X[active], axis=1) <= _GTOL
             if done.any():
                 rows = active[done]
                 far = np.linalg.norm(theta[rows], axis=1) > 1e8
@@ -270,7 +255,7 @@ class RateFunction:
             stop(active[left], it,
                  "line search failed; outside admissible domain")
             active = np.delete(active, left)
-        stop(active, s.max_iter, "max iterations; outside admissible domain")
+        stop(active, _MAX_ITER, "max iterations; outside admissible domain")
         return results
 
     def _solve_degenerate(self, x, theta, val, it) -> list[CramerResult]:
@@ -279,7 +264,7 @@ class RateFunction:
         iteration ``it``."""
         L = self.source
         _, mean0, cov0 = L.tilted_stats(np.zeros(L.d))
-        if _cond(cov0[None])[0] <= self.settings.cond_limit:
+        if _cond(cov0[None])[0] <= _COND_LIMIT:
             # the base has full curvature, so it vanished along the path:
             # the target sits on the boundary of the admissible domain
             return [CramerResult(
@@ -290,8 +275,8 @@ class RateFunction:
         # pair lift with z^2 a.s. constant: conjugate finite only on y = const
         c0 = float(mean0[1])
         reachable = np.abs(x[:, 1] - c0) <= 1e-9
-        line = iter(RateFunction(LogLaplace(L.base, lift="line"),
-                                 self.settings).solve_many(x[reachable, :1]))
+        line = iter(RateFunction(LogLaplace(L.base, lift="line")).solve_many(
+            x[reachable, :1]))
         out = []
         for t, ok in zip(theta, reachable):
             if not ok:

@@ -55,6 +55,14 @@ class TestMoments:
             ms = moments(m)
             assert ms.mu4 >= ms.sigma2**2 - 1e-12
 
+    def test_triangle_table(self):
+        # f = 1 - |z| on [-1, 1]: sigma^2 = 1/6 and mu4 = 1/15, by quadrature
+        tri = TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                           support_radius=1.0, domination=(1.01, 0.5))
+        ms = moments(Measure1D(density=tri))
+        assert ms.sigma2 == pytest.approx(1 / 6, rel=0, abs=1e-14)
+        assert ms.mu4 == pytest.approx(1 / 15, rel=0, abs=1e-14)
+
     def test_degenerate_rejected(self):
         m = Measure1D(atoms=((0.0, 1.0),))
         with pytest.raises(MeasureError):

@@ -38,6 +38,11 @@ def three_point_I(p, x, y):
             + xlogy(q0, q0 / (1 - 2 * p)))
 
 
+# f = 1 - |z| on [-1, 1]: a table density, so every integral is quadrature
+TRIANGLE = measure.TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                support_radius=1.0, domination=(1.01, 0.5))
+
+
 @pytest.fixture(scope="module")
 def gauss_pair():
     return LogLaplace(measure.gaussian())
@@ -55,6 +60,13 @@ class TestLogLaplace:
         for u, v in [(0.0, 0.0), (0.5, 0.2), (-1.0, 0.4), (2.0, -3.0), (0.3, 0.45)]:
             got = L.value([u, v])
             assert got == pytest.approx(gaussian_L(u, v), abs=1e-10)
+
+    @pytest.mark.parametrize("u", [0.3, 2.0, 8.0, -5.0])
+    def test_triangle_closed_form(self, u):
+        # integral of e^{uz} (1 - |z|) over [-1, 1] = 2 (cosh u - 1) / u^2
+        L = LogLaplace(measure.Measure1D(density=TRIANGLE))
+        want = math.log(2 * (math.cosh(u) - 1) / (u * u))
+        assert L.value([u, 0.0]) == pytest.approx(want, rel=0, abs=1e-13)
 
     def test_origin_grad_hess(self, gauss_pair):
         grad, hess = gauss_pair.grad_hess([0.0, 0.0])
@@ -180,12 +192,19 @@ class TestGaussianClosedForm:
         with pytest.raises(measure.MeasureError):
             measure.gaussian().density.tilted_moments(0.0, 0.5, 0.0, 2)
 
-    def test_batch_matches_scalar_calls(self):
-        # tilts on both sides of the near-mode / continued-fraction switch
-        d = measure.gaussian().density
+    @pytest.mark.parametrize("d", [measure.gaussian().density, TRIANGLE],
+                             ids=["gaussian", "table"])
+    def test_batch_matches_scalar_calls(self, d):
+        # the shape contract every density kind shares; for the Gaussian the
+        # tilts fall on both sides of the near-mode / continued-fraction
+        # switch.  The shifts sit near the exponent's maximum over the
+        # support, as LogLaplace passes them, which keeps every quadrature
+        # integrand O(1)
         u = np.array([0.0, -3.0, 5.0, 40.0, -40.0, 12.0, 0.2, 9.0])
         v = np.array([0.0, 0.2, -4.0, 0.0, 0.49, -20.0, 0.499, 0.45])
-        shift = np.linspace(-1.0, 3.0, len(u))
+        R = d.support_radius
+        shift = np.linspace(-1.0, 3.0, len(u)) + np.abs(u) * R + np.maximum(
+            v, 0.0) * R * R
         batch = d.tilted_moments(u, v, shift, 4)
         assert batch.shape == (len(u), 5)
         for row, args in zip(batch, zip(u, v, shift)):
