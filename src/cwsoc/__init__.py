@@ -5,7 +5,6 @@ from .measure import (
     Measure1D,
     MeasureError,
     MomentSummary,
-    convolution_density_f2,
     gaussian,
     moments,
     rademacher,
@@ -19,7 +18,6 @@ __all__ = [
     "Measure1D",
     "MeasureError",
     "MomentSummary",
-    "convolution_density_f2",
     "gaussian",
     "moments",
     "rademacher",

@@ -4,9 +4,10 @@ density of the rescaled sums.
 ``phi_{n,c}(x) = (k_c * nu^{*n})(nx)`` is compared against the local-CLT
 asymptotic ``(2 pi n)^{-d/2} (det D2J)^{1/2} e^{-nJ(x)}``.  In dimension 2
 the estimator tilts exponentially at the conjugate point of ``x`` so the
-``e^{-nJ}`` factor cancels, and integrates the last two coordinates exactly
-through the pair convolution density, which removes the vanishing-window
-variance blowup.
+``e^{-nJ}`` factor cancels.  It draws only the sufficient statistics
+``(S', T')`` of the first n-2 tilted coordinates and integrates the last
+two exactly against the closed-form tilted pair density, which removes the
+vanishing-window variance blowup.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .cramer import CharEvaluator, _lattice_witness
-from .measure import GaussianDensity, Measure1D, convolution_density_f2
+from .measure import GaussianDensity, Measure1D
 from .quadrature import adaptive_gauss_legendre
 from .transforms import CramerResult, LogLaplace, RateFunction
 
@@ -61,22 +62,6 @@ def kernel_laplace(c: float, z) -> complex:
     return complex(val)
 
 
-def kernel_ft_bound(u_range: tuple, s_max: float = 1e3,
-                    n_grid: int = 4000) -> float:
-    """M with |2(cosh(u+is)-1)/(u+is)^2| <= M/(1+s^2) on K x R.
-
-    The grid covers |s| <= s_max; beyond that the modulus is dominated by
-    2(cosh u + 1)/s^2, giving the asymptotic envelope 4 sup_K (cosh u + 1).
-    """
-    a, b = float(u_range[0]), float(u_range[1])
-    u = np.linspace(a, b, 201)[:, None]
-    s = np.linspace(-s_max, s_max, n_grid)[None, :]
-    w = u + 1j * s
-    vals = (1 + s * s) * np.abs(_cosh_factor(w))
-    tail = 4 * (math.cosh(max(abs(a), abs(b))) + 1)
-    return max(float(np.max(vals)), tail)
-
-
 @dataclass
 class SmoothedDensity:
     """Smoothed n-fold law, d=1 for a line measure or d=2 for the pair law.
@@ -88,7 +73,7 @@ class SmoothedDensity:
     n: int
     c: Optional[float] = None       # default coupling 1/n
     d: int = 1
-    samples: int = 10**5
+    samples: int = 10**5           # (S', T') draws, d=2 and n > 2 only
     seed: int = 0
 
     def __post_init__(self):
@@ -141,17 +126,20 @@ def _phi2_tilted(s: SmoothedDensity, density: GaussianDensity, x,
     """d=2 estimate of ``phi * e^{nJ}`` with its std error, plus ``nJ``,
     given the pair-lift conjugate ``r`` solved at ``x``.
 
-    The last two coordinates are integrated exactly: conditionally on
-    ``(S', T')`` of the first n-2 tilted draws, the kernel average over the
-    remaining pair is a 2-D integral of the tilted pair convolution density
-    over the kernel box, done by a tensor Gauss rule per sample.
+    Under the tilt the coordinates are i.i.d. ``N(mu, s^2)``, so the first
+    n-2 enter only through their sufficient statistics: ``S' ~ N((n-2) mu,
+    (n-2) s^2)`` and, independently, ``T' - S'^2/(n-2) ~ s^2 chi^2_{n-3}``,
+    two draws per sample.  The last pair is integrated exactly: the kernel
+    average over it is a tensor Gauss rule over the kernel box of the tilted
+    pair density (``_pair_window``).  At n = 2 there is nothing to draw and
+    the estimate is that Gauss rule alone, with std error 0.
     """
     n, c = s.n, s.c
     if not r.converged:
         raise KernelError(f"point {x.tolist()} outside the admissible domain")
     theta = r.argmax
     nJ = n * r.value
-    mean, std, pdf = density.tilted_coordinate_law(theta)
+    mean, std = density.tilted_coordinate_law(theta)
 
     # Gauss rule on the kernel box, split at 0 where k_c has a kink
     gx, gw = np.polynomial.legendre.leggauss(6)
@@ -162,41 +150,85 @@ def _phi2_tilted(s: SmoothedDensity, density: GaussianDensity, x,
     V = nodes[None, :].repeat(len(nodes), 0).ravel()
     W = (wts[:, None] * wts[None, :]).ravel() * ker(U, V) * np.exp(
         -theta[0] * U - theta[1] * V)
-
-    rng = np.random.default_rng(s.seed)
-    total = s.samples
-    chunk = max(1, 4 * 10**6 // max(n, 1))
-    acc_sum = 0.0
-    acc_sq = 0.0
-    done = 0
-    while done < total:
-        m = min(chunk, total - done)
-        z = rng.normal(mean, std, size=(m, n - 2))
-        Sp = z.sum(axis=1)
-        Tp = (z * z).sum(axis=1)
-        # pair value needed at (n x1 - S', n x2 - T') plus the box offset
-        us = (n * x[0] - Sp)[:, None] + U[None, :]
-        vs = (n * x[1] - Tp)[:, None] + V[None, :]
-        f2 = convolution_density_f2(pdf, us, vs)
-        y = f2 @ W
-        acc_sum += float(np.sum(y))
-        acc_sq += float(np.sum(y * y))
-        done += m
-    mean_y = acc_sum / total
-    var_y = max(acc_sq / total - mean_y**2, 0.0)
-    se = math.sqrt(var_y / total)
+    window = _pair_window(mean, std, U, V, W)
+    if n == 2:
+        mean_y, se = float(window(n * x[:1], n * x[1:])[0]), 0.0
+    else:
+        mean_y, se = _mean_over_draws(s, density, mean, std, x, window,
+                                      len(W))
     if mean_y <= 0:
         raise KernelError("no mass in the kernel window; estimate unusable")
     return mean_y, se, nJ
 
 
-def phi_normalization(s: SmoothedDensity, x_lo: float, x_hi: float) -> float:
-    """d=1 quadrature of phi over [x_lo, x_hi]; full-line value is 1/n."""
-    if s.d != 1:
-        raise KernelError("normalization check is a d=1 operation")
-    return float(adaptive_gauss_legendre(
-        lambda xs: np.array([phi_estimate(s, xv)[0] for xv in xs]),
-        x_lo, x_hi, tol=1e-9, initial_panels=32))
+def _mean_over_draws(s: SmoothedDensity, density: GaussianDensity,
+                     mean: float, std: float, x, window, nodes: int) -> tuple:
+    """Mean of ``window`` over ``s.samples`` tilted ``(S', T')`` draws, and
+    its std error, in chunks of about 2^20 cells of ``nodes`` each."""
+    n = s.n
+    rng = np.random.default_rng(s.seed)
+    total = s.samples
+    chunk = max(1, 2**20 // nodes)
+    acc_sum = 0.0
+    acc_sq = 0.0
+    done = 0
+    while done < total:
+        m = min(chunk, total - done)
+        Sp, Tp = _tilted_sums(density, n - 2, mean, std, m, rng)
+        # the last pair must add up to (n x1 - S', n x2 - T') at the centre
+        y = window(n * x[0] - Sp, n * x[1] - Tp)
+        acc_sum += float(np.sum(y))
+        acc_sq += float(np.sum(y * y))
+        done += m
+    mean_y = acc_sum / total
+    var_y = max(acc_sq / total - mean_y**2, 0.0)
+    return mean_y, math.sqrt(var_y / total)
+
+
+def _tilted_sums(density: GaussianDensity, k: int, mean: float, std: float,
+                 size: int, rng: np.random.Generator) -> tuple:
+    """``(sum Z, sum Z^2)`` of ``k >= 1`` i.i.d. ``N(mean, std^2)`` draws,
+    ``size`` times over: the base's centred block sums, rescaled from its
+    ``sigma`` to ``std`` and shifted by ``mean``."""
+    zs, zss = density.block_sums(k, size, rng)
+    scale = std / density.sigma
+    zs *= scale
+    zss *= scale * scale
+    return zs + k * mean, zss + 2 * mean * zs + k * mean * mean
+
+
+def _pair_window(mean: float, std: float, U, V, W):
+    """``(a, b) -> sum_j W_j f2(a_i + U_j, b_i + V_j)`` per sample ``i``.
+
+    ``f2`` is the density of ``(Z1 + Z2, Z1^2 + Z2^2)`` for ``Z1, Z2``
+    i.i.d. ``N(mean, std^2)``: with ``d^2 = 2v - u^2`` it is ``f(p) f(q) /
+    d`` at ``p, q = (u +- d)/2`` on ``{d^2 > 0}`` and 0 elsewhere.  As
+    ``f(p) f(q) = exp(-(v - 2 mean u + 2 mean^2) / 2 std^2) / (2 pi
+    std^2)`` is log-linear in ``(u, v)``, it splits into a factor per
+    sample and a factor per node, which is folded into ``W`` once; each
+    cell then costs only ``1{d^2 > 0} / d``.
+    """
+    h = 0.5 / (std * std)
+    Wf = W * np.exp(-h * (V - 2 * mean * U)) * (h / math.pi)
+    u_max, v_max = float(np.max(np.abs(U))), float(np.max(V))
+
+    def window(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.zeros(a.shape)
+        # only these samples can have a cell inside the parabola; on them the
+        # sample's exponent is at most h (2 |mean| u_max + v_max), so its
+        # factor cannot overflow
+        near = 2 * (b + v_max) > np.maximum(np.abs(a) - u_max, 0.0) ** 2
+        a, b = a[near], b[near]
+        u = a[:, None] + U
+        d2 = 2 * (b[:, None] + V) - u * u
+        inside = d2 > 0
+        cell = np.sqrt(d2, where=inside, out=np.zeros_like(d2))
+        np.divide(1.0, cell, where=inside, out=cell)
+        out[near] = np.exp(-h * (b - 2 * mean * a + 2 * mean * mean)) * (
+            cell @ Wf)
+        return out
+
+    return window
 
 
 def theorem3_comparison(s: SmoothedDensity, R: RateFunction, points) -> list:

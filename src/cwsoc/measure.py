@@ -304,20 +304,14 @@ class GaussianDensity(DensityComponent):
             2 * math.pi * sigma2)
 
     def tilted_coordinate_law(self, theta) -> tuple:
-        """``(mean, std, pdf)`` of the normalized density tilted by
-        ``exp(t1 z + t2 z^2)``, ``theta = (t1, t2)``."""
+        """``(mean, std)`` of the normalized density tilted by
+        ``exp(t1 z + t2 z^2)``, ``theta = (t1, t2)``: a normal law."""
         t1, t2 = float(theta[0]), float(theta[1])
         prec = 1.0 / self.sigma**2 - 2 * t2
         if prec <= 0:
             raise MeasureError("tilt outside the finiteness domain")
         var = 1.0 / prec
-        mean = t1 * var
-
-        def pdf(z):
-            return np.exp(-(z - mean) ** 2 / (2 * var)) / math.sqrt(
-                2 * math.pi * var)
-
-        return mean, math.sqrt(var), pdf
+        return t1 * var, math.sqrt(var)
 
 
 class TableDensity(DensityComponent):
@@ -553,19 +547,3 @@ def sample(m: Measure1D, count: int, rng: np.random.Generator) -> np.ndarray:
             raise MeasureError("no density component but ac mass requested")
         out[~discrete] = m.density.sample(n_ac, rng)
     return out
-
-
-def convolution_density_f2(f: Callable, x, y):
-    """Two-fold convolution density of the lifted pair law of the AC part.
-
-    For ``Z1, Z2`` i.i.d. with density ``f``, this is the density of
-    ``(Z1 + Z2, Z1^2 + Z2^2)`` at ``(x, y)``; it vanishes when ``x^2 >= 2y``.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    inside = x * x < 2 * y
-    disc = np.sqrt(np.where(inside, 2 * y - x * x, 1.0))
-    val = np.asarray(
-        f((x + disc) / 2) * f((x - disc) / 2) / disc, dtype=float)
-    result = np.where(inside, val, 0.0)
-    return result if result.ndim else float(result)

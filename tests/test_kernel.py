@@ -2,20 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from cwsoc import kernel, measure
 from cwsoc.kernel import (
     KernelError,
     SmoothedDensity,
     TriangularKernel,
-    kernel_ft_bound,
     kernel_laplace,
     phi_estimate,
-    phi_normalization,
     theorem3_comparison,
 )
 from cwsoc.quadrature import adaptive_gauss_legendre
 from cwsoc.transforms import LogLaplace, RateFunction
+
+
+def pair_density(mu, s):
+    """Direct density of (Z1 + Z2, Z1^2 + Z2^2), Z_i i.i.d. N(mu, s^2)."""
+    f = stats.norm(mu, s).pdf
+
+    def f2(u, v):
+        d2 = 2 * v - u * u
+        d = np.sqrt(np.where(d2 > 0, d2, 1.0))
+        return np.where(d2 > 0, f((u + d) / 2) * f((u - d) / 2) / d, 0.0)
+    return f2
+
+
+def box_rule(c):
+    """The 12 x 12 Gauss nodes and weights of the d = 2 kernel box."""
+    gx, gw = np.polynomial.legendre.leggauss(6)
+    nodes = np.concatenate([(gx - 1) * c / 2, (gx + 1) * c / 2])
+    wts = np.concatenate([gw * c / 2, gw * c / 2])
+    U, V = np.meshgrid(nodes, nodes, indexing="ij")
+    return U.ravel(), V.ravel(), np.outer(wts, wts).ravel()
 
 
 def laplace_oracle(c, z):
@@ -83,27 +102,6 @@ class TestKernelLaplace:
             assert got.real == pytest.approx(expect, abs=1e-12)
 
 
-class TestKernelFtBound:
-    def test_origin_interval(self):
-        M = kernel_ft_bound((0.0, 0.0))
-        assert M >= 2 * 2 * (1 + math.pi**2) / math.pi**2 - 1e-9  # s = pi
-        assert M <= 8.0 + 1e-9  # asymptotic envelope 4(cosh 0 + 1)
-
-    def test_unit_interval(self):
-        M = kernel_ft_bound((-1.0, 1.0))
-        assert M == pytest.approx(4 * (math.cosh(1) + 1), abs=1e-6)
-
-    def test_is_a_valid_envelope(self):
-        M = kernel_ft_bound((-0.5, 0.5))
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            u = rng.uniform(-0.5, 0.5)
-            s = rng.uniform(-300, 300)
-            w = complex(u, s)
-            val = abs(2 * (np.cosh(w) - 1) / (w * w))
-            assert val <= M / (1 + s * s) + 1e-9
-
-
 class TestPhiEstimateD1:
     def test_gaussian_center(self):
         s = SmoothedDensity(base=measure.gaussian(), n=100, c=0.01, d=1)
@@ -124,7 +122,9 @@ class TestPhiEstimateD1:
 
     def test_normalization(self):
         s = SmoothedDensity(base=measure.gaussian(), n=20, c=0.05, d=1)
-        total = phi_normalization(s, -1.5, 1.5)
+        total = adaptive_gauss_legendre(
+            lambda xs: np.array([phi_estimate(s, xv)[0] for xv in xs]),
+            -1.5, 1.5, tol=1e-9, initial_panels=32)
         assert total == pytest.approx(1 / 20, abs=1e-4)
 
     def test_unsupported_base(self):
@@ -199,3 +199,93 @@ class TestTheorem3:
         s = SmoothedDensity(base=g, n=10, d=2, samples=100)
         with pytest.raises(KernelError):
             theorem3_comparison(s, R, [[1.0, 1.0]])
+
+
+class TestPairWindow:
+    MU, S = -0.35, 0.8
+
+    def test_factored_sum_matches_direct(self):
+        # the per-sample node sum for fixed (S', T'), cells on both sides of
+        # the parabola u^2 = 2v included
+        n, x = 40, (0.1, 1.05)
+        Sp = np.array([3.0, 3.0, 3.6, -2.0, 4.0])
+        Tp = np.array([41.5, 41.0, 30.0, 43.0, 45.0])
+        a, b = n * x[0] - Sp, n * x[1] - Tp
+        rng = np.random.default_rng(6)
+        U, V = rng.uniform(-0.3, 0.3, (2, 144))
+        W = rng.uniform(0.1, 1.0, 144)
+        got = kernel._pair_window(self.MU, self.S, U, V, W)(a, b)
+        u, v = a[:, None] + U, b[:, None] + V
+        inside = u * u < 2 * v
+        assert inside.any() and not inside.all()
+        assert inside[0].any() and not inside[0].all()
+        expect = pair_density(self.MU, self.S)(u, v) @ W
+        assert expect[3] == 0.0 and got[3] == 0.0
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def pair_value(self, u, v):
+        one = np.zeros(1)
+        return kernel._pair_window(self.MU, self.S, one, one, np.ones(1))(
+            np.atleast_1d(u), np.atleast_1d(v))
+
+    def test_monte_carlo_histogram(self):
+        # oracle: 2-D Monte Carlo of (Z1+Z2, Z1^2+Z2^2) cell frequencies
+        rng = np.random.default_rng(11)
+        z = rng.normal(self.MU, self.S, size=(2 * 10**6, 2))
+        x, y = z.sum(axis=1), (z**2).sum(axis=1)
+        h = 0.2
+        for (x0, y0) in [(-0.7, 1.0), (0.0, 1.5)]:
+            freq = np.mean((np.abs(x - x0) < h / 2) & (np.abs(y - y0) < h / 2))
+            dens = self.pair_value(x0, y0)[0]
+            assert freq == pytest.approx(dens * h * h, rel=0.05)
+
+    def test_integrates_to_one(self):
+        # integral over {u^2 < 2v}, with v = u^2/2 + t^2 (dv = 2t dt) to
+        # take out the 1/sqrt(2v - u^2) edge singularity
+        val, _ = integrate.dblquad(
+            lambda t, u: self.pair_value(u, u * u / 2 + t * t)[0] * 2 * t,
+            -8, 8, 0, 6, epsabs=1e-10)
+        assert val == pytest.approx(1.0, abs=1e-8)
+
+
+class TestTiltedSums:
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_law(self, n):
+        mu, s, N = 0.3, 0.8, 2 * 10**5
+        k = n - 2
+        Sp, Tp = kernel._tilted_sums(measure.gaussian().density, k, mu, s, N,
+                                     np.random.default_rng(n))
+        assert abs(Sp.mean() - k * mu) < 5 * math.sqrt(k * s * s / N)
+        # Var of the sample variance of S' is 2 (k s^2)^2 / N
+        assert abs(Sp.var() / (k * s * s) - 1) < 5 * math.sqrt(2 / N)
+        Q = Tp - Sp * Sp / k
+        if n == 3:
+            # chi^2_0 is exactly 0: T' = S'^2 to rounding
+            assert np.max(np.abs(Q)) <= 1e-12 * np.max(Tp)
+        else:
+            # s^2 chi^2_{k-1}: mean (k-1) s^2, variance 2 (k-1) s^4
+            assert abs(Q.mean() - (k - 1) * s * s) < 5 * s * s * math.sqrt(
+                2 * (k - 1) / N)
+
+
+class TestSmallN:
+    def test_n2_is_the_gauss_rule(self):
+        # no draws at n = 2: phi is the untilted pair density against the
+        # kernel's Gauss rule, whatever samples and seed say
+        g = measure.gaussian()
+        x = np.array([0.1, 1.05])
+        U, V, w = box_rule(0.5)
+        expect = float(np.sum(w * TriangularKernel(0.5, 2)(U, V)
+                              * pair_density(0.0, 1.0)(2 * x[0] + U,
+                                                       2 * x[1] + V)))
+        for samples, seed in ((1, 0), (10**4, 5)):
+            s = SmoothedDensity(base=g, n=2, d=2, samples=samples, seed=seed)
+            phi, se = phi_estimate(s, x)
+            assert se == 0.0
+            assert phi == pytest.approx(expect, rel=1e-10)
+
+    def test_n3_runs(self):
+        g = measure.gaussian()
+        s = SmoothedDensity(base=g, n=3, d=2, samples=2000, seed=1)
+        phi, se = phi_estimate(s, [0.1, 1.05])
+        assert phi > 0 and 0 < se < phi

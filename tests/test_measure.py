@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import stats
 
 from cwsoc import measure
 from cwsoc.measure import (
@@ -14,7 +14,6 @@ from cwsoc.measure import (
     Measure1D,
     MeasureError,
     TableDensity,
-    convolution_density_f2,
     moments,
     sample,
 )
@@ -146,44 +145,6 @@ class TestSample:
         # 5-sigma CLT bands: Var(z^2) = 15 - 9, Var(z^4) = 945 - 225
         assert abs(np.mean(draws**2) - 3.0) < 5 * math.sqrt(6 / n)
         assert abs(np.mean(draws**4) - 15.0) < 5 * math.sqrt(720 / n)
-
-
-class TestConvolutionDensity:
-    def test_outside_indicator(self):
-        phi = stats.norm.pdf
-        assert convolution_density_f2(phi, 2.0, 1.0) == 0.0
-
-    def test_boundary_closed(self):
-        phi = stats.norm.pdf
-        assert convolution_density_f2(phi, 1.0, 0.5) == 0.0
-
-    def test_gaussian_point_value(self):
-        phi = stats.norm.pdf
-        r = 1 / math.sqrt(2)
-        expected = r * phi(r) * phi(-r)
-        assert convolution_density_f2(phi, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(0.06826, abs=5e-5)
-
-    def test_monte_carlo_histogram(self):
-        # oracle: 2-D Monte Carlo of (Z1+Z2, Z1^2+Z2^2) cell frequencies
-        rng = np.random.default_rng(11)
-        z = rng.normal(size=(2 * 10**6, 2))
-        x, y = z.sum(axis=1), (z**2).sum(axis=1)
-        for (x0, y0, hx, hy) in [(0.0, 1.0, 0.2, 0.2), (0.5, 1.5, 0.2, 0.2)]:
-            freq = np.mean((np.abs(x - x0) < hx / 2) & (np.abs(y - y0) < hy / 2))
-            dens = convolution_density_f2(stats.norm.pdf, x0, y0)
-            assert freq == pytest.approx(dens * hx * hy, rel=0.05)
-
-    def test_integrates_to_squared_mass(self):
-        # f carries mass a = 1/2: integral over {x^2 < 2y} must be a^2
-        a = 0.5
-        f = lambda z: a * stats.norm.pdf(z)
-        val, _ = integrate.dblquad(
-            lambda y, x: convolution_density_f2(f, x, y),
-            -8, 8, lambda x: x * x / 2, lambda x: 40,
-            epsabs=1e-8,
-        )
-        assert val == pytest.approx(a * a, abs=1e-6)
 
 
 class TestJsonRoundTrip:
