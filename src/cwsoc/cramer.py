@@ -1,11 +1,13 @@
 """Cramer-condition diagnostics for the pair characteristic function.
 
-The object of study is ``M(s, t) = integral of exp(i s z + i t z^2) drho(z)``
-and the condition that its modulus stays away from 1 outside a neighbourhood
-of the origin.  Purely atomic measures on a lattice violate the condition
-(an explicit witness exists); measures with an absolutely continuous
-component satisfy it, with a certified bound obtained from the mixture
-decomposition.
+The object of study is ``M(s, t) = integral of exp(i s z + i t z^2) drho(z)``,
+evaluated by ``CharEvaluator.char_grid`` alone, and the condition (C) that
+its modulus stays away from 1 outside a neighbourhood of the origin.  A
+purely atomic base never satisfies (C): its ``M`` is a finite trigonometric
+sum, hence almost periodic, so ``limsup |M| = 1`` (Dirichlet's simultaneous
+approximation theorem) and the check fails at the best near-return it finds.
+A base with an absolutely continuous component satisfies (C), with a
+certified bound obtained from the mixture decomposition.
 """
 from __future__ import annotations
 
@@ -25,6 +27,9 @@ class CharEvaluator:
 
     def __post_init__(self):
         self.base.validate()
+        # the positive atom locations and their masses
+        self._z, self._p = np.array(
+            self.base.mirror_magnitudes()).reshape(-1, 2).T
 
     def char_grid(self, s, t) -> np.ndarray:
         """Vectorized ``M`` on the outer product of ``s`` and ``t`` values.
@@ -35,7 +40,7 @@ class CharEvaluator:
         """
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
-        z, p = np.array(self.base.mirror_magnitudes()).reshape(-1, 2).T
+        z, p = self._z, self._p
         out = (2 * p * np.cos(np.outer(s, z))) @ np.exp(1j * np.outer(z * z, t))
         out += self.base.mass_at_zero
         if self.base.density is not None:
@@ -53,17 +58,12 @@ class CharEvaluator:
         return abs_moment + moments(self.base).sigma2
 
 
-def char_fn(e: CharEvaluator, s: float, t: float) -> complex:
-    """Pointwise ``M(s, t)``: atom sum plus the density's ``char``."""
-    val = sum(p * np.exp(1j * (s * z + t * z * z)) for z, p in e.base.atoms)
-    if e.base.density is not None:
-        val += e.base.density.char(s, t)
-    return complex(val)
-
-
 _INV_PHI = (math.sqrt(5) - 1) / 2
 _CIRCLE_POINTS = 2048  # mixture_bound: angles on a Gaussian's inner circle
-_NOTE_MARGIN = 1e-3  # check_condition: how far below 1 an atomic sup is noted
+# _near_return: candidate returns t_q on the t axis, and the distance in |M|
+# below the best within which a candidate ties (rounding); ties go to small t
+_NEAR_RETURNS = 10_000
+_TIE = 1e-12
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple:
@@ -101,37 +101,29 @@ class CramerReport:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic (lattice) structure
+# purely atomic bases
 
-def _approx_gcd(values, tol: float = 1e-10) -> float:
-    g = 0.0
-    for v in values:
-        a, b = max(g, abs(v)), min(g, abs(v))
-        while b > tol:
-            a, b = b, math.fmod(a, b)
-        g = a
-    return g
+def _near_return(e: CharEvaluator, alpha: float) -> CramerReport:
+    """The ``fail`` verdict of a purely atomic base, at its best near-return.
 
-
-def _lattice_witness(e: CharEvaluator, alpha: float) -> Optional[tuple]:
-    """Direction with |M| = 1 at norm >= alpha for purely atomic measures.
-
-    Looks along the t axis: it suffices that the values z^2 are
-    commensurable, which holds for every finite rational-square support.
+    Along ``s = 0`` the smallest positive atom ``z_min`` comes back in phase
+    at every ``t_q = 2 pi q / z_min^2``; the other atoms come back nearly at
+    the ``q`` that approximate their ratios ``z_j^2 / z_min^2``.  The first
+    ``_NEAR_RETURNS`` of these ``t_q`` at or beyond ``alpha`` are evaluated
+    at once, and the witness is the one of largest ``|M|`` (the first, when
+    the squares are commensurable and every ``t_q`` returns exactly).
+    ``details["gap"]`` is ``1 - |M|`` there.
     """
-    if e.base.density is not None and e.base.ac_mass > 0:
-        return None
-    sq = np.array([z * z for z, _ in e.base.atoms])
-    g = _approx_gcd(sq[sq > 0])
-    if g == 0.0:
-        t = alpha  # z^2 identically 0 cannot happen (nondegenerate), z^2 const
-    elif np.all(np.abs(sq / g - np.round(sq / g)) < 1e-8):
-        t = 2 * math.pi / g
-        k = math.ceil(alpha * g / (2 * math.pi))
-        t = max(t, k * t)
-    else:
-        return None
-    return (0.0, float(t))
+    z_min = e.base.mirror_magnitudes()[0][0]
+    period = 2 * math.pi / (z_min * z_min)
+    t = period * (math.ceil(alpha / period) + np.arange(_NEAR_RETURNS))
+    m = np.abs(e.char_grid([0.0], t)[0])
+    i = int(np.argmax(m >= m.max() - _TIE))
+    sup = float(m[i])
+    return CramerReport(alpha=alpha, sup_estimate=sup, sup_bound=None,
+                        verdict="fail", witness=(0.0, float(t[i])),
+                        details={"mechanism": "almost periodic",
+                                 "gap": 1.0 - sup, "grid_cells": 0})
 
 
 def _quadrant(radius: float, step: float) -> np.ndarray:
@@ -195,63 +187,47 @@ def mixture_bound(e: CharEvaluator, alpha: float, radius: float = 50.0) -> dict:
 
 def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
                     grid_step: float = 0.05) -> CramerReport:
-    """Grid search of |M| over the annulus with the three-way verdict.
+    """Decide (C) on the annulus ``|(s, t)| >= alpha``.
 
-    The grid covers the quadrant ``s, t >= 0`` only (see ``_quadrant``);
-    ``details`` records its pad, radius and cell count.
-
-    Order of resolution: explicit lattice witness (fail), certified mixture
-    bound (pass), then the grid value with a Lipschitz pad (pass only with a
-    tail argument, otherwise inconclusive).
+    Order of resolution: a purely atomic base fails before any scan, at the
+    near-return of ``_near_return``.  Any other base is scanned on the
+    quadrant ``s, t >= 0`` (see ``_quadrant``) for ``sup_estimate``, with
+    ``details`` recording the grid's Lipschitz pad, radius and cell count,
+    and then passes if the mixture bound is below 1 (inconclusive
+    otherwise).  Its sup cannot reach 1, so the grid decides no verdict.
     """
     if alpha <= 0 or radius <= alpha:
         raise ValueError("need 0 < alpha < radius")
-    witness = _lattice_witness(e, alpha)
-    if witness is not None:
-        m = abs(char_fn(e, *witness))
-        if m >= 1 - 1e-9:
-            return CramerReport(alpha=alpha, sup_estimate=m, sup_bound=None,
-                                verdict="fail", witness=witness,
-                                details={"mechanism": "arithmetic lattice",
-                                         "grid_cells": 0})
+    if e.base.ac_mass <= 0:
+        return _near_return(e, alpha)
     grid = _quadrant(radius, grid_step)
     vals = np.abs(e.char_grid(grid, grid))
     r2 = grid[:, None] ** 2 + grid[None, :] ** 2
     vals = np.where((r2 >= alpha * alpha), vals, 0.0)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best = _refine_local(e, float(grid[i]), float(grid[j]), alpha, grid_step)
-    sup_estimate = max(float(vals[i, j]), best[0])
-    lip = e.lipschitz()
-    pad = lip * grid_step * math.sqrt(0.5)
-    details = {"grid_pad": pad, "grid_radius": radius, "grid_cells": vals.size}
-    if sup_estimate >= 1 - 1e-9:
-        return CramerReport(alpha=alpha, sup_estimate=sup_estimate,
-                            sup_bound=None, verdict="fail",
-                            witness=(best[1], best[2]), details=details)
-    if e.base.ac_mass > 0:
-        mb = mixture_bound(e, alpha, radius=radius)
-        details.update(mixture=mb, tail_argument="mixture bound")
-        verdict = "pass" if mb["bound"] < 1 else "inconclusive"
-        return CramerReport(alpha=alpha, sup_estimate=sup_estimate,
-                            sup_bound=mb["bound"], verdict=verdict,
-                            details=details)
-    if sup_estimate + pad < 1 - _NOTE_MARGIN:
-        # atoms only, no lattice found: nothing controls the tail
-        details["note"] = "sup below 1 on the probed annulus; tail uncontrolled"
-    return CramerReport(alpha=alpha, sup_estimate=sup_estimate, sup_bound=None,
-                        verdict="inconclusive", details=details)
+    sup_estimate = max(float(vals[i, j]), best)
+    pad = e.lipschitz() * grid_step * math.sqrt(0.5)
+    mb = mixture_bound(e, alpha, radius=radius)
+    details = {"grid_pad": pad, "grid_radius": radius, "grid_cells": vals.size,
+               "mixture": mb, "tail_argument": "mixture bound"}
+    verdict = "pass" if mb["bound"] < 1 else "inconclusive"
+    return CramerReport(alpha=alpha, sup_estimate=sup_estimate,
+                        sup_bound=mb["bound"], verdict=verdict,
+                        details=details)
 
 
-def _refine_local(e, s0, t0, alpha, h):
-    """Coordinate-wise golden refinement of |M| around a grid maximum."""
+def _refine_local(e, s0, t0, alpha, h) -> float:
+    """Coordinate-wise golden refinement of |M| around a grid maximum: the
+    largest value it reaches."""
     s, t = s0, t0
 
     def val(ss, tt):
         if math.hypot(ss, tt) < alpha:
             return 0.0
-        return abs(char_fn(e, ss, tt))
+        return float(abs(e.char_grid([ss], [tt])[0, 0]))
 
     for _ in range(3):
         s = _golden_max(lambda ss: val(ss, t), s - h, s + h, xtol=1e-6)[0]
         t = _golden_max(lambda tt: val(s, tt), t - h, t + h, xtol=1e-6)[0]
-    return val(s, t), s, t
+    return val(s, t)

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .cramer import CharEvaluator, _lattice_witness
 from .measure import GaussianDensity, Measure1D
 from .quadrature import adaptive_gauss_legendre
 from .transforms import CramerResult, LogLaplace, RateFunction
@@ -234,14 +233,14 @@ def _pair_window(mean: float, std: float, U, V, W):
 def theorem3_comparison(s: SmoothedDensity, R: RateFunction, points) -> list:
     """Rows ``(x, phi, se, asymptotic, ratio)`` at each requested point.
 
-    Refuses lattice base measures: the local CLT needs the Cramer condition.
-    For d=2 the common factor ``e^{-nJ}`` is cancelled analytically, so the
-    ratio is computed at its natural scale.
+    Refuses purely atomic base measures: the local CLT needs the Cramer
+    condition, which no purely atomic base satisfies.  For d=2 the common
+    factor ``e^{-nJ}`` is cancelled analytically, so the ratio is computed
+    at its natural scale.
     """
-    witness = _lattice_witness(CharEvaluator(s.base), 0.5)
-    if witness is not None:
+    if s.base.ac_mass <= 0:
         raise KernelError(
-            "base measure is lattice-supported and fails the Cramer "
+            "base measure is purely atomic and fails the Cramer "
             "condition; the local CLT comparison does not apply")
     n = s.n
     xs = np.asarray(points, dtype=float).reshape(len(points), -1)

@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincinv
 
-from .cramer import CharEvaluator, _lattice_witness
 from .measure import moments
 from .model import EmpiricalBatch, TiltedModel, rescaled_statistic
 
@@ -90,10 +89,10 @@ class VerificationReport:
     n: int
     method: str
     passed: bool
+    cramer_flag: str   # 'yes' | 'no'
     ks_distance: Optional[float] = None
     moment_table: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    cramer_flag: str = "inconclusive"   # 'yes' | 'no' | 'inconclusive'
     details: dict = field(default_factory=dict)
     # fluctuation reports: (s, empirical CDF, limit CDF) at the steps
     cdf: Optional[tuple] = None
@@ -104,11 +103,9 @@ class VerificationReport:
 
 
 def _cramer_flag(m: TiltedModel) -> str:
-    if _lattice_witness(CharEvaluator(m.rho), 0.5) is not None:
-        return "no"
-    if m.rho.ac_mass > 0:
-        return "yes"
-    return "inconclusive"
+    """The (C) flag: no for a purely atomic base, whose characteristic
+    function is almost periodic, yes for a base with a density component."""
+    return "no" if m.rho.ac_mass <= 0 else "yes"
 
 
 def _batch_ess(batch: EmpiricalBatch) -> float:
@@ -117,14 +114,6 @@ def _batch_ess(batch: EmpiricalBatch) -> float:
         return float(ess)
     w = batch.weight
     return float(np.sum(w)) ** 2 / float(np.sum(w * w))
-
-
-def tail_probability(m: TiltedModel, batch: EmpiricalBatch,
-                     delta: float) -> float:
-    """Weighted P(||(S/n, T/n) - (0, sigma^2)|| > delta)."""
-    s2 = moments(m.rho).sigma2
-    dist = np.hypot(batch.S / m.n, batch.T / m.n - s2)
-    return batch.weighted_mean(dist > delta)
 
 
 def verify_lln(m: TiltedModel, batch: EmpiricalBatch,

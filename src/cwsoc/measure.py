@@ -33,11 +33,10 @@ class DensityComponent:
     ``pdf(z) <= A exp(-v z^2)`` for ``domination = (A, v)`` and is treated as
     zero outside ``[-support_radius, support_radius]``.  Sampling is by
     rejection from the Gaussian envelope, the tilted moments
-    (``tilted_moments``) and the characteristic function at a point
-    (``char``) by adaptive quadrature, and the characteristic function on a
-    grid (``char_grid``) by the trapezoid rule; subclasses with closed forms
-    override them.  The pdf is symmetric (``Measure1D.validate`` checks it).
-    A density given by a Python callable has no JSON form.
+    (``tilted_moments``) by adaptive quadrature, and the characteristic
+    function (``char_grid``) by the trapezoid rule; subclasses with closed
+    forms override them.  The pdf is symmetric (``Measure1D.validate``
+    checks it).  A density given by a Python callable has no JSON form.
     """
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray],
@@ -89,14 +88,12 @@ class DensityComponent:
                 integrand, -R, R, tol=1e-12, initial_panels=8)
         return out[0] if scalar else out
 
-    def char(self, s: float, t: float) -> complex:
-        """``integral of exp(i(s z + t z^2)) pdf(z) dz`` at one point, by
-        adaptive quadrature with one initial panel per half-oscillation."""
-        R = self.support_radius
-        panels = int(max(8, math.ceil((abs(s) * R + abs(t) * R * R) / math.pi)))
-        return complex(adaptive_gauss_legendre(
-            lambda z: np.exp(1j * (s * z + t * z * z)) * self.pdf(z),
-            -R, R, tol=1e-10, initial_panels=panels))
+    @property
+    def tilt_cap(self) -> float:
+        """Bound on ``v`` below which ``exp(v z^2)`` stays integrable against
+        the density: the exponent of the domination pair, all the envelope
+        shows of the tails."""
+        return self.domination[1]
 
     def char_grid(self, s, t) -> np.ndarray:
         """``integral of exp(i(s z + t z^2)) pdf(z) dz`` on the outer product
@@ -282,7 +279,8 @@ class GaussianDensity(DensityComponent):
         return s, s * s / k + self.sigma**2 * q
 
     def char(self, s, t) -> np.ndarray:
-        """Closed-form ``mass e^{-s^2 sigma^2 / 2q} / sqrt(q)``,
+        """The characteristic function ``integral of exp(i(s z + t z^2))
+        pdf(z) dz`` in closed form, ``mass e^{-s^2 sigma^2 / 2q} / sqrt(q)``,
         ``q = 1 - 2 i t sigma^2``, elementwise over broadcast ``s`` and ``t``.
 
         The factors in ``t`` alone are formed before broadcasting, so a grid
@@ -315,7 +313,13 @@ class GaussianDensity(DensityComponent):
 
 
 class TableDensity(DensityComponent):
-    """Piecewise-linear density through the points ``(x, y)``, zero outside."""
+    """Piecewise-linear density through the points ``(x, y)``, zero outside.
+
+    Its support is compact, so ``exp(v z^2)`` is integrable for every ``v``
+    and the tilt takes no cap.
+    """
+
+    tilt_cap = math.inf
 
     def __init__(self, x, y, *, support_radius: float,
                  domination: tuple[float, float]):
@@ -376,6 +380,10 @@ class Measure1D:
 
     @property
     def ac_mass(self) -> float:
+        """Mass of the density component: exactly 0 without one, so
+        ``ac_mass <= 0`` is the test for a purely atomic base."""
+        if self.density is None:
+            return 0.0
         return 1.0 - self.discrete_mass
 
     @property
@@ -414,13 +422,15 @@ class Measure1D:
             if not (0.0 < m <= 1.0):
                 raise MeasureError(f"atom mass {m} outside (0, 1]")
         self.mirror_magnitudes()
-        a = self.ac_mass
+        a = 1.0 - self.discrete_mass
         if self.density is None:
             if abs(a) > 1e-12:
                 raise MeasureError(f"atom masses sum to {self.discrete_mass}, not 1")
         else:
-            if a <= -1e-12:
-                raise MeasureError("discrete mass exceeds 1")
+            if a <= 0:
+                raise MeasureError(
+                    f"atom masses sum to {self.discrete_mass}, leaving no "
+                    "mass for the density")
             A, v = self.density.domination
             if A <= 0 or v <= 0:
                 raise MeasureError("domination pair must be positive")

@@ -595,19 +595,6 @@ def _collapsed_moves(dens: GaussianDensity, n, k, chains, logw_fn, rng):
 # ---------------------------------------------------------------------------
 # derived statistics
 
-def char_integral(m: TiltedModel, u: float, batch: EmpiricalBatch) -> complex:
-    """Tilted characteristic function of ``S / n^{3/4}``, self-normalized.
-
-    Exact for enumeration batches; otherwise a weighted estimate.  The value
-    at ``u = 0`` is 1 by construction (the normalization constant cancels).
-    """
-    if batch.n != m.n:
-        raise ModelError(f"batch n = {batch.n} does not match model n = {m.n}")
-    phases = np.exp(1j * u * batch.S / m.n**0.75)
-    val = complex(np.sum(batch.normalized_weight * phases))
-    return val
-
-
 def rescaled_statistic(m: TiltedModel, batch: EmpiricalBatch):
     """Rescale ``S`` to the universal fluctuation scale.
 

@@ -39,11 +39,12 @@ class LogLaplace:
 
     def in_domain(self, theta):
         """Whether ``theta`` lies in the finiteness domain, elementwise over
-        the leading axes of an array of tilts (the last axis is the tilt)."""
+        the leading axes of an array of tilts (the last axis is the tilt):
+        for the pair lift, ``v`` below the density's ``tilt_cap``."""
         theta = np.asarray(theta, dtype=float)
         if self.base.density is None or self.lift == "line":
             return np.ones(theta.shape[:-1], dtype=bool)
-        return theta[..., 1] < self.base.density.domination[1]
+        return theta[..., 1] < self.base.density.tilt_cap
 
     def _raw_moments(self, theta: np.ndarray, kmax: int):
         """``(c, m)`` for the rows of ``theta`` (shape ``(P, d)``, every row

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from cwsoc import cli, limitlaw, measure, model
 
@@ -37,6 +38,31 @@ class TestDispatch:
                          "--x", "0.5", "--y", "0.9")
         assert rc == 0
         assert json.loads(out)["value"] == pytest.approx(float("inf"))
+
+    def test_rate_eval_table_beyond_envelope_exponent(self, tmp_path, capsys):
+        # triangle f = 1 - |z|: y = 0.2 > 1/6 needs v > 0.5, the envelope's
+        # exponent, which the compact support does not cap
+        spec = tmp_path / "triangle.json"
+        spec.write_text(json.dumps(
+            {"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
+                                      "y": [0, 1, 0]},
+             "domination": [1.01, 0.5], "support_radius": 1.0}))
+        rc, out, _ = run(capsys, "rate", "eval", "--spec", str(spec),
+                         "--x", "0.1", "--y", "0.2")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["converged"]
+        u, v = doc["argmax"]
+        assert v > 0.5
+        # the tilted law at the argmax, by scipy quadrature: its mean of
+        # (z, z^2) is the target, and the value is the Legendre transform
+        mom = [integrate.quad(
+            lambda z: z**k * math.exp(u * z + v * z * z) * (1 - abs(z)),
+            -1, 1, points=[0])[0] for k in range(3)]
+        assert mom[1] / mom[0] == pytest.approx(0.1, abs=1e-9)
+        assert mom[2] / mom[0] == pytest.approx(0.2, abs=1e-9)
+        assert doc["value"] == pytest.approx(
+            0.1 * u + 0.2 * v - math.log(mom[0]), abs=1e-10)
 
     def test_cramer_check_rademacher_fails(self, capsys):
         rc, out, _ = run(capsys, "cramer", "check", "--preset", "rademacher",
@@ -68,7 +94,9 @@ class TestDispatch:
         rc, out, _ = run(capsys, "cramer", "check", "--preset", "rademacher",
                          "--alpha", "0.5")
         details = json.loads(out)["details"]
-        assert details["grid_cells"] == 0  # the lattice witness needs no grid
+        assert details["grid_cells"] == 0  # an atomic base needs no grid
+        assert details["mechanism"] == "almost periodic"
+        assert details["gap"] == 0.0  # squares commensurable: exact return
         assert "mixture" not in details
 
     def test_measure_info(self, capsys):

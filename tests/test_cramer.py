@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwsoc import measure
-from cwsoc.cramer import (
-    CharEvaluator,
-    char_fn,
-    check_condition,
-    mixture_bound,
-)
+from cwsoc.cramer import CharEvaluator, check_condition, mixture_bound
+from cwsoc.limitlaw import verify_lln
+from cwsoc.model import TiltedModel, enumerate_exact, quadratic
 
 
 @pytest.fixture(scope="module")
@@ -29,28 +26,35 @@ def e_rho0():
     return CharEvaluator(measure.rho_zero())
 
 
+def one_cell(e, s, t):
+    """``M(s, t)`` from a one-cell ``char_grid``."""
+    return complex(e.char_grid([s], [t])[0, 0])
+
+
 class TestCharFn:
+    """Point values of M, each from one ``char_grid`` cell."""
+
     def test_total_mass(self, e_rad, e_gauss, e_rho0):
         for e in (e_rad, e_gauss, e_rho0):
-            assert char_fn(e, 0.0, 0.0) == pytest.approx(1.0 + 0j, abs=1e-12)
+            assert one_cell(e, 0.0, 0.0) == pytest.approx(1.0 + 0j, abs=1e-12)
 
     def test_rademacher_closed_form(self, e_rad):
         # two-atom sum by hand: z^2 is identically 1
         for s, t in [(1.2, 0.7), (3.0, -2.0), (0.0, 5.0)]:
             expect = np.exp(1j * t) * math.cos(s)
-            assert char_fn(e_rad, s, t) == pytest.approx(expect, abs=1e-12)
+            assert one_cell(e_rad, s, t) == pytest.approx(expect, abs=1e-12)
 
     def test_gaussian_closed_form(self, e_gauss):
         for s, t in [(0.5, 0.3), (3.0, 1.0), (0.0, 2.0), (7.0, -4.0)]:
             q = 1 - 2j * t
             expect = np.exp(-s * s / (2 * q)) / np.sqrt(q)
-            assert char_fn(e_gauss, s, t) == pytest.approx(expect, abs=1e-9)
+            assert one_cell(e_gauss, s, t) == pytest.approx(expect, abs=1e-12)
 
     def test_rho0_at_2pi(self, e_rho0):
         # atoms all have z^2 in {0, 1}; direct-sum oracle plus Gaussian part
         q = 1 - 4j * math.pi
         expect = 0.75 + 0.125 * np.exp(2j * math.pi) + 0.125 / np.sqrt(q)
-        got = char_fn(e_rho0, 0.0, 2 * math.pi)
+        got = one_cell(e_rho0, 0.0, 2 * math.pi)
         assert got == pytest.approx(expect, abs=1e-10)
         assert abs(got) < 1.0
 
@@ -58,38 +62,51 @@ class TestCharFn:
         rng = np.random.default_rng(0)
         for _ in range(20):
             s, t = rng.uniform(-20, 20, size=2)
-            assert abs(char_fn(e_rho0, s, t)) <= 1.0 + 1e-12
+            assert abs(one_cell(e_rho0, s, t)) <= 1.0 + 1e-12
 
     def test_conjugation_symmetry(self, e_rho0):
-        v1 = char_fn(e_rho0, 1.3, -0.8)
-        v2 = char_fn(e_rho0, -1.3, 0.8)
+        v1 = one_cell(e_rho0, 1.3, -0.8)
+        v2 = one_cell(e_rho0, -1.3, 0.8)
         assert v1 == pytest.approx(np.conj(v2), abs=1e-12)
 
     def test_symmetric_measure_real_on_s_axis(self, e_rho0, e_gauss):
         for s in np.linspace(-5, 5, 11):
-            assert abs(char_fn(e_rho0, s, 0.0).imag) < 1e-10
-            assert abs(char_fn(e_gauss, s, 0.0).imag) < 1e-10
+            assert abs(one_cell(e_rho0, s, 0.0).imag) < 1e-10
+            assert abs(one_cell(e_gauss, s, 0.0).imag) < 1e-10
 
     def test_grid_matches_pointwise(self, e_rho0):
         s = np.array([0.3, 1.7])
         t = np.array([0.0, 2.5])
         grid = e_rho0.char_grid(s, t)
+        want = direct_char(e_rho0.base, s, t)
         for i, si in enumerate(s):
             for j, tj in enumerate(t):
-                assert grid[i, j] == pytest.approx(
-                    char_fn(e_rho0, si, tj), abs=1e-9)
+                assert grid[i, j] == one_cell(e_rho0, si, tj)
+                assert grid[i, j] == pytest.approx(want[i, j], abs=1e-14)
 
     def test_generic_density_path(self):
-        # a callable density forces the trapezoid fallback; compare to quadrature
+        # a callable density forces the trapezoid fallback; compare to the
+        # N(0, 1) closed form (the mass beyond R = 10 is below 1e-22)
         dens = measure.DensityComponent(
             lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
         e = CharEvaluator(measure.Measure1D(density=dens))
-        got = e.char_grid(np.array([1.5]), np.array([0.7]))[0, 0]
-        assert got == pytest.approx(char_fn(e, 1.5, 0.7), abs=1e-7)
+        for s, t in [(1.5, 0.7), (0.0, 3.0), (4.0, -2.0)]:
+            q = 1 - 2j * t
+            expect = np.exp(-s * s / (2 * q)) / np.sqrt(q)
+            assert one_cell(e, s, t) == pytest.approx(expect, abs=1e-12)
 
 
 FIVE_ATOM = measure.Measure1D(
     atoms=((-2.0, 0.1), (-1.0, 0.15), (0.0, 0.5), (1.0, 0.15), (2.0, 0.1)))
+# irrational atoms with commensurable squares 1 and 2
+SQRT2_ATOMS = measure.Measure1D(atoms=(
+    (-math.sqrt(2), 0.2), (-1.0, 0.2), (0.0, 0.2), (1.0, 0.2),
+    (math.sqrt(2), 0.2)))
+# incommensurable squares 1 and sqrt 2
+QUARTIC_ROOT_ATOMS = measure.Measure1D(atoms=(
+    (-2**0.25, 0.2), (-1.0, 0.2), (0.0, 0.2), (1.0, 0.2), (2**0.25, 0.2)))
+QUARTIC_ROOT_NO_ZERO = measure.Measure1D(atoms=(
+    (-2**0.25, 0.25), (-1.0, 0.25), (1.0, 0.25), (2**0.25, 0.25)))
 
 
 def direct_char(m, s, t):
@@ -130,12 +147,13 @@ class TestQuadrantGrid:
         base = measure.gaussian(sigma=sigma, mass=weights[4] / total,
                                 atoms=atoms)
         e = CharEvaluator(base)
-        m = [abs(char_fn(e, *p)) for p in ((s, t), (-s, t), (s, -t))]
+        m = [abs(one_cell(e, *p)) for p in ((s, t), (-s, t), (s, -t))]
         assert m[1] == pytest.approx(m[0], abs=1e-12)
         assert m[2] == pytest.approx(m[0], abs=1e-12)
         grid = e.char_grid(np.array([s, -s]), np.array([t, -t]))
         assert np.abs(grid) == pytest.approx(abs(grid[0, 0]), abs=1e-14)
-        assert grid[0, 0] == pytest.approx(char_fn(e, s, t), abs=1e-12)
+        assert grid[0, 0] == pytest.approx(
+            direct_char(base, [s], [t])[0, 0], abs=1e-12)
 
     def test_gaussian_sup_estimate_below_circle_sup(self, e_gauss):
         # |M| = exp(-s^2 / (2 q)) q^{-1/4}, q = 1 + 4 t^2, decays along every
@@ -189,7 +207,9 @@ class TestCheckCondition:
         assert r.verdict == "fail"
         s, t = r.witness
         assert math.hypot(s, t) >= 0.5
-        assert abs(char_fn(e_rad, s, t)) >= 1 - 1e-9
+        assert abs(direct_char(e_rad.base, [s], [t])[0, 0]) >= 1 - 1e-9
+        # past the first return the witness is the next one
+        assert check_condition(e_rad, 7.0).witness == (0.0, 4 * math.pi)
 
     def test_three_point_fails(self):
         r = check_condition(CharEvaluator(measure.three_point(p=0.25)), 0.5)
@@ -209,11 +229,66 @@ class TestCheckCondition:
             math.sqrt(1 - (1 / 64) * (1 - mb["eta"])), abs=1e-14)
 
     def test_incommensurable_atoms_inconclusive(self):
-        m = measure.Measure1D(atoms=(
-            (-math.sqrt(2), 0.2), (-1.0, 0.2), (0.0, 0.2),
-            (1.0, 0.2), (math.sqrt(2), 0.2)))
-        r = check_condition(CharEvaluator(m), 0.5, radius=10.0, grid_step=0.05)
-        assert r.verdict in ("inconclusive", "fail")
+        # irrational atoms, but their squares 1 and 2 are commensurable, so
+        # M returns exactly; no purely atomic base is inconclusive
+        r = check_condition(CharEvaluator(SQRT2_ATOMS), 0.5, radius=10.0,
+                            grid_step=0.05)
+        assert r.verdict == "fail"
+        assert r.witness == (0.0, 2 * math.pi)
+        assert abs(r.details["gap"]) <= 1e-12
+
+    @pytest.mark.parametrize("base", [
+        measure.rademacher(), measure.three_point(), FIVE_ATOM],
+        ids=["rademacher", "three-point", "five-atom"])
+    def test_commensurable_squares_return_exactly(self, base):
+        # every z^2 is an integer multiple of the smallest: M(0, 2 pi) = 1
+        r = check_condition(CharEvaluator(base), 0.5, radius=10.0)
+        assert r.verdict == "fail"
+        assert r.witness == (0.0, 2 * math.pi)
+        assert r.details["mechanism"] == "almost periodic"
+        assert r.details["grid_cells"] == 0
+        assert abs(r.details["gap"]) <= 1e-12
+        assert r.sup_estimate == pytest.approx(1.0, abs=1e-12)
+
+    def test_incommensurable_squares_fail(self):
+        # z^2 in {1, sqrt 2}: no exact return, but |M| comes within any
+        # epsilon of 1 (Dirichlet); the near-return search finds one
+        r = check_condition(CharEvaluator(QUARTIC_ROOT_ATOMS), 0.5)
+        assert r.verdict == "fail"
+        assert r.sup_bound is None
+        assert r.details["mechanism"] == "almost periodic"
+        assert r.details["grid_cells"] == 0
+        gap = r.details["gap"]
+        assert 0 < gap <= 1e-6
+        s, t = r.witness
+        assert math.hypot(s, t) >= 0.5
+        m = abs(direct_char(QUARTIC_ROOT_ATOMS, [s], [t])[0, 0])
+        assert m == pytest.approx(1 - gap, abs=1e-12)
+        assert r.sup_estimate == pytest.approx(m, abs=1e-12)
+
+    def test_atomic_verdict_ignores_radius(self):
+        e = CharEvaluator(QUARTIC_ROOT_NO_ZERO)
+        r10 = check_condition(e, 0.5, radius=10.0)
+        r50 = check_condition(e, 0.5, radius=50.0)
+        assert r10.verdict == r50.verdict == "fail"
+        assert r10.witness == r50.witness
+        assert r10.details == r50.details
+        assert r10.details["gap"] <= 1e-6
+
+    def test_atomic_base_with_rounded_mass(self):
+        # ten masses of 0.1 sum to 1 - 1.1e-16: still no density component
+        atoms = tuple((sign * k**0.25, 0.1)
+                      for k in (1, 2, 3, 5, 6) for sign in (-1, 1))
+        base = measure.Measure1D(atoms=atoms)
+        assert base.ac_mass == 0.0
+        r = check_condition(CharEvaluator(base), 0.5, radius=5.0)
+        assert r.verdict == "fail"
+        assert r.details["grid_cells"] == 0
+
+    def test_atomic_base_flag_no(self):
+        m = TiltedModel(rho=QUARTIC_ROOT_NO_ZERO, g=quadratic(), n=12)
+        r = verify_lln(m, enumerate_exact(m), tol=1.0)
+        assert r.cramer_flag == "no"
 
     def test_bad_annulus_rejected(self, e_gauss):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from cwsoc.limitlaw import (
     QuarticLaw,
     kolmogorov_critical,
     ks_distance,
-    tail_probability,
     verify_fluctuations,
     verify_lln,
 )
@@ -110,13 +109,6 @@ class TestVerifyLln:
         assert r.passed
         assert abs(r.moment_table["mean_y"] - 0.5) < 0.01
         assert r.cramer_flag == "no"
-
-    def test_tail_probability_ladder(self):
-        probs = []
-        for n in (200, 500, 1000):
-            m = TiltedModel(rho=measure.three_point(p=0.25), g=quadratic(), n=n)
-            probs.append(tail_probability(m, enumerate_exact(m), 0.1))
-        assert probs[2] < probs[1] < probs[0]
 
 
 class TestVerifyFluctuations:

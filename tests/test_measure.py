@@ -90,6 +90,13 @@ class TestValidation:
         with pytest.raises(MeasureError):
             m.validate()
 
+    def test_density_without_mass_rejected(self):
+        # atoms of mass 1 leave the density none: the base would be atomic
+        # in law but carry a density component
+        m = measure.gaussian(mass=1e-13, atoms=((0.0, 1.0),))
+        with pytest.raises(MeasureError, match="no mass for the density"):
+            m.validate()
+
     def test_asymmetric_density_rejected(self):
         dens = measure.DensityComponent(
             lambda z: np.exp(-(z - 0.3)**2) / np.sqrt(np.pi), 8.0, (0.6, 0.5))

@@ -14,7 +14,6 @@ from cwsoc.model import (
     InteractionError,
     ModelError,
     TiltedModel,
-    char_integral,
     enumerate_exact,
     quadratic,
     quartic,
@@ -418,21 +417,6 @@ class TestSplitRhat:
 
 
 class TestDerivedStatistics:
-    def test_char_integral_at_zero(self, tp100):
-        b = enumerate_exact(tp100)
-        assert char_integral(tp100, 0.0, b) == pytest.approx(1.0, abs=1e-14)
-
-    def test_char_integral_real_by_symmetry(self, tp100):
-        b = enumerate_exact(tp100)
-        v = char_integral(tp100, 1.3, b)
-        assert abs(v.imag) < 1e-12
-        assert abs(v) <= 1.0
-
-    def test_mismatched_n_rejected(self, tp100, rad2):
-        b = enumerate_exact(rad2)
-        with pytest.raises(ModelError):
-            char_integral(tp100, 0.5, b)
-
     def test_rescaled_statistic_gaussian_constant(self):
         # mu4 = 3, sigma^2 = 1, quadratic g: constant is 3^{1/4}
         m = TiltedModel(rho=measure.gaussian(), g=quadratic(), n=16)

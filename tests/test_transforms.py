@@ -95,6 +95,16 @@ class TestLogLaplace:
             assert L.value([u, v]) == pytest.approx(
                 v + math.log(math.cosh(u)), abs=1e-14)
 
+    def test_table_tilt_has_no_cap(self):
+        # compact support: e^{v z^2} is integrable against the triangle for
+        # every v, past the envelope's exponent 0.5; the Gaussian keeps it
+        L = LogLaplace(measure.Measure1D(density=TRIANGLE))
+        for v in (0.5, 3.0, -2.0):
+            want = integrate.quad(lambda z: math.exp(v * z * z) * (1 - abs(z)),
+                                  -1, 1, points=[0])[0]
+            assert L.value([0.0, v]) == pytest.approx(math.log(want), abs=1e-12)
+        assert LogLaplace(measure.gaussian()).value([0.0, 0.5]) == math.inf
+
     def test_line_lift(self):
         L = LogLaplace(measure.gaussian(), lift="line")
         assert L.value([0.7]) == pytest.approx(0.49 / 2, abs=1e-10)
