@@ -173,7 +173,9 @@ class GaussianDensity(DensityComponent):
     of ``Measure1D.validate``) treat the density as zero outside
     ``[-support_radius, support_radius]``; ``char``, ``char_grid``,
     ``block_sums``, ``nfold_pdf``, ``tilted_coordinate_law`` and the
-    collapsed Metropolis chain use the untruncated normal.
+    Gaussian Metropolis chain on ``(S, Q)``, ``Q = T - S^2/n``, whose
+    target is built from the untruncated ``S ~ N(0, n sigma^2)`` and ``Q ~
+    sigma^2 chi^2_{n-1}``, use the untruncated normal.
     """
 
     def __init__(self, mass: float = 1.0, sigma: float = 1.0, *,

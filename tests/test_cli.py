@@ -359,8 +359,12 @@ class TestSimulateVerify:
         for key in ("acceptance_rate", "integrated_autocorrelation_time",
                     "effective_sample_size", "split_rhat"):
             assert type(diag[key]) is float
+        for key in ("integrated_autocorrelation_time_T",
+                    "effective_sample_size_T", "split_rhat_T"):
+            assert type(diag[key]) is float
         assert type(diag["chains"]) is int
         assert 0.9 < diag["split_rhat"] < 1.2
+        assert 0.9 < diag["split_rhat_T"] < 1.2
 
     def test_metropolis_short_chains_report_nan(self, tmp_path, capsys):
         # one record per chain: too few to estimate tau, ESS or split-R-hat
@@ -373,6 +377,9 @@ class TestSimulateVerify:
             "diagnostics"]
         for key in ("integrated_autocorrelation_time",
                     "effective_sample_size", "split_rhat"):
+            assert math.isnan(diag[key])
+        for key in ("integrated_autocorrelation_time_T",
+                    "effective_sample_size_T", "split_rhat_T"):
             assert math.isnan(diag[key])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -326,6 +327,26 @@ class TestMetropolis:
         with pytest.raises(ModelError, match="chains"):
             sample_metropolis(rad2, 100, rng=0, chains=0)
 
+    # sha256 of the recorded (S, T) and the S diagnostics of short seeded
+    # coordinate chains: a rewrite of the coordinate move must reproduce them
+    # bit for bit (the digests follow numpy's Generator streams, which numpy
+    # may change between releases)
+    @pytest.mark.parametrize("rho,n,k,seed,digest", [
+        (measure.three_point(p=0.25), 30, 7, 11,
+         "5cdeeb7e63b309c42bd5814077bbdc051ca43a094f12309c8f50ed9976263ea3"),
+        (measure.rho_zero(), 30, 1, 12,
+         "eb083b4b6ffde73f2d4028c4ca10d57d4a140ef6157cedbb4ea32203ce1746f5"),
+    ], ids=["three-point", "rho0"])
+    def test_coordinate_chain_digest(self, rho, n, k, seed, digest):
+        m = TiltedModel(rho=rho, g=quadratic(), n=n)
+        b = sample_metropolis(m, 16 * 24, burn_in=40 * n, thin=n, rng=seed,
+                              chains=16, block_size=k)
+        diag = np.array([b.diagnostics[key] for key in (
+            "acceptance_rate", "integrated_autocorrelation_time",
+            "effective_sample_size", "split_rhat")])
+        got = hashlib.sha256(b.S.tobytes() + b.T.tobytes() + diag.tobytes())
+        assert got.hexdigest() == digest
+
 
 def _gaussian_tilted_cdf(m: TiltedModel, points: int = 2000, draws: int = 1000):
     """Exact CDF of S under the tilted Gaussian base, on a grid.
@@ -374,6 +395,26 @@ class TestGaussianExactLaw:
         grid, cdf = _gaussian_tilted_cdf(m)
         # Kolmogorov critical value at level 1e-3
         assert _ks(b.S, grid, cdf) < 1.95 / math.sqrt(ess)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (2, 8, 64, 1024)
+                                     for k in (1, n)])
+    @pytest.mark.parametrize("g", ["quadratic", "quartic"])
+    def test_metropolis_T_is_chi2(self, n, k, g):
+        # F sees (S, T) only through the direction S / sqrt(n T), and
+        # N(0, sigma^2)^n is rotation invariant, so under the tilt T / sigma^2
+        # is chi^2_n exactly, whatever g
+        sigma = 1.3
+        gi = quadratic() if g == "quadratic" else quartic(1.0)
+        m = TiltedModel(rho=measure.gaussian(sigma=sigma), g=gi, n=n)
+        # a step stands for k proposals: 64 burn-in steps, 4 per record
+        b = sample_metropolis(m, 64 * 256, burn_in=64 * k, thin=4 * k,
+                              rng=n + k, chains=64, block_size=k)
+        ess = b.diagnostics["effective_sample_size_T"]
+        # a chain that barely moves would pass on the loose bound of its
+        # tiny ESS; the walk gives above 5,000 of the 16,384 records
+        assert ess > 2000
+        ks = stats.kstest(b.T / sigma**2, stats.chi2(n).cdf).statistic
+        assert ks < 1.95 / math.sqrt(ess)
 
     def test_oracle_n1_is_the_base(self):
         # for n = 1 the tilt exp(g(+-1)) is constant: S ~ N(0, 1)
