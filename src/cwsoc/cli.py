@@ -396,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["enumeration", "importance",
                                         "metropolis"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=10**4)
+    p.add_argument("--count", type=int, default=10**4,
+                   help="draws (importance) or records (metropolis, rounded "
+                        "up to whole chains: chains x ceil(count / chains))")
     p.add_argument("--chains", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

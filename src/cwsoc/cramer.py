@@ -6,8 +6,9 @@ its modulus stays away from 1 outside a neighbourhood of the origin.  A
 purely atomic base never satisfies (C): its ``M`` is a finite trigonometric
 sum, hence almost periodic, so ``limsup |M| = 1`` (Dirichlet's simultaneous
 approximation theorem) and the check fails at the best near-return it finds.
-A base with an absolutely continuous component satisfies (C), with a
-certified bound obtained from the mixture decomposition.
+A base with a Gaussian density component passes on a radius-uniform bound
+from the mixture decomposition; any other density is inconclusive until a
+bound on the tail of its annulus exists.
 """
 from __future__ import annotations
 
@@ -96,8 +97,7 @@ class CramerReport:
         if self.verdict == "fail":
             assert self.witness is not None
         if self.verdict == "pass":
-            assert (self.sup_bound is not None and self.sup_bound < 1) or \
-                self.details.get("tail_argument")
+            assert self.sup_bound is not None and self.sup_bound < 1
 
 
 # ---------------------------------------------------------------------------
@@ -140,46 +140,38 @@ def _quadrant(radius: float, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # mixture bound
 
-def mixture_bound(e: CharEvaluator, alpha: float, radius: float = 50.0) -> dict:
+def mixture_bound(e: CharEvaluator, alpha: float) -> dict:
     """Certified bound sqrt(a^2 eta + 1 - a^2) on sup |M| over the annulus.
 
     ``eta`` is the sup of the squared modulus of the normalized a.c.
     characteristic; the square arises because the relevant Fourier transform
-    is the one of the convolution square of the a.c. pair law.  For a
-    Gaussian component the modulus decays along every ray, so the sup over
-    the unbounded annulus sits on the inner circle and the bound is
-    radius-uniform; otherwise it is certified up to ``radius`` only.
+    is the one of the convolution square of the a.c. pair law.  The density
+    must be a ``GaussianDensity`` (ValueError otherwise): its modulus decays
+    along every ray, so the sup over the unbounded annulus sits on the inner
+    circle and the bound is radius-uniform.
     """
-    a = e.base.ac_mass
-    if a <= 0:
-        raise ValueError("mixture bound needs an absolutely continuous part")
     d = e.base.density
-    radius_uniform = isinstance(d, GaussianDensity)
+    if not isinstance(d, GaussianDensity):
+        raise ValueError("mixture bound needs a Gaussian density component")
+    a = e.base.ac_mass
     lip = 2 * e.lipschitz()
-    if radius_uniform:
-        def eta_on_circle(th):
-            # |psi|^2 of the normalized a.c. part at angle th on the circle
-            return np.abs(d.char(alpha * np.cos(th), alpha * np.sin(th)) / a) ** 2
 
-        theta = np.linspace(0, 2 * math.pi, _CIRCLE_POINTS, endpoint=False)
-        vals = eta_on_circle(theta)
-        i = int(np.argmax(vals))
-        _, ref = _golden_max(lambda th: float(eta_on_circle(th)),
-                             theta[i] - 0.01, theta[i] + 0.01, xtol=1e-9)
-        eta = max(float(np.max(vals)), ref)
-        # covering pad on the circle from the gradient bound
-        pad = lip * alpha * (math.pi / _CIRCLE_POINTS)
-    else:
-        step = 0.1
-        grid = _quadrant(radius, step)
-        vals = np.abs(d.char_grid(grid, grid) / a) ** 2
-        r2 = grid[:, None] ** 2 + grid[None, :] ** 2
-        eta = float(np.max(np.where(r2 >= alpha * alpha, vals, 0.0)))
-        pad = lip * step * math.sqrt(0.5)
+    def eta_on_circle(th):
+        # |psi|^2 of the normalized a.c. part at angle th on the circle
+        return np.abs(d.char(alpha * np.cos(th), alpha * np.sin(th)) / a) ** 2
+
+    theta = np.linspace(0, 2 * math.pi, _CIRCLE_POINTS, endpoint=False)
+    vals = eta_on_circle(theta)
+    i = int(np.argmax(vals))
+    _, ref = _golden_max(lambda th: float(eta_on_circle(th)),
+                         theta[i] - 0.01, theta[i] + 0.01, xtol=1e-9)
+    eta = max(float(np.max(vals)), ref)
+    # covering pad on the circle from the gradient bound
+    pad = lip * alpha * (math.pi / _CIRCLE_POINTS)
     eta = min(eta + pad, 1.0)
     bound = math.sqrt(a * a * eta + 1 - a * a)
     return {"bound": bound, "eta": eta, "ac_mass": a,
-            "radius_uniform": radius_uniform, "error_estimate": pad}
+            "radius_uniform": True, "error_estimate": pad}
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +184,11 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
     Order of resolution: a purely atomic base fails before any scan, at the
     near-return of ``_near_return``.  Any other base is scanned on the
     quadrant ``s, t >= 0`` (see ``_quadrant``) for ``sup_estimate``, with
-    ``details`` recording the grid's Lipschitz pad, radius and cell count,
-    and then passes if the mixture bound is below 1 (inconclusive
-    otherwise).  Its sup cannot reach 1, so the grid decides no verdict.
+    ``details`` recording the grid's Lipschitz pad, radius and cell count.
+    Its sup cannot reach 1, so the grid decides no verdict: a Gaussian
+    density component passes if its ``mixture_bound`` (``details["mixture"]``)
+    is below 1, and every other case is inconclusive with no ``sup_bound``.
+    ``radius`` bounds the scan only.
     """
     if alpha <= 0 or radius <= alpha:
         raise ValueError("need 0 < alpha < radius")
@@ -208,13 +202,14 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
     best = _refine_local(e, float(grid[i]), float(grid[j]), alpha, grid_step)
     sup_estimate = max(float(vals[i, j]), best)
     pad = e.lipschitz() * grid_step * math.sqrt(0.5)
-    mb = mixture_bound(e, alpha, radius=radius)
-    details = {"grid_pad": pad, "grid_radius": radius, "grid_cells": vals.size,
-               "mixture": mb, "tail_argument": "mixture bound"}
-    verdict = "pass" if mb["bound"] < 1 else "inconclusive"
+    details = {"grid_pad": pad, "grid_radius": radius, "grid_cells": vals.size}
+    sup_bound, verdict = None, "inconclusive"
+    if isinstance(e.base.density, GaussianDensity):
+        details["mixture"] = mixture_bound(e, alpha)
+        sup_bound = details["mixture"]["bound"]
+        verdict = "pass" if sup_bound < 1 else "inconclusive"
     return CramerReport(alpha=alpha, sup_estimate=sup_estimate,
-                        sup_bound=mb["bound"], verdict=verdict,
-                        details=details)
+                        sup_bound=sup_bound, verdict=verdict, details=details)
 
 
 def _refine_local(e, s0, t0, alpha, h) -> float:

@@ -374,7 +374,6 @@ class MomentSummary:
 class Measure1D:
     atoms: tuple[tuple[float, float], ...] = ()
     density: Optional[DensityComponent] = None
-    v0: Optional[float] = None  # integrability witness, defaults to v/2
 
     @property
     def discrete_mass(self) -> float:
@@ -391,14 +390,6 @@ class Measure1D:
     @property
     def mass_at_zero(self) -> float:
         return sum(m for z, m in self.atoms if z == 0.0)
-
-    @property
-    def witness(self) -> float:
-        if self.v0 is not None:
-            return self.v0
-        if self.density is not None:
-            return 0.5 * self.density.domination[1]
-        return 1.0
 
     def mirror_magnitudes(self) -> tuple[tuple[float, float], ...]:
         """``(z, mass)`` for each positive atom location ``z``, ascending.
@@ -452,12 +443,7 @@ class Measure1D:
                 raise MeasureError(
                     f"density mass {mass:.3e} inconsistent with 1 - b = {a:.3e}"
                 )
-            if not self.witness < v:
-                raise MeasureError("integrability witness v0 must be < v")
-            # e^{v0 z^2} drho must be finite: the envelope makes the tail
-            # integral proportional to exp((v0 - v) z^2), convergent here.
-        if moments(self, _validated=True).sigma2 <= 0:
-            raise MeasureError("degenerate measure: variance is zero")
+        moments(self, _validated=True)  # raises on zero variance
 
     def to_json(self) -> str:
         doc: dict = {"atoms": [[z, m] for z, m in self.atoms]}
@@ -465,8 +451,6 @@ class Measure1D:
             doc["density"] = _density_to_spec(self.density)
             doc["domination"] = list(self.density.domination)
             doc["support_radius"] = self.density.support_radius
-        if self.v0 is not None:
-            doc["v0"] = self.v0
         return json.dumps(doc)
 
     @staticmethod
@@ -486,7 +470,7 @@ class Measure1D:
             density = _density_from_spec(doc["density"],
                                          doc.get("support_radius"),
                                          doc.get("domination"))
-        return Measure1D(atoms=atoms, density=density, v0=doc.get("v0"))
+        return Measure1D(atoms=atoms, density=density)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +489,9 @@ def rademacher() -> Measure1D:
     return Measure1D(atoms=((-1.0, 0.5), (1.0, 0.5)))
 
 
-def three_point(p: float = 0.25, location: float = 1.0) -> Measure1D:
-    """Atoms at -location and +location with mass p each, rest at 0."""
-    return Measure1D(
-        atoms=((-location, p), (0.0, 1.0 - 2 * p), (location, p)))
+def three_point(p: float = 0.25) -> Measure1D:
+    """Atoms at -1 and +1 with mass p each, rest at 0."""
+    return Measure1D(atoms=((-1.0, p), (0.0, 1.0 - 2 * p), (1.0, p)))
 
 
 def rho_zero() -> Measure1D:

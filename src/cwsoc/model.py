@@ -383,12 +383,15 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
                       block_size: Optional[int] = None) -> EmpiricalBatch:
     """Metropolis chains targeting the tilted measure.
 
-    ``count`` is the total number of recorded ``(S, T)`` pairs across all
-    chains, returned chain by chain.  ``burn_in`` and ``thin`` are in
-    single-coordinate proposals per chain (defaults: 10 n sweeps and one
-    sweep); with ``k = block_size`` one step stands for ``k`` of them, so a
-    chain makes ``ceil(burn_in / k)`` steps before its first record and
-    ``ceil(thin / k)`` between records.  Moves to ``T = 0`` are rejected.
+    ``count`` is the number of recorded ``(S, T)`` pairs, rounded up to
+    whole chains: each of ``min(chains, count)`` chains records
+    ``ceil(count / chains)`` states, and every record is returned, chain by
+    chain, so the diagnostics describe exactly the batch.  ``burn_in`` and
+    ``thin`` are in single-coordinate proposals per chain (defaults: 10 n
+    sweeps and one sweep); with ``k = block_size`` one step stands for ``k``
+    of them, so a chain makes ``ceil(burn_in / k)`` steps before its first
+    record and ``ceil(thin / k)`` between records.  Moves to ``T = 0`` are
+    rejected.
     The base picks one of two paths:
 
     - Pure Gaussian ``rho`` (no atoms, a ``GaussianDensity``): the tilt sees
@@ -448,10 +451,9 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
         diag["effective_sample_size" + suffix] = chains * records / tau
         diag["split_rhat" + suffix] = split_rhat(rec)
     diag.update(chains=chains, burn_in=burn_in, thin=thin, block_size=k)
-    S_out = S_rec.ravel()[:count]
-    T_out = T_rec.ravel()[:count]
-    return EmpiricalBatch(S=S_out, T=T_out, weight=np.ones(len(S_out)),
-                          method="metropolis", n=n, diagnostics=diag)
+    return EmpiricalBatch(S=S_rec.ravel(), T=T_rec.ravel(),
+                          weight=np.ones(S_rec.size), method="metropolis",
+                          n=n, diagnostics=diag)
 
 
 def _run_schedule(S, T, draw, move, batch, burn_steps, thin_steps, records):

@@ -1,30 +1,24 @@
 """Adaptive Gauss-Legendre panel quadrature.
 
-Panels are split recursively until the difference between an order-p and an
-order-2p rule falls below the requested tolerance.  Integrands must accept
-numpy arrays (they are evaluated on whole node batches).
+Panels are split recursively until a panel's 12-node Gauss-Legendre estimate
+and the sum of its two halves' agree to within the requested tolerance.
+Integrands must accept numpy arrays (they are evaluated on whole node batches).
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-
-@lru_cache(maxsize=32)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
+_MAX_DEPTH = 40  # bisections after which a panel is accepted as it is
 
 
-def _panel(f, a: float, b: float, order: int):
-    x, w = _gl_nodes(order)
+def _panel(f, a: float, b: float):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = np.asarray(f(mid + half * x))
+    vals = np.asarray(f(mid + half * _NODES))
     if vals.ndim == 1:
-        return half * np.sum(w * vals)
+        return half * np.sum(_WEIGHTS * vals)
     # vector-valued integrand: nodes along axis 0
-    return half * np.tensordot(w, vals, axes=(0, 0))
+    return half * np.tensordot(_WEIGHTS, vals, axes=(0, 0))
 
 
 def adaptive_gauss_legendre(
@@ -32,8 +26,6 @@ def adaptive_gauss_legendre(
     a: float,
     b: float,
     tol: float = 1e-12,
-    order: int = 12,
-    max_depth: int = 40,
     initial_panels: int = 1,
 ):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
@@ -49,16 +41,16 @@ def adaptive_gauss_legendre(
     edges = np.linspace(a, b, initial_panels + 1)
     total = 0.0
     # stack entries: (a, b, coarse estimate, depth)
-    stack = [(edges[i], edges[i + 1], _panel(f, edges[i], edges[i + 1], order), 0)
+    stack = [(edges[i], edges[i + 1], _panel(f, edges[i], edges[i + 1]), 0)
              for i in range(initial_panels)]
     panel_tol = tol / max(initial_panels, 1)
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid, order)
-        right = _panel(f, mid, hi, order)
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
         fine = left + right
-        if np.max(np.abs(fine - coarse)) <= panel_tol or depth >= max_depth:
+        if np.max(np.abs(fine - coarse)) <= panel_tol or depth >= _MAX_DEPTH:
             total = total + fine
         else:
             stack.append((lo, mid, left, depth + 1))

@@ -165,7 +165,6 @@ class RateFunction:
 
     def __init__(self, source: LogLaplace):
         self.source = source
-        self._moments = moments(source.base)
 
     def solve(self, x) -> CramerResult:
         return self.solve_many([x])[0]
@@ -321,7 +320,7 @@ def rate_expansion_residual(R: RateFunction, g, x: float, y: float) -> float:
     ``F(x, y)``.  The denominator uses the fourth-moment constant matching the
     variant; at the minimum ``(0, sigma^2)`` the ratio is 1 by convention.
     """
-    ms = R._moments
+    ms = moments(R.source.base)
     s2, mu4 = ms.sigma2, ms.mu4
     sig_pow = s2**3 if g.variant == "star" else s2**2
     coeff = mu4 + g.m4 * sig_pow

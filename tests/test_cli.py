@@ -178,6 +178,36 @@ class TestValidationErrors:
         assert rc == 2
         assert "unknown density kind" in err
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"atoms": [[-1, 0.25], [0, 0.25], [0, 0.25], [1, 0.25]]},
+         "atom locations must be distinct"),
+        ({"atoms": [[-1, 0.5], [0, 0.0], [1, 0.5]]}, "outside (0, 1]"),
+        ({"atoms": [], "density": {"kind": "gaussian"},
+          "domination": [0.41, 0.0], "support_radius": 10.0},
+         "domination pair must be positive"),
+        ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
+                                   "y": [0, -1, 0]},
+          "domination": [1.01, 0.5], "support_radius": 1.0},
+         "density takes negative values"),
+        ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
+                                   "y": [0, 1, 0]},
+          "domination": [0.5, 0.5], "support_radius": 1.0},
+         "exceeds its Gaussian envelope"),
+        ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
+                                   "y": [0, 2, 0]},
+          "domination": [2.02, 0.5], "support_radius": 5.0},
+         "inconsistent with 1 - b"),
+        ({"atoms": [[0, 1]]}, "variance is zero"),
+    ], ids=["duplicate-atoms", "atom-mass", "domination", "negative-table",
+            "above-envelope", "table-mass", "zero-variance"])
+    def test_invalid_measure_spec(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec))
+        rc, _, err = run(capsys, "measure", "info", "--spec", str(path))
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err
+
     def test_empty_importance_sample(self, tmp_path, capsys):
         spec = tmp_path / "m.json"
         spec.write_text(json.dumps(
@@ -365,6 +395,49 @@ class TestSimulateVerify:
         assert type(diag["chains"]) is int
         assert 0.9 < diag["split_rhat"] < 1.2
         assert 0.9 < diag["split_rhat_T"] < 1.2
+
+    def test_metropolis_count_rounds_up_to_whole_chains(self, tmp_path,
+                                                        capsys):
+        # 1000 records over 64 chains: 16 whole chains' worth, the batch of
+        # --count 1024 byte for byte
+        rows = {}
+        for count in (1000, 1024):
+            out = tmp_path / f"m{count}.csv"
+            rc, text, _ = run(capsys, "simulate", "--preset", "gaussian",
+                              "--method", "metropolis", "--n", "24",
+                              "--count", str(count), "--chains", "64",
+                              "--seed", "1", "--out", str(out))
+            assert rc == 0
+            assert text.startswith("wrote 1024 samples")
+            rows[count] = out.read_bytes()
+            diag = json.loads(out.with_suffix(".meta.json").read_text())[
+                "diagnostics"]
+            for key in ("effective_sample_size", "effective_sample_size_T"):
+                assert 0 < diag[key] <= 1024
+        assert rows[1000] == rows[1024]
+        assert len(rows[1000].splitlines()) == 1 + 1024
+
+    def test_quartic_g_end_to_end(self, tmp_path, capsys):
+        # --g quartic --m4 0.5 reaches the model in simulate and in verify
+        batch = tmp_path / "q.csv"
+        rc, _, _ = run(capsys, "simulate", "--preset", "three-point",
+                       "--g", "quartic", "--m4", "0.5",
+                       "--method", "enumeration", "--n", "200",
+                       "--out", str(batch))
+        assert rc == 0
+        report = tmp_path / "q.json"
+        rc, _, _ = run(capsys, "verify", "fluct", "--preset", "three-point",
+                       "--g", "quartic", "--m4", "0.5", "--batch", str(batch),
+                       "--tol", "1", "--out", str(report))
+        assert rc == 0
+        tm = model.TiltedModel(rho=measure.three_point(),
+                               g=model.quartic(0.5), n=200)
+        exact = model.enumerate_exact(tm)
+        meta = json.loads(batch.with_suffix(".meta.json").read_text())
+        assert meta["diagnostics"]["log_Z"] == exact.diagnostics["log_Z"]
+        ref = limitlaw.verify_fluctuations(tm, exact, tol_ks=1.0)
+        assert json.loads(report.read_text())["ks_distance"] == \
+            ref.ks_distance
 
     def test_metropolis_short_chains_report_nan(self, tmp_path, capsys):
         # one record per chain: too few to estimate tau, ESS or split-R-hat

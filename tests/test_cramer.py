@@ -168,16 +168,17 @@ class TestQuadrantGrid:
         assert r.details["grid_cells"] == 1001 * 1001  # the quadrant only
 
     def test_generic_density_check(self):
-        # a normal pdf given as a callable: the trapezoid grids of the scan
-        # and of the mixture bound; sup_estimate pinned from the half-plane
-        # scan this quadrant scan replaced
+        # a normal pdf given as a callable: the trapezoid grid of the scan
+        # and no radius-uniform bound; sup_estimate pinned from the
+        # half-plane scan this quadrant scan replaced
         dens = measure.DensityComponent(
             lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
         r = check_condition(CharEvaluator(measure.Measure1D(density=dens)),
                             0.5, radius=20.0)
         assert r.sup_estimate == pytest.approx(0.8824969025844662, abs=1e-9)
         assert r.verdict == "inconclusive"
-        assert not r.details["mixture"]["radius_uniform"]
+        assert r.sup_bound is None
+        assert "mixture" not in r.details
 
 
 class TestMixtureBound:

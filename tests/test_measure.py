@@ -103,10 +103,6 @@ class TestValidation:
         with pytest.raises(MeasureError):
             Measure1D(density=dens).validate()
 
-    def test_witness_below_domination(self):
-        m = measure.gaussian()
-        assert 0 < m.witness < m.density.domination[1]
-
 
 class TestSample:
     def test_single_atom(self):
@@ -206,7 +202,6 @@ def json_measures(draw):
     atoms = draw(st.lists(
         st.tuples(st.floats(-5, 5, **_finite), st.floats(1e-6, 1.0)),
         max_size=4, unique_by=lambda a: a[0]))
-    v0 = draw(st.none() | st.floats(1e-3, 0.4))
     kind = draw(st.sampled_from(["atoms", "gaussian", "table"]))
     R = draw(st.floats(1.0, 20.0))
     dom = (draw(st.floats(0.1, 5.0)), draw(st.floats(0.05, 2.0)))
@@ -221,7 +216,7 @@ def json_measures(draw):
         y = draw(st.lists(st.floats(0.0, 2.0), min_size=len(x),
                           max_size=len(x)))
         density = TableDensity(x, y, support_radius=R, domination=dom)
-    return Measure1D(atoms=tuple(atoms), density=density, v0=v0)
+    return Measure1D(atoms=tuple(atoms), density=density)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,7 +224,6 @@ def json_measures(draw):
 def test_json_round_trip_property(m):
     m2 = Measure1D.from_json(m.to_json())
     assert m2.atoms == m.atoms
-    assert m2.v0 == m.v0
     if m.density is None:
         assert m2.density is None
         return

@@ -68,6 +68,21 @@ class TestInteraction:
         with pytest.raises(InteractionError):
             quartic(-1.0)
 
+    def test_custom_matches_quartic(self):
+        # the generic branch of log_weight against the quartic closed form
+        g = model.custom(lambda u: u * u / 2 - 0.5 * u**4 / 12, m4=0.5)
+        q = quartic(0.5)
+        n = 40
+        rng = np.random.default_rng(8)
+        T = n * rng.uniform(0.05, 3.0, 500)
+        S = np.sqrt(n * T) * rng.uniform(-1.0, 1.0, 500)  # S^2 <= n T
+        np.testing.assert_allclose(g.log_weight(S, T, n),
+                                   q.log_weight(S, T, n), rtol=0, atol=1e-12)
+        log_Z = [enumerate_exact(TiltedModel(rho=measure.three_point(), g=h,
+                                             n=n)).diagnostics["log_Z"]
+                 for h in (g, q)]
+        assert abs(log_Z[0] - log_Z[1]) <= 1e-12
+
 
 class TestEnumeration:
     def test_rademacher_n2_hand_oracle(self, rad2):
@@ -322,6 +337,19 @@ class TestMetropolis:
         assert abs(np.mean(b.S) / m.n) < 3 * se_x
         se_y = np.std(b.T / m.n) / math.sqrt(ess)
         assert abs(np.mean(b.T) / m.n - 1.0) < max(3 * se_y, 0.05)
+
+    @pytest.mark.parametrize("rho", [measure.gaussian(), measure.three_point()],
+                             ids=["gaussian", "three-point"])
+    def test_count_rounds_up_to_whole_chains(self, rho):
+        # 1000 records over 64 chains: 16 per chain, all 1024 returned, the
+        # same rows as asking for 1024 outright
+        m = TiltedModel(rho=rho, g=quadratic(), n=8)
+        b = sample_metropolis(m, 1000, rng=7, chains=64)
+        assert len(b.S) == len(b.T) == len(b.weight) == 64 * 16
+        whole = sample_metropolis(m, 64 * 16, rng=7, chains=64)
+        assert np.array_equal(b.S, whole.S) and np.array_equal(b.T, whole.T)
+        for key in ("effective_sample_size", "effective_sample_size_T"):
+            assert 0 < b.diagnostics[key] <= len(b.S)
 
     def test_chains_below_one_rejected(self, rad2):
         with pytest.raises(ModelError, match="chains"):
