@@ -2,11 +2,12 @@
 
 A measure is stored as a finite list of atoms together with an optional
 absolutely continuous part.  The density carries its own mass ``a`` (it
-integrates to ``a``, not to 1) and must come with a Gaussian domination
-pair ``(A, v)`` such that ``density(z) <= A * exp(-v z^2)``: this pair feeds
-the rejection sampler envelope and the analytic quadrature tail bounds.
-Densities are typed: the generic ``DensityComponent`` wraps a pdf callable,
-and ``GaussianDensity`` and ``TableDensity`` are the kinds a JSON spec names.
+integrates to ``a``, not to 1), a support radius ``R`` and a Gaussian
+domination pair ``(A, v)`` with ``density(z) <= A * exp(-v z^2)``, which
+feeds the rejection sampler envelope and the mass check's tail bound.  The
+generic ``DensityComponent`` wraps a pdf callable and is given ``R`` and
+``(A, v)``; ``GaussianDensity`` and ``TableDensity``, the kinds a JSON spec
+names, derive them from their own parameters.
 """
 from __future__ import annotations
 
@@ -95,6 +96,12 @@ class DensityComponent:
         shows of the tails."""
         return self.domination[1]
 
+    @property
+    def tail_bound(self) -> float:
+        """Bound on the mass outside ``[-R, R]``: the mass check's slack."""
+        A, v = self.domination
+        return gaussian_tail_bound(A, v, self.support_radius)
+
     def char_grid(self, s, t) -> np.ndarray:
         """``integral of exp(i(s z + t z^2)) pdf(z) dz`` on the outer product
         of the 1-D arrays ``s`` and ``t``.
@@ -136,6 +143,9 @@ _SHAPE_GRID_POINTS = 201
 _NEAR_MODE = 4.0
 _CF_DEPTH = 60
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+# GaussianDensity.support_radius in units of sigma; the pinned rate grids
+# (bench/reference.json) encode this window
+_GAUSS_WINDOW = 10.0
 
 
 def _half_line_moments(c: np.ndarray, kmax: int) -> np.ndarray:
@@ -168,36 +178,30 @@ class GaussianDensity(DensityComponent):
     and is the one place that knows the tilted moments, the n-fold law, the
     law of a block's ``(sum Z, sum Z^2)`` and the tilted coordinate law.
 
-    Truncation rule: ``sample`` and ``tilted_moments`` (hence the
+    Its support radius is ``10 sigma`` and its envelope ``(1.01 mass /
+    (sigma sqrt(2 pi)), 1 / (2 sigma^2))``, so ``tilt_cap`` is ``1 / (2
+    sigma^2)``.  Truncation rule: only ``tilted_moments`` (hence the
     log-Laplace transform, the rate function, ``moments`` and the mass check
-    of ``Measure1D.validate``) treat the density as zero outside
-    ``[-support_radius, support_radius]``; ``char``, ``char_grid``,
-    ``block_sums``, ``nfold_pdf``, ``tilted_coordinate_law`` and the
-    Gaussian Metropolis chain on ``(S, Q)``, ``Q = T - S^2/n``, whose
-    target is built from the untruncated ``S ~ N(0, n sigma^2)`` and ``Q ~
-    sigma^2 chi^2_{n-1}``, use the untruncated normal.
+    of ``Measure1D.validate``) treats the density as zero outside
+    ``[-support_radius, support_radius]``; every other method, and the
+    Gaussian Metropolis chain on ``(S, Q)``, uses the untruncated normal.
     """
 
-    def __init__(self, mass: float = 1.0, sigma: float = 1.0, *,
-                 support_radius: float, domination: tuple[float, float]):
+    def __init__(self, mass: float = 1.0, sigma: float = 1.0):
         mass, sigma = float(mass), float(sigma)
         if not (mass > 0 and sigma > 0):
             raise MeasureError("Gaussian density needs mass > 0 and sigma > 0")
         super().__init__(
             lambda z: mass * np.exp(-z * z / (2 * sigma**2)) / (
                 sigma * math.sqrt(2 * math.pi)),
-            support_radius, domination)
+            _GAUSS_WINDOW * sigma,
+            (1.01 * mass / (sigma * math.sqrt(2 * math.pi)),
+             1.0 / (2 * sigma**2)))
         self.mass = mass
         self.sigma = sigma
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        # exact sampler; redraw the (astronomically rare) truncation overflow
-        z = rng.normal(0.0, self.sigma, size=count)
-        bad = np.abs(z) > self.support_radius
-        while np.any(bad):
-            z[bad] = rng.normal(0.0, self.sigma, size=int(bad.sum()))
-            bad = np.abs(z) > self.support_radius
-        return z
+        return rng.normal(0.0, self.sigma, size=count)
 
     def tilted_moments(self, u, v, shift, kmax: int) -> np.ndarray:
         """``DensityComponent.tilted_moments`` in closed form.
@@ -272,8 +276,7 @@ class GaussianDensity(DensityComponent):
         """``(sum Z, sum Z^2)`` of ``k`` i.i.d. draws, ``size`` times over.
 
         Closed form: ``sum Z ~ N(0, k sigma^2)`` and, independently of it,
-        ``sum Z^2 - (sum Z)^2 / k ~ sigma^2 chi^2_{k-1}``.  The normal is not
-        truncated at ``support_radius`` (``sample`` is).
+        ``sum Z^2 - (sum Z)^2 / k ~ sigma^2 chi^2_{k-1}``.
         """
         s = rng.normal(0.0, self.sigma * math.sqrt(k), size=size)
         # 2 Gamma((k-1)/2) is chi^2_{k-1}, and exactly 0 for k = 1
@@ -317,20 +320,27 @@ class GaussianDensity(DensityComponent):
 class TableDensity(DensityComponent):
     """Piecewise-linear density through the points ``(x, y)``, zero outside.
 
-    Its support is compact, so ``exp(v z^2)`` is integrable for every ``v``
-    and the tilt takes no cap.
+    Its support lies in ``[-R, R]``, ``R = max |x|``, exactly, so the mass
+    check allows no tail and the tilt takes no cap; the envelope is
+    ``(max |y| sqrt(e), 1 / (2 R^2))``.
     """
 
     tilt_cap = math.inf
+    tail_bound = 0.0
 
-    def __init__(self, x, y, *, support_radius: float,
-                 domination: tuple[float, float]):
+    def __init__(self, x, y):
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
         if xa.ndim != 1 or xa.shape != ya.shape:
             raise MeasureError("table density needs equal-length 1-D x and y")
+        if not np.all(np.diff(xa) > 0):
+            raise MeasureError("table x must be strictly increasing")
+        if not np.all(np.isfinite(ya)):
+            raise MeasureError("table y must be finite")
+        R = float(np.max(np.abs(xa)))
         super().__init__(lambda z: np.interp(z, xa, ya, left=0.0, right=0.0),
-                         support_radius, domination)
+                         R, (np.max(np.abs(ya)) * math.sqrt(math.e),
+                             0.5 / R / R))
         self.x = xa.tolist()
         self.y = ya.tolist()
 
@@ -348,18 +358,17 @@ def _density_to_spec(d: DensityComponent) -> dict:
     raise MeasureError("a density given by a Python callable has no JSON form")
 
 
-def _density_from_spec(spec, R, dom) -> DensityComponent:
+def _density_from_spec(spec) -> DensityComponent:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in _JSON_KINDS:
         raise MeasureError(f"unknown density kind {kind!r}; "
                            f"expected one of {sorted(_JSON_KINDS)}")
     cls, params = _JSON_KINDS[kind]
     try:
-        return cls(**{p: spec[p] for p in params if p in spec},
-                   support_radius=R, domination=dom)
+        return cls(**{p: spec[p] for p in params if p in spec})
     except MeasureError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise MeasureError(f"invalid {kind} density: {exc}") from exc
 
 
@@ -438,8 +447,7 @@ class Measure1D:
             if np.any(fp > A * np.exp(-v * grid**2) + 1e-10):
                 raise MeasureError("density exceeds its Gaussian envelope")
             mass = float(self.density.tilted_moments(0, 0, 0, 0)[0])
-            tail = gaussian_tail_bound(A, v, R)
-            if abs(mass - a) > 1e-9 + 2 * tail:
+            if abs(mass - a) > 1e-9 + 2 * self.density.tail_bound:
                 raise MeasureError(
                     f"density mass {mass:.3e} inconsistent with 1 - b = {a:.3e}"
                 )
@@ -449,8 +457,6 @@ class Measure1D:
         doc: dict = {"atoms": [[z, m] for z, m in self.atoms]}
         if self.density is not None:
             doc["density"] = _density_to_spec(self.density)
-            doc["domination"] = list(self.density.domination)
-            doc["support_radius"] = self.density.support_radius
         return json.dumps(doc)
 
     @staticmethod
@@ -467,22 +473,16 @@ class Measure1D:
             raise MeasureError(f"atoms must be [z, mass] pairs: {exc}") from exc
         density = None
         if "density" in doc:
-            density = _density_from_spec(doc["density"],
-                                         doc.get("support_radius"),
-                                         doc.get("domination"))
+            density = _density_from_spec(doc["density"])
         return Measure1D(atoms=atoms, density=density)
 
 
 # ---------------------------------------------------------------------------
 # canonical measures
 
-def gaussian(sigma: float = 1.0, mass: float = 1.0, support_radius: float = 10.0,
+def gaussian(sigma: float = 1.0, mass: float = 1.0,
              atoms: Sequence[tuple[float, float]] = ()) -> Measure1D:
-    A = 1.01 * mass / (sigma * math.sqrt(2 * math.pi))
-    v = 1.0 / (2 * sigma**2)
-    dens = GaussianDensity(mass, sigma, support_radius=support_radius * sigma,
-                           domination=(A, v))
-    return Measure1D(atoms=tuple(atoms), density=dens)
+    return Measure1D(atoms=tuple(atoms), density=GaussianDensity(mass, sigma))
 
 
 def rademacher() -> Measure1D:

@@ -403,9 +403,8 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
       fluctuation scale ``sigma n^{3/4}`` and ``log Q`` on the ``1/sqrt(n)``
       scale of a log-``chi^2_{n-1}``, so a few steps cross the tilted law.
       ``k`` changes nothing in the move; it only converts ``burn_in`` and
-      ``thin`` into steps.  This path draws the untruncated normal, as
-      ``char``, ``nfold_pdf`` and ``tilted_coordinate_law`` do; only
-      ``GaussianDensity.sample`` redraws beyond ``support_radius``.
+      ``thin`` into steps.  This path draws the untruncated normal, as every
+      ``GaussianDensity`` method but ``tilted_moments`` does.
     - Every other base (atomic, atom-plus-Gaussian such as ``rho0``, table
       and callable densities): each chain stores its ``n`` coordinates and a
       step replaces ``k`` contiguous ones with fresh draws from ``rho``, at

@@ -182,24 +182,32 @@ class TestValidationErrors:
         ({"atoms": [[-1, 0.25], [0, 0.25], [0, 0.25], [1, 0.25]]},
          "atom locations must be distinct"),
         ({"atoms": [[-1, 0.5], [0, 0.0], [1, 0.5]]}, "outside (0, 1]"),
-        ({"atoms": [], "density": {"kind": "gaussian"},
-          "domination": [0.41, 0.0], "support_radius": 10.0},
-         "domination pair must be positive"),
         ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
                                    "y": [0, -1, 0]},
           "domination": [1.01, 0.5], "support_radius": 1.0},
          "density takes negative values"),
         ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
-                                   "y": [0, 1, 0]},
-          "domination": [0.5, 0.5], "support_radius": 1.0},
-         "exceeds its Gaussian envelope"),
-        ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
                                    "y": [0, 2, 0]},
           "domination": [2.02, 0.5], "support_radius": 5.0},
          "inconsistent with 1 - b"),
+        # the mass check allows a table no tail, whatever R a spec names
+        ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
+                                   "y": [0, 1.5, 0]}},
+         "inconsistent with 1 - b"),
+        ({"atoms": [[-1, 0.0625], [0, 0.75], [1, 0.0625]],
+          "density": {"kind": "table", "x": [-1, 0, 1], "y": [0, 0.25, 0]}},
+         "inconsistent with 1 - b"),
+        ({"atoms": [], "density": {"kind": "table", "x": [1, 0, -1],
+                                   "y": [0, 1, 0]}},
+         "table x must be strictly increasing"),
+        # a NaN would send the mass quadrature into an endless bisection
+        ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
+                                   "y": [0, math.nan, 0]}},
+         "table y must be finite"),
         ({"atoms": [[0, 1]]}, "variance is zero"),
-    ], ids=["duplicate-atoms", "atom-mass", "domination", "negative-table",
-            "above-envelope", "table-mass", "zero-variance"])
+    ], ids=["duplicate-atoms", "atom-mass", "negative-table", "table-mass",
+            "table-mass-1.5", "table-rho0-mass", "table-x-order",
+            "table-y-nan", "zero-variance"])
     def test_invalid_measure_spec(self, tmp_path, capsys, spec, message):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(spec))
@@ -207,6 +215,35 @@ class TestValidationErrors:
         assert rc == 2
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("v", [0.3, 0.5001])
+    def test_gaussian_spec_envelope_ignored(self, tmp_path, capsys, v):
+        # a spec's domination pair, below or above 1 / (2 sigma^2), does not
+        # set the tilt cap: I(0, 3) = (3 - 1 - ln 3) / 2 for N(0, 1), up to
+        # the 10 sigma window's 8e-9 at the argmax's tilted scale sqrt(3)
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"atoms": [],
+                                    "density": {"kind": "gaussian"},
+                                    "domination": [0.41, v],
+                                    "support_radius": 10.0}))
+        rc, out, _ = run(capsys, "rate", "eval", "--spec", str(spec),
+                         "--x", "0", "--y", "3")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["converged"]
+        assert doc["value"] == pytest.approx((2 - math.log(3)) / 2, abs=1e-7)
+
+    def test_table_support_radius_ignored(self, tmp_path, capsys):
+        # the table's own R = 1 holds, not the spec's 0.5, which would cut
+        # the moments to sigma^2 = 0.0521 while the sampler draws it whole
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps(
+            {"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
+                                      "y": [0, 1, 0]},
+             "domination": [1.01, 0.5], "support_radius": 0.5}))
+        rc, out, _ = run(capsys, "measure", "info", "--spec", str(spec))
+        assert rc == 0
+        assert json.loads(out)["sigma2"] == pytest.approx(1 / 6, abs=1e-14)
 
     def test_empty_importance_sample(self, tmp_path, capsys):
         spec = tmp_path / "m.json"

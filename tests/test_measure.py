@@ -56,8 +56,7 @@ class TestMoments:
 
     def test_triangle_table(self):
         # f = 1 - |z| on [-1, 1]: sigma^2 = 1/6 and mu4 = 1/15, by quadrature
-        tri = TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
-                           support_radius=1.0, domination=(1.01, 0.5))
+        tri = TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
         ms = moments(Measure1D(density=tri))
         assert ms.sigma2 == pytest.approx(1 / 6, rel=0, abs=1e-14)
         assert ms.mu4 == pytest.approx(1 / 15, rel=0, abs=1e-14)
@@ -101,6 +100,17 @@ class TestValidation:
         dens = measure.DensityComponent(
             lambda z: np.exp(-(z - 0.3)**2) / np.sqrt(np.pi), 8.0, (0.6, 0.5))
         with pytest.raises(MeasureError):
+            Measure1D(density=dens).validate()
+
+    @pytest.mark.parametrize("domination, message", [
+        ((0.41, 0.0), "domination pair must be positive"),
+        ((0.5, 0.5), "exceeds its Gaussian envelope"),
+    ], ids=["domination", "above-envelope"])
+    def test_callable_density_envelope_rejected(self, domination, message):
+        # only a callable density is given its envelope; here the triangle
+        dens = DensityComponent(lambda z: np.maximum(1 - np.abs(z), 0.0),
+                                1.0, domination)
+        with pytest.raises(MeasureError, match=message):
             Measure1D(density=dens).validate()
 
 
@@ -149,6 +159,18 @@ class TestSample:
         assert abs(np.mean(draws**2) - 3.0) < 5 * math.sqrt(6 / n)
         assert abs(np.mean(draws**4) - 15.0) < 5 * math.sqrt(720 / n)
 
+    def test_table_rejection_moments(self):
+        # triangle f = 1 - |z|: E z^2 = 1/6, E z^4 = 1/15, E z^8 = 1/45,
+        # drawn by rejection from the table's derived envelope
+        m = Measure1D(density=TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
+        m.validate()
+        draws = sample(m, 2 * 10**5, np.random.default_rng(5))
+        n = len(draws)
+        assert np.max(np.abs(draws)) <= 1.0
+        # 5-sigma CLT bands: Var(z^2) = 1/15 - 1/36, Var(z^4) = 1/45 - 1/225
+        assert abs(np.mean(draws**2) - 1 / 6) < 5 * math.sqrt(7 / 180 / n)
+        assert abs(np.mean(draws**4) - 1 / 15) < 5 * math.sqrt(4 / 225 / n)
+
 
 class TestJsonRoundTrip:
     def test_atoms_bit_exact(self):
@@ -175,6 +197,8 @@ class TestJsonRoundTrip:
         ({"mass": 1.0}, "unknown density kind"),
         ({"kind": "gaussian", "sigma": "wide"}, "invalid gaussian density"),
         ({"kind": "table", "x": [0.0, 1.0]}, "invalid table density"),
+        # one point at 0: no support, so no envelope exponent 1 / (2 R^2)
+        ({"kind": "table", "x": [0.0], "y": [1.0]}, "invalid table density"),
     ])
     def test_bad_density_spec_rejected(self, density, match):
         doc = {"atoms": [], "density": density, "domination": [0.41, 0.5],
@@ -182,10 +206,15 @@ class TestJsonRoundTrip:
         with pytest.raises(MeasureError, match=match):
             Measure1D.from_json(json.dumps(doc))
 
-    def test_density_needs_domination(self):
-        doc = {"atoms": [], "density": {"kind": "gaussian"}}
-        with pytest.raises(MeasureError):
-            Measure1D.from_json(json.dumps(doc))
+    def test_gaussian_spec_without_envelope_validates(self):
+        # the density derives its support radius and envelope from sigma
+        doc = {"atoms": [], "density": {"kind": "gaussian", "sigma": 2.0}}
+        m = Measure1D.from_json(json.dumps(doc))
+        m.validate()
+        assert m.density.support_radius == 20.0
+        assert m.density.domination == (
+            1.01 / (2.0 * math.sqrt(2 * math.pi)), 1 / 8)
+        assert m.density.tilt_cap == 1 / 8
 
     def test_callable_density_has_no_json_form(self):
         dens = DensityComponent(stats.norm.pdf, 10.0, (0.41, 0.5))
@@ -203,19 +232,16 @@ def json_measures(draw):
         st.tuples(st.floats(-5, 5, **_finite), st.floats(1e-6, 1.0)),
         max_size=4, unique_by=lambda a: a[0]))
     kind = draw(st.sampled_from(["atoms", "gaussian", "table"]))
-    R = draw(st.floats(1.0, 20.0))
-    dom = (draw(st.floats(0.1, 5.0)), draw(st.floats(0.05, 2.0)))
     density = None
     if kind == "gaussian":
         density = GaussianDensity(draw(st.floats(1e-3, 1.0)),
-                                  draw(st.floats(0.1, 5.0)),
-                                  support_radius=R, domination=dom)
+                                  draw(st.floats(0.1, 5.0)))
     elif kind == "table":
-        x = sorted(draw(st.lists(st.floats(-R, R, **_finite), min_size=2,
-                                 max_size=8, unique=True)))
+        x = sorted(draw(st.lists(st.floats(-20.0, 20.0, **_finite),
+                                 min_size=2, max_size=8, unique=True)))
         y = draw(st.lists(st.floats(0.0, 2.0), min_size=len(x),
                           max_size=len(x)))
-        density = TableDensity(x, y, support_radius=R, domination=dom)
+        density = TableDensity(x, y)
     return Measure1D(atoms=tuple(atoms), density=density)
 
 

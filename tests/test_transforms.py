@@ -39,8 +39,7 @@ def three_point_I(p, x, y):
 
 
 # f = 1 - |z| on [-1, 1]: a table density, so every integral is quadrature
-TRIANGLE = measure.TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
-                                support_radius=1.0, domination=(1.01, 0.5))
+TRIANGLE = measure.TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +54,10 @@ def gauss_rate(gauss_pair):
 
 class TestLogLaplace:
     def test_gaussian_closed_form(self):
-        # wide truncation so the compact support does not bias strong tilts
-        L = LogLaplace(measure.gaussian(support_radius=30.0))
-        for u, v in [(0.0, 0.0), (0.5, 0.2), (-1.0, 0.4), (2.0, -3.0), (0.3, 0.45)]:
+        # tilts whose tilted law lies well inside the 10 sigma window, which
+        # then does not bias them
+        L = LogLaplace(measure.gaussian())
+        for u, v in [(0.0, 0.0), (0.5, 0.2), (2.0, -3.0)]:
             got = L.value([u, v])
             assert got == pytest.approx(gaussian_L(u, v), abs=1e-10)
 
@@ -145,11 +145,10 @@ def _quad_stats(density, u, v):
 class TestGaussianClosedForm:
     """``GaussianDensity.tilted_moments`` behind ``LogLaplace``."""
 
-    @pytest.mark.parametrize("sigma,radius", [(1.0, 10.0), (0.7, 10.0),
-                                              (2.0, 6.0)])
-    def test_untruncated_limit(self, sigma, radius):
-        L = LogLaplace(measure.gaussian(sigma=sigma, support_radius=radius))
-        R = sigma * radius
+    @pytest.mark.parametrize("sigma", [1.0, 0.7, 2.0])
+    def test_untruncated_limit(self, sigma):
+        L = LogLaplace(measure.gaussian(sigma=sigma))
+        R = L.base.density.support_radius
         checked = 0
         for u in np.linspace(-6, 6, 13) / sigma:
             for v in np.array([-20, -4, -1, 0, 0.2, 0.4, 0.45]) / sigma**2:
@@ -166,19 +165,20 @@ class TestGaussianClosedForm:
                 checked += 1
         assert checked >= 20
 
-    @pytest.mark.parametrize("base", [
-        measure.gaussian, measure.rho_zero,
-        # a window narrow enough that the far-end correction shows
-        lambda: measure.gaussian(support_radius=2.0)],
-        ids=["gaussian", "rho0", "gaussian-R2"])
-    def test_matches_generic_quadrature(self, base):
+    @pytest.mark.parametrize("base,v_range", [
+        (measure.gaussian, (-4, 0.45)), (measure.rho_zero, (-4, 0.45)),
+        # v so near the cap that the window is 1.4 to 3.5 tilted scales
+        # wide and the far-end correction shows
+        (measure.gaussian, (0.485, 0.4975))],
+        ids=["gaussian", "rho0", "gaussian-near-cap"])
+    def test_matches_generic_quadrature(self, base, v_range):
         closed = base()
         d = closed.density
         generic = measure.Measure1D(atoms=closed.atoms, density=DensityComponent(
             d.pdf, d.support_radius, d.domination))
         Lc, Lg = LogLaplace(closed), LogLaplace(generic)
         rng = np.random.default_rng(6)
-        for u, v in zip(rng.uniform(-3, 3, 25), rng.uniform(-4, 0.45, 25)):
+        for u, v in zip(rng.uniform(-3, 3, 25), rng.uniform(*v_range, 25)):
             vc, mc, cc = Lc.tilted_stats([u, v])
             vg, mg, cg = Lg.tilted_stats([u, v])
             assert vc == pytest.approx(vg, abs=1e-12)
