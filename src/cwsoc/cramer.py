@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -48,8 +49,10 @@ class CharEvaluator:
             out += self.base.density.char_grid(s, t)
         return out
 
+    @cached_property
     def lipschitz(self) -> float:
-        """Bound on the gradient norm of M: integral of |z| + z^2."""
+        """Bound on the gradient norm of M: integral of |z| + z^2, by
+        quadrature once per evaluator."""
         abs_moment = sum(p * abs(z) for z, p in self.base.atoms)
         if self.base.density is not None:
             f = self.base.density.pdf
@@ -65,6 +68,9 @@ _CIRCLE_POINTS = 2048  # mixture_bound: angles on a Gaussian's inner circle
 # below the best within which a candidate ties (rounding); ties go to small t
 _NEAR_RETURNS = 10_000
 _TIE = 1e-12
+# check_condition: the envelope level sits this far below the axes' best,
+# for the rounding of |M| and of the atom masses
+_LEVEL_MARGIN = 1e-12
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple:
@@ -154,7 +160,7 @@ def mixture_bound(e: CharEvaluator, alpha: float) -> dict:
     if not isinstance(d, GaussianDensity):
         raise ValueError("mixture bound needs a Gaussian density component")
     a = e.base.ac_mass
-    lip = 2 * e.lipschitz()
+    lip = 2 * e.lipschitz
 
     def eta_on_circle(th):
         # |psi|^2 of the normalized a.c. part at angle th on the circle
@@ -184,7 +190,19 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
     Order of resolution: a purely atomic base fails before any scan, at the
     near-return of ``_near_return``.  Any other base is scanned on the
     quadrant ``s, t >= 0`` (see ``_quadrant``) for ``sup_estimate``, with
-    ``details`` recording the grid's Lipschitz pad, radius and cell count.
+    ``details`` recording the grid's Lipschitz pad, radius and cell count
+    (``grid_cells``) and the cells evaluated (``scanned_cells``).
+
+    The scan first evaluates the grid's two axes; their largest ``|M|`` in
+    the annulus, ``lo``, is a floor for the grid's max.  Since ``|M| <=
+    discrete_mass + |char|``, a cell can reach ``lo`` only where the
+    density's ``|char|`` reaches ``lo - discrete_mass`` (less 1e-12 for
+    rounding), that is inside its ``char_box`` at that level, so only the
+    grid's prefix rectangle inside the box is evaluated.  It keeps the
+    row-major order, so the argmax, and the local refinement from it, are
+    those of the full grid.  A density without a closed-form box (a table,
+    a callable) scans the full grid.
+
     Its sup cannot reach 1, so the grid decides no verdict: a Gaussian
     density component passes if its ``mixture_bound`` (``details["mixture"]``)
     is below 1, and every other case is inconclusive with no ``sup_bound``.
@@ -195,14 +213,21 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
     if e.base.ac_mass <= 0:
         return _near_return(e, alpha)
     grid = _quadrant(radius, grid_step)
-    vals = np.abs(e.char_grid(grid, grid))
-    r2 = grid[:, None] ** 2 + grid[None, :] ** 2
+    on_axes = grid * grid + grid[0] * grid[0] >= alpha * alpha
+    lo = max(np.max(np.abs(axis), where=on_axes, initial=0.0) for axis in (
+        e.char_grid(grid, grid[:1])[:, 0], e.char_grid(grid[:1], grid)[0]))
+    s_max, t_max = e.base.density.char_box(
+        lo - e.base.discrete_mass - _LEVEL_MARGIN)
+    s, t = grid[grid <= s_max], grid[grid <= t_max]
+    vals = np.abs(e.char_grid(s, t))
+    r2 = s[:, None] ** 2 + t[None, :] ** 2
     vals = np.where((r2 >= alpha * alpha), vals, 0.0)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = _refine_local(e, float(grid[i]), float(grid[j]), alpha, grid_step)
+    best = _refine_local(e, float(s[i]), float(t[j]), alpha, grid_step)
     sup_estimate = max(float(vals[i, j]), best)
-    pad = e.lipschitz() * grid_step * math.sqrt(0.5)
-    details = {"grid_pad": pad, "grid_radius": radius, "grid_cells": vals.size}
+    pad = e.lipschitz * grid_step * math.sqrt(0.5)
+    details = {"grid_pad": pad, "grid_radius": radius,
+               "grid_cells": grid.size ** 2, "scanned_cells": vals.size}
     sup_bound, verdict = None, "inconclusive"
     if isinstance(e.base.density, GaussianDensity):
         details["mixture"] = mixture_bound(e, alpha)

@@ -218,10 +218,16 @@ def _pair_window(mean: float, std: float, U, V, W):
         # factor cannot overflow
         near = 2 * (b + v_max) > np.maximum(np.abs(a) - u_max, 0.0) ** 2
         a, b = a[near], b[near]
-        u = a[:, None] + U
-        d2 = 2 * (b[:, None] + V) - u * u
+        # two (sample, node) buffers, updated in place, so a chunk allocates
+        # no other temporaries: d2 = 2 (b + V) - (a + U)^2, then cell
+        cell = a[:, None] + U
+        d2 = b[:, None] + V
+        d2 *= 2
+        cell *= cell
+        d2 -= cell
         inside = d2 > 0
-        cell = np.sqrt(d2, where=inside, out=np.zeros_like(d2))
+        cell.fill(0.0)
+        np.sqrt(d2, where=inside, out=cell)
         np.divide(1.0, cell, where=inside, out=cell)
         out[near] = np.exp(-h * (b - 2 * mean * a + 2 * mean * mean)) * (
             cell @ Wf)

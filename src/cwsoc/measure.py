@@ -35,9 +35,11 @@ class DensityComponent:
     zero outside ``[-support_radius, support_radius]``.  Sampling is by
     rejection from the Gaussian envelope, the tilted moments
     (``tilted_moments``) by adaptive quadrature, and the characteristic
-    function (``char_grid``) by the trapezoid rule; subclasses with closed
-    forms override them.  The pdf is symmetric (``Measure1D.validate``
-    checks it).  A density given by a Python callable has no JSON form.
+    function (``char_grid``) by the trapezoid rule; ``char_box``, the box
+    outside which that function's modulus stays below a level, is
+    unbounded.  Subclasses with closed forms override them.  The pdf is
+    symmetric (``Measure1D.validate`` checks it).  A density given by a
+    Python callable has no JSON form.
     """
 
     def __init__(self, pdf: Callable[[np.ndarray], np.ndarray],
@@ -102,6 +104,20 @@ class DensityComponent:
         A, v = self.domination
         return gaussian_tail_bound(A, v, self.support_radius)
 
+    def validate(self) -> None:
+        """Raise MeasureError if the density's own parameters cannot describe
+        a density: for the generic one, a domination pair that is not
+        positive."""
+        A, v = self.domination
+        if A <= 0 or v <= 0:
+            raise MeasureError("domination pair must be positive")
+
+    def char_box(self, level: float) -> tuple[float, float]:
+        """Half-widths ``(s_max, t_max)`` of the quadrant box outside which
+        the modulus of ``char_grid`` is below ``level``.  Nothing bounds the
+        transform of a generic pdf, so the box is unbounded."""
+        return math.inf, math.inf
+
     def char_grid(self, s, t) -> np.ndarray:
         """``integral of exp(i(s z + t z^2)) pdf(z) dz`` on the outer product
         of the 1-D arrays ``s`` and ``t``.
@@ -146,6 +162,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 # GaussianDensity.support_radius in units of sigma; the pinned rate grids
 # (bench/reference.json) encode this window
 _GAUSS_WINDOW = 10.0
+# GaussianDensity.char_box: the largest argument math.exp takes
+_EXP_MAX = 709.0
 
 
 def _half_line_moments(c: np.ndarray, kmax: int) -> np.ndarray:
@@ -174,9 +192,10 @@ def _shifted_moments(x0: np.ndarray, m: np.ndarray) -> np.ndarray:
 class GaussianDensity(DensityComponent):
     """``mass`` times the centered normal density of scale ``sigma``.
 
-    Overrides sampling and the characteristic function with closed forms,
-    and is the one place that knows the tilted moments, the n-fold law, the
-    law of a block's ``(sum Z, sum Z^2)`` and the tilted coordinate law.
+    Overrides sampling, the characteristic function and its box with
+    closed forms, and is the one place that knows the tilted moments, the
+    n-fold law, the law of a block's ``(sum Z, sum Z^2)`` and the tilted
+    coordinate law.
 
     Its support radius is ``10 sigma`` and its envelope ``(1.01 mass /
     (sigma sqrt(2 pi)), 1 / (2 sigma^2))``, so ``tilt_cap`` is ``1 / (2
@@ -300,6 +319,26 @@ class GaussianDensity(DensityComponent):
         return self.char(np.asarray(s, dtype=float)[:, None],
                          np.asarray(t, dtype=float)[None, :])
 
+    def char_box(self, level: float) -> tuple[float, float]:
+        """``DensityComponent.char_box`` in closed form.
+
+        ``|char| = mass w^{-1/4} e^{-s^2 sigma^2 / 2w}``, ``w = 1 + 4 sigma^4
+        t^2``, reaches ``level`` only where ``s^2 sigma^2 / 2w + ln(w) / 4 <=
+        L = ln(mass / level)``.  At ``s = 0`` that caps ``w`` at ``e^{4L}``,
+        which gives ``t_max``; over ``w >= 1`` the largest ``s^2`` is ``w* /
+        (2 sigma^2)`` at ``w* = e^{4L - 1}`` when ``4L >= 1``, else ``2L /
+        sigma^2`` at ``w = 1``.  A ``level <= 0``, or one so small that
+        ``e^{4L}`` overflows, gives the unbounded box.
+        """
+        L = math.log(self.mass / level) if level > 0 else math.inf
+        if 4 * L > _EXP_MAX:
+            return math.inf, math.inf
+        L = max(L, 0.0)
+        sigma2 = self.sigma * self.sigma
+        s2 = (math.exp(4 * L - 1) / (2 * sigma2) if 4 * L >= 1
+              else 2 * L / sigma2)
+        return math.sqrt(s2), math.sqrt(math.expm1(4 * L)) / (2 * sigma2)
+
     def nfold_pdf(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
         """Density of the sum of ``n`` draws from the normalized density."""
         sigma2 = self.sigma**2 * n
@@ -322,7 +361,9 @@ class TableDensity(DensityComponent):
 
     Its support lies in ``[-R, R]``, ``R = max |x|``, exactly, so the mass
     check allows no tail and the tilt takes no cap; the envelope is
-    ``(max |y| sqrt(e), 1 / (2 R^2))``.
+    ``(max |y| sqrt(e), 1 / (2 R^2))``.  A table needs two points or more,
+    and ``validate`` rejects one whose ``y`` are all 0, by name rather than
+    through the envelope derived from them.
     """
 
     tilt_cap = math.inf
@@ -333,6 +374,9 @@ class TableDensity(DensityComponent):
         ya = np.asarray(y, dtype=float)
         if xa.ndim != 1 or xa.shape != ya.shape:
             raise MeasureError("table density needs equal-length 1-D x and y")
+        if xa.size < 2:
+            raise MeasureError(
+                "invalid table density: it needs at least two points")
         if not np.all(np.diff(xa) > 0):
             raise MeasureError("table x must be strictly increasing")
         if not np.all(np.isfinite(ya)):
@@ -343,6 +387,11 @@ class TableDensity(DensityComponent):
                              0.5 / R / R))
         self.x = xa.tolist()
         self.y = ya.tolist()
+
+    def validate(self) -> None:
+        if not any(self.y):
+            raise MeasureError(
+                "invalid table density: zero mass (every y is 0)")
 
 
 # JSON density kinds: the one map between a spec's "kind" and its class,
@@ -433,9 +482,8 @@ class Measure1D:
                 raise MeasureError(
                     f"atom masses sum to {self.discrete_mass}, leaving no "
                     "mass for the density")
+            self.density.validate()
             A, v = self.density.domination
-            if A <= 0 or v <= 0:
-                raise MeasureError("domination pair must be positive")
             R = self.density.support_radius
             grid = np.linspace(0.0, R, _SHAPE_GRID_POINTS)
             fp = self.density.pdf(grid)

@@ -205,9 +205,16 @@ class TestValidationErrors:
                                    "y": [0, math.nan, 0]}},
          "table y must be finite"),
         ({"atoms": [[0, 1]]}, "variance is zero"),
+        # named by the spec, not by the envelope or R derived from it
+        ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
+                                   "y": [0, 0, 0]}},
+         "table density: zero mass (every y is 0)"),
+        ({"atoms": [], "density": {"kind": "table", "x": [0], "y": [1]}},
+         "table density: it needs at least two points"),
     ], ids=["duplicate-atoms", "atom-mass", "negative-table", "table-mass",
             "table-mass-1.5", "table-rho0-mass", "table-x-order",
-            "table-y-nan", "zero-variance"])
+            "table-y-nan", "zero-variance", "table-zero-mass",
+            "table-one-point"])
     def test_invalid_measure_spec(self, tmp_path, capsys, spec, message):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(spec))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwsoc import measure
-from cwsoc.cramer import CharEvaluator, check_condition, mixture_bound
+from cwsoc import cramer, measure
+from cwsoc.cramer import (CharEvaluator, _quadrant, _refine_local,
+                          check_condition, mixture_bound)
 from cwsoc.limitlaw import verify_lln
 from cwsoc.model import TiltedModel, enumerate_exact, quadratic
 
@@ -179,6 +180,121 @@ class TestQuadrantGrid:
         assert r.verdict == "inconclusive"
         assert r.sup_bound is None
         assert "mixture" not in r.details
+
+
+def gaussian_modulus(d, s, t):
+    """Oracle: ``|char|`` of a Gaussian component from its modulus,
+    ``mass w^{-1/4} exp(-s^2 sigma^2 / (2 w))``, ``w = 1 + 4 sigma^4 t^2``."""
+    w = 1 + 4 * d.sigma**4 * np.asarray(t) ** 2
+    s2 = np.asarray(s) ** 2
+    return d.mass * w**-0.25 * np.exp(-s2 * d.sigma**2 / (2 * w))
+
+
+def full_scan_sup(e, alpha, radius, step):
+    """Oracle: ``sup_estimate`` from every cell of the quadrant grid in the
+    annulus, the grid max refined locally from its argmax."""
+    grid = _quadrant(radius, step)
+    vals = np.abs(e.char_grid(grid, grid))
+    r2 = grid[:, None] ** 2 + grid[None, :] ** 2
+    vals = np.where(r2 >= alpha * alpha, vals, 0.0)
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best = _refine_local(e, float(grid[i]), float(grid[j]), alpha, step)
+    return max(float(vals[i, j]), best)
+
+
+class TestEnvelopeScan:
+    """``char_box`` bounds where ``|char|`` reaches a level, and the scan of
+    ``check_condition`` is limited to that box."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("mass", [0.05, 0.4, 1.0])
+    def test_box_against_brute_force(self, sigma, mass):
+        d = measure.GaussianDensity(mass=mass, sigma=sigma)
+        h = 0.01 / sigma
+        s = np.arange(0.0, 6.0 / sigma, h)
+        t = np.arange(0.0, 40.0 / sigma**2, h / sigma)
+        mod = np.abs(d.char_grid(s, t))
+        assert np.allclose(mod, gaussian_modulus(d, s[:, None], t[None, :]),
+                           rtol=1e-12, atol=0.0)
+        for frac in (1e-6, 0.05, 0.3, 0.7, 0.9, 0.999):
+            level = frac * mass
+            s_max, t_max = d.char_box(level)
+            outside = (s[:, None] > s_max) | (t[None, :] > t_max)
+            assert not np.any(outside & (mod >= level)), frac
+            # the box is tight: each half-width is reached on the level set,
+            # t_max on the t axis and s_max where w = 1 + 4 sigma^4 t^2 is w*
+            assert gaussian_modulus(d, 0.0, t_max) == pytest.approx(
+                level, rel=1e-12)
+            L = math.log(1 / frac)
+            w = math.exp(4 * L - 1) if 4 * L >= 1 else 1.0
+            t_star = math.sqrt(w - 1) / (2 * sigma**2)
+            assert gaussian_modulus(d, s_max, t_star) == pytest.approx(
+                level, rel=1e-12)
+
+    def test_box_limits(self):
+        d = measure.GaussianDensity(mass=0.5, sigma=1.5)
+        assert d.char_box(0.0) == (math.inf, math.inf)
+        assert d.char_box(-0.1) == (math.inf, math.inf)
+        assert d.char_box(1e-320) == (math.inf, math.inf)  # e^{4L} overflows
+        assert d.char_box(0.5) == (0.0, 0.0)
+        assert d.char_box(0.6) == (0.0, 0.0)  # above the mass: nothing
+        dens = measure.DensityComponent(
+            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
+        assert dens.char_box(0.5) == (math.inf, math.inf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mags=st.lists(st.floats(0.05, 3.0), max_size=3, unique=True),
+           weights=st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5),
+           sigma=st.floats(0.3, 2.0), alpha=st.floats(0.05, 3.0),
+           extent=st.floats(0.5, 8.0), step=st.floats(0.05, 0.3))
+    def test_sup_estimate_equals_full_scan(self, mags, weights, sigma, alpha,
+                                           extent, step):
+        # weights: one per magnitude, then the zero atom and the density
+        total = 2 * sum(weights[:len(mags)]) + weights[3] + weights[4]
+        atoms = [(sign * z, w / total)
+                 for z, w in zip(mags, weights) for sign in (-1, 1)]
+        atoms.append((0.0, weights[3] / total))
+        e = CharEvaluator(measure.gaussian(
+            sigma=sigma, mass=weights[4] / total, atoms=atoms))
+        radius = alpha + extent
+        r = check_condition(e, alpha, radius=radius, grid_step=step)
+        want = full_scan_sup(e, alpha, radius, step)
+        assert r.sup_estimate == pytest.approx(want, abs=1e-12)
+        assert r.details["grid_cells"] == _quadrant(radius, step).size ** 2
+        assert r.details["scanned_cells"] <= r.details["grid_cells"]
+
+    @pytest.mark.parametrize("base", [measure.gaussian(), measure.rho_zero()],
+                             ids=["gaussian", "rho0"])
+    def test_gaussian_scan_is_small(self, base):
+        r = check_condition(CharEvaluator(base), 0.5)
+        assert r.details["grid_cells"] == 1001 * 1001
+        assert 0 < r.details["scanned_cells"] <= r.details["grid_cells"] / 100
+
+    def test_table_and_callable_scan_the_full_grid(self):
+        table = measure.Measure1D(
+            density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))
+        dens = measure.DensityComponent(
+            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
+        for base in (table, measure.Measure1D(density=dens)):
+            r = check_condition(CharEvaluator(base), 0.5, radius=5.0)
+            assert r.details["scanned_cells"] == r.details["grid_cells"]
+            assert r.details["grid_cells"] == 101 * 101
+
+    def test_lipschitz_quadrature_runs_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return quad(*args, **kwargs)
+
+        quad = cramer.adaptive_gauss_legendre
+        monkeypatch.setattr(cramer, "adaptive_gauss_legendre", counted)
+        e = CharEvaluator(measure.rho_zero())
+        lip = e.lipschitz
+        r = check_condition(e, 0.5)
+        assert e.lipschitz == lip
+        assert r.details["grid_pad"] == lip * 0.05 * math.sqrt(0.5)
+        assert len(calls) == 1
 
 
 class TestMixtureBound:
