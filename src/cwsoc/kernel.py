@@ -2,12 +2,14 @@
 density of the rescaled sums.
 
 ``phi_{n,c}(x) = (k_c * nu^{*n})(nx)`` is compared against the local-CLT
-asymptotic ``(2 pi n)^{-d/2} (det D2J)^{1/2} e^{-nJ(x)}``.  In dimension 2
-the estimator tilts exponentially at the conjugate point of ``x`` so the
-``e^{-nJ}`` factor cancels.  It draws only the sufficient statistics
-``(S', T')`` of the first n-2 tilted coordinates and integrates the last
-two exactly against the closed-form tilted pair density, which removes the
-vanishing-window variance blowup.
+asymptotic ``(2 pi n)^{-d/2} (det D2J)^{1/2} e^{-nJ(x)}``.  In both
+dimensions the estimator tilts exponentially at the conjugate point of
+``x`` so the ``e^{-nJ}`` factor cancels, and integrates the kernel box by
+one Gauss rule.  In dimension 1 the tilted n-fold law is normal, so the
+rule is the whole estimate.  In dimension 2 it draws only the sufficient
+statistics ``(S', T')`` of the first n-2 tilted coordinates and integrates
+the last two exactly against the closed-form tilted pair density, which
+removes the vanishing-window variance blowup.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .measure import GaussianDensity, Measure1D
-from .quadrature import adaptive_gauss_legendre
 from .transforms import CramerResult, LogLaplace, RateFunction
 
 
@@ -65,8 +66,9 @@ def kernel_laplace(c: float, z) -> complex:
 class SmoothedDensity:
     """Smoothed n-fold law, d=1 for a line measure or d=2 for the pair law.
 
-    Both dimensions need a pure Gaussian base (closed-form n-fold and tilted
-    laws); d=1 also takes the point mass at 0.
+    Both dimensions need a pure Gaussian base (closed-form tilted laws);
+    d=1 also takes the point mass at 0.  Only d=2 with n > 2 draws, so
+    ``samples`` and ``seed`` are unused otherwise.
     """
     base: Measure1D
     n: int
@@ -99,61 +101,61 @@ def _gaussian_density(base: Measure1D) -> GaussianDensity:
 def phi_estimate(s: SmoothedDensity, x) -> tuple:
     """``(value, std_error)`` of the smoothed density at ``x``.
 
-    d=1 integrates the explicit convolution; its std_error is 0.  d=2 runs
-    the tilted, partially integrated Monte Carlo estimator.
+    The point mass at 0 gives the kernel's own value ``k_c(n x)``.  A
+    Gaussian base solves the conjugate of ``x`` (line lift for d=1, pair
+    lift for d=2) and runs the tilted estimator ``_phi_tilted``; its
+    std_error is 0 for d=1 and for d=2 at n = 2.
     """
-    if s.d == 1:
-        xv = float(np.atleast_1d(x)[0])
-        k = TriangularKernel(s.c, 1)
-        if _point_mass_at_zero(s.base):
-            return float(k(s.n * xv)), 0.0
-        nfold = _gaussian_density(s.base).nfold_pdf(s.n)
-        lo, hi = s.n * xv - s.c, s.n * xv + s.c
-        val = adaptive_gauss_legendre(
-            lambda t: k(t - s.n * xv) * nfold(t), lo, hi,
-            tol=1e-14, initial_panels=4)
-        return float(val), 0.0
-    density = _gaussian_density(s.base)
-    x = np.asarray(x, dtype=float)
-    scaled, se, nJ = _phi2_tilted(
-        s, density, x, RateFunction(LogLaplace(s.base)).solve(x))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if s.d == 1 and _point_mass_at_zero(s.base):
+        return float(TriangularKernel(s.c, 1)(s.n * x[0])), 0.0
+    R = RateFunction(LogLaplace(s.base, lift="line" if s.d == 1 else "pair"))
+    scaled, se, nJ = _phi_tilted(s, _gaussian_density(s.base), x, R.solve(x))
     return scaled * math.exp(-nJ), se * math.exp(-nJ)
 
 
-def _phi2_tilted(s: SmoothedDensity, density: GaussianDensity, x,
-                 r: CramerResult) -> tuple:
-    """d=2 estimate of ``phi * e^{nJ}`` with its std error, plus ``nJ``,
-    given the pair-lift conjugate ``r`` solved at ``x``.
+def _phi_tilted(s: SmoothedDensity, density: GaussianDensity, x,
+                r: CramerResult) -> tuple:
+    """``phi e^{nJ}`` with its std error, plus ``nJ``, given the conjugate
+    ``r`` at ``x`` (line lift for d=1, pair lift for d=2).
 
-    Under the tilt the coordinates are i.i.d. ``N(mu, s^2)``, so the first
-    n-2 enter only through their sufficient statistics: ``S' ~ N((n-2) mu,
-    (n-2) s^2)`` and, independently, ``T' - S'^2/(n-2) ~ s^2 chi^2_{n-3}``,
-    two draws per sample.  The last pair is integrated exactly: the kernel
-    average over it is a tensor Gauss rule over the kernel box of the tilted
-    pair density (``_pair_window``).  At n = 2 there is nothing to draw and
-    the estimate is that Gauss rule alone, with std error 0.
+    Tilted at ``theta`` the coordinates are i.i.d. ``N(mu, s^2)``, and
+    ``phi e^{nJ}`` is the Gauss rule ``sum_j W_j f(n x + U_j)`` over the
+    kernel box, split at 0 where k_c has a kink, 6 nodes per half-axis, with
+    the kernel and ``e^{-<theta, U_j>}`` folded into ``W_j``.  For d=1 the
+    tilted n-fold law ``f`` is ``N(n mu, n s^2)`` and the std error 0.  For
+    d=2 the first n-2 coordinates enter through their sufficient statistics
+    ``S' ~ N((n-2) mu, (n-2) s^2)`` and, independently, ``T' - S'^2/(n-2) ~
+    s^2 chi^2_{n-3}``, two draws per sample, and the rule integrates the last
+    pair exactly against its tilted density (``_pair_window``); at n = 2
+    nothing is drawn and the std error is 0.
     """
     n, c = s.n, s.c
     if not r.converged:
         raise KernelError(f"point {x.tolist()} outside the admissible domain")
     theta = r.argmax
     nJ = n * r.value
-    mean, std = density.tilted_coordinate_law(theta)
+    mean, std = density.tilted_coordinate_law(
+        (theta[0], theta[1] if s.d == 2 else 0.0))
 
-    # Gauss rule on the kernel box, split at 0 where k_c has a kink
     gx, gw = np.polynomial.legendre.leggauss(6)
     nodes = np.concatenate([(gx - 1) * c / 2, (gx + 1) * c / 2])
     wts = np.concatenate([gw * c / 2, gw * c / 2])
-    ker = TriangularKernel(c, 2)
-    U = nodes[:, None].repeat(len(nodes), 1).ravel()
-    V = nodes[None, :].repeat(len(nodes), 0).ravel()
-    W = (wts[:, None] * wts[None, :]).ravel() * ker(U, V) * np.exp(
-        -theta[0] * U - theta[1] * V)
-    window = _pair_window(mean, std, U, V, W)
-    if n == 2:
+    grid = [g.ravel() for g in np.meshgrid(*[nodes] * s.d, indexing="ij")]
+    W = np.prod(np.meshgrid(*[wts] * s.d, indexing="ij"), axis=0).ravel() * (
+        TriangularKernel(c, s.d)(*grid)) * np.exp(
+        -sum(t * g for t, g in zip(theta, grid)))
+    if s.d == 1:
+        sd = std * math.sqrt(n)
+        z = (n * (x[0] - mean) + grid[0]) / sd
+        mean_y, se = float(W @ np.exp(-z * z / 2)) / (
+            sd * math.sqrt(2 * math.pi)), 0.0
+    elif n == 2:
+        window = _pair_window(mean, std, *grid, W)
         mean_y, se = float(window(n * x[:1], n * x[1:])[0]), 0.0
     else:
-        mean_y, se = _mean_over_draws(s, density, mean, std, x, window,
+        mean_y, se = _mean_over_draws(s, density, mean, std, x,
+                                      _pair_window(mean, std, *grid, W),
                                       len(W))
     if mean_y <= 0:
         raise KernelError("no mass in the kernel window; estimate unusable")
@@ -240,35 +242,26 @@ def theorem3_comparison(s: SmoothedDensity, R: RateFunction, points) -> list:
     """Rows ``(x, phi, se, asymptotic, ratio)`` at each requested point.
 
     Refuses purely atomic base measures: the local CLT needs the Cramer
-    condition, which no purely atomic base satisfies.  For d=2 the common
-    factor ``e^{-nJ}`` is cancelled analytically, so the ratio is computed
-    at its natural scale.
+    condition, which no purely atomic base satisfies.  ``R`` solves the
+    conjugates, all points in one batch.  The common factor ``e^{-nJ}``
+    cancels analytically, so in every dimension the ratio is the tilted
+    estimate over the prefactor, and ``phi``, ``se`` and ``asymptotic``
+    are their tilted values times ``e^{-nJ}`` (they underflow to 0 when
+    nJ > 745, the ratio does not).
     """
     if s.base.ac_mass <= 0:
         raise KernelError(
             "base measure is purely atomic and fails the Cramer "
             "condition; the local CLT comparison does not apply")
-    n = s.n
+    density = _gaussian_density(s.base)
     xs = np.asarray(points, dtype=float).reshape(len(points), -1)
     rows = []
     for xv, r in zip(xs, R.solve_many(xs)):
-        if not r.converged:
-            raise KernelError(f"point {xv.tolist()} outside admissible domain")
+        scaled, se, nJ = _phi_tilted(s, density, xv, r)
         det = float(np.linalg.det(np.atleast_2d(r.hess)))
-        pref = (2 * math.pi * n) ** (-s.d / 2) * math.sqrt(det)
-        if s.d == 1:
-            phi, se = phi_estimate(s, xv)
-            asym = pref * math.exp(-n * r.value)
-            ratio = phi / asym
-            se_ratio = 0.0
-        else:
-            scaled, se_scaled, nJ = _phi2_tilted(
-                s, _gaussian_density(s.base), xv, r)
-            asym = pref * math.exp(-nJ)
-            ratio = scaled / pref
-            phi, se = scaled * math.exp(-nJ), se_scaled * math.exp(-nJ)
-            se_ratio = se_scaled / pref
-        rows.append({"x": xv.tolist(), "phi": phi, "std_error": se,
-                     "asymptotic": asym, "ratio": ratio,
-                     "ratio_std_error": se_ratio})
+        pref = (2 * math.pi * s.n) ** (-s.d / 2) * math.sqrt(det)
+        decay = math.exp(-nJ)
+        rows.append({"x": xv.tolist(), "phi": scaled * decay,
+                     "std_error": se * decay, "asymptotic": pref * decay,
+                     "ratio": scaled / pref, "ratio_std_error": se / pref})
     return rows

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincinv
 
-from .measure import moments
+from .measure import GaussianDensity, moments
 from .model import EmpiricalBatch, TiltedModel, rescaled_statistic
 
 
@@ -89,7 +89,7 @@ class VerificationReport:
     n: int
     method: str
     passed: bool
-    cramer_flag: str   # 'yes' | 'no'
+    cramer_flag: str   # 'yes' | 'no' | 'inconclusive', see _cramer_flag
     ks_distance: Optional[float] = None
     moment_table: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -103,9 +103,15 @@ class VerificationReport:
 
 
 def _cramer_flag(m: TiltedModel) -> str:
-    """The (C) flag: no for a purely atomic base, whose characteristic
-    function is almost periodic, yes for a base with a density component."""
-    return "no" if m.rho.ac_mass <= 0 else "yes"
+    """The (C) flag by the rule of ``cramer.check_condition``: no for a
+    purely atomic base, whose characteristic function is almost periodic;
+    yes for a Gaussian density component, whose mixture bound is below 1 at
+    every radius; inconclusive for any other density (a table, a callable),
+    which no bound certifies yet."""
+    if m.rho.ac_mass <= 0:
+        return "no"
+    return "yes" if isinstance(m.rho.density, GaussianDensity) else (
+        "inconclusive")
 
 
 def _batch_ess(batch: EmpiricalBatch) -> float:

@@ -194,8 +194,7 @@ class GaussianDensity(DensityComponent):
 
     Overrides sampling, the characteristic function and its box with
     closed forms, and is the one place that knows the tilted moments, the
-    n-fold law, the law of a block's ``(sum Z, sum Z^2)`` and the tilted
-    coordinate law.
+    law of a block's ``(sum Z, sum Z^2)`` and the tilted coordinate law.
 
     Its support radius is ``10 sigma`` and its envelope ``(1.01 mass /
     (sigma sqrt(2 pi)), 1 / (2 sigma^2))``, so ``tilt_cap`` is ``1 / (2
@@ -338,12 +337,6 @@ class GaussianDensity(DensityComponent):
         s2 = (math.exp(4 * L - 1) / (2 * sigma2) if 4 * L >= 1
               else 2 * L / sigma2)
         return math.sqrt(s2), math.sqrt(math.expm1(4 * L)) / (2 * sigma2)
-
-    def nfold_pdf(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Density of the sum of ``n`` draws from the normalized density."""
-        sigma2 = self.sigma**2 * n
-        return lambda s: np.exp(-s * s / (2 * sigma2)) / math.sqrt(
-            2 * math.pi * sigma2)
 
     def tilted_coordinate_law(self, theta) -> tuple:
         """``(mean, std)`` of the normalized density tilted by

@@ -297,10 +297,6 @@ class RateFunction:
                 message="degenerate direction v reported as free"))
         return out
 
-    def value(self, x) -> float:
-        r = self.solve(x)
-        return r.value if r.converged else math.inf
-
 
 def cramer_transform(R: RateFunction, x: float, y: float | None = None) -> CramerResult:
     target = [x] if y is None and R.source.d == 1 else [x, y]

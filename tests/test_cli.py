@@ -39,6 +39,16 @@ class TestDispatch:
         assert rc == 0
         assert json.loads(out)["value"] == pytest.approx(float("inf"))
 
+    def test_rate_eval_diverged_argmax_is_numeric_failure(self, capsys):
+        # (0, 0) lies on the edge of the Gaussian's domain: a finite value
+        # with a diverged argmax is a numeric failure, not an infinite rate
+        rc, out, _ = run(capsys, "rate", "eval", "--preset", "gaussian",
+                         "--x", "0", "--y", "0")
+        assert rc == 3
+        doc = json.loads(out)
+        assert not doc["converged"]
+        assert doc["message"] == "argmax diverged; outside admissible domain"
+
     def test_rate_eval_table_beyond_envelope_exponent(self, tmp_path, capsys):
         # triangle f = 1 - |z|: y = 0.2 > 1/6 needs v > 0.5, the envelope's
         # exponent, which the compact support does not cap

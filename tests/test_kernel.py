@@ -28,11 +28,16 @@ def pair_density(mu, s):
     return f2
 
 
+def split_rule(c, k=6):
+    """Gauss nodes and weights on [-c, c], ``k`` per half, split at 0."""
+    gx, gw = np.polynomial.legendre.leggauss(k)
+    nodes = np.concatenate([(gx - 1) * c / 2, (gx + 1) * c / 2])
+    return nodes, np.concatenate([gw * c / 2, gw * c / 2])
+
+
 def box_rule(c):
     """The 12 x 12 Gauss nodes and weights of the d = 2 kernel box."""
-    gx, gw = np.polynomial.legendre.leggauss(6)
-    nodes = np.concatenate([(gx - 1) * c / 2, (gx + 1) * c / 2])
-    wts = np.concatenate([gw * c / 2, gw * c / 2])
+    nodes, wts = split_rule(c)
     U, V = np.meshgrid(nodes, nodes, indexing="ij")
     return U.ravel(), V.ravel(), np.outer(wts, wts).ravel()
 
@@ -158,6 +163,28 @@ class TestTheorem3:
             if prev is not None:
                 assert worst <= prev + 1e-12
             prev = worst
+
+    @pytest.mark.parametrize("n, x", [(10**4, 0.4), (3000, 0.7)])
+    def test_d1_ratio_where_phi_underflows(self, n, x):
+        # e^{-nJ} is 0 (nJ = 800) or denormal (nJ = 735), but the tilted
+        # estimate cancels it, so the ratio stays finite and near 1; 4 and
+        # 10 nodes per half, by a rule built here, agree with the 6 nodes
+        g = measure.gaussian()
+        R = RateFunction(LogLaplace(g, lift="line"))
+        s = SmoothedDensity(base=g, n=n, d=1)
+        row = theorem3_comparison(s, R, [[x]])[0]
+        assert math.isfinite(row["ratio"])
+        assert abs(row["ratio"] - 1) < 1e-6
+        r = R.solve([x])
+        theta = float(r.argmax[0])
+        pref = math.sqrt(float(np.atleast_2d(r.hess)[0, 0]) / (2 * math.pi * n))
+        # tilted by theta, N(0, 1) is N(theta, 1), so the sum is N(n theta, n)
+        f = stats.norm(n * theta, math.sqrt(n)).pdf
+        for k in (4, 10):
+            t, w = split_rule(s.c, k)
+            ratio = np.sum(w * TriangularKernel(s.c, 1)(t) * np.exp(-theta * t)
+                           * f(n * x + t)) / pref
+            assert ratio == pytest.approx(row["ratio"], rel=1e-12, abs=0)
 
     def test_d2_gaussian_point(self):
         g = measure.gaussian()

@@ -272,6 +272,16 @@ class TestCramerTransform:
         assert not r.converged
         assert "outside admissible domain" in r.message
 
+    def test_diverged_argmax_stop(self, gauss_rate):
+        # (0, 0) lies on the edge y = x^2 of the Gaussian's domain: the
+        # gradient meets its tolerance only as the tilt v runs off to -inf
+        r = gauss_rate.solve_many([[0.0, 0.0]])[0]
+        assert not r.converged and not r.degenerate
+        assert r.message == "argmax diverged; outside admissible domain"
+        assert r.iterations == 35
+        assert r.hess is None
+        assert np.linalg.norm(r.argmax) > 1e8
+
     def test_rademacher_degenerate(self):
         R = RateFunction(LogLaplace(measure.rademacher()))
         r = cramer_transform(R, 0.0, 1.0)
