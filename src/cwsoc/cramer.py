@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import GaussianDensity, Measure1D, moments
+from .measure import GaussianDensity, Measure1D
 from .quadrature import adaptive_gauss_legendre
 
 
@@ -28,7 +28,7 @@ class CharEvaluator:
     base: Measure1D
 
     def __post_init__(self):
-        self.base.validate()
+        self._moments = self.base.validate()
         # the positive atom locations and their masses
         self._z, self._p = np.array(
             self.base.mirror_magnitudes()).reshape(-1, 2).T
@@ -59,7 +59,7 @@ class CharEvaluator:
             R = self.base.density.support_radius
             abs_moment += float(adaptive_gauss_legendre(
                 lambda z: np.abs(z) * f(z), -R, R, tol=1e-10))
-        return abs_moment + moments(self.base).sigma2
+        return abs_moment + self._moments.sigma2
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
@@ -104,6 +104,17 @@ class CramerReport:
             assert self.witness is not None
         if self.verdict == "pass":
             assert self.sup_bound is not None and self.sup_bound < 1
+
+
+def verdict_rule(base: Measure1D) -> str:
+    """The (C) policy, read by ``check_condition`` and ``limitlaw``: ``fail``
+    for a purely atomic base (``M`` almost periodic), ``pass`` for a Gaussian
+    density component (a radius-uniform mixture bound), else ``inconclusive``
+    (a table or callable density, which no bound certifies yet)."""
+    if base.ac_mass <= 0:
+        return "fail"
+    return "pass" if isinstance(base.density, GaussianDensity) else (
+        "inconclusive")
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +198,12 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
                     grid_step: float = 0.05) -> CramerReport:
     """Decide (C) on the annulus ``|(s, t)| >= alpha``.
 
-    Order of resolution: a purely atomic base fails before any scan, at the
-    near-return of ``_near_return``.  Any other base is scanned on the
-    quadrant ``s, t >= 0`` (see ``_quadrant``) for ``sup_estimate``, with
-    ``details`` recording the grid's Lipschitz pad, radius and cell count
-    (``grid_cells``) and the cells evaluated (``scanned_cells``).
+    Order of resolution (``verdict_rule``): a purely atomic base fails
+    before any scan, at the near-return of ``_near_return``.  Any other base
+    is scanned on the quadrant ``s, t >= 0`` (see ``_quadrant``) for
+    ``sup_estimate``, with ``details`` recording the grid's Lipschitz pad,
+    radius and cell count (``grid_cells``) and the cells evaluated
+    (``scanned_cells``).
 
     The scan first evaluates the grid's two axes; their largest ``|M|`` in
     the annulus, ``lo``, is a floor for the grid's max.  Since ``|M| <=
@@ -210,7 +222,8 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
     """
     if alpha <= 0 or radius <= alpha:
         raise ValueError("need 0 < alpha < radius")
-    if e.base.ac_mass <= 0:
+    rule = verdict_rule(e.base)
+    if rule == "fail":
         return _near_return(e, alpha)
     grid = _quadrant(radius, grid_step)
     on_axes = grid * grid + grid[0] * grid[0] >= alpha * alpha
@@ -229,7 +242,7 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
     details = {"grid_pad": pad, "grid_radius": radius,
                "grid_cells": grid.size ** 2, "scanned_cells": vals.size}
     sup_bound, verdict = None, "inconclusive"
-    if isinstance(e.base.density, GaussianDensity):
+    if rule == "pass":
         details["mixture"] = mixture_bound(e, alpha)
         sup_bound = details["mixture"]["bound"]
         verdict = "pass" if sup_bound < 1 else "inconclusive"

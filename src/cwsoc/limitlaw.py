@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincinv
 
-from .measure import GaussianDensity, moments
+from .cramer import verdict_rule
+from .measure import moments
 from .model import EmpiricalBatch, TiltedModel, rescaled_statistic
 
 
@@ -102,16 +103,13 @@ class VerificationReport:
             assert 0.0 <= self.ks_distance <= 1.0
 
 
+_FLAGS = {"pass": "yes", "fail": "no", "inconclusive": "inconclusive"}
+
+
 def _cramer_flag(m: TiltedModel) -> str:
-    """The (C) flag by the rule of ``cramer.check_condition``: no for a
-    purely atomic base, whose characteristic function is almost periodic;
-    yes for a Gaussian density component, whose mixture bound is below 1 at
-    every radius; inconclusive for any other density (a table, a callable),
-    which no bound certifies yet."""
-    if m.rho.ac_mass <= 0:
-        return "no"
-    return "yes" if isinstance(m.rho.density, GaussianDensity) else (
-        "inconclusive")
+    """The (C) flag of ``cramer.verdict_rule`` on the base: ``yes`` for
+    ``pass``, ``no`` for ``fail``, ``inconclusive`` otherwise."""
+    return _FLAGS[verdict_rule(m.rho)]
 
 
 def _batch_ess(batch: EmpiricalBatch) -> float:

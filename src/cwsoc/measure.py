@@ -66,30 +66,31 @@ class DensityComponent:
             filled += len(z)
         return out
 
-    def tilted_moments(self, u, v, shift, kmax: int) -> np.ndarray:
-        """``integral over [-R, R] of z^k exp(u z + v z^2 - shift) f(z) dz``
-        for ``k = 0..kmax`` (``R = support_radius``), by adaptive quadrature
-        to 1e-12, tilt by tilt.  The tolerance is absolute, so ``shift``
-        must be near the exponent's maximum on ``[-R, R]``, as ``LogLaplace``
-        passes it.
+    def tilted_moments(self, u, v, kmax: int) -> tuple:
+        """``(c, m)`` with ``m[p, k] = integral over [-R, R] of z^k exp(u_p z
+        + v_p z^2 - c_p) f(z) dz`` for ``k = 0..kmax`` (``R =
+        support_radius``), over the 1-D float arrays ``u`` and ``v``.
 
-        Elementwise over the broadcast 1-D arrays ``u``, ``v`` and ``shift``:
-        row ``p`` of the ``(P, kmax + 1)`` result belongs to the ``p``-th
-        tilt; scalar inputs give one row as a 1-D array.
+        The log scale ``c`` is the exponent's maximum on ``[-R, R]``, so the
+        integrand never exceeds the pdf and the absolute tolerance 1e-12 of
+        the adaptive quadrature, run tilt by tilt, is one relative to
+        ``e^c``.
         """
-        scalar = all(np.ndim(a) == 0 for a in (u, v, shift))
-        u, v, shift = np.broadcast_arrays(*np.atleast_1d(u, v, shift))
         R = self.support_radius
+        c = np.abs(u) * R + v * R * R
+        # an interior maximum of a concave exponent, at z = -u / (2 v)
+        inner = (v < 0) & (np.abs(u) < 2 * np.abs(v) * R)
+        c[inner] = np.maximum(c[inner], -u[inner] ** 2 / (4 * v[inner]))
         powers = np.arange(kmax + 1)
-        out = np.empty(u.shape + (kmax + 1,))
-        for p, (up, vp, cp) in enumerate(zip(u, v, shift)):
+        m = np.empty(u.shape + (kmax + 1,))
+        for p, (up, vp, cp) in enumerate(zip(u, v, c)):
             def integrand(z):
                 w = np.exp(up * z + vp * z * z - cp) * self.pdf(z)
                 return w[:, None] * z[:, None] ** powers
 
-            out[p] = adaptive_gauss_legendre(
+            m[p] = adaptive_gauss_legendre(
                 integrand, -R, R, tol=1e-12, initial_panels=8)
-        return out[0] if scalar else out
+        return c, m
 
     @property
     def tilt_cap(self) -> float:
@@ -221,8 +222,9 @@ class GaussianDensity(DensityComponent):
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=count)
 
-    def tilted_moments(self, u, v, shift, kmax: int) -> np.ndarray:
-        """``DensityComponent.tilted_moments`` in closed form.
+    def tilted_moments(self, u, v, kmax: int) -> tuple:
+        """``DensityComponent.tilted_moments`` in closed form, on the log
+        scale of the tilted normal's mass on the window.
 
         The tilted law is ``N(mu, s^2)`` with ``s^2 = sigma^2 / (1 - 2 v
         sigma^2)`` and ``mu = u s^2``, so each integral is the normal mass
@@ -233,12 +235,9 @@ class GaussianDensity(DensityComponent):
         each boundary term as ``exp(log phi - log P)``.  Farther out that
         recursion cancels, so the moments of the distance to the near end
         come from Laplace's continued fraction for the half line, corrected
-        for the far end with ``erfcx``.  Every quantity before the final
-        scale is O(1), so no tilt in the domain overflows or underflows.
+        for the far end with ``erfcx``.  Every quantity but the scale is
+        O(1), so no tilt in the domain overflows or underflows.
         """
-        scalar = all(np.ndim(a) == 0 for a in (u, v, shift))
-        u, v, shift = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (u, v, shift)))
         q = 1.0 - 2.0 * v * self.sigma**2
         if not np.all(q > 0):
             raise MeasureError("tilt outside the finiteness domain")
@@ -285,10 +284,9 @@ class GaussianDensity(DensityComponent):
             D[far] = (-1.0) ** powers * (
                 near_end - g[:, None] * tail) / (1 - g)[:, None]
         # raw moments of z = z0 + s D, reflected back to the sign of u
-        out = sign[:, None] ** powers * _shifted_moments(
+        m = sign[:, None] ** powers * _shifted_moments(
             z0, s[:, None] ** powers * D)
-        out *= (self.mass * s / self.sigma * np.exp(log_scale - shift))[:, None]
-        return out[0] if scalar else out
+        return log_scale + np.log(self.mass * s / self.sigma), m
 
     def block_sums(self, k: int, size, rng: np.random.Generator) -> tuple:
         """``(sum Z, sum Z^2)`` of ``k`` i.i.d. draws, ``size`` times over.
@@ -457,8 +455,30 @@ class Measure1D:
                     f"atom at {z} lacks a mirror atom of equal mass")
         return tuple(sorted((z, m) for z, m in self.atoms if z > 0))
 
-    def validate(self) -> None:
-        """Check the structural invariants; raise MeasureError on failure."""
+    def tilted_moments(self, u, v, kmax: int) -> tuple:
+        """``(c, m)`` with ``m[p, k] = E[z^k exp(u_p z + v_p z^2 - c_p)]``,
+        ``k = 0..kmax``, over the 1-D float arrays ``u`` and ``v`` (every
+        tilt in the domain).  The atoms are summed exactly on the log scale
+        of their largest exponent, the density returns its part on a scale
+        of its own, and ``c`` is the larger of the two, so neither overflows.
+        """
+        z, mass = np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        expo = np.outer(u, z) + np.outer(v, z * z)
+        c = expo.max(axis=1, initial=-np.inf)
+        if self.density is not None:
+            cd, md = self.density.tilted_moments(u, v, kmax)
+            c = np.maximum(c, cd)
+        c = np.where(np.isfinite(c), c, 0.0)
+        m = (mass * np.exp(expo - c[:, None])) @ (
+            z[:, None] ** np.arange(kmax + 1))
+        if self.density is not None:
+            m += md * np.exp(cd - c)[:, None]
+        return c, m
+
+    def validate(self) -> MomentSummary:
+        """Check the structural invariants and return the second and fourth
+        moments, from one pass of ``tilted_moments`` at zero tilt; raise
+        MeasureError on failure."""
         locs = [z for z, _ in self.atoms]
         if len(set(locs)) != len(locs):
             raise MeasureError("atom locations must be distinct")
@@ -487,12 +507,18 @@ class Measure1D:
                 raise MeasureError("density is not symmetric on the test grid")
             if np.any(fp > A * np.exp(-v * grid**2) + 1e-10):
                 raise MeasureError("density exceeds its Gaussian envelope")
-            mass = float(self.density.tilted_moments(0, 0, 0, 0)[0])
+        c, m = self.tilted_moments(np.zeros(1), np.zeros(1), 4)
+        m = m[0] * math.exp(c[0])
+        if self.density is not None:
+            mass = float(m[0]) - self.discrete_mass
             if abs(mass - a) > 1e-9 + 2 * self.density.tail_bound:
                 raise MeasureError(
                     f"density mass {mass:.3e} inconsistent with 1 - b = {a:.3e}"
                 )
-        moments(self, _validated=True)  # raises on zero variance
+        if m[2] <= 0:
+            raise MeasureError("degenerate measure: variance is zero")
+        return MomentSummary(sigma2=float(m[2]), mu4=float(m[4]),
+                             mass_at_zero=self.mass_at_zero)
 
     def to_json(self) -> str:
         doc: dict = {"atoms": [[z, m] for z, m in self.atoms]}
@@ -545,20 +571,10 @@ def rho_zero() -> Measure1D:
 # ---------------------------------------------------------------------------
 # operations
 
-def moments(m: Measure1D, _validated: bool = False) -> MomentSummary:
-    """Second and fourth moments: exact atom sums plus the density's
-    ``tilted_moments`` at zero tilt."""
-    if not _validated:
-        m.validate()
-    s2 = sum(mass * z * z for z, mass in m.atoms)
-    m4 = sum(mass * z**4 for z, mass in m.atoms)
-    if m.density is not None:
-        dm = m.density.tilted_moments(0.0, 0.0, 0.0, 4)
-        s2 += float(dm[2])
-        m4 += float(dm[4])
-    if s2 <= 0:
-        raise MeasureError("degenerate measure: variance is zero")
-    return MomentSummary(sigma2=s2, mu4=m4, mass_at_zero=m.mass_at_zero)
+def moments(m: Measure1D) -> MomentSummary:
+    """Second and fourth moments of a valid measure (``Measure1D.validate``
+    raises otherwise)."""
+    return m.validate()
 
 
 def sample(m: Measure1D, count: int, rng: np.random.Generator) -> np.ndarray:

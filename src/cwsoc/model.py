@@ -413,13 +413,12 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
       blocks lose nothing.
 
     ``diagnostics`` holds the acceptance rate of the steps (on the Gaussian
-    path that of the joint move, about 0.38 at n = 1024 where the block
-    move it replaced had 0.54), the integrated autocorrelation time, ESS
-    and split-R-hat of the recorded ``S`` and, under the same names with
-    the suffix ``_T``, of the recorded ``T``, and the schedule.  With fewer than 4 records per chain those six statistics
+    path that of the joint move, about 0.38 at n = 1024), the integrated
+    autocorrelation time, ESS and split-R-hat of the recorded ``S`` and,
+    under the same names with the suffix ``_T``, of the recorded ``T``, and
+    the schedule.  With fewer than 4 records per chain those six statistics
     are NaN.  At ``k = n`` and tiny ``n`` the Gaussian path makes one step
-    per record, and its ESS per record is lower than the block move's
-    (``S`` at n = 8: 0.18 against 0.36), while a step costs half as much.
+    per record, so its ESS per record is low (``S`` at n = 8: 0.18).
     """
     if count < 1:
         raise ModelError("count must be >= 1")

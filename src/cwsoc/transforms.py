@@ -35,7 +35,6 @@ class LogLaplace:
         self.base = base
         self.lift = lift
         self.d = 2 if lift == "pair" else 1
-        self._atoms = np.array(base.atoms, dtype=float).reshape(-1, 2).T
 
     def in_domain(self, theta):
         """Whether ``theta`` lies in the finiteness domain, elementwise over
@@ -46,35 +45,6 @@ class LogLaplace:
             return np.ones(theta.shape[:-1], dtype=bool)
         return theta[..., 1] < self.base.density.tilt_cap
 
-    def _raw_moments(self, theta: np.ndarray, kmax: int):
-        """``(c, m)`` for the rows of ``theta`` (shape ``(P, d)``, every row
-        in the domain): the exponent shift ``c`` (shape ``(P,)``), the exact
-        maximum of ``<theta, psi(z)>`` over the effective support, and the
-        raw moments ``m[p, k] = E[z^k exp(<theta_p, psi(z)> - c_p)]``,
-        ``k = 0..kmax``.
-
-        Atoms are summed exactly from one ``(P, A)`` exponent matrix, and
-        the density contributes its own ``tilted_moments``.
-        """
-        u = theta[:, 0]
-        v = theta[:, 1] if self.lift == "pair" else np.zeros_like(u)
-        z, mass = self._atoms
-        expo = np.outer(u, z) + np.outer(v, z * z)
-        c = expo.max(axis=1, initial=-np.inf)
-        d = self.base.density
-        if d is not None:
-            R = d.support_radius
-            c = np.maximum(c, np.abs(u) * R + v * R * R)
-            # an interior maximum of a concave exponent, at z = -u / (2 v)
-            inner = (v < 0) & (np.abs(u) < 2 * np.abs(v) * R)
-            c[inner] = np.maximum(c[inner], -u[inner] ** 2 / (4 * v[inner]))
-        c = np.where(np.isfinite(c), c, 0.0)
-        m = (mass * np.exp(expo - c[:, None])) @ (
-            z[:, None] ** np.arange(kmax + 1))
-        if d is not None:
-            m += d.tilted_moments(u, v, c, kmax)
-        return c, m
-
     def _log_moments(self, theta: np.ndarray, kmax: int):
         """``(L, mom)`` for the rows of ``theta`` (shape ``(P, d)``):
         ``L(theta_p)`` and the tilted moments ``E_p[z^k]``, ``k = 0..kmax``.
@@ -84,7 +54,9 @@ class LogLaplace:
         mom = np.full((len(theta), kmax + 1), math.nan)
         rows = np.flatnonzero(self.in_domain(theta))
         if rows.size:
-            c, m = self._raw_moments(theta[rows], kmax)
+            u = theta[rows, 0]
+            v = theta[rows, 1] if self.lift == "pair" else np.zeros_like(u)
+            c, m = self.base.tilted_moments(u, v, kmax)
             pos = m[:, 0] > 0
             rows, c, m = rows[pos], c[pos], m[pos]
             value[rows] = c + np.log(m[:, 0])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cwsoc import cramer, measure
 from cwsoc.cramer import (CharEvaluator, _quadrant, _refine_local,
                           check_condition, mixture_bound)
-from cwsoc.limitlaw import verify_lln
+from cwsoc.limitlaw import _cramer_flag, verify_lln
 from cwsoc.model import TiltedModel, enumerate_exact, quadratic
 
 
@@ -280,6 +280,22 @@ class TestEnvelopeScan:
             assert r.details["scanned_cells"] == r.details["grid_cells"]
             assert r.details["grid_cells"] == 101 * 101
 
+    def test_table_base_validated_once(self, monkeypatch):
+        # the evaluator keeps the moments its validation returns, so the
+        # Lipschitz bound of the scan does not validate the base again
+        calls = []
+        validate = measure.Measure1D.validate
+
+        def counted(self):
+            calls.append(1)
+            return validate(self)
+
+        monkeypatch.setattr(measure.Measure1D, "validate", counted)
+        table = measure.Measure1D(
+            density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))
+        check_condition(CharEvaluator(table), 0.5, radius=5.0)
+        assert len(calls) == 1
+
     def test_lipschitz_quadrature_runs_once(self, monkeypatch):
         calls = []
 
@@ -401,6 +417,22 @@ class TestCheckCondition:
         r = check_condition(CharEvaluator(base), 0.5, radius=5.0)
         assert r.verdict == "fail"
         assert r.details["grid_cells"] == 0
+
+    @pytest.mark.parametrize("base", [
+        measure.rademacher(), measure.three_point(), measure.gaussian(),
+        measure.rho_zero(),
+        measure.Measure1D(density=measure.TableDensity([-1, 0, 1], [0, 1, 0])),
+        measure.Measure1D(density=measure.DensityComponent(
+            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0,
+            (0.41, 0.5)))],
+        ids=["rademacher", "three-point", "gaussian", "rho0", "triangle",
+             "callable-normal"])
+    def test_report_flag_matches_verdict(self, base):
+        # limitlaw's flag and check_condition read one rule
+        verdict = check_condition(CharEvaluator(base), 0.5, radius=5.0).verdict
+        flag = _cramer_flag(TiltedModel(rho=base, g=quadratic(), n=12))
+        assert flag == {"pass": "yes", "fail": "no",
+                        "inconclusive": "inconclusive"}[verdict]
 
     def test_atomic_base_flag_no(self):
         m = TiltedModel(rho=QUARTIC_ROOT_NO_ZERO, g=quadratic(), n=12)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,61 @@ class TestMoments:
         m = Measure1D(atoms=((0.0, 1.0),))
         with pytest.raises(MeasureError):
             moments(m)
+
+
+def _parts_by_hand(m, u, v, kmax):
+    # the atom sum on its own scale and the density's (c, m), combined on
+    # the larger scale
+    z, mass = np.array(m.atoms).T
+    expo = np.outer(u, z) + np.outer(v, z * z)
+    ca = expo.max(axis=1)
+    ma = (mass * np.exp(expo - ca[:, None])) @ (
+        z[:, None] ** np.arange(kmax + 1))
+    cd, md = m.density.tilted_moments(u, v, kmax)
+    c = np.maximum(ca, cd)
+    return ca, cd, c, (ma * np.exp(ca - c)[:, None]
+                       + md * np.exp(cd - c)[:, None])
+
+
+class TestTiltedMoments:
+    """``Measure1D.tilted_moments``: the atoms and the density, each on the
+    log scale it picks."""
+
+    def test_validate_returns_the_moments(self):
+        for m in (measure.gaussian(), measure.rho_zero(),
+                  measure.three_point()):
+            assert m.validate() == moments(m)
+
+    @pytest.mark.parametrize("base,u,v", [
+        # rho0's density dominates its atoms by more than e^700
+        (measure.rho_zero(), np.array([80.0, -80.0]), np.array([0.49, 0.49])),
+        # rho0's atoms lie inside its window, where the density is never
+        # e^700 below them; with sigma = 0.05 the window is [-0.5, 0.5] and
+        # the atoms at +-1 dominate by more than e^700
+        (measure.gaussian(sigma=0.05, mass=0.125,
+                          atoms=measure.rho_zero().atoms),
+         np.array([1500.0, -1500.0]), np.array([0.0, -1.0]))],
+        ids=["density-dominates", "atoms-dominate"])
+    def test_parts_far_apart(self, base, u, v):
+        c, m = base.tilted_moments(u, v, 4)
+        ca, cd, c_want, m_want = _parts_by_hand(base, u, v, 4)
+        assert np.all(np.abs(ca - cd) > 700)
+        assert np.all(c > 709)  # exp(c) alone would overflow
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(m))
+        np.testing.assert_array_equal(c, c_want)
+        np.testing.assert_allclose(m, m_want, rtol=1e-15)
+
+    @pytest.mark.parametrize("u", [40.0, -40.0, 300.0])
+    def test_triangle_strong_tilt(self, u):
+        # int e^{uz} (1 - |z|) dz = 2 (cosh u - 1) / u^2 = (2 sinh(u/2) / u)^2
+        tri = Measure1D(density=TableDensity([-1, 0, 1], [0, 1, 0]))
+        a = abs(u)
+        want = a + 2 * math.log1p(-math.exp(-a)) - 2 * math.log(a)
+        start = time.perf_counter()
+        c, m = tri.tilted_moments(np.array([u]), np.zeros(1), 2)
+        assert time.perf_counter() - start < 1.0
+        assert c[0] + math.log(m[0, 0]) == pytest.approx(want, rel=0,
+                                                         abs=1e-12)
 
 
 class TestValidation:

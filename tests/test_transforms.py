@@ -200,27 +200,24 @@ class TestGaussianClosedForm:
 
     def test_outside_domain_raises(self):
         with pytest.raises(measure.MeasureError):
-            measure.gaussian().density.tilted_moments(0.0, 0.5, 0.0, 2)
+            measure.gaussian().density.tilted_moments(
+                np.zeros(1), np.array([0.5]), 2)
 
     @pytest.mark.parametrize("d", [measure.gaussian().density, TRIANGLE],
                              ids=["gaussian", "table"])
     def test_batch_matches_scalar_calls(self, d):
-        # the shape contract every density kind shares; for the Gaussian the
-        # tilts fall on both sides of the near-mode / continued-fraction
-        # switch.  The shifts sit near the exponent's maximum over the
-        # support, as LogLaplace passes them, which keeps every quadrature
-        # integrand O(1)
+        # the shape contract every density kind shares: a batch of tilts
+        # gives the rows of one-tilt calls; for the Gaussian the tilts fall
+        # on both sides of the near-mode / continued-fraction switch
         u = np.array([0.0, -3.0, 5.0, 40.0, -40.0, 12.0, 0.2, 9.0])
         v = np.array([0.0, 0.2, -4.0, 0.0, 0.49, -20.0, 0.499, 0.45])
-        R = d.support_radius
-        shift = np.linspace(-1.0, 3.0, len(u)) + np.abs(u) * R + np.maximum(
-            v, 0.0) * R * R
-        batch = d.tilted_moments(u, v, shift, 4)
-        assert batch.shape == (len(u), 5)
-        for row, args in zip(batch, zip(u, v, shift)):
-            one = d.tilted_moments(*args, 4)
-            assert one.shape == (5,)
-            np.testing.assert_allclose(row, one, rtol=1e-13)
+        c, m = d.tilted_moments(u, v, 4)
+        assert c.shape == (len(u),) and m.shape == (len(u), 5)
+        for p in range(len(u)):
+            cp, mp = d.tilted_moments(u[p:p + 1], v[p:p + 1], 4)
+            assert mp.shape == (1, 5)
+            np.testing.assert_allclose(cp, c[p:p + 1], rtol=1e-15)
+            np.testing.assert_allclose(mp, m[p:p + 1], rtol=1e-13)
 
 
 class TestCramerTransform:
