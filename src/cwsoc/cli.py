@@ -45,7 +45,8 @@ def _require(ok: bool, message: str) -> None:
         raise CliError(message)
 
 
-def _load_measure(args) -> measure.Measure1D:
+def _load_measure(args) -> tuple:
+    """The named base measure and the ``MomentSummary`` of its validation."""
     if getattr(args, "preset", None):
         m = _PRESETS[args.preset]()
     elif getattr(args, "spec", None):
@@ -56,8 +57,7 @@ def _load_measure(args) -> measure.Measure1D:
             raise CliError(f"measure spec {path}: {exc}")
     else:
         raise CliError("one of --preset or --spec is required")
-    m.validate()
-    return m
+    return m, m.validate()
 
 
 def _interaction(args) -> model.Interaction:
@@ -113,8 +113,7 @@ def write_manifest(out_dir, config: dict) -> Path:
 # subcommands
 
 def _cmd_measure_info(args) -> int:
-    m = _load_measure(args)
-    ms = measure.moments(m)
+    m, ms = _load_measure(args)
     payload = {
         "atoms": [list(a) for a in m.atoms],
         "ac_mass": m.ac_mass,
@@ -130,7 +129,7 @@ def _cmd_cramer_check(args) -> int:
     _require(0 < args.alpha < args.radius < math.inf,
              "need 0 < --alpha < --radius < inf")
     _require(0 < args.step < math.inf, "--step must be positive and finite")
-    m = _load_measure(args)
+    m, _ = _load_measure(args)
     t0 = time.perf_counter()
     report = cramer.check_condition(
         cramer.CharEvaluator(m), alpha=args.alpha, radius=args.radius,
@@ -152,7 +151,8 @@ def _cmd_cramer_check(args) -> int:
 
 
 def _rate_solver(args):
-    return transforms.RateFunction(transforms.LogLaplace(_load_measure(args)))
+    m, _ = _load_measure(args)
+    return transforms.RateFunction(transforms.LogLaplace(m))
 
 
 def _cmd_rate_eval(args) -> int:
@@ -209,7 +209,7 @@ def _cmd_kernel_verify(args) -> int:
         raise CliError(f"--points: {exc}")
     _require(all(len(p) == args.d for p in points),
              f"each --points entry needs {args.d} comma-separated coordinates")
-    m = _load_measure(args)
+    m, _ = _load_measure(args)
     lift = "line" if args.d == 1 else "pair"
     R = transforms.RateFunction(transforms.LogLaplace(m, lift=lift))
     s = kernel.SmoothedDensity(base=m, n=args.n, c=args.c, d=args.d,
@@ -224,7 +224,7 @@ def _cmd_kernel_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    m = _load_measure(args)
+    m, _ = _load_measure(args)
     tm = model.TiltedModel(rho=m, g=_interaction(args), n=args.n)
     rng = np.random.default_rng(args.seed)
     if args.method == "enumeration":
@@ -290,7 +290,7 @@ def _read_batch(path) -> model.EmpiricalBatch:
 
 def _cmd_verify(args) -> int:
     _require(0 < args.tol < math.inf, "--tol must be positive and finite")
-    m = _load_measure(args)
+    m, _ = _load_measure(args)
     batch = _read_batch(args.batch)
     tm = model.TiltedModel(rho=m, g=_interaction(args), n=batch.n)
     if args.mode == "lln":

@@ -198,12 +198,11 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
                     grid_step: float = 0.05) -> CramerReport:
     """Decide (C) on the annulus ``|(s, t)| >= alpha``.
 
-    Order of resolution (``verdict_rule``): a purely atomic base fails
-    before any scan, at the near-return of ``_near_return``.  Any other base
-    is scanned on the quadrant ``s, t >= 0`` (see ``_quadrant``) for
-    ``sup_estimate``, with ``details`` recording the grid's Lipschitz pad,
-    radius and cell count (``grid_cells``) and the cells evaluated
-    (``scanned_cells``).
+    By ``verdict_rule``: a purely atomic base fails before any scan, at the
+    near-return of ``_near_return``.  Any other base is scanned on the
+    quadrant ``s, t >= 0`` (see ``_quadrant``) for ``sup_estimate``, with
+    ``details`` recording the grid's Lipschitz pad, radius and cell count
+    (``grid_cells``) and the cells evaluated (``scanned_cells``).
 
     The scan first evaluates the grid's two axes; their largest ``|M|`` in
     the annulus, ``lo``, is a floor for the grid's max.  Since ``|M| <=

@@ -103,13 +103,11 @@ class VerificationReport:
             assert 0.0 <= self.ks_distance <= 1.0
 
 
-_FLAGS = {"pass": "yes", "fail": "no", "inconclusive": "inconclusive"}
-
-
 def _cramer_flag(m: TiltedModel) -> str:
     """The (C) flag of ``cramer.verdict_rule`` on the base: ``yes`` for
     ``pass``, ``no`` for ``fail``, ``inconclusive`` otherwise."""
-    return _FLAGS[verdict_rule(m.rho)]
+    flags = {"pass": "yes", "fail": "no"}
+    return flags.get(verdict_rule(m.rho), "inconclusive")
 
 
 def _batch_ess(batch: EmpiricalBatch) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -440,6 +441,10 @@ class Measure1D:
     def mass_at_zero(self) -> float:
         return sum(m for z, m in self.atoms if z == 0.0)
 
+    @cached_property
+    def _atom_arrays(self) -> np.ndarray:  # (2, A): locations, masses
+        return np.array(self.atoms, dtype=float).reshape(-1, 2).T
+
     def mirror_magnitudes(self) -> tuple[tuple[float, float], ...]:
         """``(z, mass)`` for each positive atom location ``z``, ascending.
 
@@ -462,7 +467,7 @@ class Measure1D:
         of their largest exponent, the density returns its part on a scale
         of its own, and ``c`` is the larger of the two, so neither overflows.
         """
-        z, mass = np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        z, mass = self._atom_arrays
         expo = np.outer(u, z) + np.outer(v, z * z)
         c = expo.max(axis=1, initial=-np.inf)
         if self.density is not None:
@@ -476,9 +481,8 @@ class Measure1D:
         return c, m
 
     def validate(self) -> MomentSummary:
-        """Check the structural invariants and return the second and fourth
-        moments, from one pass of ``tilted_moments`` at zero tilt; raise
-        MeasureError on failure."""
+        """Check the structural invariants, raising MeasureError on failure,
+        and return the moments from one zero-tilt ``tilted_moments`` pass."""
         locs = [z for z, _ in self.atoms]
         if len(set(locs)) != len(locs):
             raise MeasureError("atom locations must be distinct")
@@ -572,8 +576,7 @@ def rho_zero() -> Measure1D:
 # operations
 
 def moments(m: Measure1D) -> MomentSummary:
-    """Second and fourth moments of a valid measure (``Measure1D.validate``
-    raises otherwise)."""
+    """The moments of a valid measure, by ``Measure1D.validate``."""
     return m.validate()
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measure import Measure1D, moments
+from .measure import Measure1D
 
 
 class DomainFault(ValueError):
@@ -25,13 +25,14 @@ class LogLaplace:
     """Log-Laplace transform of the law of ``psi(Z)`` for ``Z ~ base``.
 
     ``lift='pair'`` uses ``psi(z) = (z, z^2)`` (dimension 2), ``lift='line'``
-    uses ``psi(z) = z`` (dimension 1).
+    uses ``psi(z) = z`` (dimension 1).  ``moments`` is the base's
+    ``MomentSummary``, from its validation.
     """
 
     def __init__(self, base: Measure1D, lift: str = "pair"):
         if lift not in ("pair", "line"):
             raise ValueError(f"unknown lift {lift!r}")
-        base.validate()
+        self.moments = base.validate()
         self.base = base
         self.lift = lift
         self.d = 2 if lift == "pair" else 1
@@ -288,7 +289,7 @@ def rate_expansion_residual(R: RateFunction, g, x: float, y: float) -> float:
     ``F(x, y)``.  The denominator uses the fourth-moment constant matching the
     variant; at the minimum ``(0, sigma^2)`` the ratio is 1 by convention.
     """
-    ms = moments(R.source.base)
+    ms = R.source.moments
     s2, mu4 = ms.sigma2, ms.mu4
     sig_pow = s2**3 if g.variant == "star" else s2**2
     coeff = mu4 + g.m4 * sig_pow

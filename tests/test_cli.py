@@ -117,6 +117,23 @@ class TestDispatch:
         assert doc["ac_mass"] == pytest.approx(0.125)
         assert doc["mass_at_zero"] == pytest.approx(0.75)
 
+    def test_measure_info_validates_once(self, tmp_path, capsys, monkeypatch):
+        # the loader hands on the moments its validation returns
+        calls = []
+        validate = measure.Measure1D.validate
+
+        def counted(self):
+            calls.append(1)
+            return validate(self)
+
+        monkeypatch.setattr(measure.Measure1D, "validate", counted)
+        spec = tmp_path / "triangle.json"
+        spec.write_text(json.dumps({"atoms": [], "density": {
+            "kind": "table", "x": [-1, 0, 1], "y": [0, 1, 0]}}))
+        rc, out, _ = run(capsys, "measure", "info", "--spec", str(spec))
+        assert rc == 0 and len(calls) == 1
+        assert json.loads(out)["sigma2"] == pytest.approx(1 / 6)
+
     def test_rate_grid(self, tmp_path, capsys):
         out_file = tmp_path / "grid.csv"
         rc, _, _ = run(capsys, "rate", "grid", "--preset", "gaussian",

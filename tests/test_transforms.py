@@ -402,6 +402,20 @@ class TestExpansionResidual:
             r = rate_expansion_residual(gauss_rate, g, x, y)
             assert abs(r - 1.0) < 0.05
 
+    def test_uses_the_kept_moments(self, monkeypatch):
+        # LogLaplace keeps the MomentSummary of its validation, so the
+        # residual does not validate the base again
+        R = RateFunction(LogLaplace(measure.Measure1D(
+            density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))))
+
+        def refuse(self):
+            raise AssertionError("validated again")
+
+        monkeypatch.setattr(measure.Measure1D, "validate", refuse)
+        assert rate_expansion_residual(R, quadratic(), 0.0, 1 / 6) == 1.0
+        assert np.isfinite(rate_expansion_residual(R, quadratic(), 0.02,
+                                                   0.17))
+
     def test_quartic_corrected(self, gauss_rate):
         g = quartic(1.0)
         r = rate_expansion_residual(gauss_rate, g, 0.04, 1.0)
