@@ -17,7 +17,6 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, cramer, kernel, limitlaw, measure, model, transforms
 
@@ -77,11 +76,22 @@ def _quote(text: str) -> str:
     return f'"{text}"' if "," in text else text
 
 
+def _cell_text(c: np.ndarray) -> list:
+    """The CSV cells of the 1-D array ``c``: numbers as ``repr``, text
+    quoted when it holds a comma.  Each distinct value is formatted once;
+    floats are told apart by their bits, so ``0.0`` and ``-0.0``, and each
+    NaN, keep their own text."""
+    keys = c.view(f"u{c.itemsize}") if c.dtype.kind == "f" else c
+    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+    fmt = _quote if c.dtype.kind == "U" else repr
+    text = np.array([fmt(v) for v in c[first].tolist()], dtype=object)
+    return text[where].tolist()
+
+
 def _write_csv(path, header, columns) -> None:
-    """Write equal-length ``columns`` under ``header`` as CSV rows: numbers
-    as ``repr``, text quoted when it holds a comma, CRLF line ends."""
-    cells = [map(_quote if c.dtype.kind == "U" else repr, c.tolist())
-             for c in map(np.asarray, columns)]
+    """Write equal-length ``columns`` under ``header`` as CSV rows, cells by
+    ``_cell_text``, CRLF line ends."""
+    cells = [_cell_text(c) for c in map(np.asarray, columns)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
@@ -89,6 +99,8 @@ def _write_csv(path, header, columns) -> None:
 
 def write_manifest(out_dir, config: dict) -> Path:
     """Record config, versions and sha256 digests of every artifact."""
+    import scipy  # only for its version; kept off the import path
+
     out_dir = Path(out_dir)
     digests = {}
     for p in sorted(out_dir.iterdir()):

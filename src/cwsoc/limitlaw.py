@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma, gammainc, gammaincinv
 
 from .cramer import verdict_rule
 from .measure import moments
@@ -27,17 +26,21 @@ class QuarticLaw:
     """Fixed law with density (4/3)^{1/4} Gamma(1/4)^{-1} exp(-s^4/12)."""
 
     def __init__(self):
-        self.norm = (4.0 / 3.0) ** 0.25 / gamma(0.25)
+        self.norm = (4.0 / 3.0) ** 0.25 / math.gamma(0.25)
 
     def pdf(self, s):
         s = np.asarray(s, dtype=float)
         return self.norm * np.exp(-s**4 / 12)
 
     def cdf(self, s):
+        from scipy.special import gammainc  # kept off the import path
+
         s = np.asarray(s, dtype=float)
         return 0.5 * (1 + np.sign(s) * gammainc(0.25, s**4 / 12))
 
     def ppf(self, q):
+        from scipy.special import gammaincinv  # kept off the import path
+
         q = np.asarray(q, dtype=float)
         if np.any((q <= 0) | (q >= 1)):
             raise LimitLawError("quantile level must lie in (0, 1)")
@@ -48,7 +51,7 @@ class QuarticLaw:
             return 0.0
         if k < 0:
             raise LimitLawError("moment order must be nonnegative")
-        return 12 ** (k / 4) * gamma((k + 1) / 4) / gamma(0.25)
+        return 12 ** (k / 4) * math.gamma((k + 1) / 4) / math.gamma(0.25)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self.ppf(rng.random(count))

@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import comb, erfcx, log_ndtr
 
 from .quadrature import adaptive_gauss_legendre, gaussian_tail_bound
 
@@ -185,8 +184,10 @@ def _half_line_moments(c: np.ndarray, kmax: int) -> np.ndarray:
 def _shifted_moments(x0: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``E[(x0 + Y)^k]``, ``k = 0..K-1``, from the rows ``m[p, i] =
     E[Y^i]``: the binomial sums ``sum_i C(k, i) x0^(k-i) m_i``, row by row."""
-    k = np.arange(m.shape[1])
-    binom = comb(k[:, None], k[None, :])  # 0 above the diagonal
+    K = m.shape[1]
+    k = np.arange(K)
+    binom = np.array([[math.comb(a, b) for b in range(K)] for a in range(K)],
+                     dtype=float)  # 0 above the diagonal
     lag = np.maximum(k[:, None] - k[None, :], 0)  # k - i where C(k, i) > 0
     return np.einsum("ki,pki,pi->pk", binom, x0[:, None, None] ** lag, m)
 
@@ -239,6 +240,9 @@ class GaussianDensity(DensityComponent):
         for the far end with ``erfcx``.  Every quantity but the scale is
         O(1), so no tilt in the domain overflows or underflows.
         """
+        # imported here so that a purely atomic base never loads scipy.special
+        from scipy.special import erfcx, log_ndtr
+
         q = 1.0 - 2.0 * v * self.sigma**2
         if not np.all(q > 0):
             raise MeasureError("tilt outside the finiteness domain")
@@ -482,7 +486,13 @@ class Measure1D:
 
     def validate(self) -> MomentSummary:
         """Check the structural invariants, raising MeasureError on failure,
-        and return the moments from one zero-tilt ``tilted_moments`` pass."""
+        and return the moments from one zero-tilt ``tilted_moments`` pass.
+        The first pass that succeeds is kept: later calls return its
+        summary."""
+        return self._summary
+
+    @cached_property
+    def _summary(self) -> MomentSummary:  # Measure1D.validate, run once
         locs = [z for z, _ in self.atoms]
         if len(set(locs)) != len(locs):
             raise MeasureError("atom locations must be distinct")

@@ -14,7 +14,6 @@ from operator import add
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .measure import (GaussianDensity, Measure1D, MeasureError, moments,
                       sample as sample_measure)
@@ -174,6 +173,11 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _ln_factorials(n: int) -> np.ndarray:
+    """``ln k!`` for ``k = 0..n``."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
 def _class_rows(rho: Measure1D, n: int, budget: int):
     """Multinomial classes of atom counts under ``rho^{x n}`` with ``T > 0``,
     one row at a time.
@@ -209,7 +213,7 @@ def _class_rows(rho: Measure1D, n: int, budget: int):
     lp = [math.log(pj) for _, pj in mags]
     p0 = rho.mass_at_zero
     lp0 = math.log(p0) if p0 > 0 else -math.inf
-    ln_fact = gammaln(np.arange(n + 1) + 1.0)
+    ln_fact = _ln_factorials(n)
     K = len(z)
     axis = [(-1,) + (1,) * (K - 1 - j) for j in range(K)]  # kp_j on axis j
     for mm in (range(1, n + 1) if p0 > 0 else range(n, n + 1)):
@@ -592,5 +596,15 @@ def varadhan_decay(rho: Measure1D, n: int, x_threshold: float = 0.5,
     for _, S, T, logmult in _class_rows(rho, n, budget):
         mask = np.abs(S / n) >= x_threshold
         if np.any(mask):
-            pieces.append(logsumexp(logmult[mask] + S[mask] ** 2 / (2 * T)))
-    return float(logsumexp(pieces)) / n
+            pieces.append(_log_sum_exp(logmult[mask] + S[mask] ** 2 / (2 * T)))
+    return _log_sum_exp(pieces) / n
+
+
+def _log_sum_exp(a) -> float:
+    """``ln sum exp(a)``, summed on the scale of the largest entry; ``-inf``
+    for an empty ``a``."""
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, initial=-np.inf)
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(a - top))))

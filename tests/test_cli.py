@@ -134,6 +134,42 @@ class TestDispatch:
         assert rc == 0 and len(calls) == 1
         assert json.loads(out)["sigma2"] == pytest.approx(1 / 6)
 
+    @pytest.mark.parametrize("command, rc", [
+        (["rate", "eval", "--x", "0.02", "--y", "0.17"], 0),
+        (["rate", "grid", "--x-min", "-0.1", "--x-max", "0.1", "--y-min",
+          "0.1", "--y-max", "0.18", "--nx", "2", "--ny", "2",
+          "--out", "{out}.csv"], 0),
+        (["cramer", "check", "--alpha", "2"], 0),
+        # the smoothed density refuses a table base after the rate solver
+        # is built
+        (["kernel", "verify", "--n", "10", "--points", "0.1",
+          "--out", "{out}.csv"], 3),
+        (["verify", "lln", "--batch", "{batch}", "--out", "{out}.json"], 0)],
+        ids=["rate-eval", "rate-grid", "cramer-check", "kernel-verify",
+             "verify-lln"])
+    def test_one_validation_pass(self, tmp_path, capsys, monkeypatch,
+                                 command, rc):
+        # the loader, the rate solver, the Cramer evaluator and the LLN
+        # check share the measure's one validation pass
+        spec = tmp_path / "triangle.json"
+        spec.write_text(json.dumps({"atoms": [], "density": {
+            "kind": "table", "x": [-1, 0, 1], "y": [0, 1, 0]}}))
+        batch = tmp_path / "batch.csv"
+        batch.write_text("S,T,weight\r\n0.5,1.0,1.0\r\n-0.5,0.5,2.0\r\n")
+        batch.with_suffix(".meta.json").write_text(
+            json.dumps({"method": "importance", "n": 4}))
+        passes = []
+        validate = measure.TableDensity.validate
+
+        def counted(self):
+            passes.append(1)
+            return validate(self)
+
+        monkeypatch.setattr(measure.TableDensity, "validate", counted)
+        argv = [a.format(out=tmp_path / "out", batch=batch) for a in command]
+        got, _, _ = run(capsys, *argv, "--spec", str(spec))
+        assert got == rc and len(passes) == 1
+
     def test_rate_grid(self, tmp_path, capsys):
         out_file = tmp_path / "grid.csv"
         rc, _, _ = run(capsys, "rate", "grid", "--preset", "gaussian",
@@ -382,6 +418,70 @@ class TestEntryPoint:
         assert r.stdout.startswith("usage: cwsoc")
 
 
+# Runs CLI commands in one fresh interpreter and prints, as JSON, which of
+# scipy and scipy.special are loaded after the import and after each command.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from cwsoc import cli
+def scipy_loaded():
+    return [m for m in ("scipy", "scipy.special") if m in sys.modules]
+loaded = [scipy_loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.dispatch(argv)
+    assert rc == 0, (argv, rc)
+    loaded.append(scipy_loaded())
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_loaded(commands) -> list:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                        json.dumps(commands)], capture_output=True, text=True,
+                       env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+class TestImportBoundary:
+    """``scipy.special`` loads only on the Gaussian-component path and for
+    the quartic law's CDF and quantiles, and ``scipy`` itself only for the
+    manifest's version record: a purely atomic base never pays either
+    import."""
+
+    def test_atomic_base_never_loads_scipy_special(self, tmp_path):
+        base = ["--preset", "three-point"]
+        batch = str(tmp_path / "batch.csv")
+        commands = [
+            ["measure", "info", *base],
+            ["rate", "eval", *base, "--x", "0.1", "--y", "0.5"],
+            ["rate", "grid", *base, "--x-min", "-0.2", "--x-max", "0.2",
+             "--y-min", "0.3", "--y-max", "0.7", "--nx", "3", "--ny", "3",
+             "--out", str(tmp_path / "grid.csv")],
+            ["cramer", "check", *base, "--alpha", "0.5"],
+            ["simulate", *base, "--method", "importance", "--n", "20",
+             "--count", "256", "--out", str(tmp_path / "imp.csv")],
+            ["simulate", *base, "--method", "metropolis", "--n", "20",
+             "--count", "256", "--chains", "8",
+             "--out", str(tmp_path / "met.csv")],
+            ["simulate", *base, "--method", "enumeration", "--n", "50",
+             "--out", batch],
+            ["verify", "lln", *base, "--batch", batch,
+             "--out", str(tmp_path / "lln.json")],
+            ["report", "--dir", str(tmp_path)],
+        ]
+        # after the import and every command but the last, then the version
+        # record of `report`
+        assert _scipy_loaded(commands) == [[]] * len(commands) + [["scipy"]]
+
+    def test_gaussian_base_loads_scipy_special(self):
+        assert _scipy_loaded([[
+            "rate", "eval", "--preset", "gaussian", "--x", "0.1",
+            "--y", "1"]]) == [[], ["scipy", "scipy.special"]]
+
+
 class TestSimulateVerify:
     def test_round_trip(self, tmp_path, capsys):
         batch = tmp_path / "batch.csv"
@@ -566,6 +666,64 @@ class TestBatchIO:
             batch = cli._read_batch(path)
         for got, want in ((batch.S, S), (batch.T, T), (batch.weight, w)):
             assert got.tobytes() == want.tobytes()
+
+
+def _write_csv_per_cell(path, header, columns) -> None:
+    """The batch writer formatting every cell on its own: the reference
+    ``cli._write_csv`` must match byte for byte."""
+    cells = [map(cli._quote if c.dtype.kind == "U" else repr, c.tolist())
+             for c in map(np.asarray, columns)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+
+
+class TestCsvWriter:
+    def _same_bytes(self, tmp_path, header, columns):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_csv(got, header, columns)
+        _write_csv_per_cell(want, header, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_enumeration_batch(self, tmp_path):
+        # mirror classes share their weights' bits
+        b = model.enumerate_exact(model.TiltedModel(
+            rho=measure.three_point(), g=model.quadratic(), n=60))
+        assert len(np.unique(b.weight)) < len(b.weight)
+        self._same_bytes(tmp_path, ["S", "T", "weight"],
+                         [b.S, b.T, b.weight])
+
+    def test_metropolis_batch(self, tmp_path):
+        b = model.sample_metropolis(
+            model.TiltedModel(rho=measure.gaussian(), g=model.quadratic(),
+                              n=12), 512, rng=np.random.default_rng(3),
+            chains=8)
+        self._same_bytes(tmp_path, ["S", "T", "weight"],
+                         [b.S, b.T, b.weight])
+
+    def test_rate_grid_columns(self, tmp_path):
+        x = np.repeat(np.linspace(-0.5, 0.5, 5), 3)
+        y = np.tile(np.linspace(0.5, 1.5, 3), 5)
+        value = [math.inf if i % 4 == 0 else float(v)
+                 for i, v in enumerate(x * x / y)]
+        self._same_bytes(tmp_path, ["x", "y", "value", "converged"],
+                         [x, y, value, [int(v < math.inf) for v in value]])
+
+    def test_kernel_rows(self, tmp_path):
+        # a d = 2 point is one text cell holding a comma, so it is quoted
+        rows = [("0.1,1.05", 40, 0.5, 1.25e-3, 2e-5, 1.2e-3, 1.04),
+                ("0.2,1.1", 40, 0.5, 0.0, 0.0, 0.0, 1.0)]
+        self._same_bytes(tmp_path, ["x", "n", "c", "phi", "se",
+                                    "asymptotic", "ratio"], list(zip(*rows)))
+        assert (tmp_path / "got.csv").read_text().splitlines()[1].startswith(
+            '"0.1,1.05",40,')
+
+    def test_signed_zeros_nan_and_inf(self, tmp_path):
+        special = np.array([0.0, -0.0, math.nan, -math.nan, math.inf,
+                            -math.inf, 0.0, -0.0, 1.0, math.nan])
+        self._same_bytes(tmp_path, ["v", "w"], [special, special[::-1]])
+        assert (tmp_path / "got.csv").read_bytes().split(b"\r\n")[1:5] == [
+            b"0.0,nan", b"-0.0,1.0", b"nan,-0.0", b"nan,0.0"]
 
 
 class TestManifest:

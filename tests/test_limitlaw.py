@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gamma
 
 from cwsoc import measure
 from cwsoc.limitlaw import (
@@ -42,6 +43,14 @@ class TestQuarticLaw:
         assert law.moment(4) == pytest.approx(3.0, abs=1e-12)
         assert law.moment(8) == pytest.approx(45.0, abs=1e-10)
         assert law.moment(3) == 0.0
+
+    def test_moments_match_scipy_gamma(self, law):
+        for k in range(13):
+            want = 0.0 if k % 2 else (
+                12 ** (k / 4) * gamma((k + 1) / 4) / gamma(0.25))
+            assert law.moment(k) == pytest.approx(want, rel=1e-15, abs=0)
+        assert law.norm == pytest.approx((4 / 3) ** 0.25 / gamma(0.25),
+                                         rel=1e-15, abs=0)
 
     def test_moments_quadrature(self, law):
         for k in (2, 4, 6):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from cwsoc import measure, model
 from cwsoc.measure import moments
@@ -537,3 +537,30 @@ class TestVaradhanDecay:
         gaps = [c - (n * (v[n] - L) + math.log(n) / 2) for n in ns]
         assert all(0.45 < b / a < 0.6 for a, b in zip(gaps, gaps[1:]))
         assert 0 < gaps[-1] < 0.01
+
+    def test_matches_logsumexp_reference(self):
+        # the max-shifted sums agree with scipy's logsumexp over the same rows
+        five = measure.Measure1D(atoms=((-2.0, 0.1), (-1.0, 0.15), (0.0, 0.5),
+                                        (1.0, 0.15), (2.0, 0.1)))
+        for rho, n in ((measure.three_point(p=0.25), 200),
+                       (measure.rademacher(), 101), (five, 24)):
+            pieces = []
+            for _, S, T, logmult in model._class_rows(rho, n, 10**8):
+                mask = np.abs(S / n) >= 0.5
+                if mask.any():
+                    pieces.append(logsumexp(logmult[mask] + S[mask]**2 / (2 * T)))
+            ref = logsumexp(pieces) / n
+            assert varadhan_decay(rho, n) == pytest.approx(ref, rel=1e-14,
+                                                           abs=0)
+
+    def test_empty_region_is_minus_infinity(self):
+        # |S / n| <= 1 on three-point, so no class reaches the threshold
+        assert varadhan_decay(measure.three_point(p=0.25), 8,
+                              x_threshold=1.5) == -math.inf
+
+
+def test_ln_factorials_match_gammaln():
+    n = 10**4
+    got = model._ln_factorials(n)
+    want = gammaln(np.arange(n + 1) + 1.0)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
