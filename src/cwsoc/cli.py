@@ -44,8 +44,9 @@ def _require(ok: bool, message: str) -> None:
         raise CliError(message)
 
 
-def _load_measure(args) -> tuple:
-    """The named base measure and the ``MomentSummary`` of its validation."""
+def _load_measure(args) -> measure.Measure1D:
+    """The named base measure; a spec that builds no valid measure is an
+    input error naming the file."""
     if getattr(args, "preset", None):
         m = _PRESETS[args.preset]()
     elif getattr(args, "spec", None):
@@ -56,7 +57,7 @@ def _load_measure(args) -> tuple:
             raise CliError(f"measure spec {path}: {exc}")
     else:
         raise CliError("one of --preset or --spec is required")
-    return m, m.validate()
+    return m
 
 
 def _interaction(args) -> model.Interaction:
@@ -125,7 +126,8 @@ def write_manifest(out_dir, config: dict) -> Path:
 # subcommands
 
 def _cmd_measure_info(args) -> int:
-    m, ms = _load_measure(args)
+    m = _load_measure(args)
+    ms = m.moments
     payload = {
         "atoms": [list(a) for a in m.atoms],
         "ac_mass": m.ac_mass,
@@ -141,7 +143,7 @@ def _cmd_cramer_check(args) -> int:
     _require(0 < args.alpha < args.radius < math.inf,
              "need 0 < --alpha < --radius < inf")
     _require(0 < args.step < math.inf, "--step must be positive and finite")
-    m, _ = _load_measure(args)
+    m = _load_measure(args)
     t0 = time.perf_counter()
     report = cramer.check_condition(
         cramer.CharEvaluator(m), alpha=args.alpha, radius=args.radius,
@@ -163,7 +165,7 @@ def _cmd_cramer_check(args) -> int:
 
 
 def _rate_solver(args):
-    m, _ = _load_measure(args)
+    m = _load_measure(args)
     return transforms.RateFunction(transforms.LogLaplace(m))
 
 
@@ -221,7 +223,7 @@ def _cmd_kernel_verify(args) -> int:
         raise CliError(f"--points: {exc}")
     _require(all(len(p) == args.d for p in points),
              f"each --points entry needs {args.d} comma-separated coordinates")
-    m, _ = _load_measure(args)
+    m = _load_measure(args)
     lift = "line" if args.d == 1 else "pair"
     R = transforms.RateFunction(transforms.LogLaplace(m, lift=lift))
     s = kernel.SmoothedDensity(base=m, n=args.n, c=args.c, d=args.d,
@@ -236,7 +238,7 @@ def _cmd_kernel_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    m, _ = _load_measure(args)
+    m = _load_measure(args)
     tm = model.TiltedModel(rho=m, g=_interaction(args), n=args.n)
     rng = np.random.default_rng(args.seed)
     if args.method == "enumeration":
@@ -302,7 +304,7 @@ def _read_batch(path) -> model.EmpiricalBatch:
 
 def _cmd_verify(args) -> int:
     _require(0 < args.tol < math.inf, "--tol must be positive and finite")
-    m, _ = _load_measure(args)
+    m = _load_measure(args)
     batch = _read_batch(args.batch)
     tm = model.TiltedModel(rho=m, g=_interaction(args), n=batch.n)
     if args.mode == "lln":

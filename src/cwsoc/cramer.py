@@ -28,7 +28,6 @@ class CharEvaluator:
     base: Measure1D
 
     def __post_init__(self):
-        self._moments = self.base.validate()
         # the positive atom locations and their masses
         self._z, self._p = np.array(
             self.base.mirror_magnitudes()).reshape(-1, 2).T
@@ -59,7 +58,7 @@ class CharEvaluator:
             R = self.base.density.support_radius
             abs_moment += float(adaptive_gauss_legendre(
                 lambda z: np.abs(z) * f(z), -R, R, tol=1e-10))
-        return abs_moment + self._moments.sigma2
+        return abs_moment + self.base.moments.sigma2
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2

@@ -66,9 +66,9 @@ def kernel_laplace(c: float, z) -> complex:
 class SmoothedDensity:
     """Smoothed n-fold law, d=1 for a line measure or d=2 for the pair law.
 
-    Both dimensions need a pure Gaussian base (closed-form tilted laws);
-    d=1 also takes the point mass at 0.  Only d=2 with n > 2 draws, so
-    ``samples`` and ``seed`` are unused otherwise.
+    Both dimensions need a pure Gaussian base (closed-form tilted laws).
+    Only d=2 with n > 2 draws, so ``samples`` and ``seed`` are unused
+    otherwise.
     """
     base: Measure1D
     n: int
@@ -82,33 +82,26 @@ class SmoothedDensity:
             raise KernelError("need d = 1 or 2 and n >= d")
         if self.c is None:
             self.c = 1.0 / self.n
-        if self.d == 1 and not _point_mass_at_zero(self.base):
+        if self.d == 1:
             _gaussian_density(self.base)  # KernelError for other bases
-
-
-def _point_mass_at_zero(base: Measure1D) -> bool:
-    return base.density is None and base.atoms == ((0.0, 1.0),)
 
 
 def _gaussian_density(base: Measure1D) -> GaussianDensity:
     """The density of a pure Gaussian base; KernelError for any other base."""
     if base.atoms or not isinstance(base.density, GaussianDensity):
         raise KernelError("the smoothed density is implemented for pure "
-                          "Gaussian bases (and the point mass at 0 in d=1)")
+                          "Gaussian bases")
     return base.density
 
 
 def phi_estimate(s: SmoothedDensity, x) -> tuple:
     """``(value, std_error)`` of the smoothed density at ``x``.
 
-    The point mass at 0 gives the kernel's own value ``k_c(n x)``.  A
-    Gaussian base solves the conjugate of ``x`` (line lift for d=1, pair
-    lift for d=2) and runs the tilted estimator ``_phi_tilted``; its
-    std_error is 0 for d=1 and for d=2 at n = 2.
+    Solves the conjugate of ``x`` (line lift for d=1, pair lift for d=2)
+    and runs the tilted estimator ``_phi_tilted``; its std_error is 0 for
+    d=1 and for d=2 at n = 2.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if s.d == 1 and _point_mass_at_zero(s.base):
-        return float(TriangularKernel(s.c, 1)(s.n * x[0])), 0.0
     R = RateFunction(LogLaplace(s.base, lift="line" if s.d == 1 else "pair"))
     scaled, se, nJ = _phi_tilted(s, _gaussian_density(s.base), x, R.solve(x))
     return scaled * math.exp(-nJ), se * math.exp(-nJ)
@@ -119,24 +112,25 @@ def _phi_tilted(s: SmoothedDensity, density: GaussianDensity, x,
     """``phi e^{nJ}`` with its std error, plus ``nJ``, given the conjugate
     ``r`` at ``x`` (line lift for d=1, pair lift for d=2).
 
-    Tilted at ``theta`` the coordinates are i.i.d. ``N(mu, s^2)``, and
-    ``phi e^{nJ}`` is the Gauss rule ``sum_j W_j f(n x + U_j)`` over the
-    kernel box, split at 0 where k_c has a kink, 6 nodes per half-axis, with
-    the kernel and ``e^{-<theta, U_j>}`` folded into ``W_j``.  For d=1 the
-    tilted n-fold law ``f`` is ``N(n mu, n s^2)`` and the std error 0.  For
-    d=2 the first n-2 coordinates enter through their sufficient statistics
-    ``S' ~ N((n-2) mu, (n-2) s^2)`` and, independently, ``T' - S'^2/(n-2) ~
-    s^2 chi^2_{n-3}``, two draws per sample, and the rule integrates the last
-    pair exactly against its tilted density (``_pair_window``); at n = 2
-    nothing is drawn and the std error is 0.
+    Tilted at ``theta`` the coordinates are i.i.d. ``N(mu, s^2)``, read off
+    the conjugate: ``mu = x1``, and ``s^2 = 1 / J''(x1)`` for d=1 or ``s^2 =
+    x2 - x1^2`` for d=2.  ``phi e^{nJ}`` is the Gauss rule ``sum_j W_j f(n
+    x + U_j)`` over the kernel box, split at 0 where k_c has a kink, 6 nodes
+    per half-axis, with the kernel and ``e^{-<theta, U_j>}`` folded into
+    ``W_j``.  For d=1 the tilted n-fold law ``f`` is ``N(n mu, n s^2)`` and
+    the std error 0.  For d=2 the first n-2 coordinates enter through their
+    sufficient statistics ``S' ~ N((n-2) mu, (n-2) s^2)`` and, independently,
+    ``T' - S'^2/(n-2) ~ s^2 chi^2_{n-3}``, two draws per sample, and the rule
+    integrates the last pair exactly against its tilted density
+    (``_pair_window``); at n = 2 nothing is drawn and the std error is 0.
     """
     n, c = s.n, s.c
     if not r.converged:
         raise KernelError(f"point {x.tolist()} outside the admissible domain")
     theta = r.argmax
     nJ = n * r.value
-    mean, std = density.tilted_coordinate_law(
-        (theta[0], theta[1] if s.d == 2 else 0.0))
+    mean = float(x[0])
+    std = math.sqrt(1.0 / r.hess[0, 0] if s.d == 1 else x[1] - mean * mean)
 
     gx, gw = np.polynomial.legendre.leggauss(6)
     nodes = np.concatenate([(gx - 1) * c / 2, (gx + 1) * c / 2])

@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from .cramer import verdict_rule
-from .measure import moments
 from .model import EmpiricalBatch, TiltedModel, rescaled_statistic
 
 
@@ -124,7 +123,7 @@ def _batch_ess(batch: EmpiricalBatch) -> float:
 def verify_lln(m: TiltedModel, batch: EmpiricalBatch,
                tol: float) -> VerificationReport:
     """Check the weighted means of (S/n, T/n) against (0, sigma^2)."""
-    s2 = moments(m.rho).sigma2
+    s2 = m.rho.moments.sigma2
     mean_x = batch.weighted_mean(batch.S / m.n)
     mean_y = batch.weighted_mean(batch.T / m.n)
     ess = _batch_ess(batch)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -38,7 +38,7 @@ class DensityComponent:
     function (``char_grid``) by the trapezoid rule; ``char_box``, the box
     outside which that function's modulus stays below a level, is
     unbounded.  Subclasses with closed forms override them.  The pdf is
-    symmetric (``Measure1D.validate`` checks it).  A density given by a
+    symmetric (a ``Measure1D`` checks it when built).  A density given by a
     Python callable has no JSON form.
     """
 
@@ -73,8 +73,8 @@ class DensityComponent:
 
         The log scale ``c`` is the exponent's maximum on ``[-R, R]``, so the
         integrand never exceeds the pdf and the absolute tolerance 1e-12 of
-        the adaptive quadrature, run tilt by tilt, is one relative to
-        ``e^c``.
+        the adaptive quadrature, run tilt by tilt over the ``_panels``, is
+        one relative to ``e^c``.
         """
         R = self.support_radius
         c = np.abs(u) * R + v * R * R
@@ -82,15 +82,24 @@ class DensityComponent:
         inner = (v < 0) & (np.abs(u) < 2 * np.abs(v) * R)
         c[inner] = np.maximum(c[inner], -u[inner] ** 2 / (4 * v[inner]))
         powers = np.arange(kmax + 1)
+        panels = self._panels
         m = np.empty(u.shape + (kmax + 1,))
         for p, (up, vp, cp) in enumerate(zip(u, v, c)):
             def integrand(z):
                 w = np.exp(up * z + vp * z * z - cp) * self.pdf(z)
                 return w[:, None] * z[:, None] ** powers
 
-            m[p] = adaptive_gauss_legendre(
-                integrand, -R, R, tol=1e-12, initial_panels=8)
+            m[p] = sum(adaptive_gauss_legendre(
+                integrand, a, b, tol=1e-12 / len(panels), initial_panels=k)
+                for a, b, k in panels)
         return c, m
+
+    @property
+    def _panels(self) -> tuple:
+        """``(a, b, initial_panels)`` of the quadratures whose sum is
+        ``tilted_moments``: eight equal panels on ``[-R, R]``."""
+        R = self.support_radius
+        return ((-R, R, 8),)
 
     @property
     def tilt_cap(self) -> float:
@@ -150,7 +159,7 @@ class DensityComponent:
 
 # DensityComponent.char_grid: t values per block of its phase arrays
 _T_BLOCK = 256
-# Measure1D.validate: grid points on [0, R] for the density's shape checks
+# Measure1D.__post_init__: grid points on [0, R] for the density's shape checks
 _SHAPE_GRID_POINTS = 201
 
 # tilted_moments: a mode within this many s of the window uses the
@@ -196,14 +205,14 @@ class GaussianDensity(DensityComponent):
     """``mass`` times the centered normal density of scale ``sigma``.
 
     Overrides sampling, the characteristic function and its box with
-    closed forms, and is the one place that knows the tilted moments, the
-    law of a block's ``(sum Z, sum Z^2)`` and the tilted coordinate law.
+    closed forms, and is the one place that knows the tilted moments and
+    the law of a block's ``(sum Z, sum Z^2)``.
 
     Its support radius is ``10 sigma`` and its envelope ``(1.01 mass /
     (sigma sqrt(2 pi)), 1 / (2 sigma^2))``, so ``tilt_cap`` is ``1 / (2
     sigma^2)``.  Truncation rule: only ``tilted_moments`` (hence the
-    log-Laplace transform, the rate function, ``moments`` and the mass check
-    of ``Measure1D.validate``) treats the density as zero outside
+    log-Laplace transform, the rate function, ``Measure1D.moments`` and the
+    mass check at its construction) treats the density as zero outside
     ``[-support_radius, support_radius]``; every other method, and the
     Gaussian Metropolis chain on ``(S, Q)``, uses the untruncated normal.
     """
@@ -341,16 +350,6 @@ class GaussianDensity(DensityComponent):
               else 2 * L / sigma2)
         return math.sqrt(s2), math.sqrt(math.expm1(4 * L)) / (2 * sigma2)
 
-    def tilted_coordinate_law(self, theta) -> tuple:
-        """``(mean, std)`` of the normalized density tilted by
-        ``exp(t1 z + t2 z^2)``, ``theta = (t1, t2)``: a normal law."""
-        t1, t2 = float(theta[0]), float(theta[1])
-        prec = 1.0 / self.sigma**2 - 2 * t2
-        if prec <= 0:
-            raise MeasureError("tilt outside the finiteness domain")
-        var = 1.0 / prec
-        return t1 * var, math.sqrt(var)
-
 
 class TableDensity(DensityComponent):
     """Piecewise-linear density through the points ``(x, y)``, zero outside.
@@ -383,6 +382,12 @@ class TableDensity(DensityComponent):
                              0.5 / R / R))
         self.x = xa.tolist()
         self.y = ya.tolist()
+
+    @property
+    def _panels(self) -> tuple:
+        # the pdf is linear from knot to knot and zero beyond the end ones,
+        # so each knot interval is a panel with a smooth integrand
+        return tuple((a, b, 1) for a, b in zip(self.x[:-1], self.x[1:]))
 
     def validate(self) -> None:
         if not any(self.y):
@@ -426,8 +431,68 @@ class MomentSummary:
 
 @dataclass(frozen=True)
 class Measure1D:
+    """A symmetric probability measure: ``atoms`` as ``(z, mass)`` pairs
+    and an optional ``density`` carrying the rest of the mass.
+
+    Only a valid measure can be built: ``__post_init__`` checks the
+    structural invariants, raising MeasureError on failure, and keeps the
+    moments of one zero-tilt ``tilted_moments`` pass as ``moments``.
+    """
     atoms: tuple[tuple[float, float], ...] = ()
     density: Optional[DensityComponent] = None
+    moments: MomentSummary = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        locs = [z for z, _ in self.atoms]
+        if len(set(locs)) != len(locs):
+            raise MeasureError("atom locations must be distinct")
+        # the symmetry rule for atoms: every atom z has its mirror -z with
+        # the same mass to within 1e-12
+        atom_map = dict(self.atoms)
+        for z, m in self.atoms:
+            if not math.isfinite(z):
+                raise MeasureError(f"atom location {z} is not finite")
+            if not (0.0 < m <= 1.0):
+                raise MeasureError(f"atom mass {m} outside (0, 1]")
+            mirror = atom_map.get(-z)
+            if mirror is None or abs(mirror - m) > 1e-12:
+                raise MeasureError(
+                    f"atom at {z} lacks a mirror atom of equal mass")
+        a = 1.0 - self.discrete_mass
+        if self.density is None:
+            if abs(a) > 1e-12:
+                raise MeasureError(f"atom masses sum to {self.discrete_mass}, not 1")
+        else:
+            if a <= 0:
+                raise MeasureError(
+                    f"atom masses sum to {self.discrete_mass}, leaving no "
+                    "mass for the density")
+            self.density.validate()
+            A, v = self.density.domination
+            R = self.density.support_radius
+            grid = np.linspace(0.0, R, _SHAPE_GRID_POINTS)
+            fp = self.density.pdf(grid)
+            fm = self.density.pdf(-grid)
+            # each check is written so that a NaN fails it
+            if not np.all(fp >= -1e-12):
+                raise MeasureError("density takes negative values")
+            if not np.max(np.abs(fp - fm)) <= 1e-10:
+                raise MeasureError("density is not symmetric on the test grid")
+            if not np.all(fp <= A * np.exp(-v * grid**2) + 1e-10):
+                raise MeasureError("density exceeds its Gaussian envelope")
+        c, m = self.tilted_moments(np.zeros(1), np.zeros(1), 4)
+        m = m[0] * math.exp(c[0])
+        if self.density is not None:
+            mass = float(m[0]) - self.discrete_mass
+            if not abs(mass - a) <= 1e-9 + 2 * self.density.tail_bound:
+                raise MeasureError(
+                    f"density mass {mass:.3e} inconsistent with 1 - b = {a:.3e}"
+                )
+        if not m[2] > 0:
+            raise MeasureError("degenerate measure: variance is zero")
+        object.__setattr__(self, "moments", MomentSummary(
+            sigma2=float(m[2]), mu4=float(m[4]),
+            mass_at_zero=self.mass_at_zero))
 
     @property
     def discrete_mass(self) -> float:
@@ -450,18 +515,8 @@ class Measure1D:
         return np.array(self.atoms, dtype=float).reshape(-1, 2).T
 
     def mirror_magnitudes(self) -> tuple[tuple[float, float], ...]:
-        """``(z, mass)`` for each positive atom location ``z``, ascending.
-
-        The symmetry rule for atoms: every atom ``z`` has its mirror ``-z``
-        with the same mass to within 1e-12; raise MeasureError otherwise.
-        The mass returned is that of ``+z``.
-        """
-        atom_map = dict(self.atoms)
-        for z, m in self.atoms:
-            mirror = atom_map.get(-z)
-            if mirror is None or abs(mirror - m) > 1e-12:
-                raise MeasureError(
-                    f"atom at {z} lacks a mirror atom of equal mass")
+        """``(z, mass)`` for each positive atom location ``z``, ascending;
+        its mirror ``-z`` carries the same mass."""
         return tuple(sorted((z, m) for z, m in self.atoms if z > 0))
 
     def tilted_moments(self, u, v, kmax: int) -> tuple:
@@ -485,54 +540,8 @@ class Measure1D:
         return c, m
 
     def validate(self) -> MomentSummary:
-        """Check the structural invariants, raising MeasureError on failure,
-        and return the moments from one zero-tilt ``tilted_moments`` pass.
-        The first pass that succeeds is kept: later calls return its
-        summary."""
-        return self._summary
-
-    @cached_property
-    def _summary(self) -> MomentSummary:  # Measure1D.validate, run once
-        locs = [z for z, _ in self.atoms]
-        if len(set(locs)) != len(locs):
-            raise MeasureError("atom locations must be distinct")
-        for z, m in self.atoms:
-            if not (0.0 < m <= 1.0):
-                raise MeasureError(f"atom mass {m} outside (0, 1]")
-        self.mirror_magnitudes()
-        a = 1.0 - self.discrete_mass
-        if self.density is None:
-            if abs(a) > 1e-12:
-                raise MeasureError(f"atom masses sum to {self.discrete_mass}, not 1")
-        else:
-            if a <= 0:
-                raise MeasureError(
-                    f"atom masses sum to {self.discrete_mass}, leaving no "
-                    "mass for the density")
-            self.density.validate()
-            A, v = self.density.domination
-            R = self.density.support_radius
-            grid = np.linspace(0.0, R, _SHAPE_GRID_POINTS)
-            fp = self.density.pdf(grid)
-            fm = self.density.pdf(-grid)
-            if np.any(fp < -1e-12):
-                raise MeasureError("density takes negative values")
-            if np.max(np.abs(fp - fm)) > 1e-10:
-                raise MeasureError("density is not symmetric on the test grid")
-            if np.any(fp > A * np.exp(-v * grid**2) + 1e-10):
-                raise MeasureError("density exceeds its Gaussian envelope")
-        c, m = self.tilted_moments(np.zeros(1), np.zeros(1), 4)
-        m = m[0] * math.exp(c[0])
-        if self.density is not None:
-            mass = float(m[0]) - self.discrete_mass
-            if abs(mass - a) > 1e-9 + 2 * self.density.tail_bound:
-                raise MeasureError(
-                    f"density mass {mass:.3e} inconsistent with 1 - b = {a:.3e}"
-                )
-        if m[2] <= 0:
-            raise MeasureError("degenerate measure: variance is zero")
-        return MomentSummary(sigma2=float(m[2]), mu4=float(m[4]),
-                             mass_at_zero=self.mass_at_zero)
+        """``moments``: the measure was validated when it was built."""
+        return self.moments
 
     def to_json(self) -> str:
         doc: dict = {"atoms": [[z, m] for z, m in self.atoms]}
@@ -586,8 +595,8 @@ def rho_zero() -> Measure1D:
 # operations
 
 def moments(m: Measure1D) -> MomentSummary:
-    """The moments of a valid measure, by ``Measure1D.validate``."""
-    return m.validate()
+    """The moments ``m`` keeps from its construction."""
+    return m.moments
 
 
 def sample(m: Measure1D, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -596,19 +605,14 @@ def sample(m: Measure1D, count: int, rng: np.random.Generator) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     if not m.atoms:
-        if m.density is None:
-            raise MeasureError("empty measure")
         return m.density.sample(count, rng)
     u = rng.random(count)
-    out = np.empty(count)
-    locs = np.array([z for z, _ in m.atoms])
-    cum = np.cumsum([mass for _, mass in m.atoms])
-    discrete = u < cum[-1]
-    idx = np.searchsorted(cum, u[discrete], side="right")
-    out[discrete] = locs[np.minimum(idx, len(locs) - 1)]
-    n_ac = int(np.sum(~discrete))
-    if n_ac:
-        if m.density is None:
-            raise MeasureError("no density component but ac mass requested")
-        out[~discrete] = m.density.sample(n_ac, rng)
+    z, mass = m._atom_arrays
+    cum = np.cumsum(mass)
+    out = z[np.minimum(np.searchsorted(cum, u, side="right"), len(z) - 1)]
+    if m.density is not None:
+        ac = u >= cum[-1]
+        n_ac = int(np.count_nonzero(ac))
+        if n_ac:
+            out[ac] = m.density.sample(n_ac, rng)
     return out

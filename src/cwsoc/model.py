@@ -15,8 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measure import (GaussianDensity, Measure1D, MeasureError, moments,
-                      sample as sample_measure)
+from .measure import GaussianDensity, Measure1D, sample as sample_measure
 
 
 _ESS_FLOOR = 100.0  # sample_importance warns below this effective sample size
@@ -40,11 +39,46 @@ class Interaction:
 
     ``g`` must behave like ``u^2/2`` at the origin and never exceed it;
     ``m4 = -g''''(0)/2`` is the only way ``g`` enters the limit theorems.
+    ``__post_init__`` checks all of it, so only a valid interaction can be
+    built; it raises InteractionError otherwise.
     """
     kind: str                      # 'quadratic' | 'quartic' | 'custom'
     m4: float = 0.0
     variant: str = "standard"      # 'standard' | 'star'
     fn: Optional[Callable] = None  # vectorized custom g
+
+    def __post_init__(self):
+        if self.kind not in ("quadratic", "quartic", "custom"):
+            raise InteractionError(f"unknown interaction kind {self.kind!r}")
+        if self.kind == "custom" and not callable(self.fn):
+            raise InteractionError("a custom interaction needs a callable fn")
+        if self.kind != "custom" and self.fn is not None:
+            raise InteractionError(
+                f"fn is given only with kind 'custom', not {self.kind!r}")
+        if self.variant not in ("standard", "star"):
+            raise InteractionError(f"unknown variant {self.variant!r}")
+        # every check below is written so that a NaN fails it
+        u = np.linspace(-1.0, 1.0, 401)
+        if not np.all(self.g(u) <= u * u / 2):
+            raise InteractionError("g(u) exceeds u^2/2 on [-1, 1]")
+        for k in range(2, 6):
+            h = 10.0 ** (-k)
+            ratio = float(self.g(h)) / (h * h)
+            if not abs(ratio - 0.5) <= 1e-3 * 0.5 + 1e-12:
+                raise InteractionError(
+                    f"g(u)/u^2 = {ratio} at u = {h}, expected 1/2")
+        h = 0.02
+        stencil = np.array([-2, -1, 0, 1, 2]) * h
+        gs = self.g(stencil)
+        d4 = (gs[0] - 4 * gs[1] + 6 * gs[2] - 4 * gs[3] + gs[4]) / h**4
+        if not abs(-d4 / 2 - self.m4) <= 1e-4:
+            raise InteractionError(
+                f"m4 = {self.m4} inconsistent with -g''''(0)/2 = {-d4 / 2}")
+        if self.m4 < 0:
+            raise InteractionError("m4 must be nonnegative")
+        d3 = (gs[4] - 2 * gs[3] + 2 * gs[1] - gs[0]) / (2 * h**3)
+        if not abs(d3) <= 1e-4:
+            raise InteractionError(f"g'''(0) = {d3} must vanish")
 
     def g(self, u):
         u = np.asarray(u, dtype=float)
@@ -76,47 +110,17 @@ class Interaction:
             return n * (u2 / 2 - self.m4 * u2 * u2 / 12)
         return n * self.g(S / np.sqrt(n * T))
 
-    def validate(self) -> None:
-        if self.variant not in ("standard", "star"):
-            raise InteractionError(f"unknown variant {self.variant!r}")
-        u = np.linspace(-1.0, 1.0, 401)
-        gu = self.g(u)
-        if np.any(gu > u * u / 2):
-            raise InteractionError("g(u) exceeds u^2/2 on [-1, 1]")
-        for k in range(2, 6):
-            h = 10.0 ** (-k)
-            ratio = float(self.g(h)) / (h * h)
-            if abs(ratio - 0.5) > 1e-3 * 0.5 + 1e-12:
-                raise InteractionError(
-                    f"g(u)/u^2 = {ratio} at u = {h}, expected 1/2")
-        h = 0.02
-        stencil = np.array([-2, -1, 0, 1, 2]) * h
-        gs = self.g(stencil)
-        d4 = (gs[0] - 4 * gs[1] + 6 * gs[2] - 4 * gs[3] + gs[4]) / h**4
-        if abs(-d4 / 2 - self.m4) > 1e-4:
-            raise InteractionError(
-                f"m4 = {self.m4} inconsistent with -g''''(0)/2 = {-d4 / 2}")
-        if self.m4 < 0:
-            raise InteractionError("m4 must be nonnegative")
-        d3 = (gs[4] - 2 * gs[3] + 2 * gs[1] - gs[0]) / (2 * h**3)
-        if abs(d3) > 1e-4:
-            raise InteractionError(f"g'''(0) = {d3} must vanish")
-
 
 def quadratic(variant: str = "standard") -> Interaction:
     return Interaction(kind="quadratic", variant=variant)
 
 
 def quartic(m4: float, variant: str = "standard") -> Interaction:
-    g = Interaction(kind="quartic", m4=m4, variant=variant)
-    g.validate()
-    return g
+    return Interaction(kind="quartic", m4=m4, variant=variant)
 
 
 def custom(fn: Callable, m4: float, variant: str = "standard") -> Interaction:
-    g = Interaction(kind="custom", m4=m4, variant=variant, fn=fn)
-    g.validate()
-    return g
+    return Interaction(kind="custom", m4=m4, variant=variant, fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +186,9 @@ def _class_rows(rho: Measure1D, n: int, budget: int):
     """Multinomial classes of atom counts under ``rho^{x n}`` with ``T > 0``,
     one row at a time.
 
-    ``rho`` must be symmetric and atomic: a zero atom of mass ``p0`` (which
-    may be absent) and ``K`` mirror magnitudes ``z_j``, each of ``+-z_j``
-    with mass ``p_j``.  A row fixes the zero count ``c0`` and the totals
+    ``rho`` must be atomic, hence (as every base is symmetric) a zero atom
+    of mass ``p0`` (which may be absent) and ``K >= 1`` mirror magnitudes
+    ``z_j``, each of ``+-z_j`` with mass ``p_j``.  A row fixes the zero count ``c0`` and the totals
     ``m = (m_1, ..., m_K)``, ``m_j = c(+z_j) + c(-z_j)``, so
     ``T = sum_j z_j^2 m_j`` is constant on it.  The signed splits
     ``kp_j = c(+z_j)`` in ``[0, m_j]`` span a grid of shape
@@ -197,13 +201,7 @@ def _class_rows(rho: Measure1D, n: int, budget: int):
     """
     if rho.density is not None:
         raise ModelError("exact enumeration requires a purely atomic measure")
-    try:
-        mags = rho.mirror_magnitudes()
-    except MeasureError as exc:
-        raise ModelError(f"exact enumeration needs a symmetric base: "
-                         f"{exc}") from exc
-    if not mags:
-        raise ModelError("no class has T > 0: the base has no nonzero atom")
+    mags = rho.mirror_magnitudes()
     A = len(rho.atoms)
     n_states = math.comb(n + A - 1, A - 1)
     if n_states > budget:
@@ -237,12 +235,11 @@ def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
 
     States are the multinomial classes of atom counts (``_class_rows``), so
     the cost is polynomial in ``n``; more than ``budget`` classes
-    (``comb(n + A - 1, A - 1)`` for ``A`` atoms) raise ModelError, as do a
-    density component, an atom without its mirror and a base with no class
-    of ``T > 0``.  With ``collapse='S'`` only the marginal of ``S`` is kept
-    (``T`` is replaced by its conditional mean per ``S`` value), which is
-    what large-``n`` fluctuation studies need; the classes are then summed
-    row by row and never held all at once.
+    (``comb(n + A - 1, A - 1)`` for ``A`` atoms) raise ModelError, as does
+    a density component.  With ``collapse='S'`` only the marginal of ``S``
+    is kept (``T`` is replaced by its conditional mean per ``S`` value),
+    which is what large-``n`` fluctuation studies need; the classes are then
+    summed row by row and never held all at once.
     """
     n = m.n
 
@@ -428,6 +425,8 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
         raise ModelError("count must be >= 1")
     if chains < 1:
         raise ModelError("chains must be >= 1")
+    if burn_in is not None and burn_in < 0:
+        raise ModelError("burn_in must be >= 0")
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
     n = m.n
@@ -580,7 +579,7 @@ def rescaled_statistic(m: TiltedModel, batch: EmpiricalBatch):
     ``(mu4 + m4 sigma^p)^{1/4} S / (sigma^2 n^{3/4})`` with ``p = 4`` for the
     standard variant and ``p = 6`` for the star variant.
     """
-    ms = moments(m.rho)
+    ms = m.rho.moments
     p = 3 if m.g.variant == "star" else 2
     const = (ms.mu4 + m.g.m4 * ms.sigma2**p) ** 0.25
     vals = const * batch.S / (ms.sigma2 * m.n**0.75)

@@ -118,15 +118,16 @@ class TestDispatch:
         assert doc["mass_at_zero"] == pytest.approx(0.75)
 
     def test_measure_info_validates_once(self, tmp_path, capsys, monkeypatch):
-        # the loader hands on the moments its validation returns
+        # the loader builds the measure once, and its construction is the
+        # one validation pass
         calls = []
-        validate = measure.Measure1D.validate
+        post_init = measure.Measure1D.__post_init__
 
         def counted(self):
             calls.append(1)
-            return validate(self)
+            post_init(self)
 
-        monkeypatch.setattr(measure.Measure1D, "validate", counted)
+        monkeypatch.setattr(measure.Measure1D, "__post_init__", counted)
         spec = tmp_path / "triangle.json"
         spec.write_text(json.dumps({"atoms": [], "density": {
             "kind": "table", "x": [-1, 0, 1], "y": [0, 1, 0]}}))

@@ -120,11 +120,6 @@ class TestPhiEstimateD1:
         expect = math.exp(-4.5) / math.sqrt(200 * math.pi)
         assert v == pytest.approx(expect, rel=0.03)
 
-    def test_point_mass(self):
-        s = SmoothedDensity(
-            base=measure.Measure1D(atoms=((0.0, 1.0),)), n=7, c=0.02, d=1)
-        assert phi_estimate(s, 0.0)[0] == pytest.approx(50.0, abs=1e-12)
-
     def test_normalization(self):
         s = SmoothedDensity(base=measure.gaussian(), n=20, c=0.05, d=1)
         total = adaptive_gauss_legendre(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cwsoc import measure
+from cwsoc import measure, model
 from cwsoc.measure import (
     DensityComponent,
     GaussianDensity,
@@ -61,10 +61,21 @@ class TestMoments:
         assert ms.sigma2 == pytest.approx(1 / 6, rel=0, abs=1e-14)
         assert ms.mu4 == pytest.approx(1 / 15, rel=0, abs=1e-14)
 
+    def test_table_kink_inside_a_panel(self):
+        # knots at +-0.77734375 fall inside the eight equal panels on
+        # [-R, R]; integrated knot to knot the mass check holds to 1e-12
+        x = np.array([-16.5625, -0.77734375, 0.0, 0.77734375, 16.5625])
+        y = np.array([2.0, 1.0, 1.0, 1.0, 2.0])
+        y /= float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2))
+        m = Measure1D(density=TableDensity(x, y))
+        c, mom = m.tilted_moments(np.zeros(1), np.zeros(1), 0)
+        assert mom[0, 0] * math.exp(c[0]) == pytest.approx(1.0, rel=0,
+                                                           abs=1e-12)
+
     def test_degenerate_rejected(self):
-        m = Measure1D(atoms=((0.0, 1.0),))
-        with pytest.raises(MeasureError):
-            moments(m)
+        # the point mass at 0 is the only symmetric one-atom base
+        with pytest.raises(MeasureError, match="variance is zero"):
+            Measure1D(atoms=((0.0, 1.0),))
 
 
 def _parts_by_hand(m, u, v, kmax):
@@ -122,38 +133,45 @@ class TestTiltedMoments:
 
 class TestValidation:
     def test_asymmetric_atoms_rejected(self):
-        m = Measure1D(atoms=((-1.0, 0.25), (1.0, 0.5), (0.0, 0.25)))
-        with pytest.raises(MeasureError):
-            m.validate()
+        with pytest.raises(MeasureError, match="mirror"):
+            Measure1D(atoms=((-1.0, 0.25), (1.0, 0.5), (0.0, 0.25)))
 
     def test_missing_mirror_rejected(self):
-        m = Measure1D(atoms=((-1.0, 0.3), (2.0, 0.7)))
         with pytest.raises(MeasureError, match="mirror"):
-            m.validate()
+            Measure1D(atoms=((-1.0, 0.3), (2.0, 0.7)))
         with pytest.raises(MeasureError, match="mirror"):
-            m.mirror_magnitudes()
+            Measure1D.from_json('{"atoms": [[-1, 0.3], [2, 0.7]]}')
+
+    def test_infinite_atoms_rejected(self):
+        # JSON reads Infinity; the mirror pair at +-inf has no moments
+        with pytest.raises(MeasureError, match="not finite"):
+            Measure1D.from_json('{"atoms": [[-Infinity, 0.5], [Infinity, 0.5]]}')
 
     def test_mirror_magnitudes(self):
         assert measure.three_point(p=0.25).mirror_magnitudes() == ((1.0, 0.25),)
         assert measure.rho_zero().mirror_magnitudes() == ((1.0, 1 / 16),)
 
     def test_mass_deficit_rejected(self):
-        m = Measure1D(atoms=((-1.0, 0.25), (1.0, 0.25)))
-        with pytest.raises(MeasureError):
-            m.validate()
+        with pytest.raises(MeasureError, match="not 1"):
+            Measure1D(atoms=((-1.0, 0.25), (1.0, 0.25)))
 
     def test_density_without_mass_rejected(self):
         # atoms of mass 1 leave the density none: the base would be atomic
         # in law but carry a density component
-        m = measure.gaussian(mass=1e-13, atoms=((0.0, 1.0),))
         with pytest.raises(MeasureError, match="no mass for the density"):
-            m.validate()
+            measure.gaussian(mass=1e-13, atoms=((0.0, 1.0),))
 
     def test_asymmetric_density_rejected(self):
         dens = measure.DensityComponent(
             lambda z: np.exp(-(z - 0.3)**2) / np.sqrt(np.pi), 8.0, (0.6, 0.5))
         with pytest.raises(MeasureError):
-            Measure1D(density=dens).validate()
+            Measure1D(density=dens)
+
+    def test_nan_density_rejected(self):
+        dens = DensityComponent(lambda z: np.full_like(z, np.nan), 1.0,
+                                (1.0, 0.5))
+        with pytest.raises(MeasureError, match="negative values"):
+            Measure1D(density=dens)
 
     @pytest.mark.parametrize("domination, message", [
         ((0.41, 0.0), "domination pair must be positive"),
@@ -164,15 +182,10 @@ class TestValidation:
         dens = DensityComponent(lambda z: np.maximum(1 - np.abs(z), 0.0),
                                 1.0, domination)
         with pytest.raises(MeasureError, match=message):
-            Measure1D(density=dens).validate()
+            Measure1D(density=dens)
 
 
 class TestSample:
-    def test_single_atom(self):
-        m = Measure1D(atoms=((0.0, 1.0),))
-        rng = np.random.default_rng(0)
-        assert list(sample(m, 5, rng)) == [0, 0, 0, 0, 0]
-
     def test_rademacher_mean(self):
         rng = np.random.default_rng(1)
         draws = sample(measure.rademacher(), 10**6, rng)
@@ -205,7 +218,6 @@ class TestSample:
         # it: E z^2 = 3, E z^4 = 15, E z^8 = 945 (normal moments 2 orders up)
         pdf = lambda z: z * z * np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
         m = Measure1D(density=DensityComponent(pdf, 12.0, (0.59, 0.25)))
-        m.validate()
         draws = sample(m, 2 * 10**5, np.random.default_rng(4))
         n = len(draws)
         # 5-sigma CLT bands: Var(z^2) = 15 - 9, Var(z^4) = 945 - 225
@@ -216,7 +228,6 @@ class TestSample:
         # triangle f = 1 - |z|: E z^2 = 1/6, E z^4 = 1/15, E z^8 = 1/45,
         # drawn by rejection from the table's derived envelope
         m = Measure1D(density=TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
-        m.validate()
         draws = sample(m, 2 * 10**5, np.random.default_rng(5))
         n = len(draws)
         assert np.max(np.abs(draws)) <= 1.0
@@ -235,7 +246,7 @@ class TestJsonRoundTrip:
     def test_density_round_trip(self):
         m = measure.rho_zero()
         m2 = Measure1D.from_json(m.to_json())
-        m2.validate()
+        assert m2.moments == m.moments
         z = np.linspace(-3, 3, 50)
         np.testing.assert_allclose(m2.density.pdf(z), m.density.pdf(z))
         assert m2.density.domination == m.density.domination
@@ -263,7 +274,7 @@ class TestJsonRoundTrip:
         # the density derives its support radius and envelope from sigma
         doc = {"atoms": [], "density": {"kind": "gaussian", "sigma": 2.0}}
         m = Measure1D.from_json(json.dumps(doc))
-        m.validate()
+        assert m.moments.sigma2 == pytest.approx(4.0, rel=1e-12)
         assert m.density.support_radius == 20.0
         assert m.density.domination == (
             1.01 / (2.0 * math.sqrt(2 * math.pi)), 1 / 8)
@@ -279,27 +290,40 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def json_measures(draw):
-    """Atom-only, Gaussian and table measures; round-trips need not validate."""
-    atoms = draw(st.lists(
-        st.tuples(st.floats(-5, 5, **_finite), st.floats(1e-6, 1.0)),
-        max_size=4, unique_by=lambda a: a[0]))
-    kind = draw(st.sampled_from(["atoms", "gaussian", "table"]))
+def symmetric_bases(draw, kinds=("atoms", "gaussian", "table")):
+    """A valid base: a zero atom (or none) and up to three mirror pairs,
+    alone or beside a Gaussian or a symmetric table density that carries
+    the rest of the mass."""
+    kind = draw(st.sampled_from(kinds))
+    mags = draw(st.lists(st.floats(0.01, 5.0, **_finite),
+                         min_size=1 if kind == "atoms" else 0, max_size=3,
+                         unique=True))
+    raw = draw(st.lists(st.integers(1, 10), min_size=len(mags),
+                        max_size=len(mags)))
+    raw0 = draw(st.integers(0, 10))
+    raw_density = 0 if kind == "atoms" else draw(st.integers(1, 10))
+    total = 2 * sum(raw) + raw0 + raw_density
+    atoms = [(0.0, raw0 / total)] if raw0 else []
+    for z, r in zip(mags, raw):
+        atoms += [(-z, r / total), (z, r / total)]
+    a = 1.0 - sum(m for _, m in atoms)
     density = None
     if kind == "gaussian":
-        density = GaussianDensity(draw(st.floats(1e-3, 1.0)),
-                                  draw(st.floats(0.1, 5.0)))
+        density = GaussianDensity(a, draw(st.floats(0.1, 5.0)))
     elif kind == "table":
-        x = sorted(draw(st.lists(st.floats(-20.0, 20.0, **_finite),
-                                 min_size=2, max_size=8, unique=True)))
-        y = draw(st.lists(st.floats(0.0, 2.0), min_size=len(x),
-                          max_size=len(x)))
+        half = sorted(draw(st.lists(st.floats(0.05, 20.0, **_finite),
+                                    min_size=1, max_size=4, unique=True)))
+        y_half = draw(st.lists(st.floats(0.1, 2.0), min_size=len(half) + 1,
+                               max_size=len(half) + 1))
+        x = np.array([-h for h in half[::-1]] + [0.0] + half)
+        y = np.array(y_half[:0:-1] + y_half)
+        y *= a / float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2))
         density = TableDensity(x, y)
     return Measure1D(atoms=tuple(atoms), density=density)
 
 
 @settings(max_examples=60, deadline=None)
-@given(json_measures())
+@given(symmetric_bases())
 def test_json_round_trip_property(m):
     m2 = Measure1D.from_json(m.to_json())
     assert m2.atoms == m.atoms
@@ -312,3 +336,37 @@ def test_json_round_trip_property(m):
     R = m.density.support_radius
     z = np.linspace(-1.1 * R, 1.1 * R, 201)
     np.testing.assert_array_equal(m2.density.pdf(z), m.density.pdf(z))
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_bases(kinds=("atoms", "gaussian")))
+def test_valid_bases_reach_every_sampler(m):
+    # a base that builds is one enumeration and both samplers accept
+    tm = model.TiltedModel(rho=m, g=model.quadratic(), n=4)
+    rng = np.random.default_rng(0)
+    if m.density is None:
+        assert np.sum(model.enumerate_exact(tm).weight) == pytest.approx(1.0)
+    assert len(model.sample_importance(tm, 64, rng).S) > 0
+    b = model.sample_metropolis(tm, 64, burn_in=8, thin=4, rng=rng, chains=8)
+    assert len(b.S) == 64
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_bases(kinds=("atoms",)), st.floats(2e-12, 1e-3),
+       st.sampled_from([-1.0, 1.0]), st.data())
+def test_broken_bases_rejected_at_construction(m, delta, sign, data):
+    atoms = list(m.atoms)
+    k = data.draw(st.sampled_from(
+        [i for i, (z, _) in enumerate(atoms) if z != 0.0]))
+    z, p = atoms[k]
+    # a mirror mass off by more than 1e-12
+    off = atoms[:k] + [(z, p + sign * delta)] + atoms[k + 1:]
+    with pytest.raises(MeasureError, match="mirror"):
+        Measure1D(atoms=tuple(off))
+    # a missing mirror
+    with pytest.raises(MeasureError, match="mirror"):
+        Measure1D(atoms=tuple(atoms[:k] + atoms[k + 1:]))
+    # masses that do not sum to 1
+    scaled = tuple((zj, pj * (1 + sign * delta)) for zj, pj in atoms)
+    with pytest.raises(MeasureError, match="not 1"):
+        Measure1D(atoms=scaled)

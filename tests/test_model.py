@@ -41,7 +41,6 @@ class TestInteraction:
         g = quadratic()
         assert g.g(0.5) == 0.125
         assert g.m4 == 0.0
-        g.validate()
 
     def test_quartic(self):
         g = quartic(1.0)
@@ -67,6 +66,22 @@ class TestInteraction:
     def test_negative_m4_rejected(self):
         with pytest.raises(InteractionError):
             quartic(-1.0)
+        # built directly, too: g = u^2/2 + u^4/12 exceeds u^2/2
+        with pytest.raises(InteractionError, match="exceeds"):
+            model.Interaction(kind="quartic", m4=-1.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(kind="cubic"), "unknown interaction kind"),
+        (dict(kind="custom"), "callable fn"),
+        (dict(kind="custom", fn=0.5), "callable fn"),
+        (dict(kind="quadratic", fn=lambda u: u * u / 2), "only with kind"),
+        (dict(kind="quadratic", variant="dual"), "unknown variant"),
+        (dict(kind="quartic", m4=math.nan), "exceeds"),
+    ], ids=["unknown-kind", "custom-without-fn", "fn-not-callable",
+            "fn-with-builtin-kind", "unknown-variant", "nan-m4"])
+    def test_bad_interaction_rejected(self, kwargs, match):
+        with pytest.raises(InteractionError, match=match):
+            model.Interaction(**kwargs)
 
     def test_custom_matches_quartic(self):
         # the generic branch of log_weight against the quartic closed form
@@ -136,23 +151,13 @@ class TestEnumeration:
         b = enumerate_exact(m, budget=math.comb(28, 4))
         assert len(b.S) == math.comb(28, 4) - 1
 
-    @pytest.mark.parametrize("collapse", [None, "S"])
-    def test_asymmetric_atoms_rejected(self, collapse):
+    def test_asymmetric_atoms_rejected(self):
+        # an asymmetric base cannot be built, so no enumeration, sampler or
+        # Varadhan sum ever sees one
         for atoms in (((-1.0, 0.3), (2.0, 0.7)),
                       ((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5))):
-            m = TiltedModel(rho=measure.Measure1D(atoms=atoms), g=quadratic(),
-                            n=4)
-            with pytest.raises(ModelError, match="mirror"):
-                enumerate_exact(m, collapse=collapse)
-            with pytest.raises(ModelError, match="mirror"):
-                varadhan_decay(m.rho, 4)
-
-    @pytest.mark.parametrize("collapse", [None, "S"])
-    def test_no_class_with_positive_T(self, collapse):
-        m = TiltedModel(rho=measure.Measure1D(atoms=((0.0, 1.0),)),
-                        g=quadratic(), n=3)
-        with pytest.raises(ModelError, match="T > 0"):
-            enumerate_exact(m, collapse=collapse)
+            with pytest.raises(measure.MeasureError, match="mirror"):
+                measure.Measure1D(atoms=atoms)
 
     def test_density_measure_rejected(self):
         m = TiltedModel(rho=measure.gaussian(), g=quadratic(), n=4)
@@ -354,6 +359,15 @@ class TestMetropolis:
     def test_chains_below_one_rejected(self, rad2):
         with pytest.raises(ModelError, match="chains"):
             sample_metropolis(rad2, 100, rng=0, chains=0)
+
+    @pytest.mark.parametrize("rho", [measure.gaussian(), measure.three_point()],
+                             ids=["gaussian", "three-point"])
+    def test_negative_burn_in_rejected(self, rho):
+        # a negative burn-in would leave record columns unfilled
+        m = TiltedModel(rho=rho, g=quadratic(), n=16)
+        for burn_in in (-1, -10**6):
+            with pytest.raises(ModelError, match="burn_in"):
+                sample_metropolis(m, 64, burn_in=burn_in, rng=0, chains=8)
 
     # sha256 of the recorded (S, T) and the S diagnostics of short seeded
     # coordinate chains: a rewrite of the coordinate move must reproduce them

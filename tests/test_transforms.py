@@ -403,15 +403,16 @@ class TestExpansionResidual:
             assert abs(r - 1.0) < 0.05
 
     def test_uses_the_kept_moments(self, monkeypatch):
-        # LogLaplace keeps the MomentSummary of its validation, so the
-        # residual does not validate the base again
+        # the residual reads the moments the base kept from its
+        # construction, so it does not validate the base again
         R = RateFunction(LogLaplace(measure.Measure1D(
             density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))))
 
         def refuse(self):
             raise AssertionError("validated again")
 
-        monkeypatch.setattr(measure.Measure1D, "validate", refuse)
+        monkeypatch.setattr(measure.Measure1D, "__post_init__", refuse)
+        monkeypatch.setattr(measure.TableDensity, "validate", refuse)
         assert rate_expansion_residual(R, quadratic(), 0.0, 1 / 6) == 1.0
         assert np.isfinite(rate_expansion_residual(R, quadratic(), 0.02,
                                                    0.17))
