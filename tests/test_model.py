@@ -151,13 +151,21 @@ class TestEnumeration:
         b = enumerate_exact(m, budget=math.comb(28, 4))
         assert len(b.S) == math.comb(28, 4) - 1
 
-    def test_asymmetric_atoms_rejected(self):
+    @pytest.mark.parametrize("collapse", [None, "S"])
+    def test_asymmetric_atoms_rejected(self, collapse):
         # an asymmetric base cannot be built, so no enumeration, sampler or
-        # Varadhan sum ever sees one
-        for atoms in (((-1.0, 0.3), (2.0, 0.7)),
-                      ((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5))):
+        # Varadhan sum ever sees one; its mirrored support enumerates
+        for atoms, mirrored in (
+                (((-1.0, 0.3), (2.0, 0.7)),
+                 ((-2.0, 0.35), (-1.0, 0.15), (1.0, 0.15), (2.0, 0.35))),
+                (((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5)),
+                 ((-1.0, 0.375), (0.0, 0.25), (1.0, 0.375)))):
             with pytest.raises(measure.MeasureError, match="mirror"):
                 measure.Measure1D(atoms=atoms)
+            m = TiltedModel(rho=measure.Measure1D(atoms=mirrored),
+                            g=quadratic(), n=4)
+            b = enumerate_exact(m, collapse=collapse)
+            assert b.weight.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_density_measure_rejected(self):
         m = TiltedModel(rho=measure.gaussian(), g=quadratic(), n=4)
