@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -457,7 +458,16 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): a normal end.  As the
+        # SIGPIPE note of the Python docs advises, stdout then points at
+        # devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

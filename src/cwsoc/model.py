@@ -166,6 +166,9 @@ class EmpiricalBatch:
 # ---------------------------------------------------------------------------
 # exact enumeration
 
+_TRUNCATION = 1e-18  # collapse='S' drops at most this fraction of the kept mass
+
+
 def _compositions(total: int, parts: int):
     """Tuples of ``parts`` nonnegative ints summing to ``total``, in
     lexicographic order."""
@@ -182,101 +185,213 @@ def _ln_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
 
-def _class_rows(rho: Measure1D, n: int, budget: int):
-    """Multinomial classes of atom counts under ``rho^{x n}`` with ``T > 0``,
-    one row at a time.
+class _Classes:
+    """Multinomial classes of atom counts under ``rho^{x n}`` with ``T > 0``.
 
     ``rho`` must be atomic, hence (as every base is symmetric) a zero atom
     of mass ``p0`` (which may be absent) and ``K >= 1`` mirror magnitudes
-    ``z_j``, each of ``+-z_j`` with mass ``p_j``.  A row fixes the zero count ``c0`` and the totals
-    ``m = (m_1, ..., m_K)``, ``m_j = c(+z_j) + c(-z_j)``, so
-    ``T = sum_j z_j^2 m_j`` is constant on it.  The signed splits
-    ``kp_j = c(+z_j)`` in ``[0, m_j]`` span a grid of shape
-    ``(m_1 + 1, ..., m_K + 1)``, on which the row gives
-    ``S = sum_j z_j (2 kp_j - m_j)`` and the log probability of the class,
-    ``ln n! - ln c0! + c0 ln p0 + sum_j [m_j ln p_j - ln kp_j! - ln (m_j -
-    kp_j)!]``.  Each magnitude's factorial term is symmetric on its own, so
-    mirror classes get bitwise-equal values.  Rows come with ``c0`` falling
-    and then ``m`` in lexicographic order; yields ``(m, S, T, logmult)``.
+    ``z_j``, each of ``+-z_j`` with mass ``p_j``.  A row fixes the totals
+    ``m = (m_1, ..., m_K)``, ``m_j = c(+z_j) + c(-z_j)``, and with them the
+    zero count ``c0 = n - M``, ``M = sum_j m_j``, and ``T = sum_j z_j^2
+    m_j``; a level is the set of rows of one ``M`` (``M = n`` alone when
+    there is no zero atom).  The signed splits ``kp_j = c(+z_j)`` in
+    ``[0, m_j]`` span a grid of shape ``(m_1 + 1, ..., m_K + 1)``, on which
+    the row gives ``S = sum_j z_j d_j``, ``d_j = 2 kp_j - m_j``, and the log
+    probability of the class, ``ln n! - ln c0! + c0 ln p0 + sum_j [m_j ln
+    p_j - ln kp_j! - ln (m_j - kp_j)!]``.  Each magnitude's factorial term
+    is symmetric on its own, so mirror classes get bitwise-equal values.
     """
-    if rho.density is not None:
-        raise ModelError("exact enumeration requires a purely atomic measure")
-    mags = rho.mirror_magnitudes()
+
+    def __init__(self, rho: Measure1D, n: int):
+        if rho.density is not None:
+            raise ModelError("exact enumeration requires a purely atomic measure")
+        mags = rho.mirror_magnitudes()
+        self.n = n
+        self.z = [zj for zj, _ in mags]
+        self.lp = [math.log(pj) for _, pj in mags]
+        p0 = rho.mass_at_zero
+        # without a zero atom every row has c0 = 0, so ln p0 never counts
+        self.lp0 = math.log(p0) if p0 > 0 else 0.0
+        self.levels = np.arange(1, n + 1) if p0 > 0 else np.array([n])
+        self.ln_q = math.log(2 * sum(pj for _, pj in mags))
+        self.ln_fact = _ln_factorials(n)
+        K = self.K = len(mags)
+        self._axis = [(-1,) + (1,) * (K - 1 - j) for j in range(K)]
+
+    def compositions(self, M: int) -> np.ndarray:
+        """The rows of level ``M``, one ``m`` per line, lexicographic."""
+        return np.array(list(_compositions(int(M), self.K))).reshape(-1, self.K)
+
+    def row(self, ms, lo):
+        """``(S, T, logmult)`` on the splits ``lo_j <= kp_j <= m_j - lo_j``
+        of row ``ms``: a window symmetric in each ``d_j``."""
+        n, lf = self.n, self.ln_fact
+        c0 = n - sum(ms)
+        base = lf[n] - lf[c0] + c0 * self.lp0
+        S = reduce(add, ((zj * np.arange(2 * l - mj, mj - 2 * l + 1, 2))
+                         .reshape(ax)
+                         for zj, mj, l, ax in zip(self.z, ms, lo, self._axis)))
+        T = reduce(add, (zj * zj * mj for zj, mj in zip(self.z, ms)))
+        row_base = reduce(add, (mj * lpj for mj, lpj in zip(ms, self.lp)), base)
+        # ln kp! + ln (m - kp)! for kp = l..m - l: a slice plus its reverse
+        logmult = row_base - reduce(add, (
+            (f + f[::-1]).reshape(ax) for f, ax in zip(
+                (lf[l:mj - l + 1] for mj, l in zip(ms, lo)), self._axis)))
+        return S, T, logmult
+
+    # Bounds on a row's tilted mass, the sum of P(class) e^{n F} over its
+    # classes, for any g <= u^2/2 (derived in notes/decisions.md): n F <=
+    # sum_j d_j^2 / (2 m_j) and C(m, k) e^{d^2 / (2m)} <= 2^m e^{-m x^4 / 12}
+    # with x = d / m, so the row carries at most B_r = prod_j (m_j + 1)
+    # P(c0, m) with (c0, m) ~ Mult(n; p0, 2 p_1, ..., 2 p_K), and its
+    # classes with |d_j| >= x m_j at most B_r e^{-m_j x^4 / 12}.
+
+    def log_row_bounds(self, rows: np.ndarray) -> np.ndarray:
+        """``ln B_r`` for each row ``m`` of ``rows``, shape (R, K)."""
+        lf = self.ln_fact
+        c0 = self.n - rows.sum(axis=1)
+        return (lf[self.n] - lf[c0] + c0 * self.lp0 - lf[rows].sum(axis=1)
+                + rows @ (np.array(self.lp) + math.log(2.0))
+                + np.log1p(rows).sum(axis=1))
+
+    def log_level_bounds(self) -> np.ndarray:
+        """A bound on ``ln sum_r B_r`` over each level: ``((M + K) / K)^K``
+        (the largest ``prod_j (m_j + 1)``) times ``P(Bin(n, 1 - p0) = M)``."""
+        lf, n, M, K = self.ln_fact, self.n, self.levels, self.K
+        c0 = n - M
+        return (lf[n] - lf[c0] - lf[M] + c0 * self.lp0 + M * self.ln_q
+                + K * np.log((M + K) / K))
+
+
+def _class_rows(rho: Measure1D, n: int, budget: int):
+    """Every row of ``_Classes`` in full, ``M`` rising and then ``m`` in
+    lexicographic order; yields ``(S, T, logmult)``.  More than
+    ``budget`` classes (``comb(n + A - 1, A - 1)`` for ``A`` atoms) raise
+    ModelError before any work."""
+    classes = _Classes(rho, n)
     A = len(rho.atoms)
     n_states = math.comb(n + A - 1, A - 1)
     if n_states > budget:
         raise ModelError(f"enumeration budget exceeded: {n_states} classes "
                          f"at n = {n}")
-    z = [zj for zj, _ in mags]
-    lp = [math.log(pj) for _, pj in mags]
-    p0 = rho.mass_at_zero
-    lp0 = math.log(p0) if p0 > 0 else -math.inf
-    ln_fact = _ln_factorials(n)
-    K = len(z)
-    axis = [(-1,) + (1,) * (K - 1 - j) for j in range(K)]  # kp_j on axis j
-    for mm in (range(1, n + 1) if p0 > 0 else range(n, n + 1)):
-        base = ln_fact[n] - ln_fact[n - mm] + ((n - mm) * lp0 if mm < n else 0.0)
-        for ms in _compositions(mm, K):
-            # d_j = 2 kp_j - m_j and ln kp_j! + ln (m_j - kp_j)! for kp_j = 0..m_j
-            S = reduce(add, ((zj * np.arange(-mj, mj + 1, 2)).reshape(ax)
-                             for zj, mj, ax in zip(z, ms, axis)))
-            T = reduce(add, (zj * zj * mj for zj, mj in zip(z, ms)))
-            row_base = reduce(add, (mj * lpj for mj, lpj in zip(ms, lp)), base)
-            logmult = row_base - reduce(add, (
-                (ln_fact[:mj + 1] + ln_fact[mj::-1]).reshape(ax)
-                for mj, ax in zip(ms, axis)))
-            yield ms, S, T, logmult
+    whole = (0,) * classes.K
+    for M in classes.levels.tolist():
+        for ms in _compositions(M, classes.K):
+            yield classes.row(ms, whole)
+
+
+def _drop_smallest(log_bounds: np.ndarray, log_budget: float):
+    """Keep mask that drops the smallest bounds while their sum stays within
+    ``exp(log_budget)``, and the log of that sum (``-inf`` if none)."""
+    order = np.argsort(log_bounds)
+    lost = np.logaddexp.accumulate(log_bounds[order])
+    k = int(np.searchsorted(lost, log_budget, side="right"))
+    keep = np.ones(len(log_bounds), dtype=bool)
+    keep[order[:k]] = False
+    return keep, (float(lost[k - 1]) if k else -math.inf)
+
+
+def _window(rows: np.ndarray, halfwidth) -> np.ndarray:
+    """The least ``lo`` per row and axis with ``m - 2 lo <= halfwidth``."""
+    return np.maximum(0, np.ceil((rows - halfwidth) / 2)).astype(int)
+
+
+def _marginal_of_S(m: TiltedModel, budget: int) -> EmpiricalBatch:
+    """``enumerate_exact(m, collapse='S')``: the law of ``S`` from the rows
+    and splits whose bounds can matter, in one pass; see enumerate_exact."""
+    n = m.n
+    classes = _Classes(m.rho, n)
+    K = classes.K
+    log_level = classes.log_level_bounds()
+    shift = float(np.max(log_level))   # no class weighs more than e^shift
+    log_level -= shift
+
+    # the core |d_j| <= 2 m_j^{3/4} of the top level's largest row is kept
+    # mass, so 3 tol below is at most _TRUNCATION times the kept mass
+    top = classes.compositions(classes.levels[np.argmax(log_level)])
+    probe = top[np.argmax(classes.log_row_bounds(top))]
+    lo = _window(probe, 2.0 * probe ** 0.75)
+    S, T, logmult = classes.row(probe.tolist(), lo.tolist())
+    cells = logmult.size
+    log_tol = (math.log(_TRUNCATION / 3)
+               + _log_sum_exp(logmult + m.log_weight(S, T) - shift))
+
+    # tol each for whole levels, rows, and split tails
+    keep, lost_levels = _drop_smallest(log_level, log_tol)
+    rows = np.concatenate([classes.compositions(M)
+                           for M in classes.levels[keep].tolist()])
+    log_row = classes.log_row_bounds(rows) - shift
+    keep, lost_rows = _drop_smallest(log_row, log_tol)
+    rows, log_row = rows[keep], log_row[keep]
+    # |d_j| <= (12 c)^{1/4} m_j^{3/4} makes each axis's tail at most
+    # B_r e^{-c} = B_r tol / (K sum_r B_r)
+    c = math.log(K) + _log_sum_exp(log_row) - log_tol
+    lo = _window(rows, (12.0 * c) ** 0.25 * rows ** 0.75)
+    width = rows - 2 * lo
+    cells += int(np.sum(np.prod(width + 1, axis=1)))
+    if cells > budget:
+        raise ModelError(f"enumeration budget exceeded: {cells} cells "
+                         f"at n = {n}")
+    # the first dropped split on an axis sits at |d_j| = width + 2
+    x = (width + 2) / np.maximum(rows, 1)
+    tails = np.where(lo > 0, log_row[:, None] - rows * x**4 / 12, -math.inf)
+    log_lost = _log_sum_exp([lost_levels, lost_rows, _log_sum_exp(tails)])
+
+    H = np.max(width, axis=0)   # the largest kept |d_j| on each axis
+    w_cell = np.zeros(tuple(2 * H + 1))   # cell H_j + d_j on axis j
+    tw_cell = np.zeros_like(w_cell)
+    for ms, l_r in zip(rows.tolist(), lo.tolist()):
+        S, T, logmult = classes.row(ms, l_r)
+        # a row's classes fill a stride-2 block of the d cells
+        block = tuple(slice(h - mj + 2 * l, h + mj - 2 * l + 1, 2)
+                      for h, mj, l in zip(H.tolist(), ms, l_r))
+        w = np.exp(logmult + m.log_weight(S, T) - shift)
+        w_cell[block] += w
+        tw_cell[block] += w * T
+    d = np.ix_(*[np.arange(-h, h + 1) for h in H])
+    S_cell = reduce(add, (zj * dj for zj, dj in zip(classes.z, d)))
+    keep = w_cell > 0
+    # cells with different d can share S when K > 1
+    S_out, inv = np.unique(S_cell[keep], return_inverse=True)
+    w_out = np.bincount(inv, weights=w_cell[keep])
+    T_out = np.bincount(inv, weights=tw_cell[keep]) / w_out
+    total = float(np.sum(w_out))
+    return EmpiricalBatch(
+        S=S_out, T=T_out, weight=w_out / total, method="enumeration", n=n,
+        diagnostics={"log_Z": shift + math.log(total), "collapsed": "S",
+                     "states": len(S_out), "cells": cells,
+                     "truncated_mass_bound": math.exp(log_lost) / total})
 
 
 def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
                     collapse: Optional[str] = None) -> EmpiricalBatch:
     """Exact law of ``(S, T)`` under the tilted measure for a symmetric
-    atomic ``rho``.
+    atomic ``rho``; a density component raises ModelError.
 
-    States are the multinomial classes of atom counts (``_class_rows``), so
-    the cost is polynomial in ``n``; more than ``budget`` classes
-    (``comb(n + A - 1, A - 1)`` for ``A`` atoms) raise ModelError, as does
-    a density component.  With ``collapse='S'`` only the marginal of ``S``
-    is kept (``T`` is replaced by its conditional mean per ``S`` value),
-    which is what large-``n`` fluctuation studies need; the classes are then
-    summed row by row and never held all at once.
+    States are the multinomial classes of atom counts (``_Classes``), so
+    the cost is polynomial in ``n``.  The full output lists every class
+    with ``T > 0``; more than ``budget`` classes (``comb(n + A - 1, A -
+    1)`` for ``A`` atoms) raise ModelError.
+
+    With ``collapse='S'`` only the marginal of ``S`` is kept (``T`` is
+    replaced by its conditional mean per ``S`` value), which is what
+    large-``n`` fluctuation studies need.  It visits only the classes that
+    can carry mass, row by row in one pass: levels, then rows, then the
+    splits ``|d_j| > (12 c)^{1/4} m_j^{3/4}`` of each kept row are dropped
+    where their bounds (``_Classes``) sum to at most ``_TRUNCATION / 3`` of
+    the kept mass each.  ``diagnostics['truncated_mass_bound']`` is the
+    bound on the dropped mass relative to the kept mass (at most
+    ``_TRUNCATION``), and ``diagnostics['cells']`` counts the classes
+    visited; more than ``budget`` of them raise ModelError.
     """
-    n = m.n
-
-    def rows():
-        for ms, S, T, logmult in _class_rows(m.rho, n, budget):
-            yield ms, S, T, logmult + m.log_weight(S, T)
-
     if collapse == "S":
-        gmax = max(float(np.max(lw)) for *_, lw in rows())
-        z = [zj for zj, _ in m.rho.mirror_magnitudes()]
-        shape = (2 * n + 1,) * len(z)
-        w_cell = np.zeros(shape)   # cell n + d_j on axis j
-        tw_cell = np.zeros(shape)
-        for ms, S, T, lw in rows():
-            # a row's classes fill a stride-2 block of the d = 2 kp - m cells
-            block = tuple(slice(n - mj, n + mj + 1, 2) for mj in ms)
-            w = np.exp(lw - gmax)
-            w_cell[block] += w
-            tw_cell[block] += w * T
-        d = np.ix_(*[np.arange(-n, n + 1)] * len(z))
-        S_cell = reduce(add, (zj * dj for zj, dj in zip(z, d)))
-        keep = w_cell > 0
-        # cells with different d can share S when K > 1
-        S_out, inv = np.unique(S_cell[keep], return_inverse=True)
-        w_out = np.bincount(inv, weights=w_cell[keep])
-        T_out = np.bincount(inv, weights=tw_cell[keep]) / w_out
-        return EmpiricalBatch(
-            S=S_out, T=T_out, weight=w_out / np.sum(w_out),
-            method="enumeration", n=n,
-            diagnostics={"log_Z": gmax + math.log(np.sum(w_out)),
-                         "collapsed": "S", "states": len(S_out)})
-
+        return _marginal_of_S(m, budget)
+    n = m.n
     S_all, T_all, lw_all = [], [], []
-    for _, S, T, lw in rows():
+    for S, T, logmult in _class_rows(m.rho, n, budget):
         S_all.append(S.ravel())
         T_all.append(np.full(S.size, T))
-        lw_all.append(lw.ravel())
+        lw_all.append((logmult + m.log_weight(S, T)).ravel())
     S_all, T_all, lw_all = (np.concatenate(a) for a in (S_all, T_all, lw_all))
     gmax = float(np.max(lw_all))
     w_all = np.exp(lw_all - gmax)
@@ -592,7 +707,7 @@ def varadhan_decay(rho: Measure1D, n: int, x_threshold: float = 0.5,
     ``{|x| >= x_threshold}`` intersected with the admissible cone, exact over
     the multinomial classes of a symmetric atomic ``rho``."""
     pieces = []
-    for _, S, T, logmult in _class_rows(rho, n, budget):
+    for S, T, logmult in _class_rows(rho, n, budget):
         mask = np.abs(S / n) >= x_threshold
         if np.any(mask):
             pieces.append(_log_sum_exp(logmult[mask] + S[mask] ** 2 / (2 * T)))

@@ -418,6 +418,21 @@ class TestEntryPoint:
         assert r.returncode == 0
         assert r.stdout.startswith("usage: cwsoc")
 
+    def test_closed_stdout_is_a_normal_exit(self):
+        # the reader of the pipe is gone before the command prints, as with
+        # ``cwsoc cramer check ... | head -c 100``
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        p = subprocess.Popen(
+            [sys.executable, "-m", "cwsoc.cli", "cramer", "check", "--preset",
+             "gaussian", "--alpha", "0.5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        p.stdout.close()
+        err = p.stderr.read().decode()
+        assert p.wait(timeout=120) == 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
 
 # Runs CLI commands in one fresh interpreter and prints, as JSON, which of
 # scipy and scipy.special are loaded after the import and after each command.

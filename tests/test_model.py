@@ -290,6 +290,110 @@ def test_enumeration_sign_symmetry_property(base, n, g):
     np.testing.assert_allclose(marg.T, marg.T[::-1], rtol=1e-12)
 
 
+def _marginal_of_full(full):
+    """``(S, w, wT)`` of a full enumeration summed over equal ``S``, for
+    the named bases, whose ``S`` values are multiples of 1/2."""
+    key = np.rint(2 * full.S).astype(int)
+    np.testing.assert_array_equal(key / 2, full.S)
+    lo = key.min()
+    key -= lo
+    hit = np.bincount(key) > 0
+    w, wT = np.bincount(key, full.weight), np.bincount(key, full.weight * full.T)
+    return (np.flatnonzero(hit) + lo) / 2, w[hit], wT[hit]
+
+
+_WINDOW_CASES = ([("three-point", n) for n in (100, 500, 2000)]
+                 + [("five-atom", n) for n in (40, 80)]
+                 + [("two-magnitudes-no-zero", n) for n in (40, 120)])
+_WINDOW_GS = {"quadratic": quadratic(), "quartic": quartic(1.0),
+              "star": quadratic("star")}
+
+
+class TestWindowedMarginal:
+    """``collapse='S'`` visits a window of rows and splits; against the full
+    output summed by ``S``.  The full mode's ``comb(n + A - 1, A - 1)``
+    classes keep four- and five-atom bases at small n: the five-atom full
+    output at n = 120 has 9.5 million classes and peaks near 760 MB."""
+
+    @pytest.mark.parametrize("g", _WINDOW_GS, ids=str)
+    @pytest.mark.parametrize("name,n", _WINDOW_CASES, ids=str)
+    def test_matches_full_output(self, name, n, g):
+        m = TiltedModel(rho=NAMED_BASES[name], g=_WINDOW_GS[g], n=n)
+        full = enumerate_exact(m)
+        S, w, wT = _marginal_of_full(full)
+        win = enumerate_exact(m, collapse="S")
+        bound = win.diagnostics["truncated_mass_bound"]
+        assert 0 <= bound <= model._TRUNCATION
+        np.testing.assert_array_equal(win.S, -win.S[::-1])
+        np.testing.assert_allclose(win.weight, win.weight[::-1], rtol=1e-12)
+        idx = np.searchsorted(S, win.S)
+        np.testing.assert_array_equal(S[idx], win.S)
+        np.testing.assert_allclose(win.weight, w[idx], rtol=0, atol=1e-13)
+        assert win.diagnostics["log_Z"] == pytest.approx(
+            full.diagnostics["log_Z"], abs=1e-12)
+        # a dropped mass below the bound moves a conditional mean of T by
+        # at most bound * max T / w: nothing where w >= 1e-6
+        big = w[idx] >= 1e-6
+        np.testing.assert_allclose(win.T[big], wT[idx][big] / w[idx][big],
+                                   rtol=1e-12)
+        outside = np.ones(len(S), dtype=bool)
+        outside[idx] = False
+        assert np.sum(w[outside]) <= bound
+
+    @pytest.mark.parametrize("name,n", [("rademacher", 2000),
+                                        ("three-point", 2000),
+                                        ("five-atom", 80),
+                                        ("two-magnitudes-no-zero", 120)],
+                             ids=str)
+    def test_bound_covers_the_dropped_mass(self, monkeypatch, name, n):
+        # at a loose cut the dropped mass is large enough to measure: the
+        # full log Z less the kept one is the dropped mass relative to the
+        # kept mass, exactly.  Rademacher has a single row, so all it drops
+        # are split tails.
+        monkeypatch.setattr(model, "_TRUNCATION", 1e-4)
+        m = TiltedModel(rho=NAMED_BASES[name], g=quadratic(), n=n)
+        full = enumerate_exact(m)
+        win = enumerate_exact(m, collapse="S")
+        dropped = math.expm1(full.diagnostics["log_Z"] - win.diagnostics["log_Z"])
+        bound = win.diagnostics["truncated_mass_bound"]
+        assert 1e-12 < dropped <= bound <= 1e-4
+        S, w, _ = _marginal_of_full(full)
+        assert np.sum(w[~np.isin(S, win.S)]) <= bound
+
+    def test_visits_a_window(self):
+        # three-point at n = 10^4: about n^{5/4} of the n^2 / 2 classes
+        n = 10**4
+        m = TiltedModel(rho=measure.three_point(p=0.25), g=quadratic(), n=n)
+        cells = enumerate_exact(m, collapse="S").diagnostics["cells"]
+        assert cells * 15 < math.comb(n + 2, 2)
+
+    def test_budget_counts_visited_cells(self):
+        m = TiltedModel(rho=measure.three_point(p=0.25), g=quadratic(), n=1000)
+        cells = enumerate_exact(m, collapse="S").diagnostics["cells"]
+        with pytest.raises(ModelError, match="budget"):
+            enumerate_exact(m, budget=cells - 1, collapse="S")
+        b = enumerate_exact(m, budget=cells, collapse="S")
+        assert b.diagnostics["cells"] == cells
+
+
+def test_full_output_keeps_every_class():
+    # n (n + 3) / 2 classes with T > 0 on three-point, and log Z as a
+    # log-sum-exp over the (c0, c(+1), c(-1)) counts
+    n = 500
+    m = TiltedModel(rho=measure.three_point(p=0.25), g=quadratic(), n=n)
+    b = enumerate_exact(m)
+    assert len(b.S) == b.diagnostics["states"] == n * (n + 3) // 2
+    kp, km = (a.ravel() for a in np.meshgrid(np.arange(n + 1), np.arange(n + 1)))
+    alive = (kp + km >= 1) & (kp + km <= n)
+    kp, km = kp[alive], km[alive]
+    c0 = n - kp - km
+    lp = (gammaln(n + 1.0) - gammaln(c0 + 1.0) - gammaln(kp + 1.0)
+          - gammaln(km + 1.0) + c0 * math.log(0.5) + (kp + km) * math.log(0.25))
+    log_Z = logsumexp(lp + (kp - km) ** 2 / (2.0 * (kp + km)))
+    assert b.diagnostics["log_Z"] == pytest.approx(log_Z, rel=1e-13)
+    assert np.sum(b.weight) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestImportance:
     def test_rademacher_agreement(self, rad2):
         exact = enumerate_exact(rad2)
@@ -567,7 +671,7 @@ class TestVaradhanDecay:
         for rho, n in ((measure.three_point(p=0.25), 200),
                        (measure.rademacher(), 101), (five, 24)):
             pieces = []
-            for _, S, T, logmult in model._class_rows(rho, n, 10**8):
+            for S, T, logmult in model._class_rows(rho, n, 10**8):
                 mask = np.abs(S / n) >= 0.5
                 if mask.any():
                     pieces.append(logsumexp(logmult[mask] + S[mask]**2 / (2 * T)))
