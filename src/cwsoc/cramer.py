@@ -7,20 +7,18 @@ purely atomic base never satisfies (C): its ``M`` is a finite trigonometric
 sum, hence almost periodic, so ``limsup |M| = 1`` (Dirichlet's simultaneous
 approximation theorem) and the check fails at the best near-return it finds.
 A base with a Gaussian density component passes on a radius-uniform bound
-from the mixture decomposition; any other density is inconclusive until a
+from the mixture decomposition; a table density is inconclusive until a
 bound on the tail of its annulus exists.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .measure import GaussianDensity, Measure1D
-from .quadrature import adaptive_gauss_legendre
 
 
 @dataclass
@@ -48,16 +46,13 @@ class CharEvaluator:
             out += self.base.density.char_grid(s, t)
         return out
 
-    @cached_property
+    @property
     def lipschitz(self) -> float:
-        """Bound on the gradient norm of M: integral of |z| + z^2, by
-        quadrature once per evaluator."""
+        """Bound on the gradient norm of M: integral of |z| + z^2, in closed
+        form from the atoms, the density's ``abs_moment`` and ``sigma^2``."""
         abs_moment = sum(p * abs(z) for z, p in self.base.atoms)
         if self.base.density is not None:
-            f = self.base.density.pdf
-            R = self.base.density.support_radius
-            abs_moment += float(adaptive_gauss_legendre(
-                lambda z: np.abs(z) * f(z), -R, R, tol=1e-10))
+            abs_moment += self.base.density.abs_moment
         return abs_moment + self.base.moments.sigma2
 
 
@@ -109,7 +104,7 @@ def verdict_rule(base: Measure1D) -> str:
     """The (C) policy, read by ``check_condition`` and ``limitlaw``: ``fail``
     for a purely atomic base (``M`` almost periodic), ``pass`` for a Gaussian
     density component (a radius-uniform mixture bound), else ``inconclusive``
-    (a table or callable density, which no bound certifies yet)."""
+    (a table density, which no bound certifies yet)."""
     if base.ac_mass <= 0:
         return "fail"
     return "pass" if isinstance(base.density, GaussianDensity) else (
@@ -210,8 +205,8 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
     rounding), that is inside its ``char_box`` at that level, so only the
     grid's prefix rectangle inside the box is evaluated.  It keeps the
     row-major order, so the argmax, and the local refinement from it, are
-    those of the full grid.  A density without a closed-form box (a table,
-    a callable) scans the full grid.
+    those of the full grid.  A table density has no closed-form box, so it
+    scans the full grid.
 
     Its sup cannot reach 1, so the grid decides no verdict: a Gaussian
     density component passes if its ``mixture_bound`` (``details["mixture"]``)

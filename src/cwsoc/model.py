@@ -521,8 +521,8 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
       ``k`` changes nothing in the move; it only converts ``burn_in`` and
       ``thin`` into steps.  This path draws the untruncated normal, as every
       ``GaussianDensity`` method but ``tilted_moments`` does.
-    - Every other base (atomic, atom-plus-Gaussian such as ``rho0``, table
-      and callable densities): each chain stores its ``n`` coordinates and a
+    - Every other base (atomic, atom-plus-Gaussian such as ``rho0``, or a
+      table density): each chain stores its ``n`` coordinates and a
       step replaces ``k`` contiguous ones with fresh draws from ``rho``, at
       one random offset shared by the chains, accepted with the ratio of the
       tilt weights ``exp(n F)``; the target is exchangeable, so contiguous

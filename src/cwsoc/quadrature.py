@@ -57,12 +57,3 @@ def adaptive_gauss_legendre(
             stack.append((mid, hi, right, depth + 1))
     return total
 
-
-def gaussian_tail_bound(A: float, v: float, R: float) -> float:
-    """Upper bound on ``A * integral of exp(-v z^2) over |z| > R``."""
-    if v <= 0:
-        raise ValueError("domination exponent must be positive")
-    # int_R^inf e^{-v z^2} dz <= e^{-v R^2} / (2 v R) for R > 0
-    if R <= 0:
-        return A * np.sqrt(np.pi / v)
-    return A * np.exp(-v * R * R) / (v * R)

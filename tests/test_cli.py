@@ -50,8 +50,8 @@ class TestDispatch:
         assert doc["message"] == "argmax diverged; outside admissible domain"
 
     def test_rate_eval_table_beyond_envelope_exponent(self, tmp_path, capsys):
-        # triangle f = 1 - |z|: y = 0.2 > 1/6 needs v > 0.5, the envelope's
-        # exponent, which the compact support does not cap
+        # triangle f = 1 - |z|: y = 0.2 > 1/6 needs v > 0.5, which the
+        # compact support does not cap
         spec = tmp_path / "triangle.json"
         spec.write_text(json.dumps(
             {"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
@@ -160,13 +160,13 @@ class TestDispatch:
         batch.with_suffix(".meta.json").write_text(
             json.dumps({"method": "importance", "n": 4}))
         passes = []
-        validate = measure.TableDensity.validate
+        post_init = measure.Measure1D.__post_init__
 
         def counted(self):
             passes.append(1)
-            return validate(self)
+            post_init(self)
 
-        monkeypatch.setattr(measure.TableDensity, "validate", counted)
+        monkeypatch.setattr(measure.Measure1D, "__post_init__", counted)
         argv = [a.format(out=tmp_path / "out", batch=batch) for a in command]
         got, _, _ = run(capsys, *argv, "--spec", str(spec))
         assert got == rc and len(passes) == 1
@@ -204,6 +204,13 @@ class TestDispatch:
             "second coordinate degenerate at 1.0; target unreachable": 6}
         iters = meta["newton_iterations"]
         assert type(iters["total"]) is int and 1 <= iters["max"] <= iters["total"]
+
+
+# knots off the 201-point grid on [0, 1] that once checked a density's
+# shape, and a table of mass 1 on them that is negative only at +-0.5025
+OFF_GRID_X = [-1, -0.5026, -0.5025, -0.5024, 0, 0.5024, 0.5025, 0.5026, 1]
+_Y = np.array([1, 1, -0.66, 1, 1, 1, -0.66, 1, 1])
+OFF_GRID_NEGATIVE_Y = (_Y / np.trapezoid(_Y, OFF_GRID_X)).tolist()
 
 
 class TestValidationErrors:
@@ -275,10 +282,25 @@ class TestValidationErrors:
          "table density: zero mass (every y is 0)"),
         ({"atoms": [], "density": {"kind": "table", "x": [0], "y": [1]}},
          "table density: it needs at least two points"),
+        ({"atoms": [], "density": {"kind": "table", "x": OFF_GRID_X,
+                                   "y": OFF_GRID_NEGATIVE_Y}},
+         "density takes negative values"),
+        # infinite knots would send the mass quadrature into an endless
+        # bisection
+        ({"atoms": [], "density": {"kind": "table",
+                                   "x": [-math.inf, 0, math.inf],
+                                   "y": [0, 1, 0]}},
+         "table x must be finite"),
+        # a misspelt key is named, not read as a missing one
+        ({"atom": [[-1, 0.5], [1, 0.5]]},
+         "unknown key 'atom' in the measure spec"),
+        ({"atoms": [], "density": {"kind": "gaussian", "sigam": 2}},
+         "unknown key 'sigam' in the gaussian density"),
     ], ids=["duplicate-atoms", "atom-mass", "negative-table", "table-mass",
             "table-mass-1.5", "table-rho0-mass", "table-x-order",
             "table-y-nan", "zero-variance", "table-zero-mass",
-            "table-one-point"])
+            "table-one-point", "negative-between-grid-points",
+            "table-x-inf", "unknown-key", "unknown-density-key"])
     def test_invalid_measure_spec(self, tmp_path, capsys, spec, message):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(spec))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from cwsoc import cramer, measure
+from cwsoc import measure
 from cwsoc.cramer import (CharEvaluator, _quadrant, _refine_local,
                           check_condition, mixture_bound)
 from cwsoc.limitlaw import _cramer_flag, verify_lln
@@ -86,15 +87,29 @@ class TestCharFn:
                 assert grid[i, j] == pytest.approx(want[i, j], abs=1e-14)
 
     def test_generic_density_path(self):
-        # a callable density forces the trapezoid fallback; compare to the
-        # N(0, 1) closed form (the mass beyond R = 10 is below 1e-22)
-        dens = measure.DensityComponent(
-            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
-        e = CharEvaluator(measure.Measure1D(density=dens))
-        for s, t in [(1.5, 0.7), (0.0, 3.0), (4.0, -2.0)]:
-            q = 1 - 2j * t
-            expect = np.exp(-s * s / (2 * q)) / np.sqrt(q)
-            assert one_cell(e, s, t) == pytest.approx(expect, abs=1e-12)
+        # a table density takes the folded trapezoid rule, whose error is
+        # O(h^2) with h = 1/1024 here; on the triangle f = 1 - |z| compare
+        # to 2 (1 - cos s) / s^2 at t = 0 and to scipy's quad elsewhere
+        e = CharEvaluator(TRIANGLE)
+        s = np.array([0.5, 1.5, 4.0, 9.0])
+        want = 2 * (1 - np.cos(s)) / s**2
+        assert np.max(np.abs(e.char_grid(s, [0.0])[:, 0] - want)) <= 1e-6
+        assert one_cell(e, 0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        for s, t in [(1.5, 0.7), (4.0, -2.0)]:
+            assert one_cell(e, s, t) == pytest.approx(quad_char(s, t),
+                                                      abs=1e-6)
+
+
+TRIANGLE = measure.Measure1D(
+    density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))
+
+
+def quad_char(s, t):
+    """Oracle: the triangle's ``M(s, t)`` by scipy's quad."""
+    parts = [integrate.quad(lambda z: (1 - abs(z)) * trig(s * z + t * z * z),
+                            -1, 1, points=[0.0], epsabs=1e-14)[0]
+             for trig in (math.cos, math.sin)]
+    return complex(*parts)
 
 
 FIVE_ATOM = measure.Measure1D(
@@ -169,14 +184,13 @@ class TestQuadrantGrid:
         assert r.details["grid_cells"] == 1001 * 1001  # the quadrant only
 
     def test_generic_density_check(self):
-        # a normal pdf given as a callable: the trapezoid grid of the scan
-        # and no radius-uniform bound; sup_estimate pinned from the
-        # half-plane scan this quadrant scan replaced
-        dens = measure.DensityComponent(
-            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
-        r = check_condition(CharEvaluator(measure.Measure1D(density=dens)),
-                            0.5, radius=20.0)
-        assert r.sup_estimate == pytest.approx(0.8824969025844662, abs=1e-9)
+        # the triangle: the trapezoid grid of the scan and no radius-uniform
+        # bound.  Its |M| is largest on the annulus at (0, alpha), where
+        # |M|^2 ~ 1 - t^2 Var(Z^2) falls slowest; sup_estimate finds it up
+        # to the trapezoid error
+        r = check_condition(CharEvaluator(TRIANGLE), 0.5, radius=20.0)
+        assert r.sup_estimate == pytest.approx(abs(quad_char(0.0, 0.5)),
+                                               abs=1e-6)
         assert r.verdict == "inconclusive"
         assert r.sup_bound is None
         assert "mixture" not in r.details
@@ -238,9 +252,7 @@ class TestEnvelopeScan:
         assert d.char_box(1e-320) == (math.inf, math.inf)  # e^{4L} overflows
         assert d.char_box(0.5) == (0.0, 0.0)
         assert d.char_box(0.6) == (0.0, 0.0)  # above the mass: nothing
-        dens = measure.DensityComponent(
-            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
-        assert dens.char_box(0.5) == (math.inf, math.inf)
+        assert TRIANGLE.density.char_box(0.5) == (math.inf, math.inf)
 
     @settings(max_examples=40, deadline=None)
     @given(mags=st.lists(st.floats(0.05, 3.0), max_size=3, unique=True),
@@ -270,44 +282,46 @@ class TestEnvelopeScan:
         assert r.details["grid_cells"] == 1001 * 1001
         assert 0 < r.details["scanned_cells"] <= r.details["grid_cells"] / 100
 
-    def test_table_and_callable_scan_the_full_grid(self):
-        table = measure.Measure1D(
-            density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))
-        dens = measure.DensityComponent(
-            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0, (0.41, 0.5))
-        for base in (table, measure.Measure1D(density=dens)):
-            r = check_condition(CharEvaluator(base), 0.5, radius=5.0)
-            assert r.details["scanned_cells"] == r.details["grid_cells"]
-            assert r.details["grid_cells"] == 101 * 101
+    def test_table_scans_the_full_grid(self):
+        r = check_condition(CharEvaluator(TRIANGLE), 0.5, radius=5.0)
+        assert r.details["scanned_cells"] == r.details["grid_cells"]
+        assert r.details["grid_cells"] == 101 * 101
 
     def test_table_base_validated_once(self, monkeypatch):
         # the Lipschitz bound of the scan reads the moments the base kept
-        # from its construction: it validates and builds no measure again
+        # from its construction: it validates and builds no measure or
+        # table again
         table = measure.Measure1D(
             density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))
 
-        def refuse(self):
+        def refuse(self, *args):
             raise AssertionError("validated again")
 
         monkeypatch.setattr(measure.Measure1D, "__post_init__", refuse)
-        monkeypatch.setattr(measure.TableDensity, "validate", refuse)
+        monkeypatch.setattr(measure.TableDensity, "__init__", refuse)
         check_condition(CharEvaluator(table), 0.5, radius=5.0)
 
-    def test_lipschitz_quadrature_runs_once(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return quad(*args, **kwargs)
-
-        quad = cramer.adaptive_gauss_legendre
-        monkeypatch.setattr(cramer, "adaptive_gauss_legendre", counted)
+    def test_lipschitz_closed_form(self):
+        # rho0: integral of |z| is 2/16 + (1/8) sqrt(2/pi), of z^2 is 1/4
         e = CharEvaluator(measure.rho_zero())
         lip = e.lipschitz
+        assert lip == pytest.approx(
+            0.125 + 0.125 * math.sqrt(2 / math.pi) + 0.25, rel=0, abs=1e-12)
         r = check_condition(e, 0.5)
-        assert e.lipschitz == lip
         assert r.details["grid_pad"] == lip * 0.05 * math.sqrt(0.5)
-        assert len(calls) == 1
+
+    def test_table_lipschitz_matches_quad(self):
+        # atoms at +-1 and 0.75 times the triangle: integral of |z| + z^2
+        # by scipy's quad on each side of 0, plus the atoms
+        base = measure.Measure1D(
+            atoms=((-1.0, 0.125), (1.0, 0.125)),
+            density=measure.TableDensity([-1, 0, 1], [0, 0.75, 0]))
+        density = sum(integrate.quad(
+            lambda z: (abs(z) + z * z) * 0.75 * (1 - abs(z)), a, b,
+            epsabs=1e-14, epsrel=1e-14)[0] for a, b in ((-1, 0), (0, 1)))
+        want = 2 * 0.125 * 2 + density
+        assert CharEvaluator(base).lipschitz == pytest.approx(
+            want, rel=0, abs=1e-13)
 
 
 class TestMixtureBound:
@@ -418,12 +432,8 @@ class TestCheckCondition:
     @pytest.mark.parametrize("base", [
         measure.rademacher(), measure.three_point(), measure.gaussian(),
         measure.rho_zero(),
-        measure.Measure1D(density=measure.TableDensity([-1, 0, 1], [0, 1, 0])),
-        measure.Measure1D(density=measure.DensityComponent(
-            lambda z: np.exp(-z * z / 2) / np.sqrt(2 * np.pi), 10.0,
-            (0.41, 0.5)))],
-        ids=["rademacher", "three-point", "gaussian", "rho0", "triangle",
-             "callable-normal"])
+        TRIANGLE],
+        ids=["rademacher", "three-point", "gaussian", "rho0", "triangle"])
     def test_report_flag_matches_verdict(self, base):
         # limitlaw's flag and check_condition read one rule
         verdict = check_condition(CharEvaluator(base), 0.5, radius=5.0).verdict

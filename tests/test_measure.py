@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate
 
 from cwsoc import measure, model
 from cwsoc.measure import (
-    DensityComponent,
     GaussianDensity,
     Measure1D,
     MeasureError,
@@ -162,27 +161,25 @@ class TestValidation:
             measure.gaussian(mass=1e-13, atoms=((0.0, 1.0),))
 
     def test_asymmetric_density_rejected(self):
-        dens = measure.DensityComponent(
-            lambda z: np.exp(-(z - 0.3)**2) / np.sqrt(np.pi), 8.0, (0.6, 0.5))
-        with pytest.raises(MeasureError):
-            Measure1D(density=dens)
+        # the triangle with its peak moved to 0.3
+        with pytest.raises(MeasureError, match="not symmetric"):
+            TableDensity([-1.0, 0.3, 1.0], [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("x, y", [
+        # a bump at -0.5025 between the points 0.5 and 0.505 of the
+        # 201-point grid on [0, 1] that used to check the shape
+        ([-1, -0.5026, -0.5025, -0.5024, 0, 0.5024, 0.5025, 0.5026, 1],
+         [1, 1, 2, 1, 1, 1, 1, 1, 1]),
+        # equal at every knot and its mirror, but the density jumps at -1
+        # and its mirror at 1 does not: on (1, 2) f = 2 - z, f(-z) = 0
+        ([-1, 1, 2], [1, 1, 0])], ids=["between-grid-points", "unmirrored-end"])
+    def test_asymmetric_table_rejected_exactly(self, x, y):
+        with pytest.raises(MeasureError, match="not symmetric"):
+            TableDensity(x, y)
 
     def test_nan_density_rejected(self):
-        dens = DensityComponent(lambda z: np.full_like(z, np.nan), 1.0,
-                                (1.0, 0.5))
-        with pytest.raises(MeasureError, match="negative values"):
-            Measure1D(density=dens)
-
-    @pytest.mark.parametrize("domination, message", [
-        ((0.41, 0.0), "domination pair must be positive"),
-        ((0.5, 0.5), "exceeds its Gaussian envelope"),
-    ], ids=["domination", "above-envelope"])
-    def test_callable_density_envelope_rejected(self, domination, message):
-        # only a callable density is given its envelope; here the triangle
-        dens = DensityComponent(lambda z: np.maximum(1 - np.abs(z), 0.0),
-                                1.0, domination)
-        with pytest.raises(MeasureError, match=message):
-            Measure1D(density=dens)
+        with pytest.raises(MeasureError, match="table y must be finite"):
+            TableDensity([-1.0, 0.0, 1.0], [0.0, math.nan, 0.0])
 
 
 class TestSample:
@@ -213,20 +210,8 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(measure.rademacher(), 0, np.random.default_rng(0))
 
-    def test_callable_density_rejection_moments(self):
-        # z^2 phi(z) is not Gaussian, so only the rejection sampler can draw
-        # it: E z^2 = 3, E z^4 = 15, E z^8 = 945 (normal moments 2 orders up)
-        pdf = lambda z: z * z * np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
-        m = Measure1D(density=DensityComponent(pdf, 12.0, (0.59, 0.25)))
-        draws = sample(m, 2 * 10**5, np.random.default_rng(4))
-        n = len(draws)
-        # 5-sigma CLT bands: Var(z^2) = 15 - 9, Var(z^4) = 945 - 225
-        assert abs(np.mean(draws**2) - 3.0) < 5 * math.sqrt(6 / n)
-        assert abs(np.mean(draws**4) - 15.0) < 5 * math.sqrt(720 / n)
-
-    def test_table_rejection_moments(self):
-        # triangle f = 1 - |z|: E z^2 = 1/6, E z^4 = 1/15, E z^8 = 1/45,
-        # drawn by rejection from the table's derived envelope
+    def test_table_sample_moments(self):
+        # triangle f = 1 - |z|: E z^2 = 1/6, E z^4 = 1/15, E z^8 = 1/45
         m = Measure1D(density=TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
         draws = sample(m, 2 * 10**5, np.random.default_rng(5))
         n = len(draws)
@@ -234,6 +219,61 @@ class TestSample:
         # 5-sigma CLT bands: Var(z^2) = 1/15 - 1/36, Var(z^4) = 1/45 - 1/225
         assert abs(np.mean(draws**2) - 1 / 6) < 5 * math.sqrt(7 / 180 / n)
         assert abs(np.mean(draws**4) - 1 / 15) < 5 * math.sqrt(4 / 225 / n)
+
+    @pytest.mark.parametrize("x, y", [
+        ([-1, 0, 1], [0, 1, 0]),
+        # one flat interval across 0, with no knot there
+        ([-1, 1], [0.5, 0.5]),
+        # intervals of zero mass at both ends, flat ones between
+        ([-3, -2, -1, 1, 2, 3], [0, 0, 0.5, 0.5, 0, 0])],
+        ids=["triangle", "flat-across-0", "zero-mass-ends"])
+    def test_table_sampler_ks(self, x, y):
+        # KS distance of 2e5 seeded draws to the exact piecewise-quadratic
+        # CDF, below its 0.1 % critical value 1.95 / sqrt(N)
+        d = TableDensity(x, y)
+        n = 2 * 10**5
+        draws = np.sort(d.sample(n, np.random.default_rng(11)))
+        cdf = exact_table_cdf(x, y, draws)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf),
+                 np.max(cdf - np.arange(n) / n))
+        assert ks < 1.95 / math.sqrt(n)
+        # no draw falls where the density is 0
+        assert np.all(d.pdf(draws) > 0)
+
+    def test_table_sampler_ends_of_the_unit_interval(self):
+        # u = 0 and u = 1 (the total mass, which u * total can round up to)
+        # land on the ends of the support, not inside the zero-mass ends
+        class Ends:
+            def random(self, count):
+                return np.array([0.0, 1.0])
+
+        d = TableDensity([-3, -2, -1, 1, 2, 3], [0, 0, 0.5, 0.5, 0, 0])
+        np.testing.assert_array_equal(d.sample(2, Ends()), [-2.0, 2.0])
+
+    @pytest.mark.parametrize("x, y", [
+        ([-1, 0, 1], [0, 1, 0]), ([-1, 1], [0.5, 0.5]),
+        ([-2.5, -1.25, -0.4, 0.4, 1.25, 2.5], [0.05, 0.3, 0.1, 0.1, 0.3, 0.05])],
+        ids=["triangle", "flat-across-0", "irregular"])
+    def test_table_abs_moment(self, x, y):
+        # scipy's quad interval by interval, each split at 0
+        d = TableDensity(x, y)
+        edges = np.union1d(x, 0.0)
+        want = sum(integrate.quad(lambda z: abs(z) * float(d.pdf(z)), a, b,
+                                  epsabs=1e-14, epsrel=1e-14)[0]
+                   for a, b in zip(edges[:-1], edges[1:]))
+        assert d.abs_moment == pytest.approx(want, rel=0, abs=1e-13)
+
+
+def exact_table_cdf(x, y, z):
+    """The CDF of the normalized table density at ``z``: on the knot
+    interval from ``x_i``, ``y_i t + (y_{i+1} - y_i) t^2 / (2 h_i)``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    start = np.concatenate(([0.0], np.cumsum(h * (y[:-1] + y[1:]) / 2)))
+    i = np.clip(np.searchsorted(x, z, side="right") - 1, 0, len(h) - 1)
+    t = np.clip(z - x[i], 0.0, h[i])
+    return (start[i] + y[i] * t + (y[i + 1] - y[i]) * t * t / (2 * h[i])) / (
+        start[-1])
 
 
 class TestJsonRoundTrip:
@@ -247,9 +287,7 @@ class TestJsonRoundTrip:
         m = measure.rho_zero()
         m2 = Measure1D.from_json(m.to_json())
         assert m2.moments == m.moments
-        z = np.linspace(-3, 3, 50)
-        np.testing.assert_allclose(m2.density.pdf(z), m.density.pdf(z))
-        assert m2.density.domination == m.density.domination
+        assert (m2.density.mass, m2.density.sigma) == (0.125, 1.0)
 
     def test_malformed_json(self):
         with pytest.raises(MeasureError):
@@ -261,8 +299,10 @@ class TestJsonRoundTrip:
         ({"mass": 1.0}, "unknown density kind"),
         ({"kind": "gaussian", "sigma": "wide"}, "invalid gaussian density"),
         ({"kind": "table", "x": [0.0, 1.0]}, "invalid table density"),
-        # one point at 0: no support, so no envelope exponent 1 / (2 R^2)
+        # one point at 0: no support
         ({"kind": "table", "x": [0.0], "y": [1.0]}, "invalid table density"),
+        ({"kind": "table", "x": [-1, 1], "y": [0.5, 0.5], "z": [], "w": 0},
+         "unknown key 'w', 'z' in the table density"),
     ])
     def test_bad_density_spec_rejected(self, density, match):
         doc = {"atoms": [], "density": density, "domination": [0.41, 0.5],
@@ -270,20 +310,18 @@ class TestJsonRoundTrip:
         with pytest.raises(MeasureError, match=match):
             Measure1D.from_json(json.dumps(doc))
 
+    def test_retired_keys_ignored(self):
+        doc = {"atoms": [[-1, 0.5], [1, 0.5]], "domination": [0.41, 0.5],
+               "support_radius": 10.0, "v0": 0.5}
+        assert Measure1D.from_json(json.dumps(doc)) == measure.rademacher()
+
     def test_gaussian_spec_without_envelope_validates(self):
         # the density derives its support radius and envelope from sigma
         doc = {"atoms": [], "density": {"kind": "gaussian", "sigma": 2.0}}
         m = Measure1D.from_json(json.dumps(doc))
         assert m.moments.sigma2 == pytest.approx(4.0, rel=1e-12)
         assert m.density.support_radius == 20.0
-        assert m.density.domination == (
-            1.01 / (2.0 * math.sqrt(2 * math.pi)), 1 / 8)
         assert m.density.tilt_cap == 1 / 8
-
-    def test_callable_density_has_no_json_form(self):
-        dens = DensityComponent(stats.norm.pdf, 10.0, (0.41, 0.5))
-        with pytest.raises(MeasureError, match="no JSON form"):
-            Measure1D(density=dens).to_json()
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -331,11 +369,8 @@ def test_json_round_trip_property(m):
         assert m2.density is None
         return
     assert type(m2.density) is type(m.density)
-    assert m2.density.domination == m.density.domination
-    assert m2.density.support_radius == m.density.support_radius
-    R = m.density.support_radius
-    z = np.linspace(-1.1 * R, 1.1 * R, 201)
-    np.testing.assert_array_equal(m2.density.pdf(z), m.density.pdf(z))
+    # every attribute: the spec's parameters and what is derived from them
+    np.testing.assert_equal(vars(m2.density), vars(m.density))
 
 
 @settings(max_examples=30, deadline=None)
