@@ -444,7 +444,9 @@ class Measure1D:
             raise MeasureError(
                 f"atom masses sum to {self.discrete_mass}, leaving no "
                 "mass for the density")
-        c, m = self.tilted_moments(np.zeros(1), np.zeros(1), 4)
+        # moments that overflow are refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            c, m = self.tilted_moments(np.zeros(1), np.zeros(1), 4)
         m = m[0] * math.exp(c[0])
         if self.density is not None:
             mass = float(m[0]) - self.discrete_mass
@@ -452,6 +454,9 @@ class Measure1D:
                 raise MeasureError(
                     f"density mass {mass:.3e} inconsistent with 1 - b = {a:.3e}"
                 )
+        if not (math.isfinite(m[2]) and math.isfinite(m[4])):
+            raise MeasureError(f"moments not finite: sigma2 = {m[2]}, "
+                               f"mu4 = {m[4]}")
         if not m[2] > 0:
             raise MeasureError("degenerate measure: variance is zero")
         object.__setattr__(self, "moments", MomentSummary(

@@ -20,6 +20,8 @@ from .measure import GaussianDensity, Measure1D, sample as sample_measure
 
 _ESS_FLOOR = 100.0  # sample_importance warns below this effective sample size
 _SOKAL_WINDOW = 5.0  # integrated_autocorr_time stops at lag >= this * tau
+_BURN_ROUND = 32     # records per round of the default burn-in
+_RHAT_TARGET = 1.01  # the default burn-in stops once every split-R-hat is below
 
 
 class ModelError(ValueError):
@@ -503,11 +505,22 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
     whole chains: each of ``min(chains, count)`` chains records
     ``ceil(count / chains)`` states, and every record is returned, chain by
     chain, so the diagnostics describe exactly the batch.  ``burn_in`` and
-    ``thin`` are in single-coordinate proposals per chain (defaults: 10 n
-    sweeps and one sweep); with ``k = block_size`` one step stands for ``k``
+    ``thin`` are in single-coordinate proposals per chain (``thin`` defaults
+    to one sweep, ``n``); with ``k = block_size`` one step stands for ``k``
     of them, so a chain makes ``ceil(burn_in / k)`` steps before its first
     record and ``ceil(thin / k)`` between records.  Moves to ``T = 0`` are
     rejected.
+
+    ``burn_in=None`` burns in by rounds of ``_BURN_ROUND`` states, taken
+    ``ceil(thin / k)`` steps apart, until the chains agree: after each
+    round the split-R-hat of that round's ``S``, of the folded ``|S -
+    median(S)|`` and of ``T`` are all below ``_RHAT_TARGET``.  The rounds
+    stop at ``ceil(10 n^2 / k)`` steps in any case (the last one cut
+    short), so the default never burns in longer than 10 n sweeps.  The
+    decision reads the chains' own states only, so it does not depend on
+    ``count``, and recording starts after it.  The folded series sees a
+    change of scale that the means of ``S`` miss: a Gaussian chain starts
+    from the untilted law, narrower than the tilted one and as symmetric.
     The base picks one of two paths:
 
     - Pure Gaussian ``rho`` (no atoms, a ``GaussianDensity``): the tilt sees
@@ -532,9 +545,15 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
     path that of the joint move, about 0.38 at n = 1024), the integrated
     autocorrelation time, ESS and split-R-hat of the recorded ``S`` and,
     under the same names with the suffix ``_T``, of the recorded ``T``, and
-    the schedule.  With fewer than 4 records per chain those six statistics
-    are NaN.  At ``k = n`` and tiny ``n`` the Gaussian path makes one step
-    per record, so its ESS per record is low (``S`` at n = 8: 0.18).
+    the schedule: ``burn_in`` is the number of proposals made before the
+    first record (the steps times ``k``), ``burn_in_rounds`` the rounds of
+    the default burn-in, ``burn_in_capped`` whether they reached the
+    10 n-sweep cap before the chains agreed, and ``burn_in_rhat`` the largest
+    of the three split-R-hats of the last round (0, False and NaN under an
+    explicit ``burn_in``).  With fewer than 4 records per chain the six
+    statistics of the records are NaN.  At ``k = n`` and tiny ``n`` the
+    Gaussian path makes one step per record, so its ESS per record is low
+    (``S`` at n = 8: 0.18).
     """
     if count < 1:
         raise ModelError("count must be >= 1")
@@ -546,7 +565,6 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
         rng = np.random.default_rng(rng)
     n = m.n
     chains = min(chains, count)
-    burn_in = 10 * n * n if burn_in is None else burn_in
     thin = n if thin is None else thin
     k = block_size if block_size is not None else max(1, min(n // 64, 256))
     k = max(1, min(k, n))
@@ -555,10 +573,17 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
         moves = _collapsed_moves(m.rho.density, n, chains, m.log_weight, rng)
     else:
         moves = _coordinate_moves(m.rho, n, k, chains, m.log_weight, rng)
-    burn_steps = -(-burn_in // k)
     thin_steps = max(1, -(-thin // k))
-    S_rec, T_rec, accepted = _run_schedule(*moves, burn_steps, thin_steps,
-                                           records)
+    if burn_in is None:
+        burn_steps, accepted, rounds, capped, rhat = _burn_in_rounds(
+            *moves, thin_steps, -(-10 * n * n // k))
+        skip = 0
+    else:
+        # an explicit burn-in runs in the same stream of moves as the records
+        burn_steps = skip = -(-burn_in // k)
+        accepted, rounds, capped, rhat = 0, 0, False, math.nan
+    S_rec, T_rec, acc = _run_schedule(*moves, skip, thin_steps, records)
+    accepted += acc
     diag = {"acceptance_rate":
             accepted / (chains * (burn_steps + records * thin_steps))}
     for suffix, rec in (("", S_rec), ("_T", T_rec)):
@@ -566,7 +591,9 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
         diag["integrated_autocorrelation_time" + suffix] = tau
         diag["effective_sample_size" + suffix] = chains * records / tau
         diag["split_rhat" + suffix] = split_rhat(rec)
-    diag.update(chains=chains, burn_in=burn_in, thin=thin, block_size=k)
+    diag.update(chains=chains, burn_in=burn_steps * k, burn_in_rounds=rounds,
+                burn_in_capped=capped, burn_in_rhat=rhat, thin=thin,
+                block_size=k)
     return EmpiricalBatch(S=S_rec.ravel(), T=T_rec.ravel(),
                           weight=np.ones(S_rec.size), method="metropolis",
                           n=n, diagnostics=diag)
@@ -598,6 +625,29 @@ def _run_schedule(S, T, draw, move, batch, burn_steps, thin_steps, records):
                 T_rec[:, rec] = T
                 rec += 1
     return S_rec, T_rec, accepted
+
+
+def _burn_in_rounds(S, T, draw, move, batch, thin_steps, cap):
+    """The default burn-in of sample_metropolis: rounds of ``_BURN_ROUND``
+    states ``thin_steps`` moves apart until the split-R-hats of the round's
+    ``S``, ``|S - median(S)|`` and ``T`` are all below ``_RHAT_TARGET``, or
+    ``cap`` moves.  Returns ``(steps, accepted, rounds, capped, rhat)``,
+    ``rhat`` the largest R-hat of the last round."""
+    steps = accepted = rounds = 0
+    while steps < cap:
+        # a round cut short by the cap records the states at its end
+        todo = min(_BURN_ROUND * thin_steps, cap - steps)
+        S_r, T_r, acc = _run_schedule(S, T, draw, move, batch,
+                                      todo % thin_steps, thin_steps,
+                                      todo // thin_steps)
+        steps += todo
+        accepted += acc
+        rounds += 1
+        folded = np.abs(S_r - np.median(S_r)) if S_r.size else S_r
+        rhat = max(split_rhat(x) for x in (S_r, folded, T_r))
+        if rhat < _RHAT_TARGET:
+            return steps, accepted, rounds, False, rhat
+    return steps, accepted, rounds, True, rhat
 
 
 def _coordinate_moves(rho: Measure1D, n, k, chains, logw_fn, rng):

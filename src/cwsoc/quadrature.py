@@ -1,7 +1,8 @@
 """Adaptive Gauss-Legendre panel quadrature.
 
 Panels are split recursively until a panel's 12-node Gauss-Legendre estimate
-and the sum of its two halves' agree to within the requested tolerance.
+and the sum of its two halves' agree to within the requested tolerance, or
+their difference is not finite.
 Integrands must accept numpy arrays (they are evaluated on whole node batches).
 """
 from __future__ import annotations
@@ -50,7 +51,10 @@ def adaptive_gauss_legendre(
         left = _panel(f, lo, mid)
         right = _panel(f, mid, hi)
         fine = left + right
-        if np.max(np.abs(fine - coarse)) <= panel_tol or depth >= _MAX_DEPTH:
+        err = np.max(np.abs(fine - coarse))
+        # a non-finite estimate does not improve by bisection: accept it,
+        # and let the caller's finiteness checks refuse the result
+        if err <= panel_tol or not np.isfinite(err) or depth >= _MAX_DEPTH:
             total = total + fine
         else:
             stack.append((lo, mid, left, depth + 1))

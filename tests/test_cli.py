@@ -291,6 +291,11 @@ class TestValidationErrors:
                                    "x": [-math.inf, 0, math.inf],
                                    "y": [0, 1, 0]}},
          "table x must be finite"),
+        # finite knots whose z^4 overflows: the moments come out infinite
+        ({"atoms": [], "density": {"kind": "table",
+                                   "x": [-1e100, 0, 1e100],
+                                   "y": [0, 1e-100, 0]}},
+         "moments not finite"),
         # a misspelt key is named, not read as a missing one
         ({"atom": [[-1, 0.5], [1, 0.5]]},
          "unknown key 'atom' in the measure spec"),
@@ -300,7 +305,8 @@ class TestValidationErrors:
             "table-mass-1.5", "table-rho0-mass", "table-x-order",
             "table-y-nan", "zero-variance", "table-zero-mass",
             "table-one-point", "negative-between-grid-points",
-            "table-x-inf", "unknown-key", "unknown-density-key"])
+            "table-x-inf", "table-huge-knots", "unknown-key",
+            "unknown-density-key"])
     def test_invalid_measure_spec(self, tmp_path, capsys, spec, message):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(spec))
@@ -601,7 +607,10 @@ class TestSimulateVerify:
         for key in ("integrated_autocorrelation_time_T",
                     "effective_sample_size_T", "split_rhat_T"):
             assert type(diag[key]) is float
-        assert type(diag["chains"]) is int
+        for key in ("chains", "burn_in", "burn_in_rounds"):
+            assert type(diag[key]) is int
+        assert type(diag["burn_in_capped"]) is bool
+        assert type(diag["burn_in_rhat"]) is float
         assert 0.9 < diag["split_rhat"] < 1.2
         assert 0.9 < diag["split_rhat_T"] < 1.2
 

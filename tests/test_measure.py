@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cwsoc import measure, model
+from cwsoc.quadrature import adaptive_gauss_legendre
 from cwsoc.measure import (
     GaussianDensity,
     Measure1D,
@@ -180,6 +181,26 @@ class TestValidation:
     def test_nan_density_rejected(self):
         with pytest.raises(MeasureError, match="table y must be finite"):
             TableDensity([-1.0, 0.0, 1.0], [0.0, math.nan, 0.0])
+
+    def test_infinite_moments_rejected(self):
+        # a triangle of mass 1 on knots at +-1e100: z^4 overflows, the
+        # quadrature accepts the non-finite panels at once and the base is
+        # refused instead of bisected 40 levels deep
+        dens = TableDensity([-1e100, 0.0, 1e100], [0.0, 1e-100, 0.0])
+        with pytest.raises(MeasureError, match="moments not finite"):
+            Measure1D(density=dens)
+
+    def test_quadrature_accepts_nonfinite_panel(self):
+        nodes = []
+
+        def f(z):
+            nodes.append(len(z))
+            assert len(nodes) <= 3, "a non-finite panel was bisected"
+            return np.full_like(z, math.inf)
+
+        with np.errstate(invalid="ignore"):
+            assert adaptive_gauss_legendre(f, -1.0, 1.0) == math.inf
+        assert nodes == [12, 12, 12]  # the panel and its two halves
 
 
 class TestSample:

@@ -501,6 +501,91 @@ class TestMetropolis:
         got = hashlib.sha256(b.S.tobytes() + b.T.tobytes() + diag.tobytes())
         assert got.hexdigest() == digest
 
+    def test_gaussian_chain_digest(self):
+        # the same for the (S, log Q) walk under an explicit burn-in, which
+        # runs in one stream of moves with the records
+        m = TiltedModel(rho=measure.gaussian(), g=quadratic(), n=30)
+        b = sample_metropolis(m, 16 * 24, burn_in=40 * 30, thin=30, rng=13,
+                              chains=16, block_size=4)
+        diag = np.array([b.diagnostics[key] for key in (
+            "acceptance_rate", "integrated_autocorrelation_time",
+            "effective_sample_size", "split_rhat")])
+        got = hashlib.sha256(b.S.tobytes() + b.T.tobytes() + diag.tobytes())
+        assert got.hexdigest() == (
+            "5b18ee1058540fb7a763dba022e7292d9ea1fe4bf95bc6d074852b387b33b271")
+
+    def test_explicit_burn_in_diagnostics(self):
+        # 100 proposals at k = 7 are 15 steps, 105 proposals; no rounds
+        m = TiltedModel(rho=measure.three_point(), g=quadratic(), n=30)
+        d = sample_metropolis(m, 64, burn_in=100, rng=0, chains=8,
+                              block_size=7).diagnostics
+        assert d["burn_in"] == 105 and type(d["burn_in"]) is int
+        assert d["burn_in_rounds"] == 0 and d["burn_in_capped"] is False
+        assert math.isnan(d["burn_in_rhat"])
+
+
+class TestDefaultBurnIn:
+    # burn_in=None: rounds of model._BURN_ROUND records until the split-R-hats
+    # of S, |S - median(S)| and T are below 1.01, capped at 10 n^2 proposals
+
+    @pytest.mark.parametrize("n", [24, 1024])
+    def test_gaussian_stops_early_and_matches_exact_law(self, n):
+        m = TiltedModel(rho=measure.gaussian(), g=quadratic(), n=n)
+        b = sample_metropolis(m, 64 * 160, rng=1)
+        d = b.diagnostics
+        # the walk mixes within a record or two: one or two rounds suffice,
+        # each of 32 records one sweep apart
+        k, thin_steps = d["block_size"], -(-n // d["block_size"])
+        assert d["burn_in_capped"] is False
+        assert 1 <= d["burn_in_rounds"] <= 2
+        assert d["burn_in"] == d["burn_in_rounds"] * 32 * thin_steps * k
+        assert d["burn_in"] < 10 * n * n / 4
+        assert d["burn_in_rhat"] < 1.01
+        grid, cdf = _gaussian_tilted_cdf(m)
+        ess = d["effective_sample_size"]
+        assert _ks(b.S, grid, cdf) < 1.95 / math.sqrt(ess)
+
+    def test_slow_chain_hits_the_cap(self):
+        # three-point chains have tau of about 12 records at n = 24, so the
+        # rounds run to 10 n^2 proposals, the fixed burn-in they replace,
+        # the last round cut short to fit
+        n = 24
+        m = TiltedModel(rho=measure.three_point(), g=quadratic(), n=n)
+        d = sample_metropolis(m, 64 * 160, rng=1).diagnostics
+        k = d["block_size"]
+        assert d["burn_in_capped"] is True
+        assert d["burn_in"] == -(-10 * n * n // k) * k
+        assert d["burn_in_rounds"] == math.ceil(10 * n * n / (32 * n))
+        assert d["burn_in_rhat"] >= 1.01
+
+    def test_folded_series_sees_a_change_of_scale(self):
+        # zero-mean chains whose scale doubles halfway through the first
+        # round: the half-chain means of S agree (R-hat near 1), those of
+        # |S - median(S)| do not, so the first round does not end burn-in
+        rng = np.random.default_rng(0)
+        chains, steps = 64, [0]
+        S, T = np.zeros(chains), np.ones(chains)
+
+        def draw(b):
+            return rng.normal(size=(b, chains))
+
+        def move(z, i):
+            steps[0] += 1
+            S[:] = z[i] * (1.0 if steps[0] <= 16 else 2.0)
+            return chains
+
+        made, _, rounds, capped, _ = model._burn_in_rounds(
+            S, T, draw, move, 64, 1, 10**4)
+        assert rounds >= 2 and made == 32 * rounds and not capped
+
+    @pytest.mark.parametrize("rho", [measure.gaussian(), measure.three_point()],
+                             ids=["gaussian", "three-point"])
+    def test_same_seed_same_bytes(self, rho):
+        m = TiltedModel(rho=rho, g=quadratic(), n=24)
+        a, b = (sample_metropolis(m, 640, rng=3, chains=32) for _ in range(2))
+        assert a.S.tobytes() + a.T.tobytes() == b.S.tobytes() + b.T.tobytes()
+        assert repr(a.diagnostics) == repr(b.diagnostics)
+
 
 def _gaussian_tilted_cdf(m: TiltedModel, points: int = 2000, draws: int = 1000):
     """Exact CDF of S under the tilted Gaussian base, on a grid.
