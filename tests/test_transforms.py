@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import xlogy
+from scipy.special import erfcx, log_ndtr, ndtr, xlogy
 
 from cwsoc import measure
 from cwsoc.model import quadratic, quartic
@@ -220,13 +221,85 @@ class TestGaussianClosedForm:
                                      (3.0, 0.45), (0.2, 0.499)])
     def test_extreme_tilts(self, u, v):
         base = measure.gaussian()
-        value, mean, cov = LogLaplace(base).tilted_stats([u, v])
+        # no RuntimeWarning: a tail that underflows to 0 (b = 63 at
+        # (12, -20)) is never logged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, mean, cov = LogLaplace(base).tilted_stats([u, v])
         assert math.isfinite(value)
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
         want = _quad_stats(base.density, u, v)
         assert value == pytest.approx(want[0], rel=1e-9)
         np.testing.assert_allclose(mean, want[1], rtol=1e-9)
         np.testing.assert_allclose(cov, want[2], rtol=1e-9)
+
+    def test_normal_tails_match_scipy(self):
+        # scipy's ndtr drifts by up to about t^2 ulps, t = x / sqrt 2, in
+        # the far tail (5.7e-14 at x = 33 against 40-digit mpmath, which
+        # puts math.erfc within 2e-16 there); below the smallest normal
+        # float both are subnormal or 0
+        x = np.linspace(-40, 40, 8001)
+        q, want = measure._normal_tails(x), ndtr(-np.abs(x))
+        tol = (2e-15 + 0.5 * x * x * np.finfo(float).eps) * want
+        assert np.all(np.abs(q - want) <= tol + np.finfo(float).tiny)
+        # on the log scale, where scipy's lower tail keeps its accuracy
+        low = x[(x >= -37) & (x <= 0)]
+        np.testing.assert_allclose(np.log(measure._normal_tails(low)),
+                                   log_ndtr(low), rtol=2e-15)
+
+    def test_log_mass_matches_log_ndtr(self):
+        # the near branch's log scale against log P from scipy's log_ndtr,
+        # on rows with the mode within 4 s of the window
+        d = measure.gaussian().density
+        R = d.support_radius
+        u, v = (g.ravel() for g in np.meshgrid(
+            np.linspace(-40, 40, 81), np.r_[-20, -4, -1, 0, 0.2, 0.4, 0.45]))
+        s = 1 / np.sqrt(1 - 2 * v)
+        mu = np.abs(u) * s * s
+        near = mu <= R + 4 * s
+        u, v, s, mu = u[near], v[near], s[near], mu[near]
+        assert len(u) > 200
+        a, b = (-R - mu) / s, (R - mu) / s
+        lb = log_ndtr(b)
+        want = (0.5 * np.abs(u) * mu + lb + np.log1p(-np.exp(log_ndtr(a) - lb))
+                + np.log(s))
+        c, _ = d.tilted_moments(u, v, 4)
+        # at u = 0 the log mass is -2 Q(10) = -1.5e-23, where rounding
+        # 10 / sqrt 2 moves either tail by 3.6e-15 relative
+        np.testing.assert_allclose(c, want, rtol=2e-15, atol=1e-36)
+
+    def test_mills_ratio_matches_erfcx(self):
+        # the far branch's Q(c) / phi(c) = 1 / (c + E[x]) from the continued
+        # fraction, and the log window mass log(erfcx(c / sqrt 2) / 2) it
+        # gives, for the whole range of c the far branch meets
+        c = np.concatenate([np.linspace(4, 10, 601), np.geomspace(10, 1e4, 601)])
+        inv_mills = c + measure._half_line_moments(c, 1)[:, 1]
+        np.testing.assert_allclose(
+            1 / inv_mills, math.sqrt(math.pi / 2) * erfcx(c / math.sqrt(2)),
+            rtol=2e-15)
+        np.testing.assert_allclose(
+            -np.log(inv_mills) - 0.5 * math.log(2 * math.pi),
+            np.log(0.5 * erfcx(c / math.sqrt(2))), rtol=2e-15)
+
+    @pytest.mark.parametrize("v", [-20.0, -4.0, 0.0, 0.2, 0.4, 0.45, 0.48])
+    def test_rows_agree_across_the_switch(self, v):
+        # neighbouring u on either side of mu = R + 4 s, one by the
+        # recursion and one by the continued fraction; windows 4 s wide and
+        # more (at v = 0.495, 2 s wide, they part by 3.2e-12, the known
+        # roundoff of narrow windows)
+        d = measure.gaussian().density
+        R = d.support_radius
+        s = 1 / np.sqrt(1 - 2 * v)
+        u = (R + 4 * s) / s**2
+        while u * s * s > R + 4 * s:
+            u = np.nextafter(u, 0)
+        while np.nextafter(u, np.inf) * s * s <= R + 4 * s:
+            u = np.nextafter(u, np.inf)
+        u = np.array([u, np.nextafter(u, np.inf)])
+        assert list(u * s * s <= R + 4 * s) == [True, False]
+        c, m = d.tilted_moments(u, np.full(2, v), 4)
+        assert c[0] == pytest.approx(c[1], rel=1e-12)
+        np.testing.assert_allclose(m[0], m[1], rtol=1e-12)
 
     def test_outside_domain_raises(self):
         with pytest.raises(measure.MeasureError):
