@@ -217,7 +217,8 @@ def _cmd_rate_grid(args) -> int:
 def _cmd_kernel_verify(args) -> int:
     _require(args.n >= args.d, f"--n must be >= {args.d} for --d {args.d}")
     _require(args.samples >= 1, "--samples must be >= 1")
-    _require(args.c is None or args.c > 0, "--c must be positive")
+    _require(args.c is None or 0 < args.c < math.inf,
+             "--c must be positive and finite")
     try:
         points = [[float(v) for v in p.split(",")] for p in args.points]
     except ValueError as exc:
@@ -455,6 +456,10 @@ def dispatch(argv=None) -> int:
     except (kernel.KernelError, limitlaw.LimitLawError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        # an input too large for memory, such as a grid step far too fine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def main() -> None:

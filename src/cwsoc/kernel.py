@@ -82,6 +82,8 @@ class SmoothedDensity:
             raise KernelError("need d = 1 or 2 and n >= d")
         if self.c is None:
             self.c = 1.0 / self.n
+        if not 0 < self.c < math.inf:
+            raise KernelError(f"the coupling c must lie in (0, inf), not {self.c}")
         if self.d == 1:
             _gaussian_density(self.base)  # KernelError for other bases
 

@@ -22,6 +22,7 @@ _ESS_FLOOR = 100.0  # sample_importance warns below this effective sample size
 _SOKAL_WINDOW = 5.0  # integrated_autocorr_time stops at lag >= this * tau
 _BURN_ROUND = 32     # records per round of the default burn-in
 _RHAT_TARGET = 1.01  # the default burn-in stops once every split-R-hat is below
+_CHECK_ROWS = 1 << 16  # EmpiricalBatch checks this many samples at a time
 
 
 class ModelError(ValueError):
@@ -91,12 +92,9 @@ class Interaction:
         return self.fn(u)
 
     def F(self, x, y):
-        """Tilt functional on ``(x, y) = (S/n, T/n)`` with ``y > 0``."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.variant == "star":
-            return self.g(x) / y
-        return self.g(x / np.sqrt(y))
+        """Tilt functional on ``(x, y) = (S/n, T/n)`` with ``y > 0``: the
+        log-weight at ``n = 1``."""
+        return self.log_weight(x, y, 1)
 
     def log_weight(self, S, T, n: int):
         """``n * F(S/n, T/n)`` evaluated stably straight from ``(S, T)``."""
@@ -152,10 +150,14 @@ class EmpiricalBatch:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.any(self.T <= 0):
-            raise ModelError("retained samples must have T > 0")
-        if np.any(self.S**2 > self.n * self.T * (1 + 1e-12) + 1e-9):
-            raise ModelError("Cauchy-Schwarz violated: S^2 > n T")
+        # block by block, so that the temporaries stay small next to a full
+        # enumeration's arrays
+        for i in range(0, len(self.T), _CHECK_ROWS):
+            S, T = self.S[i:i + _CHECK_ROWS], self.T[i:i + _CHECK_ROWS]
+            if np.any(T <= 0):
+                raise ModelError("retained samples must have T > 0")
+            if np.any(S**2 > self.n * T * (1 + 1e-12) + 1e-9):
+                raise ModelError("Cauchy-Schwarz violated: S^2 > n T")
 
     @property
     def normalized_weight(self) -> np.ndarray:
@@ -202,11 +204,19 @@ class _Classes:
     probability of the class, ``ln n! - ln c0! + c0 ln p0 + sum_j [m_j ln
     p_j - ln kp_j! - ln (m_j - kp_j)!]``.  Each magnitude's factorial term
     is symmetric on its own, so mirror classes get bitwise-equal values.
+    A density component, or more than ``budget`` classes when one is given,
+    raise ModelError before any row is listed.
     """
 
-    def __init__(self, rho: Measure1D, n: int):
+    def __init__(self, rho: Measure1D, n: int, budget: Optional[int] = None):
         if rho.density is not None:
             raise ModelError("exact enumeration requires a purely atomic measure")
+        # comb(n + A - 1, A - 1) classes of A atoms, the all-zero one included
+        A = len(rho.atoms)
+        n_classes = math.comb(n + A - 1, A - 1)
+        if budget is not None and n_classes > budget:
+            raise ModelError(f"enumeration budget exceeded: {n_classes} "
+                             f"classes at n = {n}")
         mags = rho.mirror_magnitudes()
         self.n = n
         self.z = [zj for zj, _ in mags]
@@ -220,9 +230,12 @@ class _Classes:
         K = self.K = len(mags)
         self._axis = [(-1,) + (1,) * (K - 1 - j) for j in range(K)]
 
-    def compositions(self, M: int) -> np.ndarray:
-        """The rows of level ``M``, one ``m`` per line, lexicographic."""
-        return np.array(list(_compositions(int(M), self.K))).reshape(-1, self.K)
+    def rows(self, levels=None) -> np.ndarray:
+        """The rows of ``levels`` (every level by default), ``M`` rising and
+        then ``m`` in lexicographic order, one ``m`` per line."""
+        levels = self.levels if levels is None else levels
+        return np.array([ms for M in levels.tolist()
+                         for ms in _compositions(M, self.K)]).reshape(-1, self.K)
 
     def row(self, ms, lo):
         """``(S, T, logmult)`` on the splits ``lo_j <= kp_j <= m_j - lo_j``
@@ -265,33 +278,6 @@ class _Classes:
                 + K * np.log((M + K) / K))
 
 
-def _class_count(rho: Measure1D, n: int, budget: int) -> int:
-    """``comb(n + A - 1, A - 1)``, the number of classes of ``A`` atoms,
-    one more than ``_Classes`` has when there is a zero atom; a density
-    component or more than ``budget`` classes raise ModelError."""
-    if rho.density is not None:
-        raise ModelError("exact enumeration requires a purely atomic measure")
-    A = len(rho.atoms)
-    n_states = math.comb(n + A - 1, A - 1)
-    if n_states > budget:
-        raise ModelError(f"enumeration budget exceeded: {n_states} classes "
-                         f"at n = {n}")
-    return n_states
-
-
-def _class_rows(rho: Measure1D, n: int, budget: int):
-    """Every row of ``_Classes`` in full, ``M`` rising and then ``m`` in
-    lexicographic order; yields ``(S, T, logmult)``.  More than
-    ``budget`` classes (``_class_count``) raise ModelError before any
-    work."""
-    _class_count(rho, n, budget)
-    classes = _Classes(rho, n)
-    whole = (0,) * classes.K
-    for M in classes.levels.tolist():
-        for ms in _compositions(M, classes.K):
-            yield classes.row(ms, whole)
-
-
 def _drop_smallest(log_bounds: np.ndarray, log_budget: float):
     """Keep mask that drops the smallest bounds while their sum stays within
     ``exp(log_budget)``, and the log of that sum (``-inf`` if none)."""
@@ -320,7 +306,7 @@ def _marginal_of_S(m: TiltedModel, budget: int) -> EmpiricalBatch:
 
     # the core |d_j| <= 2 m_j^{3/4} of the top level's largest row is kept
     # mass, so 3 tol below is at most _TRUNCATION times the kept mass
-    top = classes.compositions(classes.levels[np.argmax(log_level)])
+    top = classes.rows(classes.levels[[np.argmax(log_level)]])
     probe = top[np.argmax(classes.log_row_bounds(top))]
     lo = _window(probe, 2.0 * probe ** 0.75)
     S, T, logmult = classes.row(probe.tolist(), lo.tolist())
@@ -330,8 +316,7 @@ def _marginal_of_S(m: TiltedModel, budget: int) -> EmpiricalBatch:
 
     # tol each for whole levels, rows, and split tails
     keep, lost_levels = _drop_smallest(log_level, log_tol)
-    rows = np.concatenate([classes.compositions(M)
-                           for M in classes.levels[keep].tolist()])
+    rows = classes.rows(classes.levels[keep])
     log_row = classes.log_row_bounds(rows) - shift
     keep, lost_rows = _drop_smallest(log_row, log_tol)
     rows, log_row = rows[keep], log_row[keep]
@@ -398,17 +383,21 @@ def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
     """
     if collapse == "S":
         return _marginal_of_S(m, budget)
+    if collapse is not None:
+        raise ModelError(f"collapse must be None or 'S', not {collapse!r}")
     n = m.n
+    classes = _Classes(m.rho, n, budget)
+    rows = classes.rows()
     # filled row by row; the log-weights become the weights in place
-    S_all, T_all, w = (np.empty(_class_count(m.rho, n, budget))
-                       for _ in range(3))
+    states = int(np.prod(rows + 1, axis=1).sum())
+    S_all, T_all, w = (np.empty(states) for _ in range(3))
     end = 0
-    for S, T, logmult in _class_rows(m.rho, n, budget):
+    for ms in rows.tolist():
+        S, T, logmult = classes.row(ms, [0] * classes.K)
         S_all[end:end + S.size] = S.ravel()
         T_all[end:end + S.size] = T
         w[end:end + S.size] = (logmult + m.log_weight(S, T)).ravel()
         end += S.size
-    S_all, T_all, w = S_all[:end], T_all[:end], w[:end]
     gmax = float(np.max(w))
     w -= gmax
     np.exp(w, out=w)
@@ -416,7 +405,7 @@ def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
     w /= total
     return EmpiricalBatch(
         S=S_all, T=T_all, weight=w, method="enumeration", n=n,
-        diagnostics={"log_Z": gmax + math.log(total), "states": end})
+        diagnostics={"log_Z": gmax + math.log(total), "states": states})
 
 
 # ---------------------------------------------------------------------------
@@ -432,28 +421,20 @@ def sample_importance(m: TiltedModel, count: int,
     if count < 1:
         raise ModelError("count must be >= 1")
     n = m.n
-    chunk = max(1, min(count, 20_000_000 // max(n, 1)))
-    S_all, T_all, lw_all = [], [], []
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        x = sample_measure(m.rho, c * n, rng).reshape(c, n)
-        S = x.sum(axis=1)
-        T = (x * x).sum(axis=1)
-        alive = T > 0
-        lw = np.full(c, -np.inf)
-        lw[alive] = m.log_weight(S[alive], T[alive])
-        assert np.all(lw[alive] <= n / 2 + 1e-9), "weight bound e^{n/2} violated"
-        S_all.append(S[alive])
-        T_all.append(T[alive])
-        lw_all.append(lw[alive])
-        done += c
-    S = np.concatenate(S_all)
-    T = np.concatenate(T_all)
-    lw = np.concatenate(lw_all)
-    if not len(lw):
+    chunk = max(1, min(count, 20_000_000 // n))
+    S, T = np.empty(count), np.empty(count)
+    for done in range(0, count, chunk):
+        x = sample_measure(m.rho, min(chunk, count - done) * n, rng)
+        x = x.reshape(-1, n)
+        S[done:done + len(x)] = x.sum(axis=1)
+        T[done:done + len(x)] = (x * x).sum(axis=1)
+    alive = T > 0
+    if not np.any(alive):
         raise ModelError(f"none of the {count} proposal draws has T > 0; "
                          "the importance sample is empty")
+    S, T = S[alive], T[alive]
+    lw = m.log_weight(S, T)
+    assert np.all(lw <= n / 2 + 1e-9), "weight bound e^{n/2} violated"
     w = np.exp(lw - np.max(lw))
     ess = float(np.sum(w)) ** 2 / float(np.sum(w * w))
     diag = {"effective_sample_size": ess, "proposal_draws": count,
@@ -577,19 +558,22 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
         raise ModelError("chains must be >= 1")
     if burn_in is not None and burn_in < 0:
         raise ModelError("burn_in must be >= 0")
+    if thin is not None and thin < 1:
+        raise ModelError("thin must be >= 1")
+    if block_size is not None and block_size < 1:
+        raise ModelError("block_size must be >= 1")
     if rng is None or isinstance(rng, int):
         rng = np.random.default_rng(rng)
     n = m.n
     chains = min(chains, count)
     thin = n if thin is None else thin
-    k = block_size if block_size is not None else max(1, min(n // 64, 256))
-    k = max(1, min(k, n))
+    k = min(block_size or max(1, min(n // 64, 256)), n)
     records = -(-count // chains)
     if not m.rho.atoms and isinstance(m.rho.density, GaussianDensity):
         moves = _collapsed_moves(m.rho.density, n, chains, m.log_weight, rng)
     else:
         moves = _coordinate_moves(m.rho, n, k, chains, m.log_weight, rng)
-    thin_steps = max(1, -(-thin // k))
+    thin_steps = -(-thin // k)
     if burn_in is None:
         burn_steps, accepted, rounds, capped, rhat = _burn_in_rounds(
             *moves, thin_steps, -(-10 * n * n // k))
@@ -675,27 +659,24 @@ def _coordinate_moves(rho: Measure1D, n, k, chains, logw_fn, rng):
         dead = T <= 0
         X[dead] = sample_measure(rho, int(dead.sum()) * n, rng).reshape(-1, n)
         T = (X * X).sum(axis=1)
-    X2 = X * X
     S = X.sum(axis=1)
     logw = logw_fn(S, T)
 
     def draw(b):
         offsets = rng.integers(0, n - k + 1, size=b).tolist()
         props = sample_measure(rho, b * chains * k, rng).reshape(b, chains, k)
-        props2 = props * props
-        return (offsets, props, props2, props.sum(axis=2), props2.sum(axis=2),
-                np.log(rng.random((b, chains))))
+        return (offsets, props, props.sum(axis=2),
+                (props * props).sum(axis=2), np.log(rng.random((b, chains))))
 
     def move(draws, i):
-        offsets, props, props2, zs, zss, logu = draws
-        block = slice(offsets[i], offsets[i] + k)
-        S2 = S + zs[i] - X[:, block].sum(axis=1)
-        T2 = T + zss[i] - X2[:, block].sum(axis=1)
+        offsets, props, zs, zss, logu = draws
+        old = X[:, offsets[i]:offsets[i] + k]   # a view: accepted moves write X
+        S2 = S + zs[i] - old.sum(axis=1)
+        T2 = T + zss[i] - (old * old).sum(axis=1)
         ok = T2 > 0
         lw2 = np.where(ok, logw_fn(S2, np.where(ok, T2, 1.0)), -np.inf)
         acc = ok & (logu[i] < lw2 - logw)
-        np.copyto(X[:, block], props[i], where=acc[:, None])
-        np.copyto(X2[:, block], props2[i], where=acc[:, None])
+        np.copyto(old, props[i], where=acc[:, None])
         np.copyto(S, S2, where=acc)
         np.copyto(T, T2, where=acc)
         np.copyto(logw, lw2, where=acc)
@@ -772,8 +753,10 @@ def varadhan_decay(rho: Measure1D, n: int, x_threshold: float = 0.5,
     """(1/n) log of the untilted integral of ``exp(n x^2 / (2y))`` over
     ``{|x| >= x_threshold}`` intersected with the admissible cone, exact over
     the multinomial classes of a symmetric atomic ``rho``."""
+    classes = _Classes(rho, n, budget)
     pieces = []
-    for S, T, logmult in _class_rows(rho, n, budget):
+    for ms in classes.rows().tolist():
+        S, T, logmult = classes.row(ms, [0] * classes.K)
         mask = np.abs(S / n) >= x_threshold
         if np.any(mask):
             pieces.append(_log_sum_exp(logmult[mask] + S[mask] ** 2 / (2 * T)))

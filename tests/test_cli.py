@@ -406,6 +406,15 @@ class TestValidationErrors:
           "--tol", "nan"], "--tol"),
         (["verify", "lln", "--preset", "gaussian", "--batch", "b.csv",
           "--tol", "0"], "--tol"),
+        (["kernel", "verify", "--preset", "gaussian", "--n", "10", "--c", "inf",
+          "--points", "0.1"], "--c"),
+        # grids beyond the 64-bit address space fail at allocation, so these
+        # allocate nothing
+        (["cramer", "check", "--preset", "gaussian", "--alpha", "0.5",
+          "--step", "1e-15"], "out of memory"),
+        (["rate", "grid", "--preset", "gaussian", "--x-min", "0", "--x-max",
+          "0.1", "--y-min", "0.5", "--y-max", "2", "--nx", "2",
+          "--ny", "20000000000000000"], "out of memory"),
     ])
     def test_bad_analysis_arguments(self, tmp_path, capsys, argv, message):
         if argv[0] != "rate" or argv[1] != "eval":

@@ -133,6 +133,12 @@ class TestPhiEstimateD1:
         with pytest.raises(KernelError, match="n >= d"):
             SmoothedDensity(base=measure.gaussian(), n=1, d=2)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -0.1])
+    def test_coupling_outside_open_half_line_refused(self, c):
+        # an infinite or NaN coupling makes phi NaN
+        with pytest.raises(KernelError, match="coupling"):
+            SmoothedDensity(base=measure.gaussian(), n=10, c=c)
+
     def test_table_density_base_refused(self):
         # a table density has no closed-form n-fold law
         base = measure.Measure1D(

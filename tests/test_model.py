@@ -172,6 +172,11 @@ class TestEnumeration:
         with pytest.raises(ModelError):
             enumerate_exact(m)
 
+    @pytest.mark.parametrize("collapse", ["T", "s", ""])
+    def test_unknown_collapse_rejected(self, tp100, collapse):
+        with pytest.raises(ModelError, match="collapse"):
+            enumerate_exact(tp100, collapse=collapse)
+
 
 FIVE_ATOM = measure.Measure1D(
     atoms=((-2.0, 0.1), (-1.0, 0.15), (0.0, 0.5), (1.0, 0.15), (2.0, 0.1)))
@@ -403,7 +408,8 @@ def test_full_output_bit_for_bit(rho, n):
     # concatenated and then normalized; with and without a zero atom (whose
     # all-zero class is not listed)
     m = TiltedModel(rho=rho, g=quadratic(), n=n)
-    rows = list(model._class_rows(rho, n, 10**8))
+    classes = model._Classes(rho, n)
+    rows = [classes.row(ms, [0] * classes.K) for ms in classes.rows().tolist()]
     S = np.concatenate([r[0].ravel() for r in rows])
     T = np.concatenate([np.full(r[0].size, r[1]) for r in rows])
     lw = np.concatenate([(r[2] + m.log_weight(r[0], r[1])).ravel()
@@ -502,6 +508,14 @@ class TestMetropolis:
         for burn_in in (-1, -10**6):
             with pytest.raises(ModelError, match="burn_in"):
                 sample_metropolis(m, 64, burn_in=burn_in, rng=0, chains=8)
+
+    @pytest.mark.parametrize("option,value", [
+        ("thin", 0), ("thin", -5), ("block_size", 0), ("block_size", -3)])
+    def test_nonpositive_thin_and_block_size_rejected(self, option, value):
+        m = TiltedModel(rho=measure.three_point(p=0.25), g=quadratic(), n=16)
+        with pytest.raises(ModelError, match=option):
+            sample_metropolis(m, 64, burn_in=0, rng=0, chains=8,
+                              **{option: value})
 
     # sha256 of the recorded (S, T) and the S diagnostics of short seeded
     # coordinate chains: a rewrite of the coordinate move must reproduce them
@@ -718,6 +732,21 @@ class TestSplitRhat:
         assert math.isnan(split_rhat(np.zeros((4, 3))))
 
 
+class TestEmpiricalBatch:
+    @pytest.mark.parametrize("S_last,T_last,message", [
+        (1.0, 0.0, "T > 0"), (3.0, 1.0, "Cauchy-Schwarz")])
+    def test_violation_in_last_block_raises(self, S_last, T_last, message):
+        # the checks run block by block; the last block is a partial one
+        size = 2 * model._CHECK_ROWS + 5
+        S, T = np.zeros(size), np.ones(size)
+        S[-1], T[-1] = S_last, T_last
+        with pytest.raises(ModelError, match=message):
+            model.EmpiricalBatch(S=S, T=T, weight=np.ones(size),
+                                 method="importance", n=4)
+        model.EmpiricalBatch(S=S[:-1], T=T[:-1], weight=np.ones(size - 1),
+                             method="importance", n=4)
+
+
 class TestDerivedStatistics:
     def test_rescaled_statistic_gaussian_constant(self):
         # mu4 = 3, sigma^2 = 1, quadratic g: constant is 3^{1/4}
@@ -777,8 +806,10 @@ class TestVaradhanDecay:
                                         (1.0, 0.15), (2.0, 0.1)))
         for rho, n in ((measure.three_point(p=0.25), 200),
                        (measure.rademacher(), 101), (five, 24)):
+            classes = model._Classes(rho, n)
             pieces = []
-            for S, T, logmult in model._class_rows(rho, n, 10**8):
+            for ms in classes.rows().tolist():
+                S, T, logmult = classes.row(ms, [0] * classes.K)
                 mask = np.abs(S / n) >= 0.5
                 if mask.any():
                     pieces.append(logsumexp(logmult[mask] + S[mask]**2 / (2 * T)))
