@@ -2,13 +2,13 @@
 
 A measure is stored as a finite list of atoms together with an optional
 absolutely continuous part of one of two kinds, the two a JSON spec names:
-``GaussianDensity``, a multiple of a centered normal, and ``TableDensity``,
-a piecewise-linear table.  A density carries its own mass ``a`` (it
-integrates to ``a``, not to 1), and each kind implements the whole density
-interface from its own parameters: ``support_radius``, ``tilt_cap``,
-``abs_moment`` (``integral of |z| f``), ``sample``, ``tilted_moments``,
-``char_grid`` and ``char_box``.  Each kind checks its parameters exactly
-when it is built, and ``Measure1D`` checks the mass it adds up to.
+``GaussianDensity``, a multiple of a centered normal, and ``TableDensity``, a
+piecewise-linear table.  A density carries its own mass ``a`` (it integrates
+to ``a``, not to 1), and each kind implements the whole density interface
+from its own parameters: ``support_radius``, ``tilt_cap``, ``abs_moment``
+(``integral of |z| f``), ``sample``, ``tilted_moments`` (closed or by one
+fixed rule), ``char_grid`` and ``char_box``.  Each kind checks its parameters
+exactly when it is built, and ``Measure1D`` checks the mass it adds up to.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .quadrature import adaptive_gauss_legendre
-
 
 class MeasureError(ValueError):
     """Raised for invalid or degenerate measure specifications."""
@@ -29,6 +27,12 @@ class MeasureError(ValueError):
 
 # TableDensity.char_grid: t values per block of its phase arrays
 _T_BLOCK = 256
+
+# TableDensity.tilted_moments, as its docstring describes
+_WINDOW, _PANELS, _GL_NODES, _PIECE_BLOCK = 46.0, 6, 16, 2048
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GL_NODES)
+_TAU = ((np.arange(_PANELS)[:, None] + 0.5 + 0.5 * _NODES) / _PANELS).ravel()
+_OMEGA = np.tile(_WEIGHTS / (2 * _PANELS), _PANELS)  # with _TAU, on [0, 1]
 
 # tilted_moments: a mode within this many s of the window uses the
 # truncated-normal recursion about the mode, whose cancellation grows like
@@ -320,27 +324,38 @@ class TableDensity:
         + v_p z^2 - c_p) f(z) dz`` for ``k = 0..kmax`` (``R =
         support_radius``), over the 1-D float arrays ``u`` and ``v``.
 
-        The log scale ``c`` is the exponent's maximum on ``[-R, R]``, so the
-        integrand never exceeds the pdf and the absolute tolerance 1e-12 of
-        the adaptive quadrature, run tilt by tilt over the knot intervals
-        (where the pdf is linear, so each integrand is smooth), is one
-        relative to ``e^c``.
+        ``c`` is the exponent ``E``'s maximum on ``[-R, R]``, at ``z_c``.  The
+        knots, the vertex and the roots of ``E = c - K`` (``K = _WINDOW``)
+        cut the support into pieces where ``f`` is linear and ``E`` monotone.
+        Those below ``c - K`` hold at most ``e^{-K} = 1.1e-20 e^c integral
+        of f`` and are dropped; on the others ``_PANELS`` panels of the
+        ``_GL_NODES``-point Gauss-Legendre rule err by at most ``8e-14 e^c
+        max(f) R^{k+1}`` (notes/decisions.md).  Nodes sit at offsets from
+        ``z_c``, so no strong tilt cancels in the exponent.
         """
-        R = self.support_radius
-        c = np.abs(u) * R + v * R * R
-        # an interior maximum of a concave exponent, at z = -u / (2 v)
-        inner = (v < 0) & (np.abs(u) < 2 * np.abs(v) * R)
-        c[inner] = np.maximum(c[inner], -u[inner] ** 2 / (4 * v[inner]))
-        powers = np.arange(kmax + 1)
-        panels = tuple(zip(self.x[:-1].tolist(), self.x[1:].tolist()))
-        m = np.empty(u.shape + (kmax + 1,))
-        for p, (up, vp, cp) in enumerate(zip(u, v, c)):
-            def integrand(z):
-                w = np.exp(up * z + vp * z * z - cp) * self.pdf(z)
-                return w[:, None] * z[:, None] ** powers
-
-            m[p] = sum(adaptive_gauss_legendre(
-                integrand, a, b, tol=1e-12 / len(panels)) for a, b in panels)
+        x, R, m = self.x, self.support_radius, np.zeros((len(u), kmax + 1))
+        with np.errstate(all="ignore"):  # inf cuts are clipped, NaN sort last
+            vertex = -0.5 * u / v
+            zc = np.where(v < 0, np.clip(vertex, -R, R), np.copysign(R, u))
+            c, g = zc * (u + v * zc), u + 2 * v * zc
+            q = -0.5 * (g + np.copysign(np.sqrt(g * g - 4 * v * _WINDOW), g))
+            # z_c + d at the roots of v d^2 + g d + K; NaN where there are none
+            cuts = np.clip(np.stack([zc + q / v, zc + _WINDOW / q, vertex], 1),
+                           x[0], x[-1])
+        blocks = -(-len(u) * (len(x) + 2) // _PIECE_BLOCK)
+        for blk in np.array_split(np.arange(len(u)), max(blocks, 1)):
+            cut = np.sort(np.hstack([np.tile(x, (len(blk), 1)), cuts[blk]]))
+            mid = 0.5 * (cut[:, 1:] + cut[:, :-1]) - zc[blk, None]
+            rows, col = np.nonzero((np.diff(cut) > 0) & (
+                mid * (g[blk, None] + v[blk, None] * mid) >= -_WINDOW))
+            p, a, ell = blk[rows], cut[rows, col], np.diff(cut)[rows, col]
+            # the nodes' offsets d = z - z_c, where E - c = d (g + v d)
+            d = (a - zc[p])[:, None] + ell[:, None] * _TAU
+            z = zc[p, None] + d
+            w = self.pdf(z) * np.exp(d * (g[p, None] + v[p, None] * d)) * (
+                ell[:, None] * _OMEGA)
+            powers = np.polynomial.polynomial.polyvander(z, kmax)  # z^k
+            np.add.at(m, p, np.einsum("pn,pnk->pk", w, powers))
         return c, m
 
     def char_grid(self, s, t) -> np.ndarray:

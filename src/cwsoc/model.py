@@ -427,7 +427,8 @@ def sample_importance(m: TiltedModel, count: int,
         x = sample_measure(m.rho, min(chunk, count - done) * n, rng)
         x = x.reshape(-1, n)
         S[done:done + len(x)] = x.sum(axis=1)
-        T[done:done + len(x)] = (x * x).sum(axis=1)
+        # squared in place: the same floats as x * x, without a second chunk
+        T[done:done + len(x)] = np.square(x, out=x).sum(axis=1)
     alive = T > 0
     if not np.any(alive):
         raise ModelError(f"none of the {count} proposal draws has T > 0; "

@@ -1,5 +1,8 @@
 """Adaptive Gauss-Legendre panel quadrature.
 
+No library module calls it: it is the reference that tests compare the
+closed forms against.
+
 Panels are split recursively until a panel's 12-node Gauss-Legendre estimate
 and the sum of its two halves' agree to within the requested tolerance, or
 their difference is not finite.

@@ -291,7 +291,7 @@ def rate_expansion_residual(R: RateFunction, g, x: float, y: float) -> float:
     s2, mu4 = ms.sigma2, ms.mu4
     sig_pow = s2**3 if g.variant == "star" else s2**2
     coeff = mu4 + g.m4 * sig_pow
-    # sigma^2 carries the rounding of its closed form or quadrature: a target
+    # sigma^2 carries the rounding of its closed form or fixed rule: a target
     # within roundoff of (0, sigma^2) is the minimum, where the rate and the
     # form both vanish
     tol = 8 * np.finfo(float).eps * s2

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from cwsoc import measure, model
 from cwsoc.quadrature import adaptive_gauss_legendre
@@ -129,6 +130,64 @@ class TestTiltedMoments:
         c, m = tri.tilted_moments(np.array([u]), np.zeros(1), 2)
         assert c[0] + math.log(m[0, 0]) == pytest.approx(want, rel=0,
                                                          abs=1e-12)
+
+
+class TestTableRule:
+    """``TableDensity.tilted_moments``: one fixed Gauss-Legendre rule on the
+    pieces within the window of the exponent's maximum."""
+
+    def test_triangle_moments_to_the_ulp(self):
+        ms = moments(Measure1D(density=TableDensity([-1, 0, 1], [0, 1, 0])))
+        assert abs(ms.sigma2 - 1 / 6) <= 2 * math.ulp(1 / 6)
+        assert abs(ms.mu4 - 1 / 15) <= 2 * math.ulp(1 / 15)
+
+    @pytest.mark.parametrize("u", [4.0, 40.0, 400.0, 4000.0, 4e5])
+    def test_uniform_strong_tilt(self, u):
+        # f = 1/2 on [-1, 1]: with s = u (1 - z), m_k is (1/2u) times the
+        # integral over [0, 2u] of (1 - s/u)^k e^{-s} ds, so m_0 e^{c - u} =
+        # P(1, 2u) / 2u and E[1 - z] = P(2, 2u) / (u P(1, 2u)) with P the
+        # regularized lower incomplete gamma function
+        uni = TableDensity([-1, 1], [0.5, 0.5])
+        c, m = uni.tilted_moments(np.array([u]), np.zeros(1), 1)
+        p1, p2 = special.gammainc(1, 2 * u), special.gammainc(2, 2 * u)
+        assert m[0, 0] * math.exp(c[0] - u) == pytest.approx(
+            p1 / (2 * u), rel=1e-11, abs=0)
+        assert (m[0, 0] - m[0, 1]) / m[0, 0] == pytest.approx(
+            p2 / (u * p1), rel=1e-11, abs=0)
+
+    def test_thousand_knot_table(self):
+        # uneven knots, a flat stretch and ends that jump; 441 tilts in
+        # blocks whose arrays stay far below the 340 MB of one array over
+        # every piece and node, and 30 of them against scipy's adaptive
+        # quadrature (quad_vec, quad for vector integrands)
+        rng = np.random.default_rng(5)
+        half = np.sort(rng.uniform(0.0, 2.0, 500))
+        half[-1] = 2.0
+        yh = 1.0 + 0.5 * np.sin(3 * half) + rng.uniform(0.0, 0.2, 500)
+        yh[200:260] = yh[200]
+        x = np.concatenate([-half[::-1], [0.0], half])
+        tab = TableDensity(x, np.concatenate([yh[::-1], [1.6], yh]))
+        u = np.concatenate([rng.uniform(-30, 30, 400),
+                            rng.uniform(-400, 400, 41)])
+        v = np.concatenate([rng.uniform(-20, 8, 400),
+                            rng.uniform(-300, 100, 41)])
+        tracemalloc.start()
+        try:
+            c, m = tab.tilted_moments(u, v, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+        rows, k = np.arange(0, 441, 15), np.arange(5)
+
+        def f(z):
+            e = np.exp(u[rows] * z + v[rows] * z * z - c[rows]) * tab.pdf(z)
+            return np.concatenate([e[:, None] * z**k,
+                                   e[:, None] * abs(z)**k], axis=1)
+
+        ref, _ = integrate.quad_vec(f, x[0], x[-1], points=x[1:-1], epsabs=0,
+                                    epsrel=1e-13, norm="max")
+        assert np.all(np.abs(m[rows] - ref[:, :5]) <= 1e-12 * ref[:, 5:])
 
 
 class TestValidation:
