@@ -29,7 +29,7 @@ class MeasureError(ValueError):
 _T_BLOCK = 256
 
 # TableDensity.tilted_moments, as its docstring describes
-_WINDOW, _PANELS, _GL_NODES, _PIECE_BLOCK = 46.0, 6, 16, 2048
+_WINDOW, _PANELS, _GL_NODES, _PAIR_BLOCK = 46.0, 6, 16, 2048
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GL_NODES)
 _TAU = ((np.arange(_PANELS)[:, None] + 0.5 + 0.5 * _NODES) / _PANELS).ravel()
 _OMEGA = np.tile(_WEIGHTS / (2 * _PANELS), _PANELS)  # with _TAU, on [0, 1]
@@ -320,41 +320,41 @@ class TableDensity:
         return np.clip(x[i] + t, x[i], x[i + 1])
 
     def tilted_moments(self, u, v, kmax: int) -> tuple:
-        """``(c, m)`` with ``m[p, k] = integral over [-R, R] of z^k exp(u_p z
-        + v_p z^2 - c_p) f(z) dz`` for ``k = 0..kmax`` (``R =
-        support_radius``), over the 1-D float arrays ``u`` and ``v``.
+        """``(c, m)`` with ``m[p, k] = integral of z^k e^{E_p(z) - c_p} f(z)
+        dz``, ``E_p(z) = u_p z + v_p z^2``, for ``k = 0..kmax`` and 1-D ``u``,
+        ``v``.  ``c_p`` is ``E_p``'s maximum where ``f > 0``, at ``z_c``: the
+        point there nearest the vertex if ``v_p < 0``, else ``sign(u_p) R``.
 
-        ``c`` is the exponent ``E``'s maximum on ``[-R, R]``, at ``z_c``.  The
-        knots, the vertex and the roots of ``E = c - K`` (``K = _WINDOW``)
-        cut the support into pieces where ``f`` is linear and ``E`` monotone.
-        Those below ``c - K`` hold at most ``e^{-K} = 1.1e-20 e^c integral
-        of f`` and are dropped; on the others ``_PANELS`` panels of the
-        ``_GL_NODES``-point Gauss-Legendre rule err by at most ``8e-14 e^c
-        max(f) R^{k+1}`` (notes/decisions.md).  Nodes sit at offsets from
-        ``z_c``, so no strong tilt cancels in the exponent.
+        The knots, the vertex and the roots of ``E = c - K`` (``_WINDOW``) cut
+        the support into pieces where ``f`` is linear and ``E`` monotone.
+        Those below ``c - K`` hold at most ``e^{-K} e^c integral of f``; on the
+        others ``_PANELS`` panels of ``_GL_NODES`` Gauss-Legendre nodes err by
+        at most 4e-11 of their ``m_0`` (notes/decisions.md).
         """
-        x, R, m = self.x, self.support_radius, np.zeros((len(u), kmax + 1))
-        with np.errstate(all="ignore"):  # inf cuts are clipped, NaN sort last
-            vertex = -0.5 * u / v
-            zc = np.where(v < 0, np.clip(vertex, -R, R), np.copysign(R, u))
+        x, y, m = self.x, self.y, np.zeros((len(u), kmax + 1))
+        live, n = y[:-1] + y[1:] > 0, len(x) - 1  # intervals where f > 0
+        lo, hi = x[:-1][live], x[1:][live]
+        with np.errstate(all="ignore"):  # inf cuts clip, NaN sort last
+            t = np.where(v < 0, -0.5 * u / v, np.copysign(hi[-1], u))
+            j = np.searchsorted(hi[:-1], t)  # j = 0: hi[-1] is never nearer
+            after, before = np.clip(t, lo[j], hi[j]), hi[j - 1]
+            zc = np.where(np.abs(t - before) < after - t, before, after)
             c, g = zc * (u + v * zc), u + 2 * v * zc
             q = -0.5 * (g + np.copysign(np.sqrt(g * g - 4 * v * _WINDOW), g))
-            # z_c + d at the roots of v d^2 + g d + K; NaN where there are none
-            cuts = np.clip(np.stack([zc + q / v, zc + _WINDOW / q, vertex], 1),
-                           x[0], x[-1])
-        blocks = -(-len(u) * (len(x) + 2) // _PIECE_BLOCK)
-        for blk in np.array_split(np.arange(len(u)), max(blocks, 1)):
-            cut = np.sort(np.hstack([np.tile(x, (len(blk), 1)), cuts[blk]]))
-            mid = 0.5 * (cut[:, 1:] + cut[:, :-1]) - zc[blk, None]
-            rows, col = np.nonzero((np.diff(cut) > 0) & (
-                mid * (g[blk, None] + v[blk, None] * mid) >= -_WINDOW))
-            p, a, ell = blk[rows], cut[rows, col], np.diff(cut)[rows, col]
-            # the nodes' offsets d = z - z_c, where E - c = d (g + v d)
-            d = (a - zc[p])[:, None] + ell[:, None] * _TAU
-            z = zc[p, None] + d
-            w = self.pdf(z) * np.exp(d * (g[p, None] + v[p, None] * d)) * (
-                ell[:, None] * _OMEGA)
-            powers = np.polynomial.polynomial.polyvander(z, kmax)  # z^k
+            # offsets from z_c of the roots of v d^2 + g d + K and the vertex
+            roots = np.stack([q / v, _WINDOW / q, -0.5 * g / v], 1)
+        for s in range(0, len(u) * n, _PAIR_BLOCK):  # (tilt, interval) pairs
+            p, k = np.divmod(np.arange(s, min(s + _PAIR_BLOCK, len(u) * n)), n)
+            a, b = x[k, None] - zc[p, None], x[k + 1, None] - zc[p, None]
+            cut = np.sort(np.hstack([a, np.clip(roots[p], a, b), b]))
+            mid, ell = 0.5 * (cut[:, 1:] + cut[:, :-1]), np.diff(cut)
+            r, col = np.nonzero((ell > 0) & live[k, None] & (
+                mid * (g[p, None] + v[p, None] * mid) >= -_WINDOW))
+            p, k, ell, a, b = p[r], k[r], ell[r, col, None], a[r], b[r]
+            d = cut[r, col, None] + ell * _TAU  # z - z_c at the nodes
+            f = (y[k, None] * (b - d) + y[k + 1, None] * (d - a)) / (b - a)
+            w = f * np.exp(d * (g[p, None] + v[p, None] * d)) * ell * _OMEGA
+            powers = np.polynomial.polynomial.polyvander(zc[p, None] + d, kmax)
             np.add.at(m, p, np.einsum("pn,pnk->pk", w, powers))
         return c, m
 

@@ -152,8 +152,67 @@ class TestTableRule:
         p1, p2 = special.gammainc(1, 2 * u), special.gammainc(2, 2 * u)
         assert m[0, 0] * math.exp(c[0] - u) == pytest.approx(
             p1 / (2 * u), rel=1e-11, abs=0)
+        # E[z] is a double near 1, so 1 - E[z] holds only to about eps
         assert (m[0, 0] - m[0, 1]) / m[0, 0] == pytest.approx(
-            p2 / (u * p1), rel=1e-11, abs=0)
+            p2 / (u * p1), rel=1e-11, abs=2 * np.finfo(float).eps)
+
+    def test_triangle_extreme_tilts(self):
+        # integral of (1 - |z|) e^{uz} is 2 (cosh u - 1) / u^2, so m_0 u^2
+        # e^{c - u} -> 1; the density vanishes at the maximum z_c = 1
+        u = np.array([1e3, 1e10, 1e17, 1e18, 1e30, 1e100])
+        c, m = TableDensity([-1, 0, 1], [0, 1, 0]).tilted_moments(
+            u, np.zeros_like(u), 2)
+        assert np.all(np.abs(m[:, 0] * u**2 * np.exp(c - u) - 1) < 1e-13)
+
+    @pytest.mark.parametrize("u", [40.0, 46.0, 300.0])
+    @pytest.mark.parametrize("v", [0.0, -3.0, 2.0])
+    def test_zero_padding_changes_nothing(self, u, v):
+        # the maximum is taken where f > 0, not over the padded ends
+        tilt = np.array([u]), np.array([v])
+        c, m = TableDensity([-1, 0, 1], [0, 1, 0]).tilted_moments(*tilt, 4)
+        padded = TableDensity([-2, -1, 0, 1, 2], [0, 0, 1, 0, 0])
+        cp, mp = padded.tilted_moments(*tilt, 4)
+        assert cp[0] + math.log(mp[0, 0]) == pytest.approx(
+            c[0] + math.log(m[0, 0]), rel=1e-14)
+        np.testing.assert_allclose(mp[0] / mp[0, 0], m[0] / m[0, 0],
+                                   rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("u, v", [(0.0, -200.0), (3.0, -200.0),
+                                      (0.0, -2000.0), (40.0, 5.0)])
+    def test_gapped_bimodal(self, u, v):
+        # zero on (-1, 1): for v < 0 the maximum sits at the gap's edge
+        x = [-2, -1.5, -1, 1, 1.5, 2]
+        tab = TableDensity(x, [0, 1, 0, 0, 1, 0])
+        c, m = tab.tilted_moments(np.array([u]), np.array([v]), 4)
+        k = np.arange(5)
+
+        def f(z):
+            # E > c only in the gap, where the pdf is 0
+            e = math.exp(min(u * z + v * z * z - c[0], 0.0)) * tab.pdf(z)
+            return np.concatenate([e * z**k, e * abs(z)**k])
+
+        ref, _ = integrate.quad_vec(f, x[0], x[-1], points=x[1:-1], epsabs=0,
+                                    epsrel=1e-13, norm="max")
+        assert np.all(np.abs(m[0] - ref[:5]) <= 1e-12 * ref[5:])
+
+    def test_long_table_single_tilt_memory(self):
+        # 20,001 knots at one tilt: blocks of (tilt, interval) pairs keep
+        # the peak far below the 80 MB of one array over every node
+        rng = np.random.default_rng(1)
+        half = np.cumsum(rng.uniform(0.5, 1.5, 10000))
+        half /= half[-1]
+        yh = 1.0 + rng.uniform(0.0, 0.5, 10000)
+        x = np.concatenate([-half[::-1], [0.0], half])
+        tab = TableDensity(x, np.concatenate([yh[::-1], [1.2], yh]))
+        tracemalloc.start()
+        try:
+            c, m = tab.tilted_moments(np.zeros(1), np.zeros(1), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+        mass = np.sum(np.diff(x) * (tab.y[:-1] + tab.y[1:])) / 2
+        assert m[0, 0] * math.exp(c[0]) == pytest.approx(mass, rel=1e-13)
 
     def test_thousand_knot_table(self):
         # uneven knots, a flat stretch and ends that jump; 441 tilts in
