@@ -4,6 +4,8 @@ Exit codes: 0 success, 2 validation/usage error, 3 numeric failure
 (non-convergence or unusable estimate).  All randomness flows from a single
 ``--seed`` through ``numpy.random.default_rng``; samplers split it
 internally per chain in a fixed order, so reruns are byte-identical.
+The argument parser is built by the first ``dispatch`` call and shared by
+every later call in the same process; a one-shot command builds it once.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -272,32 +275,42 @@ def _bad_line(lines, cols) -> int:
 
 
 def _read_batch(path) -> model.EmpiricalBatch:
+    """The batch at ``path``: the header line names the columns, one
+    ``np.loadtxt`` reads the rows after it."""
     path = Path(path)
-    try:
-        header, *lines = path.read_text().splitlines() or [""]
-    except (OSError, ValueError) as exc:
-        raise CliError(f"batch {path}: {exc}")
     meta_path = path.with_suffix(".meta.json")
     try:
-        meta = json.loads(meta_path.read_text())
-        method, n = meta["method"], int(meta["n"])
-    except KeyError as exc:
-        raise CliError(f"batch metadata {meta_path} lacks {exc}")
-    except (OSError, TypeError, ValueError) as exc:
-        raise CliError(f"batch metadata {meta_path}: {exc}")
-    names = header.split(",")
-    missing = {"S", "T", "weight"} - set(names)
-    if missing:
-        raise CliError(f"batch {path} lacks column(s) {sorted(missing)}")
-    if not any(lines):
+        with open(path) as fh:
+            names = fh.readline().rstrip("\n").split(",")
+            try:
+                meta = json.loads(meta_path.read_text())
+                method, n = meta["method"], int(meta["n"])
+            except KeyError as exc:
+                raise CliError(f"batch metadata {meta_path} lacks {exc}")
+            except (OSError, TypeError, ValueError) as exc:
+                raise CliError(f"batch metadata {meta_path}: {exc}")
+            missing = {"S", "T", "weight"} - set(names)
+            if missing:
+                raise CliError(
+                    f"batch {path} lacks column(s) {sorted(missing)}")
+            cols = [names.index(c) for c in ("S", "T", "weight")]
+            try:
+                with warnings.catch_warnings():
+                    # a body without data rows is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    S, T, w = np.loadtxt(fh, delimiter=",", usecols=cols,
+                                         ndmin=2, unpack=True)
+            except ValueError as exc:
+                # only the error path splits the text into lines; reading
+                # it whole reports an undecodable byte at its file offset
+                lines = path.read_text().split("\n")[1:]
+                raise CliError(
+                    f"batch {path} line {_bad_line(lines, cols)}: {exc}")
+    except (OSError, ValueError) as exc:
+        raise CliError(f"batch {path}: {exc}")
+    if not S.size:
         raise CliError(f"batch {path} has no rows")
-    cols = [names.index(c) for c in ("S", "T", "weight")]
-    try:
-        S, T, w = np.loadtxt(lines, delimiter=",", usecols=cols, ndmin=2,
-                             unpack=True)
-    except ValueError as exc:
-        raise CliError(f"batch {path} line {_bad_line(lines, cols)}: {exc}")
-    if not np.isfinite([S, T, w]).all():
+    if not all(np.isfinite(c).all() for c in (S, T, w)):
         raise CliError(f"batch {path} has non-finite values")
     return model.EmpiricalBatch(
         S=S, T=T, weight=w, method=method, n=n,
@@ -438,10 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first ``dispatch``, not at import; ``parse_args`` leaves it
+# unchanged and looks up ``sys.stdout``, ``sys.stderr`` and the terminal
+# width on each call, so every later call can share it
+_parser = None
+
+
 def dispatch(argv=None) -> int:
-    ap = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0,) else EXIT_OK
     try:

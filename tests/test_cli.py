@@ -213,6 +213,93 @@ _Y = np.array([1, 1, -0.66, 1, 1, 1, -0.66, 1, 1])
 OFF_GRID_NEGATIVE_Y = (_Y / np.trapezoid(_Y, OFF_GRID_X)).tolist()
 
 
+# A sequence of commands in one process: runs, usage errors, --help, both
+# verify modes (their ``mode`` defaults differ) and ``nargs="+"`` points.
+_SHARED_PARSER_SEQUENCE = [
+    ["simulate", "--preset", "three-point", "--method", "enumeration",
+     "--n", "30", "--out", "batch.csv"],
+    ["rate", "eval", "--preset", "gaussian", "--x", "0.1", "--y", "1.2"],
+    ["rate", "eval", "--preset", "gaussian", "--x", "0.1"],
+    ["verify", "lln", "--preset", "three-point", "--batch", "batch.csv",
+     "--tol", "0.5", "--out", "lln.json"],
+    ["verify", "fluct", "--preset", "three-point", "--batch", "batch.csv",
+     "--out", "fluct.json"],
+    ["kernel", "verify", "--preset", "gaussian", "--n", "10", "--samples",
+     "200", "--points", "0.1", "0.2", "--out", "kernel-2.csv"],
+    ["kernel", "verify", "--preset", "gaussian", "--n", "10", "--samples",
+     "200", "--points", "0.3", "--out", "kernel-1.csv"],
+    ["--help"],
+    ["rate", "grid", "--help"],
+    ["bogus"],
+]
+
+
+class TestSharedParser:
+    def _run_sequence(self, work, capsys, monkeypatch, fresh):
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(cli, "_parser", None)
+        results = []
+        for argv in _SHARED_PARSER_SEQUENCE:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            results.append(run(capsys, *argv))
+        artifacts = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        return results, artifacts
+
+    def test_matches_a_fresh_parser_per_call(self, tmp_path, capsys,
+                                             monkeypatch):
+        shared, shared_files = self._run_sequence(
+            tmp_path / "shared", capsys, monkeypatch, fresh=False)
+        fresh, fresh_files = self._run_sequence(
+            tmp_path / "fresh", capsys, monkeypatch, fresh=True)
+        assert shared == fresh
+        assert shared_files == fresh_files
+        assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0, 0, 2]
+        _, help_out, _ = shared[7]
+        assert help_out.startswith("usage: cwsoc")
+        _, grid_help, _ = shared[8]
+        assert grid_help.startswith("usage: cwsoc rate grid")
+        for rc_out_err in (shared[2], shared[9]):
+            assert rc_out_err[2].startswith("usage: cwsoc")
+        # no option of one call leaks into the next: fluct takes its own
+        # default tolerance and mode, the second kernel call has one point
+        lln = json.loads(shared_files["lln.json"])
+        fluct = json.loads(shared_files["fluct.json"])
+        assert lln["tolerances"] == {"tol": 0.5}
+        assert fluct["tolerances"] == {"tol_ks": 0.05}
+        assert fluct["test_id"] != lln["test_id"]
+        assert "fluct.cdf.csv" in shared_files
+        assert len(shared_files["kernel-2.csv"].splitlines()) == 3
+        assert len(shared_files["kernel-1.csv"].splitlines()) == 2
+
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in (["measure", "info", "--preset", "rademacher"],
+                     ["--help"], ["bogus"],
+                     ["rate", "eval", "--preset", "gaussian", "--x", "0",
+                      "--y", "1"],
+                     ["measure", "info", "--preset", "gaussian"]):
+            run(capsys, *argv)
+        assert len(calls) == 1
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "from cwsoc import cli; assert cli._parser is None"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert r.returncode == 0, r.stderr
+
+
 class TestValidationErrors:
     def test_malformed_measure_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -752,6 +839,61 @@ class TestBatchIO:
             batch = cli._read_batch(path)
         for got, want in ((batch.S, S), (batch.T, T), (batch.weight, w)):
             assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _batch(tmp_path, data: bytes) -> Path:
+        path = tmp_path / "b.csv"
+        path.write_bytes(data)
+        path.with_suffix(".meta.json").write_text(
+            json.dumps({"method": "importance", "n": 4}))
+        return path
+
+    def test_crlf_blank_lines_count_toward_the_bad_line(self, tmp_path):
+        path = self._batch(
+            tmp_path, b"S,T,weight\r\n1,2,3\r\n\r\n\r\n4,x,6\r\n7,8,9\r\n")
+        with pytest.raises(cli.CliError) as info:
+            cli._read_batch(path)
+        assert str(info.value).startswith(f"batch {path} line 5: ")
+
+    def test_crlf_blank_lines_are_skipped(self, tmp_path):
+        path = self._batch(tmp_path,
+                           b"S,T,weight\r\n\r\n1,2,3\r\n\r\n4,5,6\r\n\r\n")
+        batch = cli._read_batch(path)
+        assert batch.S.tolist() == [1, 4]
+        assert batch.T.tolist() == [2, 5]
+        assert batch.weight.tolist() == [3, 6]
+
+    @pytest.mark.parametrize("data", [
+        b"S,T,weight", b"S,T,weight\n", b"S,T,weight\r\n\r\n\n",
+        # comment lines alone hold no row either
+        b"S,T,weight\n# nothing here\n"])
+    def test_no_rows(self, tmp_path, data):
+        path = self._batch(tmp_path, data)
+        with pytest.raises(cli.CliError) as info:
+            cli._read_batch(path)
+        assert str(info.value) == f"batch {path} has no rows"
+
+    def test_extra_columns_in_any_order(self, tmp_path):
+        path = self._batch(tmp_path,
+                           b"id,weight,T,note,S\n7,0.25,2.0,x,-1.5\n"
+                           b"8,0.75,3.0,y,1.0\n")
+        batch = cli._read_batch(path)
+        assert batch.S.tolist() == [-1.5, 1.0]
+        assert batch.T.tolist() == [2.0, 3.0]
+        assert batch.weight.tolist() == [0.25, 0.75]
+
+    def test_last_line_without_line_end(self, tmp_path):
+        path = self._batch(tmp_path, b"S,T,weight\r\n1,2,3\r\n4,5,6")
+        assert cli._read_batch(path).S.tolist() == [1, 4]
+
+    def test_comment_only_batch_exits_2(self, tmp_path, capsys):
+        path = self._batch(tmp_path, b"S,T,weight\n# nothing here\n")
+        for mode in ("lln", "fluct"):
+            rc, _, err = run(capsys, "verify", mode, "--preset", "gaussian",
+                             "--batch", str(path),
+                             "--out", str(tmp_path / "r.json"))
+            assert rc == 2
+            assert err == f"error: batch {path} has no rows\n"
 
 
 def _write_csv_per_cell(path, header, columns) -> None:
