@@ -6,7 +6,6 @@ from .measure import (
     MeasureError,
     MomentSummary,
     gaussian,
-    moments,
     rademacher,
     rho_zero,
     sample,
@@ -19,7 +18,6 @@ __all__ = [
     "MeasureError",
     "MomentSummary",
     "gaussian",
-    "moments",
     "rademacher",
     "rho_zero",
     "sample",

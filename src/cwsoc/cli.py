@@ -10,6 +10,7 @@ every later call in the same process; a one-shot command builds it once.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -51,30 +52,37 @@ def _require(ok: bool, message: str) -> None:
 def _load_measure(args) -> measure.Measure1D:
     """The named base measure; a spec that builds no valid measure is an
     input error naming the file."""
-    if getattr(args, "preset", None):
-        m = _PRESETS[args.preset]()
-    elif getattr(args, "spec", None):
-        path = Path(args.spec)
-        try:
-            m = measure.Measure1D.from_json(path.read_text())
-        except (OSError, ValueError) as exc:  # MeasureError is a ValueError
-            raise CliError(f"measure spec {path}: {exc}")
-    else:
+    if args.preset:
+        return _PRESETS[args.preset]()
+    if not args.spec:
         raise CliError("one of --preset or --spec is required")
-    return m
+    path = Path(args.spec)
+    try:
+        return measure.Measure1D.from_json(path.read_text())
+    except (OSError, ValueError) as exc:  # MeasureError is a ValueError
+        raise CliError(f"measure spec {path}: {exc}")
 
 
 def _interaction(args) -> model.Interaction:
-    kind = getattr(args, "g", "quadratic")
-    variant = getattr(args, "variant", "standard")
-    m4 = getattr(args, "m4", 0.0)
-    if kind == "quadratic":
-        return model.quadratic(variant)
-    return model.quartic(m4, variant)
+    if args.g == "quadratic":
+        return model.quadratic(args.variant)
+    return model.quartic(args.m4, args.variant)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """``path`` opened for writing text, line ends as given; a path that
+    cannot be written is an input error (exit 2) naming it."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _writing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _quote(text: str) -> str:
@@ -97,7 +105,7 @@ def _write_csv(path, header, columns) -> None:
     """Write equal-length ``columns`` under ``header`` as CSV rows, cells by
     ``_cell_text``, CRLF line ends."""
     cells = [_cell_text(c) for c in map(np.asarray, columns)]
-    with open(path, "w", newline="") as fh:
+    with _writing(path) as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
@@ -131,13 +139,12 @@ def write_manifest(out_dir, config: dict) -> Path:
 
 def _cmd_measure_info(args) -> int:
     m = _load_measure(args)
-    ms = m.moments
     payload = {
         "atoms": [list(a) for a in m.atoms],
         "ac_mass": m.ac_mass,
-        "mass_at_zero": ms.mass_at_zero,
-        "sigma2": ms.sigma2,
-        "mu4": ms.mu4,
+        "mass_at_zero": m.mass_at_zero,
+        "sigma2": m.moments.sigma2,
+        "mu4": m.moments.mu4,
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -163,7 +170,8 @@ def _cmd_cramer_check(args) -> int:
     }
     text = json.dumps(payload, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with _writing(args.out) as fh:
+            fh.write(text + "\n")
     print(text)
     return EXIT_OK
 
@@ -176,7 +184,7 @@ def _rate_solver(args):
 def _cmd_rate_eval(args) -> int:
     _require(math.isfinite(args.x) and math.isfinite(args.y),
              "--x and --y must be finite")
-    r = transforms.cramer_transform(_rate_solver(args), args.x, args.y)
+    r = _rate_solver(args).solve([args.x, args.y])
     payload = {
         "x": args.x, "y": args.y, "value": r.value,
         "converged": r.converged, "iterations": r.iterations,
@@ -228,12 +236,11 @@ def _cmd_kernel_verify(args) -> int:
         raise CliError(f"--points: {exc}")
     _require(all(len(p) == args.d for p in points),
              f"each --points entry needs {args.d} comma-separated coordinates")
-    m = _load_measure(args)
-    lift = "line" if args.d == 1 else "pair"
-    R = transforms.RateFunction(transforms.LogLaplace(m, lift=lift))
-    s = kernel.SmoothedDensity(base=m, n=args.n, c=args.c, d=args.d,
-                               samples=args.samples, seed=args.seed)
-    rows = kernel.theorem3_comparison(s, R, points)
+    _require(all(math.isfinite(v) for p in points for v in p),
+             "--points coordinates must be finite")
+    s = kernel.SmoothedDensity(base=_load_measure(args), n=args.n, c=args.c,
+                               d=args.d, samples=args.samples, seed=args.seed)
+    rows = kernel.theorem3_comparison(s, points)
     out_rows = [(",".join(repr(v) for v in r["x"]), args.n, s.c, r["phi"],
                  r["std_error"], r["asymptotic"], r["ratio"]) for r in rows]
     _write_csv(args.out, ["x", "n", "c", "phi", "se", "asymptotic", "ratio"],
@@ -312,9 +319,12 @@ def _read_batch(path) -> model.EmpiricalBatch:
         raise CliError(f"batch {path} has no rows")
     if not all(np.isfinite(c).all() for c in (S, T, w)):
         raise CliError(f"batch {path} has non-finite values")
-    return model.EmpiricalBatch(
-        S=S, T=T, weight=w, method=method, n=n,
-        diagnostics=meta.get("diagnostics", {}))
+    try:
+        return model.EmpiricalBatch(
+            S=S, T=T, weight=w, method=method, n=n,
+            diagnostics=meta.get("diagnostics", {}))
+    except model.ModelError as exc:
+        raise CliError(f"batch {path}: {exc}")
 
 
 def _cmd_verify(args) -> int:

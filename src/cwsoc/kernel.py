@@ -10,6 +10,10 @@ rule is the whole estimate.  In dimension 2 it draws only the sufficient
 statistics ``(S', T')`` of the first n-2 tilted coordinates and integrates
 the last two exactly against the closed-form tilted pair density, which
 removes the vanishing-window variance blowup.
+
+``SmoothedDensity`` refuses any base but a pure Gaussian when built, and
+``theorem3_comparison`` builds its own conjugate solver for ``s.d``;
+``phi_estimate`` is its one-point view.
 """
 from __future__ import annotations
 
@@ -66,9 +70,9 @@ def kernel_laplace(c: float, z) -> complex:
 class SmoothedDensity:
     """Smoothed n-fold law, d=1 for a line measure or d=2 for the pair law.
 
-    Both dimensions need a pure Gaussian base (closed-form tilted laws).
-    Only d=2 with n > 2 draws, so ``samples`` and ``seed`` are unused
-    otherwise.
+    Both dimensions need a pure Gaussian base (closed-form tilted laws);
+    construction refuses any other.  Only d=2 with n > 2 draws, so
+    ``samples`` and ``seed`` are unused otherwise.
     """
     base: Measure1D
     n: int
@@ -84,33 +88,26 @@ class SmoothedDensity:
             self.c = 1.0 / self.n
         if not 0 < self.c < math.inf:
             raise KernelError(f"the coupling c must lie in (0, inf), not {self.c}")
-        if self.d == 1:
-            _gaussian_density(self.base)  # KernelError for other bases
-
-
-def _gaussian_density(base: Measure1D) -> GaussianDensity:
-    """The density of a pure Gaussian base; KernelError for any other base."""
-    if base.atoms or not isinstance(base.density, GaussianDensity):
-        raise KernelError("the smoothed density is implemented for pure "
-                          "Gaussian bases")
-    return base.density
+        if self.base.ac_mass <= 0:
+            raise KernelError(
+                "base measure is purely atomic and fails the Cramer "
+                "condition; the local CLT comparison does not apply")
+        if self.base.atoms or not isinstance(self.base.density,
+                                             GaussianDensity):
+            raise KernelError("the smoothed density is implemented for pure "
+                              "Gaussian bases")
 
 
 def phi_estimate(s: SmoothedDensity, x) -> tuple:
-    """``(value, std_error)`` of the smoothed density at ``x``.
-
-    Solves the conjugate of ``x`` (line lift for d=1, pair lift for d=2)
-    and runs the tilted estimator ``_phi_tilted``; its std_error is 0 for
-    d=1 and for d=2 at n = 2.
+    """``(value, std_error)`` of the smoothed density at ``x``: the ``phi``
+    and ``std_error`` of ``theorem3_comparison`` at the one point ``x``.
+    The std_error is 0 for d=1 and for d=2 at n = 2.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    R = RateFunction(LogLaplace(s.base, lift="line" if s.d == 1 else "pair"))
-    scaled, se, nJ = _phi_tilted(s, _gaussian_density(s.base), x, R.solve(x))
-    return scaled * math.exp(-nJ), se * math.exp(-nJ)
+    row = theorem3_comparison(s, [np.atleast_1d(np.asarray(x, dtype=float))])[0]
+    return row["phi"], row["std_error"]
 
 
-def _phi_tilted(s: SmoothedDensity, density: GaussianDensity, x,
-                r: CramerResult) -> tuple:
+def _phi_tilted(s: SmoothedDensity, x, r: CramerResult) -> tuple:
     """``phi e^{nJ}`` with its std error, plus ``nJ``, given the conjugate
     ``r`` at ``x`` (line lift for d=1, pair lift for d=2).
 
@@ -150,7 +147,7 @@ def _phi_tilted(s: SmoothedDensity, density: GaussianDensity, x,
         window = _pair_window(mean, std, *grid, W)
         mean_y, se = float(window(n * x[:1], n * x[1:])[0]), 0.0
     else:
-        mean_y, se = _mean_over_draws(s, density, mean, std, x,
+        mean_y, se = _mean_over_draws(s, mean, std, x,
                                       _pair_window(mean, std, *grid, W),
                                       len(W))
     if mean_y <= 0:
@@ -158,8 +155,8 @@ def _phi_tilted(s: SmoothedDensity, density: GaussianDensity, x,
     return mean_y, se, nJ
 
 
-def _mean_over_draws(s: SmoothedDensity, density: GaussianDensity,
-                     mean: float, std: float, x, window, nodes: int) -> tuple:
+def _mean_over_draws(s: SmoothedDensity, mean: float, std: float, x, window,
+                     nodes: int) -> tuple:
     """Mean of ``window`` over ``s.samples`` tilted ``(S', T')`` draws, and
     its std error, in chunks of about 2^20 cells of ``nodes`` each."""
     n = s.n
@@ -171,7 +168,7 @@ def _mean_over_draws(s: SmoothedDensity, density: GaussianDensity,
     done = 0
     while done < total:
         m = min(chunk, total - done)
-        Sp, Tp = _tilted_sums(density, n - 2, mean, std, m, rng)
+        Sp, Tp = _tilted_sums(s.base.density, n - 2, mean, std, m, rng)
         # the last pair must add up to (n x1 - S', n x2 - T') at the centre
         y = window(n * x[0] - Sp, n * x[1] - Tp)
         acc_sum += float(np.sum(y))
@@ -234,26 +231,21 @@ def _pair_window(mean: float, std: float, U, V, W):
     return window
 
 
-def theorem3_comparison(s: SmoothedDensity, R: RateFunction, points) -> list:
+def theorem3_comparison(s: SmoothedDensity, points) -> list:
     """Rows ``(x, phi, se, asymptotic, ratio)`` at each requested point.
 
-    Refuses purely atomic base measures: the local CLT needs the Cramer
-    condition, which no purely atomic base satisfies.  ``R`` solves the
-    conjugates, all points in one batch.  The common factor ``e^{-nJ}``
-    cancels analytically, so in every dimension the ratio is the tilted
-    estimate over the prefactor, and ``phi``, ``se`` and ``asymptotic``
-    are their tilted values times ``e^{-nJ}`` (they underflow to 0 when
-    nJ > 745, the ratio does not).
+    The conjugates come from a solver built here for ``s.base`` (line lift
+    for d=1, pair lift for d=2), all points in one batch.  The common factor
+    ``e^{-nJ}`` cancels analytically, so in every dimension the ratio is the
+    tilted estimate over the prefactor, and ``phi``, ``se`` and
+    ``asymptotic`` are their tilted values times ``e^{-nJ}`` (they underflow
+    to 0 when nJ > 745, the ratio does not).
     """
-    if s.base.ac_mass <= 0:
-        raise KernelError(
-            "base measure is purely atomic and fails the Cramer "
-            "condition; the local CLT comparison does not apply")
-    density = _gaussian_density(s.base)
     xs = np.asarray(points, dtype=float).reshape(len(points), -1)
+    R = RateFunction(LogLaplace(s.base, lift="line" if s.d == 1 else "pair"))
     rows = []
     for xv, r in zip(xs, R.solve_many(xs)):
-        scaled, se, nJ = _phi_tilted(s, density, xv, r)
+        scaled, se, nJ = _phi_tilted(s, xv, r)
         det = float(np.linalg.det(np.atleast_2d(r.hess)))
         pref = (2 * math.pi * s.n) ** (-s.d / 2) * math.sqrt(det)
         decay = math.exp(-nJ)

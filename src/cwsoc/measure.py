@@ -436,7 +436,6 @@ def _density_from_spec(spec) -> DensityComponent:
 class MomentSummary:
     sigma2: float
     mu4: float
-    mass_at_zero: float
 
 
 @dataclass(frozen=True)
@@ -492,8 +491,7 @@ class Measure1D:
         if not m[2] > 0:
             raise MeasureError("degenerate measure: variance is zero")
         object.__setattr__(self, "moments", MomentSummary(
-            sigma2=float(m[2]), mu4=float(m[4]),
-            mass_at_zero=self.mass_at_zero))
+            sigma2=float(m[2]), mu4=float(m[4])))
 
     @property
     def discrete_mass(self) -> float:
@@ -596,11 +594,6 @@ def rho_zero() -> Measure1D:
 
 # ---------------------------------------------------------------------------
 # operations
-
-def moments(m: Measure1D) -> MomentSummary:
-    """The moments ``m`` keeps from its construction."""
-    return m.moments
-
 
 def sample(m: Measure1D, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` i.i.d. draws: inverse CDF over atoms, the density's sampler

@@ -158,6 +158,10 @@ class EmpiricalBatch:
                 raise ModelError("retained samples must have T > 0")
             if np.any(S**2 > self.n * T * (1 + 1e-12) + 1e-9):
                 raise ModelError("Cauchy-Schwarz violated: S^2 > n T")
+            if np.any(self.weight[i:i + _CHECK_ROWS] < 0):
+                raise ModelError("weights must be nonnegative")
+        if not np.sum(self.weight) > 0:
+            raise ModelError("weights must have a positive sum")
 
     @property
     def normalized_weight(self) -> np.ndarray:

@@ -5,6 +5,8 @@ The canonical object is the log-Laplace transform of the pair law of
 variant is provided for measures used directly on the line.  The conjugate
 (rate function) is computed by a damped Newton solve of ``grad L = target``,
 which also yields the inverse-gradient map and the Hessian of the conjugate.
+``RateFunction.solve_many`` decides once per batch whether the pair lift is
+flat (``z^2`` a.s. constant) and then solves the whole batch on the line.
 """
 from __future__ import annotations
 
@@ -85,13 +87,6 @@ class LogLaplace:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))[None]
         return float(self._log_moments(theta, 0)[0][0])
 
-    def grad_hess(self, theta):
-        """Gradient (tilted first moments) and Hessian (tilted covariance)."""
-        value, mean, cov = self.tilted_stats(theta)
-        if not math.isfinite(value):
-            raise DomainFault(f"theta {theta} outside the finiteness domain")
-        return mean, cov
-
 
 def _cond(cov: np.ndarray) -> np.ndarray:
     """Condition numbers of the symmetric ``(P, d, d)`` matrices, ``d <= 2``,
@@ -128,7 +123,7 @@ class CramerResult:
     converged: bool
     iterations: int
     message: str = ""
-    degenerate: bool = False  # settled by the degenerate-direction fallback
+    degenerate: bool = False  # flat lift, or curvature vanished
 
 
 class RateFunction:
@@ -145,8 +140,12 @@ class RateFunction:
 
         One damped Newton iteration on ``grad L(theta) = x`` runs on all
         rows at once under per-row masks.  A row leaves the batch when its
-        gradient meets ``_GTOL``, its curvature degenerates or its line
-        search fails, so it follows the trajectory it would follow alone.
+        gradient meets ``_GTOL``, its curvature vanishes or its line search
+        fails, so it follows the trajectory it would follow alone.  A flat
+        pair lift (``z^2 = c0`` a.s., a singular zero-tilt covariance) is
+        decided once, up front: the conjugate is then finite only on ``y =
+        c0``, where it is the line conjugate of ``x`` (``v`` reported at 0),
+        and each row counts the zero-tilt pass as one iteration.
         """
         L = self.source
         X = np.asarray(targets, dtype=float)
@@ -157,7 +156,28 @@ class RateFunction:
         val, mean, cov = L._stats(theta)
         results: list = [None] * len(X)
 
-        def stop(rows, it, message, hess=None):
+        if L.d == 2 and len(X) and _cond(cov[:1])[0] > _COND_LIMIT:
+            c0 = float(mean[0, 1])
+            reachable = np.abs(X[:, 1] - c0) <= 1e-9
+            line = RateFunction(LogLaplace(L.base, lift="line")).solve_many(
+                X[reachable, :1])
+            for p, r in zip(np.flatnonzero(reachable).tolist(), line):
+                hess = None if r.hess is None else np.array(
+                    [[r.hess[0, 0], math.nan], [math.nan, math.nan]])
+                results[p] = CramerResult(
+                    value=r.value, argmax=np.array([r.argmax[0], 0.0]),
+                    hess=hess, converged=r.converged,
+                    iterations=1 + r.iterations, degenerate=True,
+                    message="degenerate direction v reported as free")
+            for p in np.flatnonzero(~reachable).tolist():
+                results[p] = CramerResult(
+                    value=math.inf, argmax=np.zeros(2), hess=None,
+                    converged=False, iterations=1, degenerate=True,
+                    message=f"second coordinate degenerate at {c0}; "
+                    "target unreachable")
+            return results
+
+        def stop(rows, it, message, hess=None, degenerate=False):
             """Record the rows' results at their current iterate; only a
             converged row carries ``hess``."""
             if not rows.size:
@@ -169,18 +189,16 @@ class RateFunction:
                                            theta[rows], hess):
                 results[p] = CramerResult(
                     value=value, argmax=argmax, hess=h,
-                    converged=h is not None, iterations=it, message=message)
+                    converged=h is not None, iterations=it, message=message,
+                    degenerate=degenerate)
 
         def curved(rows, it):
-            """Hand the rows whose covariance is numerically singular to
-            the degenerate solver; return the others."""
+            """Stop the rows whose curvature vanished along the path, whose
+            targets sit on the boundary of the admissible domain; return the
+            others."""
             flat = _cond(cov[rows]) > _COND_LIMIT
-            if not flat.any():
-                return rows
-            bad = rows[flat]
-            for p, r in zip(bad.tolist(), self._solve_degenerate(
-                    X[bad], theta[bad], val[bad], it)):
-                results[p] = r
+            stop(rows[flat], it, "curvature vanished; outside admissible "
+                 "domain", degenerate=True)
             return rows[~flat]
 
         active = np.arange(len(X))
@@ -228,50 +246,6 @@ class RateFunction:
             active = np.delete(active, left)
         stop(active, _MAX_ITER, "max iterations; outside admissible domain")
         return results
-
-    def _solve_degenerate(self, x, theta, val, it) -> list[CramerResult]:
-        """Results for the targets ``x`` (rows, with their iterates
-        ``theta`` and values ``val``) whose covariance degenerated at
-        iteration ``it``."""
-        L = self.source
-        _, mean0, cov0 = L.tilted_stats(np.zeros(L.d))
-        if _cond(cov0[None])[0] <= _COND_LIMIT:
-            # the base has full curvature, so it vanished along the path:
-            # the target sits on the boundary of the admissible domain
-            return [CramerResult(
-                value=float(t @ xp - v), argmax=t, hess=None, converged=False,
-                iterations=it, degenerate=True,
-                message="curvature vanished; outside admissible domain")
-                for xp, t, v in zip(x, theta, val)]
-        # pair lift with z^2 a.s. constant: conjugate finite only on y = const
-        c0 = float(mean0[1])
-        reachable = np.abs(x[:, 1] - c0) <= 1e-9
-        line = iter(RateFunction(LogLaplace(L.base, lift="line")).solve_many(
-            x[reachable, :1]))
-        out = []
-        for t, ok in zip(theta, reachable):
-            if not ok:
-                out.append(CramerResult(
-                    value=math.inf, argmax=t, hess=None, converged=False,
-                    iterations=it, degenerate=True, message="second coordinate "
-                    f"degenerate at {c0}; target unreachable"))
-                continue
-            r = next(line)
-            hess = None
-            if r.hess is not None:
-                hess = np.array([[r.hess[0, 0], math.nan],
-                                 [math.nan, math.nan]])
-            out.append(CramerResult(
-                value=r.value, argmax=np.array([r.argmax[0], 0.0]), hess=hess,
-                converged=r.converged, iterations=it + r.iterations,
-                degenerate=True,
-                message="degenerate direction v reported as free"))
-        return out
-
-
-def cramer_transform(R: RateFunction, x: float, y: float | None = None) -> CramerResult:
-    target = [x] if y is None and R.source.d == 1 else [x, y]
-    return R.solve(np.asarray(target, dtype=float))
 
 
 def rate_at_origin(R: RateFunction) -> float:

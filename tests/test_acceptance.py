@@ -111,13 +111,11 @@ def test_criterion_05_smoothed_density_ratios(capsys):
     xs = [[x] for x in np.arange(-0.4, 0.41, 0.1)]
     devs = {}
     for n, tol in ((50, 0.1), (200, 0.05)):
-        R = transforms.RateFunction(transforms.LogLaplace(base, lift="line"))
         s = kernel.SmoothedDensity(base=base, n=n, d=1)
-        rows = kernel.theorem3_comparison(s, R, xs)
+        rows = kernel.theorem3_comparison(s, xs)
         devs[n] = max(abs(r["ratio"] - 1.0) for r in rows)
     s2 = kernel.SmoothedDensity(base=base, n=40, d=2, samples=10**6, seed=11)
-    R2 = transforms.RateFunction(transforms.LogLaplace(base))
-    row = kernel.theorem3_comparison(s2, R2, [[0.1, 1.05]])[0]
+    row = kernel.theorem3_comparison(s2, [[0.1, 1.05]])[0]
     dev2 = abs(row["ratio"] - 1.0)
     ok = (devs[50] <= 0.1 and devs[200] <= 0.05
           and dev2 <= 0.15 and row["ratio_std_error"] < 0.05)

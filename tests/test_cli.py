@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,8 +142,7 @@ class TestDispatch:
           "0.1", "--y-max", "0.18", "--nx", "2", "--ny", "2",
           "--out", "{out}.csv"], 0),
         (["cramer", "check", "--alpha", "2"], 0),
-        # the smoothed density refuses a table base after the rate solver
-        # is built
+        # the smoothed density refuses a table base when it is built
         (["kernel", "verify", "--n", "10", "--points", "0.1",
           "--out", "{out}.csv"], 3),
         (["verify", "lln", "--batch", "{batch}", "--out", "{out}.json"], 0)],
@@ -502,13 +502,56 @@ class TestValidationErrors:
         (["rate", "grid", "--preset", "gaussian", "--x-min", "0", "--x-max",
           "0.1", "--y-min", "0.5", "--y-max", "2", "--nx", "2",
           "--ny", "20000000000000000"], "out of memory"),
+        # non-finite points, 1e400 among them, are refused before any solve
+        *((["kernel", "verify", "--preset", "gaussian", "--n", "10",
+            "--points", p], "--points") for p in ("nan", "inf", "1e400")),
+        (["kernel", "verify", "--preset", "gaussian", "--n", "10", "--d", "2",
+          "--points", "0.1,nan"], "--points"),
     ])
     def test_bad_analysis_arguments(self, tmp_path, capsys, argv, message):
         if argv[0] != "rate" or argv[1] != "eval":
             argv = argv + ["--out", str(tmp_path / "out.csv")]
-        rc, _, err = run(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, _, err = run(capsys, *argv)
         assert rc == 2
         assert message in err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--preset", "three-point", "--method", "enumeration",
+         "--n", "8", "--out", "{out}"],
+        ["rate", "grid", "--preset", "gaussian", "--x-min", "0", "--x-max",
+         "0.1", "--y-min", "0.5", "--y-max", "1", "--nx", "2", "--ny", "2",
+         "--out", "{out}"],
+        ["cramer", "check", "--preset", "rademacher", "--alpha", "0.5",
+         "--out", "{out}"],
+        ["kernel", "verify", "--preset", "gaussian", "--n", "10",
+         "--points", "0.1", "--out", "{out}"],
+        ["verify", "lln", "--preset", "three-point", "--batch", "{batch}",
+         "--out", "{out}"],
+    ], ids=["simulate", "rate-grid", "cramer-check", "kernel-verify",
+            "verify"])
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_out(self, tmp_path, capsys, command, where):
+        batch = tmp_path / "batch.csv"
+        batch.write_text("S,T,weight\n0.5,1.0,1.0\n-0.5,0.5,2.0\n")
+        batch.with_suffix(".meta.json").write_text(
+            json.dumps({"method": "importance", "n": 4}))
+        out = tmp_path / "no-such-dir" / "out.csv"
+        if where == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+        argv = [a.format(out=out, batch=batch) for a in command]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    def test_unwritable_manifest(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").mkdir()
+        rc, _, err = run(capsys, "report", "--dir", str(tmp_path))
+        assert rc == 2
+        assert err.startswith(
+            f"error: cannot write {tmp_path / 'manifest.json'}: ")
 
     @pytest.mark.parametrize("flag,text,message", [
         ("--spec", "[]", "JSON object"),
@@ -827,10 +870,12 @@ class TestBatchIO:
         st.floats(-1e150, 1e150), st.floats(0, 1e300),
         st.floats(0, 1e300)), min_size=1, max_size=40))
     def test_write_read_round_trip(self, n, draws):
-        # a valid batch: T > 0 and S^2 <= n T in floats, finite cells
+        # a valid batch: T > 0 and S^2 <= n T in floats, finite cells,
+        # weights of positive sum
         rows = [(S, T, w) for S, T, w in draws if T > 0 and S * S <= n * T]
         assume(rows)
         S, T, w = map(np.array, zip(*rows))
+        assume(np.sum(w) > 0)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "b.csv"
             cli._write_csv(path, ["S", "T", "weight"], [S, T, w])
@@ -885,6 +930,23 @@ class TestBatchIO:
     def test_last_line_without_line_end(self, tmp_path):
         path = self._batch(tmp_path, b"S,T,weight\r\n1,2,3\r\n4,5,6")
         assert cli._read_batch(path).S.tolist() == [1, 4]
+
+    @pytest.mark.parametrize("mode", ["lln", "fluct"])
+    @pytest.mark.parametrize("weights, message", [
+        ((0, 0), "positive sum"), ((1, -0.5), "nonnegative"),
+        ((-1, -1), "nonnegative")],
+        ids=["zero-sum", "one-negative", "all-negative"])
+    def test_bad_weights_exit_2(self, tmp_path, capsys, mode, weights,
+                                message):
+        path = self._batch(
+            tmp_path, "S,T,weight\n1,2,{}\n-1,2,{}\n".format(
+                *weights).encode())
+        rc, _, err = run(capsys, "verify", mode, "--preset", "three-point",
+                         "--batch", str(path),
+                         "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        assert err.startswith(f"error: batch {path}: weights must")
+        assert message in err
 
     def test_comment_only_batch_exits_2(self, tmp_path, capsys):
         path = self._batch(tmp_path, b"S,T,weight\n# nothing here\n")
@@ -982,7 +1044,10 @@ class TestKernelVerify:
         assert abs(float(row.split(",")[-1]) - 1.0) < 0.05
 
     def test_lattice_base_is_numeric_failure(self, tmp_path, capsys):
-        rc, _, err = run(capsys, "kernel", "verify", "--preset", "rademacher",
-                         "--n", "50", "--d", "1", "--points", "0.2",
-                         "--out", str(tmp_path / "k.csv"))
-        assert rc == 3
+        # both dimensions refuse an atomic base for the Cramer condition
+        for d, point in (("1", "0.2"), ("2", "0.2,0.5")):
+            rc, _, err = run(capsys, "kernel", "verify", "--preset",
+                             "rademacher", "--n", "50", "--d", d, "--points",
+                             point, "--out", str(tmp_path / "k.csv"))
+            assert rc == 3
+            assert "Cramer condition" in err

@@ -128,8 +128,10 @@ class TestPhiEstimateD1:
         assert total == pytest.approx(1 / 20, abs=1e-4)
 
     def test_unsupported_base(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(KernelError, match="Cramer"):
             SmoothedDensity(base=measure.rademacher(), n=5, d=1)
+        with pytest.raises(KernelError, match="pure Gaussian"):
+            SmoothedDensity(base=measure.rho_zero(), n=5, d=1)
         with pytest.raises(KernelError, match="n >= d"):
             SmoothedDensity(base=measure.gaussian(), n=1, d=2)
 
@@ -140,23 +142,21 @@ class TestPhiEstimateD1:
             SmoothedDensity(base=measure.gaussian(), n=10, c=c)
 
     def test_table_density_base_refused(self):
-        # a table density has no closed-form n-fold law
+        # a table density has no closed-form n-fold law, in either dimension
         base = measure.Measure1D(
             density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))
-        with pytest.raises(KernelError):
+        with pytest.raises(KernelError, match="pure Gaussian"):
             SmoothedDensity(base=base, n=5, d=1)
-        s = SmoothedDensity(base=base, n=10, d=2, samples=100)
-        with pytest.raises(KernelError):
-            phi_estimate(s, [0.0, 1.0])
+        with pytest.raises(KernelError, match="pure Gaussian"):
+            SmoothedDensity(base=base, n=10, d=2, samples=100)
 
 
 class TestTheorem3:
     def test_d1_gaussian_ratios(self):
-        R = RateFunction(LogLaplace(measure.gaussian(), lift="line"))
         prev = None
         for n in (25, 50, 100):
             s = SmoothedDensity(base=measure.gaussian(), n=n, d=1)
-            rows = theorem3_comparison(s, R, [[0.0], [0.2], [-0.4]])
+            rows = theorem3_comparison(s, [[0.0], [0.2], [-0.4]])
             worst = max(abs(r["ratio"] - 1) for r in rows)
             assert worst < 0.05
             if prev is not None:
@@ -169,12 +169,11 @@ class TestTheorem3:
         # estimate cancels it, so the ratio stays finite and near 1; 4 and
         # 10 nodes per half, by a rule built here, agree with the 6 nodes
         g = measure.gaussian()
-        R = RateFunction(LogLaplace(g, lift="line"))
         s = SmoothedDensity(base=g, n=n, d=1)
-        row = theorem3_comparison(s, R, [[x]])[0]
+        row = theorem3_comparison(s, [[x]])[0]
         assert math.isfinite(row["ratio"])
         assert abs(row["ratio"] - 1) < 1e-6
-        r = R.solve([x])
+        r = RateFunction(LogLaplace(g, lift="line")).solve([x])
         theta = float(r.argmax[0])
         pref = math.sqrt(float(np.atleast_2d(r.hess)[0, 0]) / (2 * math.pi * n))
         # tilted by theta, N(0, 1) is N(theta, 1), so the sum is N(n theta, n)
@@ -187,44 +186,43 @@ class TestTheorem3:
 
     def test_d2_gaussian_point(self):
         g = measure.gaussian()
-        R = RateFunction(LogLaplace(g))
         s = SmoothedDensity(base=g, n=40, d=2, samples=10**5, seed=3)
-        r = theorem3_comparison(s, R, [[0.1, 1.05]])[0]
+        r = theorem3_comparison(s, [[0.1, 1.05]])[0]
         assert abs(r["ratio"] - 1) < 0.15
         assert r["ratio_std_error"] < 0.05
         assert r["phi"] > 0
 
     def test_points_solved_once(self, monkeypatch):
-        # one batched solve for all points, and no second solver per point
+        # one batched solve for all points, by a solver of the lift for d
         g = measure.gaussian()
-        R = RateFunction(LogLaplace(g))
-        s = SmoothedDensity(base=g, n=20, d=2, samples=500, seed=1)
-        points = [[0.1, 1.05], [0.0, 0.9]]
-        calls = []
-        solve_many = R.solve_many
-        monkeypatch.setattr(R, "solve_many",
-                            lambda xs: calls.append(len(xs)) or solve_many(xs))
-        monkeypatch.setattr(kernel, "RateFunction", None)
-        rows = theorem3_comparison(s, R, points)
-        monkeypatch.undo()
-        assert calls == [2]
-        for x, row in zip(points, rows):
-            phi, se = phi_estimate(s, x)
-            assert row["phi"] == pytest.approx(phi, rel=1e-12)
-            assert row["std_error"] == pytest.approx(se, rel=1e-12)
+        solve_many = RateFunction.solve_many
+        for d, points in ((1, [[0.1], [-0.3]]),
+                          (2, [[0.1, 1.05], [0.0, 0.9]])):
+            s = SmoothedDensity(base=g, n=20, d=d, samples=500, seed=1)
+            calls = []
+
+            def counted(R, xs):
+                calls.append((R.source.base, R.source.d, len(xs)))
+                return solve_many(R, xs)
+            monkeypatch.setattr(RateFunction, "solve_many", counted)
+            rows = theorem3_comparison(s, points)
+            monkeypatch.undo()
+            assert calls == [(g, d, 2)]
+            for x, row in zip(points, rows):
+                phi, se = phi_estimate(s, x)
+                assert row["phi"] == pytest.approx(phi, rel=1e-12)
+                assert row["std_error"] == pytest.approx(se, rel=1e-12)
 
     def test_lattice_base_refused(self):
-        R = RateFunction(LogLaplace(measure.rademacher()))
-        s = SmoothedDensity(base=measure.rademacher(), n=10, d=2)
+        # refused when built, before any conjugate is solved
         with pytest.raises(KernelError, match="Cramer"):
-            theorem3_comparison(s, R, [[0.0, 1.0]])
+            SmoothedDensity(base=measure.rademacher(), n=10, d=2)
 
     def test_outside_domain_refused(self):
         g = measure.gaussian()
-        R = RateFunction(LogLaplace(g))
         s = SmoothedDensity(base=g, n=10, d=2, samples=100)
         with pytest.raises(KernelError):
-            theorem3_comparison(s, R, [[1.0, 1.0]])
+            theorem3_comparison(s, [[1.0, 1.0]])
 
 
 class TestPairWindow:

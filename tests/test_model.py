@@ -10,7 +10,6 @@ from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 from cwsoc import measure, model
-from cwsoc.measure import moments
 from cwsoc.model import (
     InteractionError,
     ModelError,
@@ -632,7 +631,7 @@ def _gaussian_tilted_cdf(m: TiltedModel, points: int = 2000, draws: int = 1000):
     midpoint quantiles of R (R = 0 for n = 1, where an even number of grid
     points keeps s = 0, hence T = 0, off the grid).
     """
-    n, sig2 = m.n, moments(m.rho).sigma2
+    n, sig2 = m.n, m.rho.moments.sigma2
     L = (2 * n + 10 * math.sqrt(n) + 10) * math.sqrt(sig2)
     s = np.linspace(-L, L, points)
     p = (np.arange(draws) + 0.5) / draws

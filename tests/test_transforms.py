@@ -12,10 +12,8 @@ from cwsoc import measure
 from cwsoc.model import quadratic, quartic
 from cwsoc.quadrature import adaptive_gauss_legendre
 from cwsoc.transforms import (
-    DomainFault,
     LogLaplace,
     RateFunction,
-    cramer_transform,
     rate_at_origin,
     rate_expansion_residual,
 )
@@ -69,19 +67,18 @@ class TestLogLaplace:
         want = math.log(2 * (math.cosh(u) - 1) / (u * u))
         assert L.value([u, 0.0]) == pytest.approx(want, rel=0, abs=1e-13)
 
-    def test_origin_grad_hess(self, gauss_pair):
-        grad, hess = gauss_pair.grad_hess([0.0, 0.0])
+    def test_origin_tilted_stats(self, gauss_pair):
+        _, grad, hess = gauss_pair.tilted_stats([0.0, 0.0])
         np.testing.assert_allclose(grad, [0.0, 1.0], atol=1e-10)
         np.testing.assert_allclose(hess, [[1.0, 0.0], [0.0, 2.0]], atol=1e-9)
 
     def test_outside_domain_infinite(self, gauss_pair):
         assert gauss_pair.value([0.0, 0.6]) == math.inf
-        with pytest.raises(DomainFault):
-            gauss_pair.grad_hess([0.0, 0.5])
+        assert gauss_pair.tilted_stats([0.0, 0.5]) == (math.inf, None, None)
 
     def test_finite_difference_gradient(self, gauss_pair):
         theta = np.array([0.3, 0.1])
-        grad, _ = gauss_pair.grad_hess(theta)
+        _, grad, _ = gauss_pair.tilted_stats(theta)
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
@@ -327,7 +324,7 @@ class TestCramerTransform:
     def test_gaussian_closed_form_grid(self, gauss_rate):
         # brute-force cross check: maximize ux + vy - L on a dense grid
         for x, y in [(0.0, 1.0), (0.0, 2.0), (0.5, 1.25), (0.0, 0.01), (-0.3, 0.8)]:
-            r = cramer_transform(gauss_rate, x, y)
+            r = gauss_rate.solve([x, y])
             assert r.converged
             assert r.value == pytest.approx(gaussian_I(x, y), abs=1e-9)
             us = np.linspace(r.argmax[0] - 0.02, r.argmax[0] + 0.02, 41)
@@ -338,13 +335,13 @@ class TestCramerTransform:
 
     def test_argmax_closed_form(self, gauss_rate):
         x, y = 0.5, 1.25
-        r = cramer_transform(gauss_rate, x, y)
+        r = gauss_rate.solve([x, y])
         d = y - x * x
         np.testing.assert_allclose(
             r.argmax, [x / d, 0.5 * (1 - 1 / d)], atol=1e-8)
 
     def test_minimum_at_moment_point(self, gauss_rate):
-        r = cramer_transform(gauss_rate, 0.0, 1.0)
+        r = gauss_rate.solve([0.0, 1.0])
         assert abs(r.value) < 1e-12
         np.testing.assert_allclose(r.argmax, [0.0, 0.0], atol=1e-8)
 
@@ -353,22 +350,22 @@ class TestCramerTransform:
         for _ in range(20):
             x, y = rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0)
             u, v = rng.uniform(-1, 1), rng.uniform(-1, 0.45)
-            r = cramer_transform(gauss_rate, x, y)
+            r = gauss_rate.solve([x, y])
             assert r.value >= u * x + v * y - gaussian_L(u, v) - 1e-9
 
     def test_duality_round_trip(self, gauss_pair, gauss_rate):
         # grad L at the conjugate argmax recovers the target point
-        r = cramer_transform(gauss_rate, 0.3, 1.4)
-        grad, _ = gauss_pair.grad_hess(r.argmax)
+        r = gauss_rate.solve([0.3, 1.4])
+        _, grad, _ = gauss_pair.tilted_stats(r.argmax)
         np.testing.assert_allclose(grad, [0.3, 1.4], atol=1e-8)
 
     def test_hessian_inverse_relation(self, gauss_pair, gauss_rate):
-        r = cramer_transform(gauss_rate, 0.2, 1.1)
-        _, hess_L = gauss_pair.grad_hess(r.argmax)
+        r = gauss_rate.solve([0.2, 1.1])
+        _, _, hess_L = gauss_pair.tilted_stats(r.argmax)
         np.testing.assert_allclose(r.hess @ hess_L, np.eye(2), atol=1e-7)
 
     def test_boundary_target_rejected(self, gauss_rate):
-        r = cramer_transform(gauss_rate, 1.0, 1.0)
+        r = gauss_rate.solve([1.0, 1.0])
         assert not r.converged
         assert "outside admissible domain" in r.message
 
@@ -384,20 +381,39 @@ class TestCramerTransform:
 
     def test_rademacher_degenerate(self):
         R = RateFunction(LogLaplace(measure.rademacher()))
-        r = cramer_transform(R, 0.0, 1.0)
+        r = R.solve([0.0, 1.0])
         assert r.converged
         assert r.value == pytest.approx(0.0, abs=1e-12)
         assert r.hess[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert math.isnan(r.hess[1, 1])
         assert "degenerate" in r.message
-        assert cramer_transform(R, 0.0, 1.5).value == math.inf
+        assert R.solve([0.0, 1.5]).value == math.inf
+
+    def test_flat_lift_decided_once(self, monkeypatch):
+        # z^2 = 1 a.s.: the zero-tilt pass of solve_many finds the lift flat
+        # and the whole batch goes to the line solve, with no second
+        # zero-tilt pass; each row counts that pass as one iteration
+        base = measure.rademacher()
+        line = RateFunction(LogLaplace(base, lift="line")).solve_many(
+            [[0.3], [-0.6]])
+        monkeypatch.setattr(LogLaplace, "tilted_stats", None)
+        got = RateFunction(LogLaplace(base)).solve_many(
+            [[0.3, 1.0], [0.3, 1.2], [-0.6, 1.0]])
+        assert all(r.degenerate for r in got)
+        for r, want in zip((got[0], got[2]), line):
+            assert r.converged and r.value == want.value
+            assert r.iterations == 1 + want.iterations
+            assert r.argmax.tolist() == [want.argmax[0], 0.0]
+        assert got[1].value == math.inf and got[1].iterations == 1
+        assert got[1].message == ("second coordinate degenerate at 1.0; "
+                                  "target unreachable")
 
     def test_rademacher_line_rate(self):
         # I(x) = ((1+x)ln(1+x) + (1-x)ln(1-x))/2 for the coin flip
         R = RateFunction(LogLaplace(measure.rademacher(), lift="line"))
         x = 0.4
         expect = 0.5 * ((1 + x) * math.log(1 + x) + (1 - x) * math.log(1 - x))
-        assert cramer_transform(R, x).value == pytest.approx(expect, abs=1e-10)
+        assert R.solve([x]).value == pytest.approx(expect, abs=1e-10)
 
 
 _FENCHEL_BASES = {"gaussian": measure.gaussian, "rho0": measure.rho_zero,
