@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -64,9 +65,17 @@ def _load_measure(args) -> measure.Measure1D:
 
 
 def _interaction(args) -> model.Interaction:
-    if args.g == "quadratic":
-        return model.quadratic(args.variant)
-    return model.quartic(args.m4, args.variant)
+    """The ``--g`` interaction with ``--m4``, which the quadratic ``g``
+    refuses unless it is 0."""
+    return model.Interaction(kind=args.g, m4=args.m4, variant=args.variant)
+
+
+def _check_out(path) -> None:
+    """Refuse, before any work, an output path in a missing directory or one
+    that is a directory; ``_writing`` reports any other failure."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        code = errno.EISDIR if Path(path).is_dir() else errno.ENOENT
+        raise CliError(f"cannot write {path}: {os.strerror(code)}")
 
 
 @contextlib.contextmanager
@@ -476,6 +485,7 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0,) else EXIT_OK
     try:
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

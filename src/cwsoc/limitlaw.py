@@ -46,10 +46,10 @@ class QuarticLaw:
         return np.sign(q - 0.5) * (12 * gammaincinv(0.25, np.abs(2 * q - 1))) ** 0.25
 
     def moment(self, k: int) -> float:
-        if k % 2 == 1:
-            return 0.0
         if k < 0:
             raise LimitLawError("moment order must be nonnegative")
+        if k % 2 == 1:
+            return 0.0
         return 12 ** (k / 4) * math.gamma((k + 1) / 4) / math.gamma(0.25)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,9 +6,11 @@ absolutely continuous part of one of two kinds, the two a JSON spec names:
 piecewise-linear table.  A density carries its own mass ``a`` (it integrates
 to ``a``, not to 1), and each kind implements the whole density interface
 from its own parameters: ``support_radius``, ``tilt_cap``, ``abs_moment``
-(``integral of |z| f``), ``sample``, ``tilted_moments`` (closed or by one
-fixed rule), ``char_grid`` and ``char_box``.  Each kind checks its parameters
-exactly when it is built, and ``Measure1D`` checks the mass it adds up to.
+(``integral of |z| f``), ``sample``, ``tilted_moments``, ``char_grid`` and
+``char_box``.  Both kinds integrate ``tilted_moments`` by one fixed
+Gauss-Legendre rule, the Gaussian as a flat table whose exponent takes the
+normal's ``-z^2 / (2 sigma^2)``.  Each kind checks its parameters exactly
+when it is built, and ``Measure1D`` checks the mass it adds up to.
 """
 from __future__ import annotations
 
@@ -34,15 +36,9 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GL_NODES)
 _TAU = ((np.arange(_PANELS)[:, None] + 0.5 + 0.5 * _NODES) / _PANELS).ravel()
 _OMEGA = np.tile(_WEIGHTS / (2 * _PANELS), _PANELS)  # with _TAU, on [0, 1]
 
-# tilted_moments: a mode within this many s of the window uses the
-# truncated-normal recursion about the mode, whose cancellation grows like
-# the distance^(2k); farther out (c >= 4), Laplace's continued fraction of
-# this depth has converged to double precision, its Mills ratio included
-# (within 7e-16 of scipy's erfcx on c in [4, 1e4])
-_NEAR_MODE = 4.0
-_CF_DEPTH = 60
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
-_SQRT_HALF = math.sqrt(0.5)
+# GaussianDensity.tilted_moments: pieces per block of its node arrays
+_PIECE_BLOCK = 256
 # GaussianDensity.support_radius in units of sigma; the pinned rate grids
 # (bench/reference.json) encode this window
 _GAUSS_WINDOW = 10.0
@@ -50,44 +46,20 @@ _GAUSS_WINDOW = 10.0
 _EXP_MAX = 709.0
 
 
-def _half_line_moments(c: np.ndarray, kmax: int) -> np.ndarray:
-    """``E[x^k]``, ``k = 0..kmax`` along the last axis, for ``x >= 0`` with
-    density proportional to ``exp(-c x - x^2 / 2)``, elementwise over the
-    array ``c``: the ratios ``E[x^k] / E[x^{k-1}] = k / (c + E[x^{k+1}] /
-    E[x^k])`` of Laplace's continued fraction, evaluated bottom-up."""
-    ratios = np.ones(np.shape(c) + (kmax + 1,))
-    r = np.zeros(np.shape(c))
-    for k in range(max(_CF_DEPTH, kmax), 0, -1):
-        r = k / (c + r)
-        if k <= kmax:
-            ratios[..., k] = r
-    return np.cumprod(ratios, axis=-1)
-
-
-def _normal_tails(x: np.ndarray) -> np.ndarray:
-    """``Q(|x|) = P(N(0, 1) > |x|)`` elementwise over the 1-D array ``x``,
-    from ``math.erfc``, which keeps its relative accuracy down to the
-    smallest normal float (``|x|`` about 37.5)."""
-    return 0.5 * np.fromiter(map(math.erfc, (np.abs(x) * _SQRT_HALF).tolist()),
-                             float, len(x))
-
-
-def _shifted_moments(x0: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``E[(x0 + Y)^k]``, ``k = 0..K-1``, from the rows ``m[p, i] =
-    E[Y^i]``: the binomial sums ``sum_i C(k, i) x0^(k-i) m_i``, row by row."""
-    K = m.shape[1]
-    k = np.arange(K)
-    binom = np.array([[math.comb(a, b) for b in range(K)] for a in range(K)],
-                     dtype=float)  # 0 above the diagonal
-    lag = np.maximum(k[:, None] - k[None, :], 0)  # k - i where C(k, i) > 0
-    return np.einsum("ki,pki,pi->pk", binom, x0[:, None, None] ** lag, m)
+def _powers(x: np.ndarray, kmax: int, scale=1.0) -> np.ndarray:
+    """``scale x^k``, ``k = 0..kmax`` along a new last axis, by products."""
+    out = np.empty(np.shape(x) + (kmax + 1,))
+    out[..., 0] = scale
+    for k in range(1, kmax + 1):
+        out[..., k] = out[..., k - 1] * x
+    return out
 
 
 class GaussianDensity:
     """``mass`` times the centered normal density of scale ``sigma``.
 
-    Every method is a closed form, and this is the one place that knows the
-    tilted moments and the law of a block's ``(sum Z, sum Z^2)``.
+    Every method but ``tilted_moments`` is a closed form, and this is the
+    one place that knows the law of a block's ``(sum Z, sum Z^2)``.
 
     Its support radius is ``10 sigma`` and its ``tilt_cap`` is ``1 / (2
     sigma^2)``, where ``exp(v z^2)`` stops being integrable against it.
@@ -115,81 +87,62 @@ class GaussianDensity:
     def tilted_moments(self, u, v, kmax: int) -> tuple:
         """``(c, m)`` with ``m[p, k] = integral over [-R, R] of z^k exp(u_p z
         + v_p z^2 - c_p) f(z) dz`` for ``k = 0..kmax`` (``R =
-        support_radius``), over the 1-D float arrays ``u`` and ``v``, in
-        closed form on the log scale ``c`` of the tilted normal's mass on
-        the window.
+        support_radius``), over the 1-D float arrays ``u`` and ``v``.
 
-        The tilted law is ``N(mu, s^2)`` with ``s^2 = sigma^2 / (1 - 2 v
-        sigma^2)`` and ``mu = u s^2``, so each integral is the normal mass
-        of the window times a truncated-normal moment.  With the mode within
-        ``4 s`` of the window, the moments of ``(z - mu) / s`` on ``[a, b]``
-        follow ``M_k = (k-1) M_{k-2} + (a^{k-1} phi(a) - b^{k-1} phi(b)) / P``
-        (Johnson, Kotz & Balakrishnan), with ``log P`` from the normal tails
-        ``Q`` of ``math.erfc`` (``_normal_tails``) and each boundary term as
-        ``exp(log phi - log P)``.  Farther out that recursion cancels, so the
-        moments of the distance to the near end come from Laplace's continued
-        fraction for the half line, corrected for the far end by the Mills
-        ratios ``Q(x) / phi(x) = 1 / (x + E[x])`` that the fraction's first
-        rows give.  Every quantity but the scale is O(1), so no tilt in the
-        domain overflows or underflows.
+        With ``w = v - 1 / (2 sigma^2) < 0`` the tilted density is ``e^{E(z)}``
+        times a constant, ``E = u z + w z^2``: a table that is flat on the
+        window, integrated by the rule of ``TableDensity.tilted_moments``.
+        ``c`` is ``E``'s maximum on the window, at ``z_c``, plus the log of
+        the constant.  On each side of ``z_c``, ``E`` falls monotonely, and
+        the piece where ``E >= c - K`` (``_WINDOW``), within the window, is
+        ``z = z_c -+ ell t``, ``t`` in ``[0, 1]``, where ``E - c`` is a
+        quadratic in ``t``.  Its moments about ``z_c`` take one ``exp`` at the
+        rule's nodes ``_TAU`` and one product with their weighted powers, and
+        err by at most 4e-11 of ``m_0`` (notes/decisions.md); Pascal's rule
+        shifts them to moments of ``z``.  The law is symmetric: the rule runs
+        on ``|u|``, and the odd moments take the sign of ``u``.
         """
-        q = 1.0 - 2.0 * v * self.sigma**2
-        if not np.all(q > 0):
+        w = v - self.tilt_cap
+        if not np.all(w < 0):
             raise MeasureError("tilt outside the finiteness domain")
         R = self.support_radius
-        s = self.sigma / np.sqrt(q)
-        sign = np.where(u < 0, -1.0, 1.0)  # the law is symmetric: reflect u >= 0
+        sign = np.where(u < 0, -1.0, 1.0)
         u = np.abs(u)
-        mu = u * s * s
-        near = mu <= R + _NEAR_MODE * s
-        z0 = np.where(near, mu, R)
-        powers = np.arange(kmax + 1)
-        D = np.empty(u.shape + (kmax + 1,))  # moments of D = (z - z0) / s
-        log_scale = np.empty_like(u)
-        if near.any():
-            un, mn, sn = u[near], mu[near], s[near]
-            a, b = (-R - mn) / sn, (R - mn) / sn
-            tails = _normal_tails(np.concatenate([a, b]))
-            qa, qb = tails[:len(a)], tails[len(a):]
-            # P = Phi(b) - Q(|a|): 1 - Q(b) - Q(|a|) for b > 0, by log1p,
-            # and Q(|b|) - Q(|a|) else; the mask keeps the log off b > 0,
-            # where that difference is negative or, past b = 38, 0
-            up = b > 0
-            log_p = np.where(up, np.log1p(-(qa + qb)),
-                             np.log(np.where(up, 1.0, qb) - qa))
-            # the exponent u z - z^2 / (2 s^2) at its maximum z = mu
-            log_scale[near] = 0.5 * un * mn + log_p
-            pa = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_p)
-            pb = np.exp(-0.5 * b * b - _LOG_SQRT_2PI - log_p)
-            Dn = np.ones((len(un), kmax + 1))
-            for k in range(1, kmax + 1):
-                Dn[:, k] = a ** (k - 1) * pa - b ** (k - 1) * pb
-                if k >= 2:
-                    Dn[:, k] += (k - 1) * Dn[:, k - 2]
-            D[near] = Dn
-        far = ~near
-        if far.any():
-            # anchor at z0 = R: x = -D in [0, w] has density
-            # proportional to exp(-(x + c)^2 / 2), and c >= _NEAR_MODE
-            uf, sf = u[far], s[far]
-            c, w = (mu[far] - R) / sf, 2 * R / sf
-            near_end, far_end = _half_line_moments(np.stack([c, c + w]),
-                                                   max(kmax, 1))
-            # x + E[x] = phi(x) / Q(x) at x = c and x = c + w
-            inv_mills, inv_mills_w = c + near_end[:, 1], c + w + far_end[:, 1]
-            near_end, far_end = near_end[:, :kmax + 1], far_end[:, :kmax + 1]
-            # far-end share Q(c + w) / Q(c) of the half-line mass
-            g = np.exp(-c * w - 0.5 * w * w) * inv_mills / inv_mills_w
-            # the exponent at z = R plus the log window mass
-            log_scale[far] = uf * R - 0.5 * (R / sf) ** 2 - np.log(
-                inv_mills) - _LOG_SQRT_2PI + np.log1p(-g)
-            tail = _shifted_moments(w, far_end)
-            D[far] = (-1.0) ** powers * (
-                near_end - g[:, None] * tail) / (1 - g)[:, None]
-        # raw moments of z = z0 + s D, reflected back to the sign of u
-        m = sign[:, None] ** powers * _shifted_moments(
-            z0, s[:, None] ** powers * D)
-        return log_scale + np.log(self.mass * s / self.sigma), m
+        zc = np.minimum(-0.5 * u / w, R)  # the vertex, or the window's end
+        g = np.where(zc < R, 0.0, u + 2 * R * w)  # E'(z_c), 0 or more
+        # E - c = -K at the offset ell = 2K / (g + sqrt(g^2 + 4|w|K)) left of
+        # z_c, and at the same offset to the right when g = 0; when g > 0,
+        # z_c = R leaves no room on the right
+        ell = 2 * _WINDOW / (g + np.hypot(g, np.sqrt(-4 * _WINDOW * w)))
+        left, right = np.minimum(ell, R + zc), np.minimum(ell, R - zc)
+        # the rule runs on every left piece, and on the right pieces that
+        # differ from theirs: an equal one (then g = 0) has the same sums
+        uneven = right != left
+        step = np.concatenate([-left, right[uneven]])  # z - z_c = step t
+        coef = np.stack([step * np.concatenate([g, g[uneven]]),
+                         step * step * np.concatenate([w, w[uneven]])], 1)
+        # the rule's nodes from t = 1 inward, so that its sums add their
+        # smallest terms first
+        tau = _powers(_TAU[::-1], max(kmax, 2))
+        nodes = tau[:, 1:3].T.copy()
+        weights = tau[:, :kmax + 1] * _OMEGA[::-1, None]
+        sums = np.empty((len(step), kmax + 1))  # of t^k e^{E - c} by the rule
+        e = np.empty((min(len(step), _PIECE_BLOCK), len(_TAU)))  # exponents
+        for b in range(0, len(step), _PIECE_BLOCK):
+            eb = e[:len(step) - b]  # this block's rows
+            np.matmul(coef[b:b + _PIECE_BLOCK], nodes, out=eb)
+            sums[b:b + _PIECE_BLOCK] = np.exp(eb, out=eb) @ weights
+        sums_right = sums[:len(u)].copy()
+        sums_right[uneven] = sums[len(u):]
+        # moments of z - z_c, shifted to z by Pascal's rule (pass j adds z_c
+        # m_{k-1} to m_k, k >= j), then reflected back to the sign of u
+        m = (_powers(-left, kmax, left) * sums[:len(u)]
+             + _powers(right, kmax, right) * sums_right).T
+        for j in range(1, kmax + 1):
+            m[j:] += zc * m[j - 1:-1]
+        m[1::2] *= sign
+        return 0.5 * zc * (u + g) + (math.log(self.mass / self.sigma)
+                                     - _LOG_SQRT_2PI), m.T
 
     def block_sums(self, k: int, size, rng: np.random.Generator) -> tuple:
         """``(sum Z, sum Z^2)`` of ``k`` i.i.d. draws, ``size`` times over.

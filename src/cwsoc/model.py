@@ -67,9 +67,10 @@ class Interaction:
         for k in range(2, 6):
             h = 10.0 ** (-k)
             ratio = float(self.g(h)) / (h * h)
-            if not abs(ratio - 0.5) <= 1e-3 * 0.5 + 1e-12:
+            want = 0.5 - self.m4 * h * h / 12
+            if not abs(ratio - want) <= 1e-3 * 0.5 + 1e-12:
                 raise InteractionError(
-                    f"g(u)/u^2 = {ratio} at u = {h}, expected 1/2")
+                    f"g(u)/u^2 = {ratio} at u = {h}, expected {want}")
         h = 0.02
         stencil = np.array([-2, -1, 0, 1, 2]) * h
         gs = self.g(stencil)

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from cwsoc import cli, limitlaw, measure, model
+from cwsoc import cli, cramer, kernel, limitlaw, measure, model, transforms
 
 
 def run(capsys, *argv):
@@ -318,6 +318,23 @@ class TestValidationErrors:
         assert rc == 2
         assert "usage" in err
 
+    def test_m4_with_quadratic_g_refused(self, tmp_path, capsys):
+        # the quadratic g has m4 = 0; another --m4 is not dropped silently
+        out = tmp_path / "b.csv"
+        rc, _, err = run(capsys, "simulate", "--preset", "three-point",
+                         "--g", "quadratic", "--m4", "5", "--method",
+                         "enumeration", "--n", "8", "--out", str(out))
+        assert rc == 2
+        assert "m4 = 5.0 inconsistent" in err
+        assert not out.exists()
+
+    def test_steep_quartic_g_accepted(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "simulate", "--preset", "three-point",
+                         "--g", "quartic", "--m4", "100", "--method",
+                         "enumeration", "--n", "50",
+                         "--out", str(tmp_path / "b.csv"))
+        assert rc == 0, err
+
     def test_missing_measure_choice(self, capsys):
         rc, _, err = run(capsys, "rate", "eval", "--x", "0", "--y", "1")
         assert rc == 2
@@ -543,6 +560,43 @@ class TestValidationErrors:
             out.mkdir()
         argv = [a.format(out=out, batch=batch) for a in command]
         rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("command,target", [
+        (["simulate", "--preset", "three-point", "--method", "metropolis",
+          "--n", "64", "--out", "{out}"], (model, "sample_metropolis")),
+        (["rate", "grid", "--preset", "gaussian", "--x-min", "0", "--x-max",
+          "0.1", "--y-min", "0.5", "--y-max", "1", "--out", "{out}"],
+         (transforms.RateFunction, "solve_many")),
+        (["kernel", "verify", "--preset", "gaussian", "--n", "40", "--d",
+          "2", "--points", "0.1,1.05", "--out", "{out}"],
+         (kernel, "theorem3_comparison")),
+        (["verify", "lln", "--preset", "three-point", "--batch", "{batch}",
+          "--out", "{out}"], (limitlaw, "verify_lln")),
+        (["cramer", "check", "--preset", "rho0", "--alpha", "0.5", "--out",
+          "{out}"], (cramer, "check_condition")),
+    ], ids=["simulate", "rate-grid", "kernel-verify", "verify",
+            "cramer-check"])
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_out_refused_before_computing(
+            self, tmp_path, capsys, monkeypatch, command, target, where):
+        # the sampler or solver would raise if it ran: the output path is
+        # checked first, not after seconds of work
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+
+        monkeypatch.setattr(*target, computed)
+        batch = tmp_path / "batch.csv"
+        batch.write_text("S,T,weight\n0.5,1.0,1.0\n-0.5,0.5,2.0\n")
+        batch.with_suffix(".meta.json").write_text(
+            json.dumps({"method": "importance", "n": 4}))
+        out = tmp_path / "no-such-dir" / "out.csv"
+        if where == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+        rc, _, err = run(capsys, *[a.format(out=out, batch=batch)
+                                   for a in command])
         assert rc == 2
         assert err.startswith(f"error: cannot write {out}: ")
 

@@ -44,6 +44,13 @@ class TestQuarticLaw:
         assert law.moment(8) == pytest.approx(45.0, abs=1e-10)
         assert law.moment(3) == 0.0
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_moment_order_refused(self, law, k):
+        # odd negative orders are refused, as even ones are, not read as
+        # odd moments of 0
+        with pytest.raises(LimitLawError, match="nonnegative"):
+            law.moment(k)
+
     def test_moments_match_scipy_gamma(self, law):
         for k in range(13):
             want = 0.0 if k % 2 else (

@@ -69,6 +69,12 @@ class TestInteraction:
         with pytest.raises(InteractionError, match="exceeds"):
             model.Interaction(kind="quartic", m4=-1.0)
 
+    @pytest.mark.parametrize("m4", [61.0, 100.0, 1e3, 1e4])
+    def test_steep_quartic_accepted(self, m4):
+        # u^2/2 - m4 u^4/12 is a valid g for every m4 >= 0: near the origin
+        # g(u)/u^2 is 1/2 - m4 u^2/12, not 1/2
+        assert quartic(m4).m4 == m4
+
     @pytest.mark.parametrize("kwargs, match", [
         (dict(kind="cubic"), "unknown interaction kind"),
         (dict(kind="custom"), "callable fn"),

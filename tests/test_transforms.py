@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import erfcx, log_ndtr, ndtr, xlogy
+from scipy.special import log_ndtr, xlogy
 
 from cwsoc import measure
 from cwsoc.model import quadratic, quartic
@@ -230,23 +230,10 @@ class TestGaussianClosedForm:
         np.testing.assert_allclose(mean, want[1], rtol=1e-9)
         np.testing.assert_allclose(cov, want[2], rtol=1e-9)
 
-    def test_normal_tails_match_scipy(self):
-        # scipy's ndtr drifts by up to about t^2 ulps, t = x / sqrt 2, in
-        # the far tail (5.7e-14 at x = 33 against 40-digit mpmath, which
-        # puts math.erfc within 2e-16 there); below the smallest normal
-        # float both are subnormal or 0
-        x = np.linspace(-40, 40, 8001)
-        q, want = measure._normal_tails(x), ndtr(-np.abs(x))
-        tol = (2e-15 + 0.5 * x * x * np.finfo(float).eps) * want
-        assert np.all(np.abs(q - want) <= tol + np.finfo(float).tiny)
-        # on the log scale, where scipy's lower tail keeps its accuracy
-        low = x[(x >= -37) & (x <= 0)]
-        np.testing.assert_allclose(np.log(measure._normal_tails(low)),
-                                   log_ndtr(low), rtol=2e-15)
-
     def test_log_mass_matches_log_ndtr(self):
-        # the near branch's log scale against log P from scipy's log_ndtr,
-        # on rows with the mode within 4 s of the window
+        # c + log m_0 is the log of the tilted normal's mass on the window:
+        # against log P from scipy's log_ndtr, on rows with the mode within
+        # 4 s of the window
         d = measure.gaussian().density
         R = d.support_radius
         u, v = (g.ravel() for g in np.meshgrid(
@@ -260,30 +247,17 @@ class TestGaussianClosedForm:
         lb = log_ndtr(b)
         want = (0.5 * np.abs(u) * mu + lb + np.log1p(-np.exp(log_ndtr(a) - lb))
                 + np.log(s))
-        c, _ = d.tilted_moments(u, v, 4)
-        # at u = 0 the log mass is -2 Q(10) = -1.5e-23, where rounding
-        # 10 / sqrt 2 moves either tail by 3.6e-15 relative
-        np.testing.assert_allclose(c, want, rtol=2e-15, atol=1e-36)
-
-    def test_mills_ratio_matches_erfcx(self):
-        # the far branch's Q(c) / phi(c) = 1 / (c + E[x]) from the continued
-        # fraction, and the log window mass log(erfcx(c / sqrt 2) / 2) it
-        # gives, for the whole range of c the far branch meets
-        c = np.concatenate([np.linspace(4, 10, 601), np.geomspace(10, 1e4, 601)])
-        inv_mills = c + measure._half_line_moments(c, 1)[:, 1]
-        np.testing.assert_allclose(
-            1 / inv_mills, math.sqrt(math.pi / 2) * erfcx(c / math.sqrt(2)),
-            rtol=2e-15)
-        np.testing.assert_allclose(
-            -np.log(inv_mills) - 0.5 * math.log(2 * math.pi),
-            np.log(0.5 * erfcx(c / math.sqrt(2))), rtol=2e-15)
+        c, m = d.tilted_moments(u, v, 4)
+        # c and log m_0 are O(1) and cancel at u = 0, where the log mass is
+        # -2 Q(10) = -1.5e-23: hence the absolute term
+        np.testing.assert_allclose(c + np.log(m[:, 0]), want, rtol=2e-15,
+                                   atol=4e-16)
 
     @pytest.mark.parametrize("v", [-20.0, -4.0, 0.0, 0.2, 0.4, 0.45, 0.48])
     def test_rows_agree_across_the_switch(self, v):
-        # neighbouring u on either side of mu = R + 4 s, one by the
-        # recursion and one by the continued fraction; windows 4 s wide and
-        # more (at v = 0.495, 2 s wide, they part by 3.2e-12, the known
-        # roundoff of narrow windows)
+        # neighbouring u on either side of mu = R + 4 s, where the tilted
+        # mode lies 4 tilted scales beyond the window: the rows stay
+        # continuous there
         d = measure.gaussian().density
         R = d.support_radius
         s = 1 / np.sqrt(1 - 2 * v)
@@ -298,6 +272,38 @@ class TestGaussianClosedForm:
         assert c[0] == pytest.approx(c[1], rel=1e-12)
         np.testing.assert_allclose(m[0], m[1], rtol=1e-12)
 
+    # quad cannot reach its relative tolerance on the odd moments at u = 0,
+    # which are 0; the absolute tolerance below covers them
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("u,v", [(0.01, 0.49999), (0.0, 0.4999999)])
+    def test_near_cap_matches_quad(self, u, v):
+        # the window is a small fraction of the tilted scale (w = 2R/s of
+        # 0.09 and 0.009), so the tilted law is nearly flat on it; its mean
+        # and covariance of (z, z^2) must still hold to 1e-10
+        base = measure.gaussian()
+        value, mean, cov = LogLaplace(base).tilted_stats([u, v])
+        want = _quad_stats(base.density, u, v)
+        assert value == pytest.approx(want[0], rel=1e-10)
+        np.testing.assert_allclose(mean, want[1], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(cov, want[2], rtol=1e-10, atol=1e-12)
+
+    def test_mirror_symmetry_is_exact(self):
+        # the rule runs on |u|: a tilt and its mirror agree bit for bit, up
+        # to the sign of the odd moments, and u = 0 gives odd moments of
+        # exactly 0, in every position of a batch that spans several blocks
+        d = measure.gaussian().density
+        rng = np.random.default_rng(3)
+        u = rng.uniform(-30, 30, 300)
+        u[::7] = 0.0
+        v = rng.uniform(-20, 0.4999, 300)
+        c, m = d.tilted_moments(u, v, 4)
+        cm, mm = d.tilted_moments(-u, v, 4)
+        odd = np.arange(5) % 2 == 1
+        assert np.array_equal(c, cm)
+        assert np.array_equal(m[:, ~odd], mm[:, ~odd])
+        assert np.array_equal(m[:, odd], -mm[:, odd])
+        assert np.all(m[u == 0][:, odd] == 0)
+
     def test_outside_domain_raises(self):
         with pytest.raises(measure.MeasureError):
             measure.gaussian().density.tilted_moments(
@@ -307,8 +313,8 @@ class TestGaussianClosedForm:
                              ids=["gaussian", "table"])
     def test_batch_matches_scalar_calls(self, d):
         # the shape contract every density kind shares: a batch of tilts
-        # gives the rows of one-tilt calls; for the Gaussian the tilts fall
-        # on both sides of the near-mode / continued-fraction switch
+        # gives the rows of one-tilt calls; for the Gaussian the mode falls
+        # inside the window and beyond it
         u = np.array([0.0, -3.0, 5.0, 40.0, -40.0, 12.0, 0.2, 9.0])
         v = np.array([0.0, 0.2, -4.0, 0.0, 0.49, -20.0, 0.499, 0.45])
         c, m = d.tilted_moments(u, v, 4)
