@@ -166,8 +166,7 @@ def _cmd_cramer_check(args) -> int:
     m = _load_measure(args)
     t0 = time.perf_counter()
     report = cramer.check_condition(
-        cramer.CharEvaluator(m), alpha=args.alpha, radius=args.radius,
-        grid_step=args.step)
+        m, alpha=args.alpha, radius=args.radius, grid_step=args.step)
     wall = time.perf_counter() - t0
     payload = {
         "alpha": report.alpha,
@@ -375,8 +374,9 @@ def _cmd_report(args) -> int:
 # parser
 
 def _add_measure_args(p) -> None:
-    p.add_argument("--preset", choices=sorted(_PRESETS))
-    p.add_argument("--spec", help="measure spec JSON file")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--preset", choices=sorted(_PRESETS))
+    g.add_argument("--spec", help="measure spec JSON file")
 
 
 def _add_interaction_args(p) -> None:
@@ -486,6 +486,7 @@ def dispatch(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0,) else EXIT_OK
     try:
         _check_out(getattr(args, "out", None))
+        _require(getattr(args, "seed", 0) >= 0, "--seed must be >= 0")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Cramer-condition diagnostics for the pair characteristic function.
 
 The object of study is ``M(s, t) = integral of exp(i s z + i t z^2) drho(z)``,
-evaluated by ``CharEvaluator.char_grid`` alone, and the condition (C) that
+which the base evaluates (``Measure1D.char_grid``), and the condition (C) that
 its modulus stays away from 1 outside a neighbourhood of the origin.  A
 purely atomic base never satisfies (C): its ``M`` is a finite trigonometric
 sum, hence almost periodic, so ``limsup |M| = 1`` (Dirichlet's simultaneous
@@ -21,39 +21,13 @@ import numpy as np
 from .measure import GaussianDensity, Measure1D
 
 
-@dataclass
-class CharEvaluator:
-    base: Measure1D
-
-    def __post_init__(self):
-        # the positive atom locations and their masses
-        self._z, self._p = np.array(
-            self.base.mirror_magnitudes()).reshape(-1, 2).T
-
-    def char_grid(self, s, t) -> np.ndarray:
-        """Vectorized ``M`` on the outer product of ``s`` and ``t`` values.
-
-        The base is symmetric, so its atoms come in mirror pairs and
-        ``M(s, t) = p0 + sum_j 2 p_j cos(s z_j) e^{i t z_j^2}`` plus the
-        density part: even in ``s``, with only 1-D trigonometry per atom.
-        """
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        z, p = self._z, self._p
-        out = (2 * p * np.cos(np.outer(s, z))) @ np.exp(1j * np.outer(z * z, t))
-        out += self.base.mass_at_zero
-        if self.base.density is not None:
-            out += self.base.density.char_grid(s, t)
-        return out
-
-    @property
-    def lipschitz(self) -> float:
-        """Bound on the gradient norm of M: integral of |z| + z^2, in closed
-        form from the atoms, the density's ``abs_moment`` and ``sigma^2``."""
-        abs_moment = sum(p * abs(z) for z, p in self.base.atoms)
-        if self.base.density is not None:
-            abs_moment += self.base.density.abs_moment
-        return abs_moment + self.base.moments.sigma2
+def _lipschitz(base: Measure1D) -> float:
+    """Bound on the gradient norm of M: integral of |z| + z^2, in closed form
+    from the atoms, the density's ``abs_moment`` and ``sigma^2``."""
+    abs_moment = sum(p * abs(z) for z, p in base.atoms)
+    if base.density is not None:
+        abs_moment += base.density.abs_moment
+    return abs_moment + base.moments.sigma2
 
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
@@ -114,7 +88,7 @@ def verdict_rule(base: Measure1D) -> str:
 # ---------------------------------------------------------------------------
 # purely atomic bases
 
-def _near_return(e: CharEvaluator, alpha: float) -> CramerReport:
+def _near_return(base: Measure1D, alpha: float) -> CramerReport:
     """The ``fail`` verdict of a purely atomic base, at its best near-return.
 
     Along ``s = 0`` the smallest positive atom ``z_min`` comes back in phase
@@ -125,10 +99,10 @@ def _near_return(e: CharEvaluator, alpha: float) -> CramerReport:
     the squares are commensurable and every ``t_q`` returns exactly).
     ``details["gap"]`` is ``1 - |M|`` there.
     """
-    z_min = e.base.mirror_magnitudes()[0][0]
+    z_min = base.mirror_magnitudes()[0][0]
     period = 2 * math.pi / (z_min * z_min)
     t = period * (math.ceil(alpha / period) + np.arange(_NEAR_RETURNS))
-    m = np.abs(e.char_grid([0.0], t)[0])
+    m = np.abs(base.char_grid([0.0], t)[0])
     i = int(np.argmax(m >= m.max() - _TIE))
     sup = float(m[i])
     return CramerReport(alpha=alpha, sup_estimate=sup, sup_bound=None,
@@ -151,7 +125,7 @@ def _quadrant(radius: float, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # mixture bound
 
-def mixture_bound(e: CharEvaluator, alpha: float) -> dict:
+def mixture_bound(base: Measure1D, alpha: float) -> dict:
     """Certified bound sqrt(a^2 eta + 1 - a^2) on sup |M| over the annulus.
 
     ``eta`` is the sup of the squared modulus of the normalized a.c.
@@ -161,11 +135,10 @@ def mixture_bound(e: CharEvaluator, alpha: float) -> dict:
     along every ray, so the sup over the unbounded annulus sits on the inner
     circle and the bound is radius-uniform.
     """
-    d = e.base.density
+    d = base.density
     if not isinstance(d, GaussianDensity):
         raise ValueError("mixture bound needs a Gaussian density component")
-    a = e.base.ac_mass
-    lip = 2 * e.lipschitz
+    a = base.ac_mass
 
     def eta_on_circle(th):
         # |psi|^2 of the normalized a.c. part at angle th on the circle
@@ -178,7 +151,7 @@ def mixture_bound(e: CharEvaluator, alpha: float) -> dict:
                          theta[i] - 0.01, theta[i] + 0.01, xtol=1e-9)
     eta = max(float(np.max(vals)), ref)
     # covering pad on the circle from the gradient bound
-    pad = lip * alpha * (math.pi / _CIRCLE_POINTS)
+    pad = 2 * _lipschitz(base) * alpha * (math.pi / _CIRCLE_POINTS)
     eta = min(eta + pad, 1.0)
     bound = math.sqrt(a * a * eta + 1 - a * a)
     return {"bound": bound, "eta": eta, "ac_mass": a,
@@ -188,7 +161,7 @@ def mixture_bound(e: CharEvaluator, alpha: float) -> dict:
 # ---------------------------------------------------------------------------
 # the condition check
 
-def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
+def check_condition(base: Measure1D, alpha: float, radius: float = 50.0,
                     grid_step: float = 0.05) -> CramerReport:
     """Decide (C) on the annulus ``|(s, t)| >= alpha``.
 
@@ -215,35 +188,35 @@ def check_condition(e: CharEvaluator, alpha: float, radius: float = 50.0,
     """
     if alpha <= 0 or radius <= alpha:
         raise ValueError("need 0 < alpha < radius")
-    rule = verdict_rule(e.base)
+    rule = verdict_rule(base)
     if rule == "fail":
-        return _near_return(e, alpha)
+        return _near_return(base, alpha)
     grid = _quadrant(radius, grid_step)
     on_axes = grid * grid + grid[0] * grid[0] >= alpha * alpha
     lo = max(np.max(np.abs(axis), where=on_axes, initial=0.0) for axis in (
-        e.char_grid(grid, grid[:1])[:, 0], e.char_grid(grid[:1], grid)[0]))
-    s_max, t_max = e.base.density.char_box(
-        lo - e.base.discrete_mass - _LEVEL_MARGIN)
+        base.char_grid(grid, grid[:1]).T, base.char_grid(grid[:1], grid)))
+    s_max, t_max = base.density.char_box(
+        lo - base.discrete_mass - _LEVEL_MARGIN)
     s, t = grid[grid <= s_max], grid[grid <= t_max]
-    vals = np.abs(e.char_grid(s, t))
+    vals = np.abs(base.char_grid(s, t))
     r2 = s[:, None] ** 2 + t[None, :] ** 2
     vals = np.where((r2 >= alpha * alpha), vals, 0.0)
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = _refine_local(e, float(s[i]), float(t[j]), alpha, grid_step)
+    best = _refine_local(base, float(s[i]), float(t[j]), alpha, grid_step)
     sup_estimate = max(float(vals[i, j]), best)
-    pad = e.lipschitz * grid_step * math.sqrt(0.5)
+    pad = _lipschitz(base) * grid_step * math.sqrt(0.5)
     details = {"grid_pad": pad, "grid_radius": radius,
                "grid_cells": grid.size ** 2, "scanned_cells": vals.size}
     sup_bound, verdict = None, "inconclusive"
     if rule == "pass":
-        details["mixture"] = mixture_bound(e, alpha)
+        details["mixture"] = mixture_bound(base, alpha)
         sup_bound = details["mixture"]["bound"]
         verdict = "pass" if sup_bound < 1 else "inconclusive"
     return CramerReport(alpha=alpha, sup_estimate=sup_estimate,
                         sup_bound=sup_bound, verdict=verdict, details=details)
 
 
-def _refine_local(e, s0, t0, alpha, h) -> float:
+def _refine_local(base, s0, t0, alpha, h) -> float:
     """Coordinate-wise golden refinement of |M| around a grid maximum: the
     largest value it reaches."""
     s, t = s0, t0
@@ -251,7 +224,7 @@ def _refine_local(e, s0, t0, alpha, h) -> float:
     def val(ss, tt):
         if math.hypot(ss, tt) < alpha:
             return 0.0
-        return float(abs(e.char_grid([ss], [tt])[0, 0]))
+        return float(abs(base.char_grid([ss], [tt])[0, 0]))
 
     for _ in range(3):
         s = _golden_max(lambda ss: val(ss, t), s - h, s + h, xtol=1e-6)[0]

@@ -10,7 +10,8 @@ from its own parameters: ``support_radius``, ``tilt_cap``, ``abs_moment``
 ``char_box``.  Both kinds integrate ``tilted_moments`` by one fixed
 Gauss-Legendre rule, the Gaussian as a flat table whose exponent takes the
 normal's ``-z^2 / (2 sigma^2)``.  Each kind checks its parameters exactly
-when it is built, and ``Measure1D`` checks the mass it adds up to.
+when it is built; ``Measure1D`` checks the mass it adds up to, and owns both
+transforms of ``(z, z^2)``, ``tilted_moments`` and ``char_grid``.
 """
 from __future__ import annotations
 
@@ -470,6 +471,21 @@ class Measure1D:
         """``(z, mass)`` for each positive atom location ``z``, ascending;
         its mirror ``-z`` carries the same mass."""
         return tuple(sorted((z, m) for z, m in self.atoms if z > 0))
+
+    @cached_property
+    def _mirror_arrays(self) -> tuple:  # positive atom locations, masses
+        return tuple(np.array(self.mirror_magnitudes()).reshape(-1, 2).T)
+
+    def char_grid(self, s, t) -> np.ndarray:
+        """``M(s, t) = E exp(i (s z + t z^2))`` on the outer product of ``s``
+        and ``t``: the mirror-pair atom sum ``p0 + sum_j 2 p_j cos(s z_j)
+        e^{i t z_j^2}``, even in ``s``, plus the density's ``char_grid``."""
+        z, p = self._mirror_arrays
+        out = (2 * p * np.cos(np.outer(s, z))) @ np.exp(1j * np.outer(z * z, t))
+        out += self.mass_at_zero
+        if self.density is not None:
+            out += self.density.char_grid(s, t)
+        return out
 
     def tilted_moments(self, u, v, kmax: int) -> tuple:
         """``(c, m)`` with ``m[p, k] = E[z^k exp(u_p z + v_p z^2 - c_p)]``,

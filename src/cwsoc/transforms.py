@@ -89,15 +89,15 @@ class LogLaplace:
 
 
 def _cond(cov: np.ndarray) -> np.ndarray:
-    """Condition numbers of the symmetric ``(P, d, d)`` matrices, ``d <= 2``,
-    from their eigenvalues: ``lam_max / lam_min``, inf when ``lam_min <= 0``."""
+    """Condition numbers ``lam_max / lam_min`` of the symmetric ``(P, d, d)``
+    matrices, ``d <= 2``; inf unless ``lam_min`` and ``ac - b^2`` are > 0."""
     if cov.shape[-1] == 1:
         return np.where(cov[:, 0, 0] > 0, 1.0, math.inf)
     a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     mid, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
     lo = mid - radius
     return np.divide(mid + radius, lo, out=np.full_like(lo, math.inf),
-                     where=lo > 0)
+                     where=(lo > 0) & (a * c - b * b > 0))
 
 
 def _inv(cov: np.ndarray) -> np.ndarray:

@@ -64,12 +64,9 @@ def test_criterion_02_rate_expansion(capsys):
 
 def test_criterion_03_cramer_verdicts(capsys):
     t0 = time.perf_counter()
-    r_rad = cramer.check_condition(
-        cramer.CharEvaluator(measure.rademacher()), alpha=0.5)
-    r_gau = cramer.check_condition(
-        cramer.CharEvaluator(measure.gaussian()), alpha=0.5)
-    r_rho0 = cramer.check_condition(
-        cramer.CharEvaluator(measure.rho_zero()), alpha=0.5)
+    r_rad = cramer.check_condition(measure.rademacher(), alpha=0.5)
+    r_gau = cramer.check_condition(measure.gaussian(), alpha=0.5)
+    r_rho0 = cramer.check_condition(measure.rho_zero(), alpha=0.5)
     elapsed = time.perf_counter() - t0
     ok = (r_rad.verdict == "fail" and r_rad.witness is not None
           and r_gau.verdict == "pass"

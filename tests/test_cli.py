@@ -339,6 +339,35 @@ class TestValidationErrors:
         rc, _, err = run(capsys, "rate", "eval", "--x", "0", "--y", "1")
         assert rc == 2
 
+    def test_preset_and_spec_exclusive(self, tmp_path, capsys):
+        # the spec is not dropped silently, not even a missing one
+        rc, out, err = run(capsys, "measure", "info", "--preset", "rho0",
+                           "--spec", str(tmp_path / "missing.json"))
+        assert rc == 2
+        assert out == ""
+        assert "not allowed with argument --preset" in err
+        rc, _, err = run(capsys, "measure", "info")
+        assert rc == 2
+        assert "one of --preset or --spec is required" in err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--preset", "three-point", "--method", "importance",
+         "--n", "8"],
+        ["kernel", "verify", "--preset", "gaussian", "--n", "10", "--d", "2",
+         "--points", "0.1,1.05"],
+    ], ids=["simulate", "kernel-verify"])
+    def test_negative_seed_refused_before_loading(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        def loaded(args):
+            raise AssertionError("measure loaded before --seed was checked")
+
+        monkeypatch.setattr(cli, "_load_measure", loaded)
+        out = tmp_path / "out.csv"
+        rc, _, err = run(capsys, *command, "--seed", "-1", "--out", str(out))
+        assert rc == 2
+        assert err == "error: --seed must be >= 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("density", [
         # evaluating this would exit with 99 instead of 2
         {"kind": "expr", "expr": "__import__('sys').exit(99)"},

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cwsoc import measure
-from cwsoc.cramer import (CharEvaluator, _quadrant, _refine_local,
+from cwsoc.cramer import (_lipschitz, _quadrant, _refine_local,
                           check_condition, mixture_bound)
 from cwsoc.limitlaw import _cramer_flag, verify_lln
 from cwsoc.model import TiltedModel, enumerate_exact, quadratic
@@ -15,17 +15,17 @@ from cwsoc.model import TiltedModel, enumerate_exact, quadratic
 
 @pytest.fixture(scope="module")
 def e_rad():
-    return CharEvaluator(measure.rademacher())
+    return measure.rademacher()
 
 
 @pytest.fixture(scope="module")
 def e_gauss():
-    return CharEvaluator(measure.gaussian())
+    return measure.gaussian()
 
 
 @pytest.fixture(scope="module")
 def e_rho0():
-    return CharEvaluator(measure.rho_zero())
+    return measure.rho_zero()
 
 
 def one_cell(e, s, t):
@@ -80,7 +80,7 @@ class TestCharFn:
         s = np.array([0.3, 1.7])
         t = np.array([0.0, 2.5])
         grid = e_rho0.char_grid(s, t)
-        want = direct_char(e_rho0.base, s, t)
+        want = direct_char(e_rho0, s, t)
         for i, si in enumerate(s):
             for j, tj in enumerate(t):
                 assert grid[i, j] == one_cell(e_rho0, si, tj)
@@ -90,7 +90,7 @@ class TestCharFn:
         # a table density takes the folded trapezoid rule, whose error is
         # O(h^2) with h = 1/1024 here; on the triangle f = 1 - |z| compare
         # to 2 (1 - cos s) / s^2 at t = 0 and to scipy's quad elsewhere
-        e = CharEvaluator(TRIANGLE)
+        e = TRIANGLE
         s = np.array([0.5, 1.5, 4.0, 9.0])
         want = 2 * (1 - np.cos(s)) / s**2
         assert np.max(np.abs(e.char_grid(s, [0.0])[:, 0] - want)) <= 1e-6
@@ -146,7 +146,7 @@ class TestQuadrantGrid:
     def test_matches_direct_sum(self, base):
         s = np.linspace(-4.5, 4.5, 37)
         t = np.linspace(-5.0, 5.0, 29)
-        got = CharEvaluator(base).char_grid(s, t)
+        got = base.char_grid(s, t)
         assert np.max(np.abs(got - direct_char(base, s, t))) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
@@ -162,11 +162,10 @@ class TestQuadrantGrid:
         atoms.append((0.0, weights[3] / total))
         base = measure.gaussian(sigma=sigma, mass=weights[4] / total,
                                 atoms=atoms)
-        e = CharEvaluator(base)
-        m = [abs(one_cell(e, *p)) for p in ((s, t), (-s, t), (s, -t))]
+        m = [abs(one_cell(base, *p)) for p in ((s, t), (-s, t), (s, -t))]
         assert m[1] == pytest.approx(m[0], abs=1e-12)
         assert m[2] == pytest.approx(m[0], abs=1e-12)
-        grid = e.char_grid(np.array([s, -s]), np.array([t, -t]))
+        grid = base.char_grid(np.array([s, -s]), np.array([t, -t]))
         assert np.abs(grid) == pytest.approx(abs(grid[0, 0]), abs=1e-14)
         assert grid[0, 0] == pytest.approx(
             direct_char(base, [s], [t])[0, 0], abs=1e-12)
@@ -188,7 +187,7 @@ class TestQuadrantGrid:
         # bound.  Its |M| is largest on the annulus at (0, alpha), where
         # |M|^2 ~ 1 - t^2 Var(Z^2) falls slowest; sup_estimate finds it up
         # to the trapezoid error
-        r = check_condition(CharEvaluator(TRIANGLE), 0.5, radius=20.0)
+        r = check_condition(TRIANGLE, 0.5, radius=20.0)
         assert r.sup_estimate == pytest.approx(abs(quad_char(0.0, 0.5)),
                                                abs=1e-6)
         assert r.verdict == "inconclusive"
@@ -266,8 +265,7 @@ class TestEnvelopeScan:
         atoms = [(sign * z, w / total)
                  for z, w in zip(mags, weights) for sign in (-1, 1)]
         atoms.append((0.0, weights[3] / total))
-        e = CharEvaluator(measure.gaussian(
-            sigma=sigma, mass=weights[4] / total, atoms=atoms))
+        e = measure.gaussian(sigma=sigma, mass=weights[4] / total, atoms=atoms)
         radius = alpha + extent
         r = check_condition(e, alpha, radius=radius, grid_step=step)
         want = full_scan_sup(e, alpha, radius, step)
@@ -278,12 +276,12 @@ class TestEnvelopeScan:
     @pytest.mark.parametrize("base", [measure.gaussian(), measure.rho_zero()],
                              ids=["gaussian", "rho0"])
     def test_gaussian_scan_is_small(self, base):
-        r = check_condition(CharEvaluator(base), 0.5)
+        r = check_condition(base, 0.5)
         assert r.details["grid_cells"] == 1001 * 1001
         assert 0 < r.details["scanned_cells"] <= r.details["grid_cells"] / 100
 
     def test_table_scans_the_full_grid(self):
-        r = check_condition(CharEvaluator(TRIANGLE), 0.5, radius=5.0)
+        r = check_condition(TRIANGLE, 0.5, radius=5.0)
         assert r.details["scanned_cells"] == r.details["grid_cells"]
         assert r.details["grid_cells"] == 101 * 101
 
@@ -299,12 +297,12 @@ class TestEnvelopeScan:
 
         monkeypatch.setattr(measure.Measure1D, "__post_init__", refuse)
         monkeypatch.setattr(measure.TableDensity, "__init__", refuse)
-        check_condition(CharEvaluator(table), 0.5, radius=5.0)
+        check_condition(table, 0.5, radius=5.0)
 
     def test_lipschitz_closed_form(self):
         # rho0: integral of |z| is 2/16 + (1/8) sqrt(2/pi), of z^2 is 1/4
-        e = CharEvaluator(measure.rho_zero())
-        lip = e.lipschitz
+        e = measure.rho_zero()
+        lip = _lipschitz(e)
         assert lip == pytest.approx(
             0.125 + 0.125 * math.sqrt(2 / math.pi) + 0.25, rel=0, abs=1e-12)
         r = check_condition(e, 0.5)
@@ -320,8 +318,7 @@ class TestEnvelopeScan:
             lambda z: (abs(z) + z * z) * 0.75 * (1 - abs(z)), a, b,
             epsabs=1e-14, epsrel=1e-14)[0] for a, b in ((-1, 0), (0, 1)))
         want = 2 * 0.125 * 2 + density
-        assert CharEvaluator(base).lipschitz == pytest.approx(
-            want, rel=0, abs=1e-13)
+        assert _lipschitz(base) == pytest.approx(want, rel=0, abs=1e-13)
 
 
 class TestMixtureBound:
@@ -351,12 +348,12 @@ class TestCheckCondition:
         assert r.verdict == "fail"
         s, t = r.witness
         assert math.hypot(s, t) >= 0.5
-        assert abs(direct_char(e_rad.base, [s], [t])[0, 0]) >= 1 - 1e-9
+        assert abs(direct_char(e_rad, [s], [t])[0, 0]) >= 1 - 1e-9
         # past the first return the witness is the next one
         assert check_condition(e_rad, 7.0).witness == (0.0, 4 * math.pi)
 
     def test_three_point_fails(self):
-        r = check_condition(CharEvaluator(measure.three_point(p=0.25)), 0.5)
+        r = check_condition(measure.three_point(p=0.25), 0.5)
         assert r.verdict == "fail"
 
     def test_gaussian_passes(self, e_gauss):
@@ -375,8 +372,7 @@ class TestCheckCondition:
     def test_incommensurable_atoms_inconclusive(self):
         # irrational atoms, but their squares 1 and 2 are commensurable, so
         # M returns exactly; no purely atomic base is inconclusive
-        r = check_condition(CharEvaluator(SQRT2_ATOMS), 0.5, radius=10.0,
-                            grid_step=0.05)
+        r = check_condition(SQRT2_ATOMS, 0.5, radius=10.0, grid_step=0.05)
         assert r.verdict == "fail"
         assert r.witness == (0.0, 2 * math.pi)
         assert abs(r.details["gap"]) <= 1e-12
@@ -386,7 +382,7 @@ class TestCheckCondition:
         ids=["rademacher", "three-point", "five-atom"])
     def test_commensurable_squares_return_exactly(self, base):
         # every z^2 is an integer multiple of the smallest: M(0, 2 pi) = 1
-        r = check_condition(CharEvaluator(base), 0.5, radius=10.0)
+        r = check_condition(base, 0.5, radius=10.0)
         assert r.verdict == "fail"
         assert r.witness == (0.0, 2 * math.pi)
         assert r.details["mechanism"] == "almost periodic"
@@ -397,7 +393,7 @@ class TestCheckCondition:
     def test_incommensurable_squares_fail(self):
         # z^2 in {1, sqrt 2}: no exact return, but |M| comes within any
         # epsilon of 1 (Dirichlet); the near-return search finds one
-        r = check_condition(CharEvaluator(QUARTIC_ROOT_ATOMS), 0.5)
+        r = check_condition(QUARTIC_ROOT_ATOMS, 0.5)
         assert r.verdict == "fail"
         assert r.sup_bound is None
         assert r.details["mechanism"] == "almost periodic"
@@ -411,7 +407,7 @@ class TestCheckCondition:
         assert r.sup_estimate == pytest.approx(m, abs=1e-12)
 
     def test_atomic_verdict_ignores_radius(self):
-        e = CharEvaluator(QUARTIC_ROOT_NO_ZERO)
+        e = QUARTIC_ROOT_NO_ZERO
         r10 = check_condition(e, 0.5, radius=10.0)
         r50 = check_condition(e, 0.5, radius=50.0)
         assert r10.verdict == r50.verdict == "fail"
@@ -425,7 +421,7 @@ class TestCheckCondition:
                       for k in (1, 2, 3, 5, 6) for sign in (-1, 1))
         base = measure.Measure1D(atoms=atoms)
         assert base.ac_mass == 0.0
-        r = check_condition(CharEvaluator(base), 0.5, radius=5.0)
+        r = check_condition(base, 0.5, radius=5.0)
         assert r.verdict == "fail"
         assert r.details["grid_cells"] == 0
 
@@ -436,7 +432,7 @@ class TestCheckCondition:
         ids=["rademacher", "three-point", "gaussian", "rho0", "triangle"])
     def test_report_flag_matches_verdict(self, base):
         # limitlaw's flag and check_condition read one rule
-        verdict = check_condition(CharEvaluator(base), 0.5, radius=5.0).verdict
+        verdict = check_condition(base, 0.5, radius=5.0).verdict
         flag = _cramer_flag(TiltedModel(rho=base, g=quadratic(), n=12))
         assert flag == {"pass": "yes", "fail": "no",
                         "inconclusive": "inconclusive"}[verdict]

@@ -168,12 +168,11 @@ class TestVerifyFluctuations:
     def test_table_flag_inconclusive(self):
         # the triangle f = 1 - |z| has no certified bound, so the report's
         # flag is the one cramer check gives it, with the caveat
-        from cwsoc.cramer import CharEvaluator, check_condition
+        from cwsoc.cramer import check_condition
         from cwsoc.model import sample_importance
         tri = measure.Measure1D(density=measure.TableDensity(
             [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
-        assert check_condition(
-            CharEvaluator(tri), 2.0, radius=5.0).verdict == "inconclusive"
+        assert check_condition(tri, 2.0, radius=5.0).verdict == "inconclusive"
         m = TiltedModel(rho=tri, g=quadratic(), n=16)
         b = sample_importance(m, 2000, np.random.default_rng(1))
         r = verify_fluctuations(m, b, tol_ks=1.0)

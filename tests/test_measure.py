@@ -133,6 +133,39 @@ class TestTiltedMoments:
                                                          abs=1e-12)
 
 
+class TestCharGrid:
+    """``Measure1D.char_grid``: the mirror-pair atom sum plus the density's
+    ``char_grid``."""
+
+    # atoms at +-1 and 0.75 times the triangle 1 - |z|
+    BASE = Measure1D(atoms=((-1.0, 0.125), (1.0, 0.125)),
+                     density=TableDensity([-1, 0, 1], [0, 0.75, 0]))
+
+    def test_atoms_plus_table_match_direct_sum(self):
+        s = np.linspace(-4.5, 4.5, 19)
+        t = np.linspace(-5.0, 5.0, 17)
+        z, mass = np.array(self.BASE.atoms).T
+        atoms = np.exp(1j * (s[:, None, None] * z
+                             + t[None, :, None] * z * z)) @ mass
+        want = atoms + self.BASE.density.char_grid(s, t)
+        got = self.BASE.char_grid(s, t)
+        assert got.shape == (19, 17)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        # the mirror-pair form is even in s bit for bit
+        np.testing.assert_array_equal(self.BASE.char_grid(-s, t), got)
+
+    def test_mirror_arrays_built_once(self, monkeypatch):
+        base = measure.rho_zero()
+        first = base.char_grid([0.5, 2.0], [1.0])
+
+        def refuse(self):
+            raise AssertionError("atom arrays built again")
+
+        monkeypatch.setattr(Measure1D, "mirror_magnitudes", refuse)
+        np.testing.assert_array_equal(base.char_grid([0.5, 2.0], [1.0]),
+                                      first)
+
+
 class TestTableRule:
     """``TableDensity.tilted_moments``: one fixed Gauss-Legendre rule on the
     pieces within the window of the exponent's maximum."""

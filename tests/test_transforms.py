@@ -14,6 +14,7 @@ from cwsoc.quadrature import adaptive_gauss_legendre
 from cwsoc.transforms import (
     LogLaplace,
     RateFunction,
+    _cond,
     rate_at_origin,
     rate_expansion_residual,
 )
@@ -350,6 +351,21 @@ class TestCramerTransform:
         r = gauss_rate.solve([0.0, 1.0])
         assert abs(r.value) < 1e-12
         np.testing.assert_allclose(r.argmax, [0.0, 0.0], atol=1e-8)
+
+    def test_underflowed_determinant_stops_without_warning(self):
+        # three-point at (0, -1), below the hull of {(z, z^2)}: at the third
+        # iterate the covariance is so small that its determinant underflows
+        # to 0 while both eigenvalues still read positive
+        tiny = np.array([[[1e-170, 0.0], [0.0, 1e-170]]])
+        assert _cond(tiny)[0] == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = RateFunction(LogLaplace(measure.three_point())).solve(
+                [0.0, -1.0])
+        assert not r.converged
+        assert r.message == "curvature vanished; outside admissible domain"
+        assert r.iterations == 3
+        assert r.value == pytest.approx(413.1268981776484, rel=1e-12)
 
     def test_fenchel_inequality(self, gauss_pair, gauss_rate):
         rng = np.random.default_rng(3)
