@@ -121,8 +121,11 @@ def _write_csv(path, header, columns) -> None:
 
 def write_manifest(out_dir, config: dict) -> Path:
     """Record config, versions and sha256 digests of every artifact."""
-    import scipy  # only for its version; kept off the import path
+    from importlib import metadata  # kept off the import path
 
+    # scipy serves only the tests; its version is null where it is absent
+    scipy_version = next(
+        (d.version for d in metadata.distributions(name="scipy")), None)
     out_dir = Path(out_dir)
     digests = {}
     for p in sorted(out_dir.iterdir()):
@@ -134,7 +137,7 @@ def write_manifest(out_dir, config: dict) -> Path:
         "config_digest": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "versions": {"python": sys.version.split()[0],
-                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "numpy": np.__version__, "scipy": scipy_version,
                      "cwsoc": __version__},
         "artifacts": digests,
     }

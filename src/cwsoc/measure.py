@@ -464,8 +464,8 @@ class Measure1D:
         return sum(m for z, m in self.atoms if z == 0.0)
 
     @cached_property
-    def _atom_arrays(self) -> np.ndarray:  # (2, A): locations, masses
-        return np.array(self.atoms, dtype=float).reshape(-1, 2).T
+    def _atom_arrays(self) -> tuple:  # atom locations, masses
+        return tuple(np.array(self.atoms, dtype=float).reshape(-1, 2).T)
 
     def mirror_magnitudes(self) -> tuple[tuple[float, float], ...]:
         """``(z, mass)`` for each positive atom location ``z``, ascending;

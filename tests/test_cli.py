@@ -8,10 +8,12 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -684,19 +686,17 @@ class TestEntryPoint:
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
-# Runs CLI commands in one fresh interpreter and prints, as JSON, which of
-# scipy and scipy.special are loaded after the import and after each command.
+# Runs CLI commands in one fresh interpreter and prints, as JSON, whether
+# scipy is loaded after the import and after each command.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cwsoc import cli
-def scipy_loaded():
-    return [m for m in ("scipy", "scipy.special") if m in sys.modules]
-loaded = [scipy_loaded()]
+loaded = ["scipy" in sys.modules]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.dispatch(argv)
     assert rc == 0, (argv, rc)
-    loaded.append(scipy_loaded())
+    loaded.append("scipy" in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -712,43 +712,15 @@ def _scipy_loaded(commands) -> list:
 
 
 class TestImportBoundary:
-    """``scipy.special`` loads only for the quartic law's CDF and quantiles
-    (``QuarticLaw.cdf`` and ``ppf``, hence ``verify fluct``), and ``scipy``
-    itself only for that and the manifest's version record: no other
-    command pays either import, on an atomic base or on one with a Gaussian
-    component (whose tilted moments take their normal tails from
-    ``math.erfc``)."""
+    """No command loads ``scipy``, which only the tests use: not on an
+    atomic base, not on one with a Gaussian component (whose tilted moments
+    come from the fixed Gauss-Legendre rule), not in ``verify fluct`` (the
+    quartic law's CDF runs on the same rule) and not in ``report`` (the
+    manifest reads scipy's version from the package metadata)."""
 
-    def test_atomic_base_never_loads_scipy_special(self, tmp_path):
-        base = ["--preset", "three-point"]
-        batch = str(tmp_path / "batch.csv")
-        commands = [
-            ["measure", "info", *base],
-            ["rate", "eval", *base, "--x", "0.1", "--y", "0.5"],
-            ["rate", "grid", *base, "--x-min", "-0.2", "--x-max", "0.2",
-             "--y-min", "0.3", "--y-max", "0.7", "--nx", "3", "--ny", "3",
-             "--out", str(tmp_path / "grid.csv")],
-            ["cramer", "check", *base, "--alpha", "0.5"],
-            ["simulate", *base, "--method", "importance", "--n", "20",
-             "--count", "256", "--out", str(tmp_path / "imp.csv")],
-            ["simulate", *base, "--method", "metropolis", "--n", "20",
-             "--count", "256", "--chains", "8",
-             "--out", str(tmp_path / "met.csv")],
-            ["simulate", *base, "--method", "enumeration", "--n", "50",
-             "--out", batch],
-            ["verify", "lln", *base, "--batch", batch,
-             "--out", str(tmp_path / "lln.json")],
-            ["report", "--dir", str(tmp_path)],
-        ]
-        # after the import and every command but the last, then the version
-        # record of `report`
-        assert _scipy_loaded(commands) == [[]] * len(commands) + [["scipy"]]
-
-    @pytest.mark.parametrize("preset", ["gaussian", "rho0"])
-    def test_gaussian_component_never_loads_scipy_special(self, tmp_path,
-                                                          preset):
+    @pytest.mark.parametrize("preset", ["three-point", "gaussian", "rho0"])
+    def test_no_command_loads_scipy(self, tmp_path, preset):
         base = ["--preset", preset]
-        batch = str(tmp_path / "batch.csv")
         commands = [
             ["measure", "info", *base],
             ["rate", "eval", *base, "--x", "0.1", "--y", "0.5"],
@@ -756,26 +728,26 @@ class TestImportBoundary:
              "--y-min", "0.3", "--y-max", "0.7", "--nx", "3", "--ny", "3",
              "--out", str(tmp_path / "grid.csv")],
             ["cramer", "check", *base, "--alpha", "0.5"],
-            ["simulate", *base, "--method", "metropolis", "--n", "20",
-             "--count", "256", "--chains", "8", "--out", batch],
+        ]
+        # verify reads the last sampler's batch
+        methods = {"three-point": ["importance", "metropolis", "enumeration"]}
+        for method in methods.get(preset, ["metropolis"]):
+            batch = str(tmp_path / f"{method}.csv")
+            commands.append(["simulate", *base, "--method", method, "--n",
+                             "20", "--count", "256", "--chains", "8",
+                             "--out", batch])
+        commands += [
             ["verify", "lln", *base, "--batch", batch,
              "--out", str(tmp_path / "lln.json")],
+            ["verify", "fluct", *base, "--batch", batch, "--tol", "0.5",
+             "--out", str(tmp_path / "fluct.json")],
         ]
         if preset == "gaussian":  # the d = 1 kernel takes a pure Gaussian
             commands.append(["kernel", "verify", *base, "--n", "20", "--d",
                              "1", "--points", "0.1",
                              "--out", str(tmp_path / "kernel.csv")])
-        assert _scipy_loaded(commands) == [[]] * (len(commands) + 1)
-
-    def test_verify_fluct_loads_scipy_special(self, tmp_path):
-        base = ["--preset", "three-point"]
-        batch = str(tmp_path / "batch.csv")
-        assert _scipy_loaded([
-            ["simulate", *base, "--method", "enumeration", "--n", "50",
-             "--out", batch],
-            ["verify", "fluct", *base, "--batch", batch, "--tol", "0.5",
-             "--out", str(tmp_path / "fluct.json")],
-        ]) == [[], [], ["scipy", "scipy.special"]]
+        commands.append(["report", "--dir", str(tmp_path)])
+        assert _scipy_loaded(commands) == [False] * (len(commands) + 1)
 
 
 class TestSimulateVerify:
@@ -1108,7 +1080,17 @@ class TestManifest:
         expect = hashlib.sha256(b"a,b\n1,2\n").hexdigest()
         assert doc["artifacts"]["x.csv"] == expect
         assert {"python", "numpy", "scipy", "cwsoc"} <= set(doc["versions"])
+        assert doc["versions"]["scipy"] == scipy.__version__
         assert len(doc["config_digest"]) == 64
+
+    def test_scipy_version_null_when_absent(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the library runs without scipy; the manifest keeps the key
+        monkeypatch.setattr(metadata, "distributions", lambda **kw: iter(()))
+        rc, _, _ = run(capsys, "report", "--dir", str(tmp_path))
+        assert rc == 0
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["versions"]["scipy"] is None
 
     def test_report_missing_dir(self, capsys):
         rc, _, err = run(capsys, "report", "--dir", "/no/such/dir")

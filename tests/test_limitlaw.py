@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gamma
+from scipy.special import gamma, gammainc
 
 from cwsoc import measure
 from cwsoc.limitlaw import (
@@ -67,18 +67,27 @@ class TestQuarticLaw:
 
     def test_cdf_properties(self, law):
         assert law.cdf(0.0) == 0.5
-        s = np.linspace(-4, 4, 81)
+        s = np.linspace(-10, 10, 200_001)
         F = law.cdf(s)
         assert np.all(np.diff(F) >= 0)
-        np.testing.assert_allclose(law.cdf(-s) + law.cdf(s), 1.0, atol=1e-10)
+        np.testing.assert_allclose(law.cdf(-s) + F, 1.0, rtol=0, atol=1e-15)
 
-    def test_ppf_round_trip(self, law):
-        s = np.linspace(-3, 3, 25)
-        np.testing.assert_allclose(law.ppf(law.cdf(s)), s, atol=1e-10)
+    def test_cdf_matches_incomplete_gamma(self, law):
+        # F(s) = (1 + sign(s) P(1/4, s^4/12)) / 2, with P the regularized
+        # lower incomplete Gamma function; the rule stops at |s| = 8
+        s = np.linspace(-10, 10, 200_001)
+        want = 0.5 * (1 + np.sign(s) * gammainc(0.25, s**4 / 12))
+        np.testing.assert_allclose(law.cdf(s), want, rtol=0, atol=1e-15)
+        assert law.cdf(np.inf) == law.cdf(8.0)
+        assert law.cdf(-np.inf) == law.cdf(-8.0)
+        assert np.isnan(law.cdf(np.nan))
 
-    def test_ppf_domain(self, law):
-        with pytest.raises(LimitLawError):
-            law.ppf(0.0)
+    @pytest.mark.parametrize("count", [0, 1, 10**5])
+    def test_sample_count_and_seed(self, law, count):
+        x = law.sample(count, np.random.default_rng(5))
+        assert x.shape == (count,) and x.dtype == float
+        np.testing.assert_array_equal(
+            x, law.sample(count, np.random.default_rng(5)))
 
     def test_sampling_matches_moments(self, law):
         x = law.sample(10**5, np.random.default_rng(0))
