@@ -711,6 +711,35 @@ def _scipy_loaded(commands) -> list:
     return json.loads(r.stdout)
 
 
+def _pipeline(tmp_path, preset, methods) -> list:
+    """Every command on one preset: the sampler runs of ``methods``, then
+    ``verify lln`` and ``verify fluct`` on the last batch, and ``report``."""
+    base = ["--preset", preset]
+    commands = [
+        ["measure", "info", *base],
+        ["rate", "eval", *base, "--x", "0.1", "--y", "0.5"],
+        ["rate", "grid", *base, "--x-min", "-0.2", "--x-max", "0.2",
+         "--y-min", "0.3", "--y-max", "0.7", "--nx", "3", "--ny", "3",
+         "--out", str(tmp_path / "grid.csv")],
+        ["cramer", "check", *base, "--alpha", "0.5"],
+    ]
+    for method in methods:
+        batch = str(tmp_path / f"{method}.csv")
+        commands.append(["simulate", *base, "--method", method, "--n", "20",
+                         "--count", "256", "--chains", "8", "--out", batch])
+    commands += [
+        ["verify", "lln", *base, "--batch", batch,
+         "--out", str(tmp_path / "lln.json")],
+        ["verify", "fluct", *base, "--batch", batch, "--tol", "0.5",
+         "--out", str(tmp_path / "fluct.json")],
+    ]
+    if preset == "gaussian":  # the d = 1 kernel takes a pure Gaussian
+        commands.append(["kernel", "verify", *base, "--n", "20", "--d", "1",
+                         "--points", "0.1",
+                         "--out", str(tmp_path / "kernel.csv")])
+    return commands + [["report", "--dir", str(tmp_path)]]
+
+
 class TestImportBoundary:
     """No command loads ``scipy``, which only the tests use: not on an
     atomic base, not on one with a Gaussian component (whose tilted moments
@@ -718,35 +747,15 @@ class TestImportBoundary:
     quartic law's CDF runs on the same rule) and not in ``report`` (the
     manifest reads scipy's version from the package metadata)."""
 
-    @pytest.mark.parametrize("preset", ["three-point", "gaussian", "rho0"])
-    def test_no_command_loads_scipy(self, tmp_path, preset):
-        base = ["--preset", preset]
-        commands = [
-            ["measure", "info", *base],
-            ["rate", "eval", *base, "--x", "0.1", "--y", "0.5"],
-            ["rate", "grid", *base, "--x-min", "-0.2", "--x-max", "0.2",
-             "--y-min", "0.3", "--y-max", "0.7", "--nx", "3", "--ny", "3",
-             "--out", str(tmp_path / "grid.csv")],
-            ["cramer", "check", *base, "--alpha", "0.5"],
-        ]
-        # verify reads the last sampler's batch
-        methods = {"three-point": ["importance", "metropolis", "enumeration"]}
-        for method in methods.get(preset, ["metropolis"]):
-            batch = str(tmp_path / f"{method}.csv")
-            commands.append(["simulate", *base, "--method", method, "--n",
-                             "20", "--count", "256", "--chains", "8",
-                             "--out", batch])
-        commands += [
-            ["verify", "lln", *base, "--batch", batch,
-             "--out", str(tmp_path / "lln.json")],
-            ["verify", "fluct", *base, "--batch", batch, "--tol", "0.5",
-             "--out", str(tmp_path / "fluct.json")],
-        ]
-        if preset == "gaussian":  # the d = 1 kernel takes a pure Gaussian
-            commands.append(["kernel", "verify", *base, "--n", "20", "--d",
-                             "1", "--points", "0.1",
-                             "--out", str(tmp_path / "kernel.csv")])
-        commands.append(["report", "--dir", str(tmp_path)])
+    def test_atomic_base_never_loads_scipy_special(self, tmp_path):
+        commands = _pipeline(tmp_path, "three-point",
+                             ["importance", "metropolis", "enumeration"])
+        assert _scipy_loaded(commands) == [False] * (len(commands) + 1)
+
+    @pytest.mark.parametrize("preset", ["gaussian", "rho0"])
+    def test_gaussian_component_never_loads_scipy_special(self, tmp_path,
+                                                          preset):
+        commands = _pipeline(tmp_path, preset, ["metropolis"])
         assert _scipy_loaded(commands) == [False] * (len(commands) + 1)
 
 
