@@ -186,7 +186,7 @@ def check_condition(base: Measure1D, alpha: float, radius: float = 50.0,
     is below 1, and every other case is inconclusive with no ``sup_bound``.
     ``radius`` bounds the scan only.
     """
-    if alpha <= 0 or radius <= alpha:
+    if not 0 < alpha < radius:
         raise ValueError("need 0 < alpha < radius")
     rule = verdict_rule(base)
     if rule == "fail":

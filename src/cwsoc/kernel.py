@@ -37,8 +37,8 @@ class TriangularKernel:
     d: int = 1
 
     def __post_init__(self):
-        if self.c <= 0 or self.d not in (1, 2):
-            raise KernelError("need c > 0 and d in {1, 2}")
+        if not 0 < self.c < math.inf or self.d not in (1, 2):
+            raise KernelError("need 0 < c < inf and d in {1, 2}")
 
     def __call__(self, *coords) -> np.ndarray:
         out = 1.0

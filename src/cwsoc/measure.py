@@ -8,17 +8,20 @@ to ``a``, not to 1), and each kind implements the whole density interface
 from its own parameters: ``support_radius``, ``tilt_cap``, ``abs_moment``
 (``integral of |z| f``), ``sample``, ``tilted_moments``, ``char_grid`` and
 ``char_box``.  Both kinds integrate ``tilted_moments`` by one fixed
-Gauss-Legendre rule, the Gaussian as a flat table whose exponent takes the
-normal's ``-z^2 / (2 sigma^2)``.  Each kind checks its parameters exactly
-when it is built; ``Measure1D`` checks the mass it adds up to, and owns both
-transforms of ``(z, z^2)``, ``tilted_moments`` and ``char_grid``.
+Gauss-Legendre rule, ``_rule``, and only cut their support into pieces for
+it: the Gaussian as a flat table whose exponent takes the normal's ``-z^2 /
+(2 sigma^2)``, two pieces from the exponent's maximum outward, and the
+table at its knots, the window and ``z = 0``.  Each kind checks its
+parameters exactly when it is built; ``Measure1D`` checks the mass it adds
+up to, and owns both transforms of ``(z, z^2)``, ``tilted_moments`` and
+``char_grid``.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,15 +34,14 @@ class MeasureError(ValueError):
 # TableDensity.char_grid: t values per block of its phase arrays
 _T_BLOCK = 256
 
-# TableDensity.tilted_moments, as its docstring describes
-_WINDOW, _PANELS, _GL_NODES, _PAIR_BLOCK = 46.0, 6, 16, 2048
+# The fixed rule of both density kinds' tilted_moments, as _rule describes;
+# _BLOCK bounds its node arrays and the table's (tilt, interval) pairs
+_WINDOW, _PANELS, _GL_NODES, _BLOCK = 46.0, 6, 16, 1024
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GL_NODES)
 _TAU = ((np.arange(_PANELS)[:, None] + 0.5 + 0.5 * _NODES) / _PANELS).ravel()
 _OMEGA = np.tile(_WEIGHTS / (2 * _PANELS), _PANELS)  # with _TAU, on [0, 1]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
-# GaussianDensity.tilted_moments: pieces per block of its node arrays
-_PIECE_BLOCK = 256
 # GaussianDensity.support_radius in units of sigma; the pinned rate grids
 # (bench/reference.json) encode this window
 _GAUSS_WINDOW = 10.0
@@ -54,6 +56,55 @@ def _powers(x: np.ndarray, kmax: int, scale=1.0) -> np.ndarray:
     for k in range(1, kmax + 1):
         out[..., k] = out[..., k - 1] * x
     return out
+
+
+@cache
+def _rule_nodes(kmax: int) -> tuple:
+    """The rule's nodes from ``t = 1`` inward, so that its sums add their
+    smallest terms first: ``(1, t, t^2)`` by rows, and the weights of ``t^k
+    (1 - t)`` and of ``t^{k+1}`` by columns, ``k = 0..kmax``."""
+    t = _TAU[::-1]
+    tk = _powers(t, kmax + 1, _OMEGA[::-1])
+    return (_powers(t, 2).T.copy(),
+            np.hstack([tk[:, :-1] * (1 - t)[:, None], tk[:, 1:]]))
+
+
+def _rule(z0, e, lam, g, v, fa, fb, kmax: int, mirror=False) -> np.ndarray:
+    """``m[i, k] = integral of z^k e^{d (g_i + v_i d)} f_i(z) dz`` over the
+    piece ``z = z0_i + lam_i t``, ``t`` in ``[0, 1]``, for ``k = 0..kmax``:
+    ``d = e_i + lam_i t`` is the offset from the exponent's maximum ``z_c``
+    (``g_i`` is the exponent's slope there), and ``f_i`` is linear from
+    ``fa_i`` at ``z0_i`` to ``fb_i`` at the piece's other end.  A piece
+    with ``mirror_i`` set adds its mirror image about ``z0_i``, ``z = z0_i -
+    lam_i t``, from the same sums, so the caller sets it only where the
+    image has the same exponent and ``f`` in ``t`` (``e_i = g_i = 0``,
+    ``fa_i = fb_i``).  Every
+    argument but ``kmax`` is a 1-D array over the pieces or a scalar.
+
+    The one fixed Gauss-Legendre rule of both density kinds: ``_PANELS``
+    equal panels of ``_GL_NODES`` nodes each.  On a piece where ``f`` is
+    linear, the exponent monotone and within ``K`` (``_WINDOW``) of its
+    maximum, it errs by at most 4e-11 of the piece's ``m_0``
+    (notes/decisions.md).  The exponent is a quadratic in ``t``, so the sums
+    of ``t^k e^{...} f`` take one ``exp`` and one product per block of
+    ``_BLOCK`` pieces; powers of ``lam`` make them moments of ``lam t``, and
+    Pascal's rule shifts those to moments of ``z``.
+    """
+    nodes, weights = _rule_nodes(kmax)
+    coef = np.stack([e * (g + v * e), lam * (g + 2 * v * e), v * lam * lam], 1)
+    sums = np.empty((2 * kmax + 2, len(coef)))
+    for b in range(0, len(coef), _BLOCK):
+        x = coef[b:b + _BLOCK] @ nodes  # the exponents at the nodes
+        sums[:, b:b + _BLOCK] = (np.exp(x, out=x) @ weights).T
+    # moments of lam t, and of its mirror image -lam t (twice the even ones,
+    # none of the odd ones), shifted to z by Pascal's rule (pass j adds z0
+    # m_{k-1} to m_k, k >= j)
+    m = _powers(lam, kmax, np.abs(lam)).T * (fa * sums[:kmax + 1]
+                                             + fb * sums[kmax + 1:])
+    m *= 1 + (-1.0) ** np.arange(kmax + 1)[:, None] * mirror
+    for j in range(1, kmax + 1):
+        m[j:] += z0 * m[j - 1:-1]
+    return m.T
 
 
 class GaussianDensity:
@@ -92,58 +143,36 @@ class GaussianDensity:
 
         With ``w = v - 1 / (2 sigma^2) < 0`` the tilted density is ``e^{E(z)}``
         times a constant, ``E = u z + w z^2``: a table that is flat on the
-        window, integrated by the rule of ``TableDensity.tilted_moments``.
-        ``c`` is ``E``'s maximum on the window, at ``z_c``, plus the log of
-        the constant.  On each side of ``z_c``, ``E`` falls monotonely, and
-        the piece where ``E >= c - K`` (``_WINDOW``), within the window, is
-        ``z = z_c -+ ell t``, ``t`` in ``[0, 1]``, where ``E - c`` is a
-        quadratic in ``t``.  Its moments about ``z_c`` take one ``exp`` at the
-        rule's nodes ``_TAU`` and one product with their weighted powers, and
-        err by at most 4e-11 of ``m_0`` (notes/decisions.md); Pascal's rule
-        shifts them to moments of ``z``.  The law is symmetric: the rule runs
-        on ``|u|``, and the odd moments take the sign of ``u``.
+        window, integrated by ``_rule``.  ``c`` is ``E``'s maximum on the
+        window, at ``z_c``, plus the log of the constant.  On each side of
+        ``z_c``, ``E`` falls monotonely, and the piece where ``E >= c - K``
+        (``_WINDOW``), within the window, runs from ``z_c`` outward.  The law
+        is symmetric: the rule runs on ``|u|``, and the odd moments take the
+        sign of ``u``.
         """
         w = v - self.tilt_cap
         if not np.all(w < 0):
             raise MeasureError("tilt outside the finiteness domain")
         R = self.support_radius
-        sign = np.where(u < 0, -1.0, 1.0)
-        u = np.abs(u)
-        zc = np.minimum(-0.5 * u / w, R)  # the vertex, or the window's end
-        g = np.where(zc < R, 0.0, u + 2 * R * w)  # E'(z_c), 0 or more
+        au = np.abs(u)  # the rule runs on |u|
+        zc = np.minimum(-0.5 * au / w, R)  # the vertex, or the window's end
+        g = np.where(zc < R, 0.0, au + 2 * R * w)  # E'(z_c), 0 or more
         # E - c = -K at the offset ell = 2K / (g + sqrt(g^2 + 4|w|K)) left of
         # z_c, and at the same offset to the right when g = 0; when g > 0,
         # z_c = R leaves no room on the right
         ell = 2 * _WINDOW / (g + np.hypot(g, np.sqrt(-4 * _WINDOW * w)))
         left, right = np.minimum(ell, R + zc), np.minimum(ell, R - zc)
-        # the rule runs on every left piece, and on the right pieces that
-        # differ from theirs: an equal one (then g = 0) has the same sums
-        uneven = right != left
-        step = np.concatenate([-left, right[uneven]])  # z - z_c = step t
-        coef = np.stack([step * np.concatenate([g, g[uneven]]),
-                         step * step * np.concatenate([w, w[uneven]])], 1)
-        # the rule's nodes from t = 1 inward, so that its sums add their
-        # smallest terms first
-        tau = _powers(_TAU[::-1], max(kmax, 2))
-        nodes = tau[:, 1:3].T.copy()
-        weights = tau[:, :kmax + 1] * _OMEGA[::-1, None]
-        sums = np.empty((len(step), kmax + 1))  # of t^k e^{E - c} by the rule
-        e = np.empty((min(len(step), _PIECE_BLOCK), len(_TAU)))  # exponents
-        for b in range(0, len(step), _PIECE_BLOCK):
-            eb = e[:len(step) - b]  # this block's rows
-            np.matmul(coef[b:b + _PIECE_BLOCK], nodes, out=eb)
-            sums[b:b + _PIECE_BLOCK] = np.exp(eb, out=eb) @ weights
-        sums_right = sums[:len(u)].copy()
-        sums_right[uneven] = sums[len(u):]
-        # moments of z - z_c, shifted to z by Pascal's rule (pass j adds z_c
-        # m_{k-1} to m_k, k >= j), then reflected back to the sign of u
-        m = (_powers(-left, kmax, left) * sums[:len(u)]
-             + _powers(right, kmax, right) * sums_right).T
-        for j in range(1, kmax + 1):
-            m[j:] += zc * m[j - 1:-1]
-        m[1::2] *= sign
-        return 0.5 * zc * (u + g) + (math.log(self.mass / self.sigma)
-                                     - _LOG_SQRT_2PI), m.T
+        # the rule runs on every left piece, mirrored about z_c when the right
+        # one is as long (then g = 0), and on the other right pieces that are
+        # not empty
+        rest = np.flatnonzero((right != left) & (right > 0))
+        rows = np.concatenate([np.arange(len(u)), rest])
+        m = _rule(zc[rows], 0.0, np.concatenate([-left, right[rest]]),
+                  g[rows], w[rows], 1.0, 1.0, kmax, (right == left)[rows])
+        m[rest] += m[len(u):]
+        m[:len(u)][u < 0, 1::2] *= -1  # odd moments take the sign of u
+        return 0.5 * zc * (au + g) + (math.log(self.mass / self.sigma)
+                                      - _LOG_SQRT_2PI), m[:len(u)]
 
     def block_sums(self, k: int, size, rng: np.random.Generator) -> tuple:
         """``(sum Z, sum Z^2)`` of ``k`` i.i.d. draws, ``size`` times over.
@@ -279,11 +308,12 @@ class TableDensity:
         ``v``.  ``c_p`` is ``E_p``'s maximum where ``f > 0``, at ``z_c``: the
         point there nearest the vertex if ``v_p < 0``, else ``sign(u_p) R``.
 
-        The knots, the vertex and the roots of ``E = c - K`` (``_WINDOW``) cut
-        the support into pieces where ``f`` is linear and ``E`` monotone.
-        Those below ``c - K`` hold at most ``e^{-K} e^c integral of f``; on the
-        others ``_PANELS`` panels of ``_GL_NODES`` Gauss-Legendre nodes err by
-        at most 4e-11 of their ``m_0`` (notes/decisions.md).
+        The knots, the vertex, the roots of ``E = c - K`` (``_WINDOW``) and
+        ``z = 0`` cut the support into pieces where ``f`` is linear, ``E``
+        monotone and ``z`` of one sign.  Those below ``c - K`` hold at most
+        ``e^{-K} e^c integral of f``; ``_rule`` integrates the others, each
+        from its end nearer 0, so that every term of Pascal's rule has one
+        sign.
         """
         x, y, m = self.x, self.y, np.zeros((len(u), kmax + 1))
         live, n = y[:-1] + y[1:] > 0, len(x) - 1  # intervals where f > 0
@@ -295,21 +325,24 @@ class TableDensity:
             zc = np.where(np.abs(t - before) < after - t, before, after)
             c, g = zc * (u + v * zc), u + 2 * v * zc
             q = -0.5 * (g + np.copysign(np.sqrt(g * g - 4 * v * _WINDOW), g))
-            # offsets from z_c of the roots of v d^2 + g d + K and the vertex
-            roots = np.stack([q / v, _WINDOW / q, -0.5 * g / v], 1)
-        for s in range(0, len(u) * n, _PAIR_BLOCK):  # (tilt, interval) pairs
-            p, k = np.divmod(np.arange(s, min(s + _PAIR_BLOCK, len(u) * n)), n)
+            # offsets from z_c of the roots of v d^2 + g d + K, the vertex
+            # and z = 0
+            roots = np.stack([q / v, _WINDOW / q, -0.5 * g / v, -zc], 1)
+        for s in range(0, len(u) * n, _BLOCK):  # (tilt, interval) pairs
+            p, k = np.divmod(np.arange(s, min(s + _BLOCK, len(u) * n)), n)
             a, b = x[k, None] - zc[p, None], x[k + 1, None] - zc[p, None]
             cut = np.sort(np.hstack([a, np.clip(roots[p], a, b), b]))
             mid, ell = 0.5 * (cut[:, 1:] + cut[:, :-1]), np.diff(cut)
             r, col = np.nonzero((ell > 0) & live[k, None] & (
                 mid * (g[p, None] + v[p, None] * mid) >= -_WINDOW))
-            p, k, ell, a, b = p[r], k[r], ell[r, col, None], a[r], b[r]
-            d = cut[r, col, None] + ell * _TAU  # z - z_c at the nodes
-            f = (y[k, None] * (b - d) + y[k + 1, None] * (d - a)) / (b - a)
-            w = f * np.exp(d * (g[p, None] + v[p, None] * d)) * ell * _OMEGA
-            powers = np.polynomial.polynomial.polyvander(zc[p, None] + d, kmax)
-            np.add.at(m, p, np.einsum("pn,pnk->pk", w, powers))
+            p, k, a, b = p[r], k[r], a[r, 0], b[r, 0]
+            # each piece from its end nearer 0 to its far end: z >= 0 on the
+            # piece exactly when its left end's offset is at least -z_c
+            ends = cut[r, col + [[0], [1]]]
+            near, far = d = np.where(ends[0] >= -zc[p], ends, ends[::-1])
+            f = (y[k] * (b - d) + y[k + 1] * (d - a)) / (b - a)
+            np.add.at(m, p, _rule(zc[p] + near, near, far - near, g[p], v[p],
+                                  *f, kmax))
         return c, m
 
     def char_grid(self, s, t) -> np.ndarray:

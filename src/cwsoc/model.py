@@ -758,15 +758,13 @@ def varadhan_decay(rho: Measure1D, n: int, x_threshold: float = 0.5,
                    budget: int = 60_000_000) -> float:
     """(1/n) log of the untilted integral of ``exp(n x^2 / (2y))`` over
     ``{|x| >= x_threshold}`` intersected with the admissible cone, exact over
-    the multinomial classes of a symmetric atomic ``rho``."""
-    classes = _Classes(rho, n, budget)
-    pieces = []
-    for ms in classes.rows().tolist():
-        S, T, logmult = classes.row(ms, [0] * classes.K)
-        mask = np.abs(S / n) >= x_threshold
-        if np.any(mask):
-            pieces.append(_log_sum_exp(logmult[mask] + S[mask] ** 2 / (2 * T)))
-    return _log_sum_exp(pieces) / n
+    the multinomial classes of a symmetric atomic ``rho``: the ``log_Z`` of
+    ``enumerate_exact`` with quadratic ``g`` plus the log of its weight on
+    the region, ``-inf`` where the region holds no class."""
+    law = enumerate_exact(TiltedModel(rho, quadratic(), n), budget)
+    w = np.sum(law.weight, where=np.abs(law.S / n) >= x_threshold)
+    return ((law.diagnostics["log_Z"] + math.log(w)) / n if w > 0
+            else -math.inf)
 
 
 def _log_sum_exp(a) -> float:

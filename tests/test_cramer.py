@@ -447,3 +447,12 @@ class TestCheckCondition:
             check_condition(e_gauss, 0.0)
         with pytest.raises(ValueError):
             check_condition(e_gauss, 2.0, radius=1.0)
+
+    @pytest.mark.parametrize("base", [measure.gaussian(), measure.rademacher()],
+                             ids=["gaussian", "atomic"])
+    @pytest.mark.parametrize("alpha,radius", [(math.nan, 50.0), (0.5, math.nan)])
+    def test_nan_annulus_rejected(self, base, alpha, radius):
+        # before the verdict rule: neither an inconclusive report nor a
+        # near-return search on a NaN alpha
+        with pytest.raises(ValueError, match="0 < alpha < radius"):
+            check_condition(base, alpha, radius=radius)

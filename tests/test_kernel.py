@@ -67,6 +67,11 @@ class TestTriangularKernel:
         with pytest.raises(KernelError):
             TriangularKernel(1.0, 3)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0])
+    def test_nonfinite_or_zero_width_rejected(self, c):
+        with pytest.raises(KernelError, match="0 < c < inf"):
+            TriangularKernel(c, 1)
+
 
 class TestKernelLaplace:
     def test_at_zero(self):

@@ -283,6 +283,45 @@ class TestTableRule:
         assert np.all(np.abs(m[rows] - ref[:, :5]) <= 1e-12 * ref[:, 5:])
 
 
+# tilts of the standard normal: at u = 0, with the vertex of the exponent
+# inside the window and beyond it (z_c = R), and near the cap 1/2
+_GAUSS_TILTS = [(0.0, 0.0), (0.0, -20.0), (0.0, 0.4999999), (3.0, 0.2),
+                (-5.0, -4.0), (12.0, 0.0), (-40.0, 0.49), (0.01, 0.49999),
+                (2.0, 0.4999)]
+
+
+class TestSharedRule:
+    """``measure._rule``, the one fixed rule behind both density kinds: the
+    Gaussian cuts two pieces at the exponent's maximum, a table cuts its
+    knot intervals and anchors each piece at its end nearer 0."""
+
+    @pytest.mark.parametrize("u,v", _GAUSS_TILTS)
+    def test_gaussian_matches_flat_table(self, u, v):
+        # the tilted normal is the flat table on [-R, R] tilted by v - 1/2,
+        # times 1 / sqrt(2 pi); the table cuts its pieces its own way
+        d = measure.gaussian().density
+        R = d.support_radius
+        u, v = np.array([u]), np.array([v])
+        c, m = d.tilted_moments(u, v, 4)
+        ct, mt = TableDensity([-R, R], [1.0, 1.0]).tilted_moments(
+            u, v - d.tilt_cap, 4)
+        assert c[0] + math.log(m[0, 0]) == pytest.approx(
+            ct[0] + math.log(mt[0, 0]) - 0.5 * math.log(2 * math.pi),
+            rel=0, abs=1e-13)
+        m, mt = m[0] / m[0, 0], mt[0] / mt[0, 0]
+        # odd moments on their Cauchy-Schwarz scale, as they vanish at u = 0
+        scale = mt.copy()
+        scale[1::2] = np.sqrt(mt[0:-1:2] * mt[2::2])
+        assert np.all(np.abs(m - mt) <= 1e-13 * scale), (m, mt)
+
+    def test_uniform_moments_to_the_ulp(self):
+        # z_c = 1 at zero tilt, and the cut at 0 anchors both pieces there,
+        # where Pascal's rule has nothing to cancel
+        ms = Measure1D(density=TableDensity([-1, 1], [0.5, 0.5])).moments
+        assert abs(ms.sigma2 - 1 / 3) <= math.ulp(1 / 3)
+        assert abs(ms.mu4 - 1 / 5) <= math.ulp(1 / 5)
+
+
 class TestValidation:
     def test_asymmetric_atoms_rejected(self):
         with pytest.raises(MeasureError, match="mirror"):

@@ -294,9 +294,9 @@ class TestGaussianClosedForm:
         # exactly 0, in every position of a batch that spans several blocks
         d = measure.gaussian().density
         rng = np.random.default_rng(3)
-        u = rng.uniform(-30, 30, 300)
+        u = rng.uniform(-30, 30, 2100)
         u[::7] = 0.0
-        v = rng.uniform(-20, 0.4999, 300)
+        v = rng.uniform(-20, 0.4999, 2100)
         c, m = d.tilted_moments(u, v, 4)
         cm, mm = d.tilted_moments(-u, v, 4)
         odd = np.arange(5) % 2 == 1
