@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 
+_CSV_ROWS = 1 << 13     # CSV rows formatted and written at a time
+_HASH_CHUNK = 1 << 20   # bytes of an artifact hashed at a time
+
 _PRESETS = {
     "gaussian": measure.gaussian,
     "rademacher": measure.rademacher,
@@ -112,11 +115,24 @@ def _cell_text(c: np.ndarray) -> list:
 
 def _write_csv(path, header, columns) -> None:
     """Write equal-length ``columns`` under ``header`` as CSV rows, cells by
-    ``_cell_text``, CRLF line ends."""
-    cells = [_cell_text(c) for c in map(np.asarray, columns)]
+    ``_cell_text``, CRLF line ends; ``_CSV_ROWS`` rows are formatted and
+    written at a time, so the text in memory stays one block's."""
+    columns = [np.asarray(c) for c in columns]
     with _writing(path) as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+        for i in range(0, len(columns[0]), _CSV_ROWS):
+            cells = [_cell_text(c[i:i + _CSV_ROWS]) for c in columns]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+
+
+def _sha256(path) -> str:
+    """Hex sha256 of the file at ``path``, read ``_HASH_CHUNK`` bytes at a
+    time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(out_dir, config: dict) -> Path:
@@ -131,7 +147,7 @@ def write_manifest(out_dir, config: dict) -> Path:
     for p in sorted(out_dir.iterdir()):
         if p.name == "manifest.json" or p.is_dir():
             continue
-        digests[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+        digests[p.name] = _sha256(p)
     payload = {
         "config": config,
         "config_digest": hashlib.sha256(

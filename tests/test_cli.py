@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from importlib import metadata
 from pathlib import Path
@@ -1079,6 +1080,43 @@ class TestCsvWriter:
         assert (tmp_path / "got.csv").read_bytes().split(b"\r\n")[1:5] == [
             b"0.0,nan", b"-0.0,1.0", b"nan,-0.0", b"nan,0.0"]
 
+    def test_batch_spanning_blocks(self, tmp_path):
+        b = model.enumerate_exact(model.TiltedModel(
+            rho=measure.three_point(), g=model.quadratic(), n=200))
+        assert len(b.S) == 20300 > 2 * cli._CSV_ROWS
+        self._same_bytes(tmp_path, ["S", "T", "weight"],
+                         [b.S, b.T, b.weight])
+
+    def test_block_boundary(self, tmp_path):
+        # each block formats its own distinct values: equal bits on both
+        # sides of the edge, signed zeros and NaNs astride it
+        edge = cli._CSV_ROWS
+        v = np.arange(2 * edge + 5) / 7
+        v[edge - 2:edge + 2] = 0.1
+        w = v.copy()
+        w[edge - 2:edge + 2] = [-0.0, 0.0, -0.0, math.nan]
+        w[edge + 4] = 0.0
+        self._same_bytes(tmp_path, ["v", "w", "k"],
+                         [v, w, np.arange(len(v)) % 3])
+        lines = (tmp_path / "got.csv").read_bytes().split(b"\r\n")
+        assert lines[edge - 1:edge + 3] == [
+            b"0.1,-0.0,0", b"0.1,0.0,1", b"0.1,-0.0,2", b"0.1,nan,0"]
+
+    def test_traced_peak_is_bounded(self, tmp_path):
+        # 125,750 rows: formatting the whole batch before writing traced
+        # 10.6 MiB, one block at a time 1.6 MiB
+        b = model.enumerate_exact(model.TiltedModel(
+            rho=measure.three_point(), g=model.quadratic(), n=500))
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "b.csv", ["S", "T", "weight"],
+                           [b.S, b.T, b.weight])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(b.S) == 125750
+        assert peak < 4 * 2**20, peak
+
 
 class TestManifest:
     def test_report_digests(self, tmp_path, capsys):
@@ -1091,6 +1129,14 @@ class TestManifest:
         assert {"python", "numpy", "scipy", "cwsoc"} <= set(doc["versions"])
         assert doc["versions"]["scipy"] == scipy.__version__
         assert len(doc["config_digest"]) == 64
+
+    def test_digest_of_artifact_larger_than_a_chunk(self, tmp_path):
+        data = np.random.default_rng(5).bytes(3 * 2**20 + 17)
+        (tmp_path / "big.bin").write_bytes(data)
+        doc = json.loads(cli.write_manifest(tmp_path, {}).read_text())
+        assert len(data) > 3 * cli._HASH_CHUNK
+        assert doc["artifacts"] == {
+            "big.bin": hashlib.sha256(data).hexdigest()}
 
     def test_scipy_version_null_when_absent(self, tmp_path, capsys,
                                             monkeypatch):
