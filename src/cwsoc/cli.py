@@ -255,6 +255,8 @@ def _cmd_rate_grid(args) -> int:
 def _cmd_kernel_verify(args) -> int:
     _require(args.n >= args.d, f"--n must be >= {args.d} for --d {args.d}")
     _require(args.samples >= 1, "--samples must be >= 1")
+    _require(args.d == 1 or args.n <= 2 or args.samples >= 2,
+             "--samples must be >= 2 for --d 2 at --n > 2 (a std error)")
     _require(args.c is None or 0 < args.c < math.inf,
              "--c must be positive and finite")
     try:

@@ -116,8 +116,12 @@ def _quadrant(radius: float, step: float) -> np.ndarray:
     spacing ``step``, from its centre (0 up to rounding) outward.
 
     For a symmetric base ``|M|`` is even in ``s`` and ``|M(-s, -t)| =
-    |M(s, t)|``, so this axis squared covers the whole plane.
+    |M(s, t)|``, so this axis squared covers the whole plane.  An axis too
+    long for numpy to size (2^60 float64s) is a ``MemoryError`` too.
     """
+    count = (2 * radius + step) / step
+    if not count < 2.0**60:
+        raise MemoryError(f"a grid axis of {count:.3g} points")
     grid = np.arange(-radius, radius + step, step)
     return grid[grid > -step / 2]
 

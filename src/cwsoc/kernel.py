@@ -11,9 +11,9 @@ statistics ``(S', T')`` of the first n-2 tilted coordinates and integrates
 the last two exactly against the closed-form tilted pair density, which
 removes the vanishing-window variance blowup.
 
-``SmoothedDensity`` refuses any base but a pure Gaussian when built, and
-``theorem3_comparison`` builds its own conjugate solver for ``s.d``;
-``phi_estimate`` is its one-point view.
+``SmoothedDensity`` refuses any base but a pure Gaussian, whose conjugate is
+a closed form (``_conjugate``): d = 1 admits every ``x``, d = 2 every ``y >
+x^2``.  ``phi_estimate`` is the one-point view of ``theorem3_comparison``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .measure import GaussianDensity, Measure1D
-from .transforms import CramerResult, LogLaplace, RateFunction
 
 
 class KernelError(ValueError):
@@ -71,8 +70,8 @@ class SmoothedDensity:
     """Smoothed n-fold law, d=1 for a line measure or d=2 for the pair law.
 
     Both dimensions need a pure Gaussian base (closed-form tilted laws);
-    construction refuses any other.  Only d=2 with n > 2 draws, so
-    ``samples`` and ``seed`` are unused otherwise.
+    construction refuses any other.  Only d=2 with n > 2 draws, at least
+    two for a std error; ``samples`` and ``seed`` are unused otherwise.
     """
     base: Measure1D
     n: int
@@ -96,6 +95,9 @@ class SmoothedDensity:
                                              GaussianDensity):
             raise KernelError("the smoothed density is implemented for pure "
                               "Gaussian bases")
+        if self.d == 2 and self.n > 2 and self.samples < 2:
+            raise KernelError("d = 2 at n > 2 needs samples >= 2 for a std "
+                              f"error, not {self.samples}")
 
 
 def phi_estimate(s: SmoothedDensity, x) -> tuple:
@@ -107,29 +109,40 @@ def phi_estimate(s: SmoothedDensity, x) -> tuple:
     return row["phi"], row["std_error"]
 
 
-def _phi_tilted(s: SmoothedDensity, x, r: CramerResult) -> tuple:
-    """``phi e^{nJ}`` with its std error, plus ``nJ``, given the conjugate
-    ``r`` at ``x`` (line lift for d=1, pair lift for d=2).
+def _conjugate(s: SmoothedDensity, x: np.ndarray) -> tuple:
+    """``(theta, J, det J'')`` at ``x`` for the base ``N(0, sigma^2)``.
+    For d=2 the tilted law is ``N(x, q)``, ``q = y - x^2 > 0``, and ``det
+    J''`` is the inverse of ``2 q^3``, the determinant of the tilted
+    covariance of ``(z, z^2)``."""
+    s2 = s.base.density.sigma ** 2
+    if s.d == 1:
+        return x / s2, 0.5 * x[0] * x[0] / s2, 1.0 / s2
+    q = x[1] - x[0] * x[0]
+    if not q > 0:
+        raise KernelError(f"point {x.tolist()} outside the admissible domain")
+    theta = np.array([x[0] / q, 0.5 / s2 - 0.5 / q])
+    return theta, 0.5 * (x[1] / s2 - 1 - math.log(q / s2)), 0.5 / q**3
 
-    Tilted at ``theta`` the coordinates are i.i.d. ``N(mu, s^2)``, read off
-    the conjugate: ``mu = x1``, and ``s^2 = 1 / J''(x1)`` for d=1 or ``s^2 =
+
+def _phi_tilted(s: SmoothedDensity, x, theta: np.ndarray) -> tuple:
+    """``phi e^{nJ}`` and its std error at ``x``.
+
+    Tilted at the conjugate point ``theta`` the coordinates are i.i.d.
+    ``N(mu, s^2)``: ``mu = x1``, and ``s^2 = sigma^2`` for d=1 or ``s^2 =
     x2 - x1^2`` for d=2.  ``phi e^{nJ}`` is the Gauss rule ``sum_j W_j f(n
-    x + U_j)`` over the kernel box, split at 0 where k_c has a kink, 6 nodes
-    per half-axis, with the kernel and ``e^{-<theta, U_j>}`` folded into
-    ``W_j``.  For d=1 the tilted n-fold law ``f`` is ``N(n mu, n s^2)`` and
-    the std error 0.  For d=2 the first n-2 coordinates enter through their
-    sufficient statistics ``S' ~ N((n-2) mu, (n-2) s^2)`` and, independently,
-    ``T' - S'^2/(n-2) ~ s^2 chi^2_{n-3}``, two draws per sample, and the rule
-    integrates the last pair exactly against its tilted density
-    (``_pair_window``); at n = 2 nothing is drawn and the std error is 0.
+    x + U_j)`` over the kernel box, split at 0 where k_c has a kink, 6
+    nodes per half-axis, with the kernel and ``e^{-<theta, U_j>}`` folded
+    into ``W_j``.  For d=1 the tilted n-fold law ``f`` is ``N(n mu, n
+    s^2)`` and the std error 0.  For d=2 the first n-2 coordinates enter
+    through their sufficient statistics ``S' ~ N((n-2) mu, (n-2) s^2)``
+    and, independently, ``T' - S'^2/(n-2) ~ s^2 chi^2_{n-3}``, two draws
+    per sample, and the rule integrates the last pair exactly against its
+    tilted density (``_pair_window``); at n = 2 nothing is drawn and the
+    std error is 0.
     """
     n, c = s.n, s.c
-    if not r.converged:
-        raise KernelError(f"point {x.tolist()} outside the admissible domain")
-    theta = r.argmax
-    nJ = n * r.value
     mean = float(x[0])
-    std = math.sqrt(1.0 / r.hess[0, 0] if s.d == 1 else x[1] - mean * mean)
+    std = s.base.density.sigma if s.d == 1 else math.sqrt(x[1] - mean * mean)
 
     gx, gw = np.polynomial.legendre.leggauss(6)
     nodes = np.concatenate([(gx - 1) * c / 2, (gx + 1) * c / 2])
@@ -150,9 +163,9 @@ def _phi_tilted(s: SmoothedDensity, x, r: CramerResult) -> tuple:
         mean_y, se = _mean_over_draws(s, mean, std, x,
                                       _pair_window(mean, std, *grid, W),
                                       len(W))
-    if mean_y <= 0:
+    if not mean_y > 0:  # NaN too, from a kernel box too wide to integrate
         raise KernelError("no mass in the kernel window; estimate unusable")
-    return mean_y, se, nJ
+    return mean_y, se
 
 
 def _mean_over_draws(s: SmoothedDensity, mean: float, std: float, x, window,
@@ -234,21 +247,19 @@ def _pair_window(mean: float, std: float, U, V, W):
 def theorem3_comparison(s: SmoothedDensity, points) -> list:
     """Rows ``(x, phi, se, asymptotic, ratio)`` at each requested point.
 
-    The conjugates come from a solver built here for ``s.base`` (line lift
-    for d=1, pair lift for d=2), all points in one batch.  The common factor
+    The conjugates are closed forms (``_conjugate``).  The common factor
     ``e^{-nJ}`` cancels analytically, so in every dimension the ratio is the
     tilted estimate over the prefactor, and ``phi``, ``se`` and
     ``asymptotic`` are their tilted values times ``e^{-nJ}`` (they underflow
     to 0 when nJ > 745, the ratio does not).
     """
     xs = np.asarray(points, dtype=float).reshape(len(points), -1)
-    R = RateFunction(LogLaplace(s.base, lift="line" if s.d == 1 else "pair"))
     rows = []
-    for xv, r in zip(xs, R.solve_many(xs)):
-        scaled, se, nJ = _phi_tilted(s, xv, r)
-        det = float(np.linalg.det(np.atleast_2d(r.hess)))
+    for xv in xs:
+        theta, J, det = _conjugate(s, xv)
+        scaled, se = _phi_tilted(s, xv, theta)
         pref = (2 * math.pi * s.n) ** (-s.d / 2) * math.sqrt(det)
-        decay = math.exp(-nJ)
+        decay = math.exp(-s.n * J)
         rows.append({"x": xv.tolist(), "phi": scaled * decay,
                      "std_error": se * decay, "asymptotic": pref * decay,
                      "ratio": scaled / pref, "ratio_std_error": se / pref})

@@ -1,12 +1,12 @@
 """Log-Laplace surfaces and their convex conjugates.
 
-The canonical object is the log-Laplace transform of the pair law of
-``(Z, Z^2)`` for ``Z`` distributed under a symmetric measure; a plain 1-D
-variant is provided for measures used directly on the line.  The conjugate
-(rate function) is computed by a damped Newton solve of ``grad L = target``,
-which also yields the inverse-gradient map and the Hessian of the conjugate.
-``RateFunction.solve_many`` decides once per batch whether the pair lift is
-flat (``z^2`` a.s. constant) and then solves the whole batch on the line.
+The object is the log-Laplace transform of the pair law of ``(Z, Z^2)`` for
+``Z`` under a symmetric measure.  Its conjugate (rate function) is a damped
+Newton solve of ``grad L = target``, which also yields the Hessian of the
+conjugate; a flat lift (``z^2`` a.s. constant) runs in the same loop with
+``v`` held at 0.  A density is integrated on its truncated window, so the
+kernel's Gaussian conjugate, which admits every ``x`` (d = 1) and every ``y
+> x^2`` (d = 2), is a closed form in ``kernel`` instead.
 """
 from __future__ import annotations
 
@@ -24,40 +24,25 @@ class DomainFault(ValueError):
 
 
 class LogLaplace:
-    """Log-Laplace transform of the law of ``psi(Z)`` for ``Z ~ base``.
+    """Log-Laplace transform of the law of ``(Z, Z^2)`` for ``Z ~ base``."""
 
-    ``lift='pair'`` uses ``psi(z) = (z, z^2)`` (dimension 2), ``lift='line'``
-    uses ``psi(z) = z`` (dimension 1).
-    """
-
-    def __init__(self, base: Measure1D, lift: str = "pair"):
-        if lift not in ("pair", "line"):
-            raise ValueError(f"unknown lift {lift!r}")
+    def __init__(self, base: Measure1D):
         self.base = base
-        self.lift = lift
-        self.d = 2 if lift == "pair" else 1
-
-    def in_domain(self, theta):
-        """Whether ``theta`` lies in the finiteness domain, elementwise over
-        the leading axes of an array of tilts (the last axis is the tilt):
-        for the pair lift, ``v`` below the density's ``tilt_cap``."""
-        theta = np.asarray(theta, dtype=float)
-        if self.base.density is None or self.lift == "line":
-            return np.ones(theta.shape[:-1], dtype=bool)
-        return theta[..., 1] < self.base.density.tilt_cap
 
     def _log_moments(self, theta: np.ndarray, kmax: int):
-        """``(L, mom)`` for the rows of ``theta`` (shape ``(P, d)``):
+        """``(L, mom)`` for the rows of ``theta`` (shape ``(P, 2)``):
         ``L(theta_p)`` and the tilted moments ``E_p[z^k]``, ``k = 0..kmax``.
-        Rows outside the domain, or whose tilted mass vanishes, get
-        ``L = inf`` and NaN moments; no closed form sees them."""
+        Rows outside the domain (``v`` at or above the density's
+        ``tilt_cap``), or whose tilted mass vanishes, get ``L = inf`` and NaN
+        moments; no closed form sees them."""
         value = np.full(len(theta), math.inf)
         mom = np.full((len(theta), kmax + 1), math.nan)
-        rows = np.flatnonzero(self.in_domain(theta))
+        d = self.base.density
+        rows = np.flatnonzero(np.full(len(theta), True) if d is None
+                              else theta[:, 1] < d.tilt_cap)
         if rows.size:
-            u = theta[rows, 0]
-            v = theta[rows, 1] if self.lift == "pair" else np.zeros_like(u)
-            c, m = self.base.tilted_moments(u, v, kmax)
+            c, m = self.base.tilted_moments(theta[rows, 0], theta[rows, 1],
+                                            kmax)
             pos = m[:, 0] > 0
             rows, c, m = rows[pos], c[pos], m[pos]
             value[rows] = c + np.log(m[:, 0])
@@ -65,13 +50,13 @@ class LogLaplace:
         return value, mom
 
     def _stats(self, theta: np.ndarray):
-        """``(L, mean, cov)`` of ``psi`` for the rows of ``theta``: shapes
-        ``(P,)``, ``(P, d)`` and ``(P, d, d)``, NaN where ``L`` is inf."""
-        value, mom = self._log_moments(theta, 2 * self.d)
-        mean = mom[:, 1:self.d + 1]
+        """``(L, mean, cov)`` of ``(z, z^2)`` for the rows of ``theta``:
+        shapes ``(P,)``, ``(P, 2)`` and ``(P, 2, 2)``, NaN where ``L`` is
+        inf."""
+        value, mom = self._log_moments(theta, 4)
+        mean = mom[:, 1:3]
         # cov[i, j] = E[z^(i+j+2)] - E[z^(i+1)] E[z^(j+1)]
-        powers = np.add.outer(np.arange(self.d), np.arange(self.d)) + 2
-        cov = mom[:, powers] - mean[:, :, None] * mean[:, None, :]
+        cov = mom[:, [[2, 3], [3, 4]]] - mean[:, :, None] * mean[:, None, :]
         return value, mean, cov
 
     def tilted_stats(self, theta):
@@ -89,10 +74,8 @@ class LogLaplace:
 
 
 def _cond(cov: np.ndarray) -> np.ndarray:
-    """Condition numbers ``lam_max / lam_min`` of the symmetric ``(P, d, d)``
-    matrices, ``d <= 2``; inf unless ``lam_min`` and ``ac - b^2`` are > 0."""
-    if cov.shape[-1] == 1:
-        return np.where(cov[:, 0, 0] > 0, 1.0, math.inf)
+    """Condition numbers ``lam_max / lam_min`` of the symmetric ``(P, 2, 2)``
+    matrices; inf unless ``lam_min`` and ``ac - b^2`` are > 0."""
     a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     mid, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
     lo = mid - radius
@@ -101,10 +84,8 @@ def _cond(cov: np.ndarray) -> np.ndarray:
 
 
 def _inv(cov: np.ndarray) -> np.ndarray:
-    """Inverses of the ``(P, d, d)`` matrices, ``d <= 2``: the adjugate over
-    the determinant."""
-    if cov.shape[-1] == 1:
-        return 1.0 / cov
+    """Inverses of the ``(P, 2, 2)`` matrices: the adjugate over the
+    determinant."""
     a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     adj = np.stack([np.stack([c, -b], -1), np.stack([-b, a], -1)], -2)
     return adj / (a * c - b * b)[:, None, None]
@@ -136,46 +117,37 @@ class RateFunction:
         return self.solve_many([x])[0]
 
     def solve_many(self, targets) -> list[CramerResult]:
-        """The conjugate at each row of the ``(P, d)`` array ``targets``.
+        """The conjugate at each row of the ``(P, 2)`` array ``targets``.
 
         One damped Newton iteration on ``grad L(theta) = x`` runs on all
         rows at once under per-row masks.  A row leaves the batch when its
         gradient meets ``_GTOL``, its curvature vanishes or its line search
         fails, so it follows the trajectory it would follow alone.  A flat
-        pair lift (``z^2 = c0`` a.s., a singular zero-tilt covariance) is
-        decided once, up front: the conjugate is then finite only on ``y =
-        c0``, where it is the line conjugate of ``x`` (``v`` reported at 0),
-        and each row counts the zero-tilt pass as one iteration.
+        lift (``z^2 = c0`` a.s.) is decided once, from the zero-tilt
+        covariance: its conjugate is finite only on ``y = c0``, so the other
+        rows stop up front, and the loop solves the rest with ``v`` held at
+        0; their rows are ``degenerate``, with NaN ``v`` entries in ``hess``.
         """
         L = self.source
-        X = np.asarray(targets, dtype=float)
-        if X.ndim != 2 or X.shape[1] != L.d:
-            raise ValueError(
-                f"targets must have shape (P, {L.d}), got {X.shape}")
+        X = np.array(targets, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 2:
+            raise ValueError(f"targets must have shape (P, 2), got {X.shape}")
         theta = np.zeros(X.shape)
         val, mean, cov = L._stats(theta)
         results: list = [None] * len(X)
-
-        if L.d == 2 and len(X) and _cond(cov[:1])[0] > _COND_LIMIT:
+        active = np.arange(len(X))
+        flat = len(X) > 0 and bool(_cond(cov[:1])[0] > _COND_LIMIT)
+        if flat:
             c0 = float(mean[0, 1])
-            reachable = np.abs(X[:, 1] - c0) <= 1e-9
-            line = RateFunction(LogLaplace(L.base, lift="line")).solve_many(
-                X[reachable, :1])
-            for p, r in zip(np.flatnonzero(reachable).tolist(), line):
-                hess = None if r.hess is None else np.array(
-                    [[r.hess[0, 0], math.nan], [math.nan, math.nan]])
-                results[p] = CramerResult(
-                    value=r.value, argmax=np.array([r.argmax[0], 0.0]),
-                    hess=hess, converged=r.converged,
-                    iterations=1 + r.iterations, degenerate=True,
-                    message="degenerate direction v reported as free")
-            for p in np.flatnonzero(~reachable).tolist():
+            off = np.abs(X[:, 1] - c0) > 1e-9
+            for p in np.flatnonzero(off).tolist():
                 results[p] = CramerResult(
                     value=math.inf, argmax=np.zeros(2), hess=None,
                     converged=False, iterations=1, degenerate=True,
                     message=f"second coordinate degenerate at {c0}; "
                     "target unreachable")
-            return results
+            X[:, 1] = c0
+            active = active[~off]
 
         def stop(rows, it, message, hess=None, degenerate=False):
             """Record the rows' results at their current iterate; only a
@@ -190,19 +162,23 @@ class RateFunction:
                 results[p] = CramerResult(
                     value=value, argmax=argmax, hess=h,
                     converged=h is not None, iterations=it, message=message,
-                    degenerate=degenerate)
+                    degenerate=degenerate or flat)
 
         def curved(rows, it):
             """Stop the rows whose curvature vanished along the path, whose
             targets sit on the boundary of the admissible domain; return the
             others."""
-            flat = _cond(cov[rows]) > _COND_LIMIT
-            stop(rows[flat], it, "curvature vanished; outside admissible "
+            lost = _cond(cov[rows]) > _COND_LIMIT
+            stop(rows[lost], it, "curvature vanished; outside admissible "
                  "domain", degenerate=True)
-            return rows[~flat]
+            return rows[~lost]
 
-        active = np.arange(len(X))
         for it in range(1, _MAX_ITER + 1):
+            # a flat lift holds v at 0: no gradient and no cross-curvature
+            # in v, and unit curvature, so every Newton step in v is 0
+            if flat:
+                mean[:, 1], cov[:, 1, 1] = c0, 1.0
+                cov[:, 0, 1] = cov[:, 1, 0] = 0.0
             done = np.linalg.norm(mean[active] - X[active], axis=1) <= _GTOL
             if done.any():
                 rows = active[done]
@@ -210,7 +186,11 @@ class RateFunction:
                 stop(rows[far], it,
                      "argmax diverged; outside admissible domain")
                 rows = curved(rows[~far], it)
-                stop(rows, it, "", hess=_inv(cov[rows]))
+                hess = _inv(cov[rows])
+                if flat:
+                    hess[:, 1, :] = hess[:, :, 1] = math.nan
+                stop(rows, it, "degenerate direction v reported as free"
+                     if flat else "", hess=hess)
                 active = active[~done]
             active = curved(active, it)
             if not active.size:

@@ -53,6 +53,17 @@ class TestDispatch:
         assert not doc["converged"]
         assert doc["message"] == "argmax diverged; outside admissible domain"
 
+    def test_rate_eval_flat_lift_failure_keeps_its_message(self, capsys):
+        # x = 1.5 lies beyond the coin flip's atoms: the solve fails, and
+        # says why
+        rc, out, _ = run(capsys, "rate", "eval", "--preset", "rademacher",
+                         "--x", "1.5", "--y", "1")
+        assert rc == 3
+        doc = json.loads(out)
+        assert not doc["converged"]
+        assert doc["message"] == ("curvature vanished; outside admissible "
+                                  "domain")
+
     def test_rate_eval_table_beyond_envelope_exponent(self, tmp_path, capsys):
         # triangle f = 1 - |z|: y = 0.2 > 1/6 needs v > 0.5, which the
         # compact support does not cap
@@ -556,6 +567,14 @@ class TestValidationErrors:
             "--points", p], "--points") for p in ("nan", "inf", "1e400")),
         (["kernel", "verify", "--preset", "gaussian", "--n", "10", "--d", "2",
           "--points", "0.1,nan"], "--points"),
+        # grids whose axis numpy cannot even size
+        (["cramer", "check", "--preset", "gaussian", "--alpha", "0.5",
+          "--step", "1e-300"], "out of memory"),
+        (["cramer", "check", "--preset", "gaussian", "--alpha", "0.5",
+          "--radius", "1e300"], "out of memory"),
+        # one draw has no std error
+        (["kernel", "verify", "--preset", "gaussian", "--n", "40", "--d", "2",
+          "--samples", "1", "--points", "0.1,1.05"], "--samples"),
     ])
     def test_bad_analysis_arguments(self, tmp_path, capsys, argv, message):
         if argv[0] != "rate" or argv[1] != "eval":
@@ -1162,6 +1181,28 @@ class TestKernelVerify:
         header, row = out.read_text().splitlines()
         assert header == "x,n,c,phi,se,asymptotic,ratio"
         assert abs(float(row.split(",")[-1]) - 1.0) < 0.05
+
+    @pytest.mark.parametrize("d, n, point", [
+        ("1", "1000", "40"), ("2", "40", "0.1,101")])
+    def test_far_gaussian_points(self, tmp_path, capsys, d, n, point):
+        # admissible beyond the 10 sigma window of the rate solver
+        out = tmp_path / "k.csv"
+        rc, _, _ = run(capsys, "kernel", "verify", "--preset", "gaussian",
+                       "--n", n, "--d", d, "--points", point,
+                       "--out", str(out))
+        assert rc == 0
+        ratio = float(out.read_text().splitlines()[1].split(",")[-1])
+        assert abs(ratio - 1) < 0.1
+
+    def test_nan_estimate_is_numeric_failure(self, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        with np.errstate(all="ignore"):
+            rc, _, err = run(capsys, "kernel", "verify", "--preset",
+                             "gaussian", "--n", "40", "--d", "1", "--points",
+                             "0.3", "--c", "1e308", "--out", str(out))
+        assert rc == 3
+        assert "no mass in the kernel window" in err
+        assert not out.exists()
 
     def test_lattice_base_is_numeric_failure(self, tmp_path, capsys):
         # both dimensions refuse an atomic base for the Cramer condition

@@ -194,6 +194,14 @@ class TestQuadrantGrid:
         assert r.sup_bound is None
         assert "mixture" not in r.details
 
+    @pytest.mark.parametrize("radius, step", [(50.0, 1e-300),
+                                              (1e300, 0.05)])
+    def test_unsizable_axis_is_memory_error(self, radius, step):
+        # numpy refuses an axis of 2^60 float64s or more with a ValueError;
+        # the grid reports it as too large for memory, like any other
+        with pytest.raises(MemoryError, match="grid axis"):
+            _quadrant(radius, step)
+
 
 def gaussian_modulus(d, s, t):
     """Oracle: ``|char|`` of a Gaussian component from its modulus,

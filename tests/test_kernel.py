@@ -173,15 +173,14 @@ class TestTheorem3:
         # e^{-nJ} is 0 (nJ = 800) or denormal (nJ = 735), but the tilted
         # estimate cancels it, so the ratio stays finite and near 1; 4 and
         # 10 nodes per half, by a rule built here, agree with the 6 nodes
-        g = measure.gaussian()
-        s = SmoothedDensity(base=g, n=n, d=1)
+        s = SmoothedDensity(base=measure.gaussian(), n=n, d=1)
         row = theorem3_comparison(s, [[x]])[0]
         assert math.isfinite(row["ratio"])
         assert abs(row["ratio"] - 1) < 1e-6
-        r = RateFunction(LogLaplace(g, lift="line")).solve([x])
-        theta = float(r.argmax[0])
-        pref = math.sqrt(float(np.atleast_2d(r.hess)[0, 0]) / (2 * math.pi * n))
-        # tilted by theta, N(0, 1) is N(theta, 1), so the sum is N(n theta, n)
+        # for N(0, 1): theta = x, J'' = 1, and tilted by theta it is
+        # N(theta, 1), so the sum is N(n theta, n)
+        theta = x
+        pref = math.sqrt(1 / (2 * math.pi * n))
         f = stats.norm(n * theta, math.sqrt(n)).pdf
         for k in (4, 10):
             t, w = split_rule(s.c, k)
@@ -197,26 +196,69 @@ class TestTheorem3:
         assert r["ratio_std_error"] < 0.05
         assert r["phi"] > 0
 
-    def test_points_solved_once(self, monkeypatch):
-        # one batched solve for all points, by a solver of the lift for d
+    def test_no_rate_function_built(self, monkeypatch):
+        # the Gaussian conjugate is a closed form: no solver is built and no
+        # log-Laplace surface evaluated, and each row is its point's
+        # phi_estimate
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel built a conjugate solver")
+        monkeypatch.setattr(RateFunction, "__init__", refuse)
+        monkeypatch.setattr(LogLaplace, "_stats", refuse)
         g = measure.gaussian()
-        solve_many = RateFunction.solve_many
         for d, points in ((1, [[0.1], [-0.3]]),
                           (2, [[0.1, 1.05], [0.0, 0.9]])):
             s = SmoothedDensity(base=g, n=20, d=d, samples=500, seed=1)
-            calls = []
-
-            def counted(R, xs):
-                calls.append((R.source.base, R.source.d, len(xs)))
-                return solve_many(R, xs)
-            monkeypatch.setattr(RateFunction, "solve_many", counted)
             rows = theorem3_comparison(s, points)
-            monkeypatch.undo()
-            assert calls == [(g, d, 2)]
             for x, row in zip(points, rows):
                 phi, se = phi_estimate(s, x)
                 assert row["phi"] == pytest.approx(phi, rel=1e-12)
                 assert row["std_error"] == pytest.approx(se, rel=1e-12)
+
+    def test_conjugate_matches_the_solver(self):
+        # inside the 10 sigma window the closed form is the Newton solve's
+        # conjugate of the pair lift, to its tolerance
+        g = measure.gaussian(sigma=1.5)
+        s = SmoothedDensity(base=g, n=20, d=2, samples=2)
+        R = RateFunction(LogLaplace(g))
+        for x in ([0.1, 1.05], [-0.8, 3.0], [1.2, 1.5]):
+            theta, J, det = kernel._conjugate(s, np.array(x))
+            r = R.solve(x)
+            assert r.converged
+            np.testing.assert_allclose(theta, r.argmax, rtol=0, atol=1e-9)
+            assert J == pytest.approx(r.value, rel=1e-10, abs=1e-12)
+            assert det == pytest.approx(np.linalg.det(r.hess), rel=1e-8)
+
+    @pytest.mark.parametrize("x", [10.5, 40.0])
+    def test_d1_far_points_admitted(self, x):
+        # every x is admissible for a Gaussian, also beyond the 10 sigma
+        # window its rate solver integrates on
+        s = SmoothedDensity(base=measure.gaussian(), n=1000, d=1)
+        row = theorem3_comparison(s, [[x]])[0]
+        assert abs(row["ratio"] - 1) < 1e-3
+
+    def test_d2_far_points_admitted(self):
+        # every y > x^2 is admissible: far up the parabola's axis, and far
+        # out along it
+        s = SmoothedDensity(base=measure.gaussian(), n=40, d=2, samples=2000,
+                            seed=2)
+        for row in theorem3_comparison(s, [[0.1, 101.0], [12.0, 145.0]]):
+            assert math.isfinite(row["ratio"]) and row["ratio"] > 0
+
+    def test_nan_estimate_refused(self):
+        # a kernel box too wide to integrate makes the tilted estimate NaN,
+        # which is no mass in the window
+        s = SmoothedDensity(base=measure.gaussian(), n=40, d=1, c=1e308)
+        with np.errstate(all="ignore"), pytest.raises(KernelError,
+                                                      match="no mass"):
+            theorem3_comparison(s, [[0.3]])
+
+    def test_one_draw_refused(self):
+        # one draw has no std error; n = 2 draws none
+        g = measure.gaussian()
+        with pytest.raises(KernelError, match="samples >= 2"):
+            SmoothedDensity(base=g, n=40, d=2, samples=1)
+        SmoothedDensity(base=g, n=2, d=2, samples=1)
+        SmoothedDensity(base=g, n=40, d=1, samples=1)
 
     def test_lattice_base_refused(self):
         # refused when built, before any conjugate is solved

@@ -105,8 +105,10 @@ class TestLogLaplace:
         assert LogLaplace(measure.gaussian()).value([0.0, 0.5]) == math.inf
 
     def test_line_lift(self):
-        L = LogLaplace(measure.gaussian(), lift="line")
-        assert L.value([0.7]) == pytest.approx(0.49 / 2, abs=1e-10)
+        # the v = 0 slice of the pair surface is the log-Laplace transform
+        # of Z alone: u^2 / 2 for N(0, 1)
+        L = LogLaplace(measure.gaussian())
+        assert L.value([0.7, 0.0]) == pytest.approx(0.49 / 2, abs=1e-10)
 
 
 def _normal_stats(sigma, u, v):
@@ -412,30 +414,75 @@ class TestCramerTransform:
         assert R.solve([0.0, 1.5]).value == math.inf
 
     def test_flat_lift_decided_once(self, monkeypatch):
-        # z^2 = 1 a.s.: the zero-tilt pass of solve_many finds the lift flat
-        # and the whole batch goes to the line solve, with no second
-        # zero-tilt pass; each row counts that pass as one iteration
-        base = measure.rademacher()
-        line = RateFunction(LogLaplace(base, lift="line")).solve_many(
-            [[0.3], [-0.6]])
+        # z^2 = 1 a.s.: the zero-tilt pass of solve_many finds the lift flat,
+        # and the same Newton loop solves the rows on y = 1 with v held at 0,
+        # with no second zero-tilt pass
+        calls = []
+        stats = LogLaplace._stats
+
+        def counted(L, theta):
+            calls.append(theta.copy())
+            return stats(L, theta)
         monkeypatch.setattr(LogLaplace, "tilted_stats", None)
-        got = RateFunction(LogLaplace(base)).solve_many(
+        monkeypatch.setattr(LogLaplace, "_stats", counted)
+        got = RateFunction(LogLaplace(measure.rademacher())).solve_many(
             [[0.3, 1.0], [0.3, 1.2], [-0.6, 1.0]])
+        assert sum(not t.any() for t in calls) == 1
         assert all(r.degenerate for r in got)
-        for r, want in zip((got[0], got[2]), line):
-            assert r.converged and r.value == want.value
-            assert r.iterations == 1 + want.iterations
-            assert r.argmax.tolist() == [want.argmax[0], 0.0]
+        # the values and argmaxes of the earlier solve on the line lift, to
+        # the bit, in one iteration fewer: its zero-tilt pass is not counted
+        # twice
+        for r, value, u, iterations in ((got[0], 0.04570054152531293,
+                                         0.3095196042031117, 5),
+                                        (got[2], 0.1927447570217573,
+                                         -0.6931471804572978, 5)):
+            assert r.converged and r.value == value
+            assert r.argmax.tolist() == [u, 0.0]
+            assert r.iterations == iterations
+            assert r.message == "degenerate direction v reported as free"
+            assert np.isnan(r.hess[1]).all() and np.isnan(r.hess[:, 1]).all()
         assert got[1].value == math.inf and got[1].iterations == 1
         assert got[1].message == ("second coordinate degenerate at 1.0; "
                                   "target unreachable")
 
     def test_rademacher_line_rate(self):
-        # I(x) = ((1+x)ln(1+x) + (1-x)ln(1-x))/2 for the coin flip
-        R = RateFunction(LogLaplace(measure.rademacher(), lift="line"))
-        x = 0.4
-        expect = 0.5 * ((1 + x) * math.log(1 + x) + (1 - x) * math.log(1 - x))
-        assert R.solve([x]).value == pytest.approx(expect, abs=1e-10)
+        # I(x, 1) = ((1+x)ln(1+x) + (1-x)ln(1-x))/2 for the coin flip, with
+        # J'' = 1 / (1 - x^2) in the free direction
+        R = RateFunction(LogLaplace(measure.rademacher()))
+        xs = [0.0, 0.4, -0.7, 0.95]
+        for x, r in zip(xs, R.solve_many([[x, 1.0] for x in xs])):
+            expect = 0.5 * (xlogy(1 + x, 1 + x) + xlogy(1 - x, 1 - x))
+            assert r.converged
+            assert r.value == pytest.approx(expect, rel=0, abs=1e-10)
+            assert r.hess[0, 0] == pytest.approx(1 / (1 - x * x), rel=1e-9)
+        # the converged values of the earlier line-lift solve, to the bit,
+        # in one iteration fewer
+        got = R.solve_many([[0.4, 1.0], [-0.7, 1.0]])
+        assert [(r.value, r.iterations) for r in got] == [
+            (0.08228287850505178, 5), (0.27043809275395436, 6)]
+
+    def test_flat_lift_holds_v_at_zero(self):
+        # atoms +-1.3: the tilted E z^2 rounds off 1.69 by an ulp or so, yet
+        # v stays exactly 0 and the rate is the coin flip's at x / 1.3
+        base = measure.Measure1D.from_json(
+            '{"atoms": [[-1.3, 0.5], [1.3, 0.5]]}')
+        c0 = base.moments.sigma2
+        xs = [0.4, -0.9, 1.2]
+        got = RateFunction(LogLaplace(base)).solve_many([[x, c0] for x in xs])
+        for x, r in zip(xs, got):
+            a = x / 1.3
+            expect = 0.5 * (xlogy(1 + a, 1 + a) + xlogy(1 - a, 1 - a))
+            assert r.converged and r.degenerate
+            assert r.argmax[1] == 0.0
+            assert r.value == pytest.approx(expect, rel=0, abs=1e-10)
+
+    def test_flat_failed_row_keeps_stop_message(self):
+        # beyond the atoms the tilt runs off until the curvature vanishes;
+        # the row reports that, not the message of a converged flat row
+        r = RateFunction(LogLaplace(measure.rademacher())).solve([1.5, 1.0])
+        assert not r.converged and r.degenerate and r.hess is None
+        assert r.message == "curvature vanished; outside admissible domain"
+        assert r.argmax[1] == 0.0
 
 
 _FENCHEL_BASES = {"gaussian": measure.gaussian, "rho0": measure.rho_zero,
