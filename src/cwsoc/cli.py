@@ -204,8 +204,7 @@ def _cmd_cramer_check(args) -> int:
 
 
 def _rate_solver(args):
-    m = _load_measure(args)
-    return transforms.RateFunction(transforms.LogLaplace(m))
+    return transforms.RateFunction(_load_measure(args))
 
 
 def _cmd_rate_eval(args) -> int:

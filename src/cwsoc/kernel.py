@@ -124,6 +124,7 @@ def _conjugate(s: SmoothedDensity, x: np.ndarray) -> tuple:
     return theta, 0.5 * (x[1] / s2 - 1 - math.log(q / s2)), 0.5 / q**3
 
 
+@np.errstate(all="ignore")  # a box too wide overflows; refused at the end
 def _phi_tilted(s: SmoothedDensity, x, theta: np.ndarray) -> tuple:
     """``phi e^{nJ}`` and its std error at ``x``.
 
@@ -163,7 +164,7 @@ def _phi_tilted(s: SmoothedDensity, x, theta: np.ndarray) -> tuple:
         mean_y, se = _mean_over_draws(s, mean, std, x,
                                       _pair_window(mean, std, *grid, W),
                                       len(W))
-    if not mean_y > 0:  # NaN too, from a kernel box too wide to integrate
+    if not 0 < mean_y < math.inf:  # inf or NaN from a box too wide
         raise KernelError("no mass in the kernel window; estimate unusable")
     return mean_y, se
 

@@ -126,12 +126,16 @@ def _cramer_flag(m: TiltedModel) -> str:
     return flags.get(verdict_rule(m.rho), "inconclusive")
 
 
-def _batch_ess(batch: EmpiricalBatch) -> float:
-    ess = batch.diagnostics.get("effective_sample_size")
-    if ess is not None:
-        return float(ess)
-    w = batch.weight
-    return float(np.sum(w)) ** 2 / float(np.sum(w * w))
+def _batch_details(batch: EmpiricalBatch) -> dict:
+    """The batch's record of its precision: an enumeration is the exact law
+    up to its ``truncated_mass_bound``, a sampled batch has the ESS its
+    sampler recorded, if any; weights alone are not a sample."""
+    d = batch.diagnostics
+    if batch.method == "enumeration":
+        return {"exact": True,
+                "truncated_mass_bound": d.get("truncated_mass_bound")}
+    ess = d.get("effective_sample_size")
+    return {} if ess is None else {"effective_sample_size": float(ess)}
 
 
 def verify_lln(m: TiltedModel, batch: EmpiricalBatch,
@@ -141,16 +145,17 @@ def verify_lln(m: TiltedModel, batch: EmpiricalBatch,
     p = batch.normalized_weight
     x, y = batch.S / m.n, batch.T / m.n
     mean_x, mean_y = float(np.sum(p * x)), float(np.sum(p * y))
-    ess = _batch_ess(batch)
-    se_x = float(np.sqrt(np.sum(p * (x - mean_x) ** 2) / ess))
-    se_y = float(np.sqrt(np.sum(p * (y - mean_y) ** 2) / ess))
+    table = {"mean_x": mean_x, "mean_y": mean_y, "target_y": s2}
+    details = _batch_details(batch)
+    ess = details.get("effective_sample_size")
+    if ess is not None:
+        table["se_x"] = float(np.sqrt(np.sum(p * (x - mean_x) ** 2) / ess))
+        table["se_y"] = float(np.sqrt(np.sum(p * (y - mean_y) ** 2) / ess))
     ok = abs(mean_x) <= tol and abs(mean_y - s2) <= tol
     return VerificationReport(
         test_id="lln", n=m.n, method=batch.method, passed=bool(ok),
-        moment_table={"mean_x": mean_x, "mean_y": mean_y, "target_y": s2,
-                      "se_x": se_x, "se_y": se_y},
-        tolerances={"tol": tol}, cramer_flag=_cramer_flag(m),
-        details={"effective_sample_size": ess})
+        moment_table=table, tolerances={"tol": tol},
+        cramer_flag=_cramer_flag(m), details=details)
 
 
 def verify_fluctuations(m: TiltedModel, batch: EmpiricalBatch,
@@ -172,7 +177,7 @@ def verify_fluctuations(m: TiltedModel, batch: EmpiricalBatch,
         moment_table={"moment2": m2, "moment2_limit": law.moment(2),
                       "moment4": m4, "moment4_limit": law.moment(4)},
         tolerances={"tol_ks": tol_ks}, cramer_flag=flag,
-        details={"effective_sample_size": _batch_ess(batch)},
+        details=_batch_details(batch),
         cdf=(s, emp, limit))
     if flag != "yes":
         report.details["hypothesis_caveat"] = (

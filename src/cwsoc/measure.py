@@ -13,8 +13,9 @@ it: the Gaussian as a flat table whose exponent takes the normal's ``-z^2 /
 (2 sigma^2)``, two pieces from the exponent's maximum outward, and the
 table at its knots, the window and ``z = 0``.  Each kind checks its
 parameters exactly when it is built; ``Measure1D`` checks the mass it adds
-up to, and owns both transforms of ``(z, z^2)``, ``tilted_moments`` and
-``char_grid``.
+up to, and owns both transforms of ``(z, z^2)``: ``log_laplace``, on the
+domain ``v < tilt_cap``, and ``char_grid``, whose atoms and table nodes
+share one mirror-pair sum, ``_mirror_char``.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ class MeasureError(ValueError):
     """Raised for invalid or degenerate measure specifications."""
 
 
-# TableDensity.char_grid: t values per block of its phase arrays
+# _mirror_char: t values per block of its phase arrays
 _T_BLOCK = 256
 
 # The fixed rule of both density kinds' tilted_moments, as _rule describes;
@@ -55,6 +56,21 @@ def _powers(x: np.ndarray, kmax: int, scale=1.0) -> np.ndarray:
     out[..., 0] = scale
     for k in range(1, kmax + 1):
         out[..., k] = out[..., k - 1] * x
+    return out
+
+
+def _mirror_char(z, p, s, t) -> np.ndarray:
+    """``sum_j 2 p_j cos(s z_j) e^{i t z_j^2}``, the transform of masses
+    ``p_j`` at ``+-z_j``, on the outer product of the 1-D ``s`` and ``t``:
+    real cos and sin products, ``_T_BLOCK`` values of ``t`` at a time."""
+    cos_s = np.outer(s, z)
+    np.cos(cos_s, out=cos_s)
+    cos_s *= 2 * p
+    out = np.empty((len(cos_s), len(t)), dtype=complex)
+    for j in range(0, len(t), _T_BLOCK):
+        phase = np.outer(z * z, t[j:j + _T_BLOCK])
+        out.real[:, j:j + _T_BLOCK] = cos_s @ np.cos(phase)
+        out.imag[:, j:j + _T_BLOCK] = cos_s @ np.sin(phase)
     return out
 
 
@@ -350,8 +366,8 @@ class TableDensity:
         of the 1-D arrays ``s`` and ``t``.
 
         A fixed trapezoid rule on ``[-R, R]`` with an even number of panels,
-        folded onto ``[0, R]`` by the symmetry of the pdf: the same nodes and
-        weights, with ``2 cos(s z) e^{i t z^2}`` in place of the mirror pair.
+        folded onto ``[0, R]`` by the symmetry of the pdf: its nodes ``z >=
+        0`` are mirror pairs of half their weight each (``_mirror_char``).
         """
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -363,15 +379,7 @@ class TableDensity:
         z = np.linspace(0.0, R, half + 1)
         w = np.full(half + 1, 2 * R / half)
         w[0] = w[-1] = R / half  # the centre node once, the mirror end twice
-        cos_s = np.outer(s, z)
-        np.cos(cos_s, out=cos_s)
-        cos_s *= self.pdf(z) * w
-        out = np.empty((len(s), len(t)), dtype=complex)
-        for j in range(0, len(t), _T_BLOCK):  # bounds the (z, t) phase arrays
-            phase = np.outer(z * z, t[j:j + _T_BLOCK])
-            out.real[:, j:j + _T_BLOCK] = cos_s @ np.cos(phase)
-            out.imag[:, j:j + _T_BLOCK] = cos_s @ np.sin(phase)
-        return out
+        return _mirror_char(z, self.pdf(z) * w / 2, s, t)
 
     def char_box(self, level: float) -> tuple[float, float]:
         """Half-widths ``(s_max, t_max)`` of the quadrant box outside which
@@ -511,10 +519,10 @@ class Measure1D:
 
     def char_grid(self, s, t) -> np.ndarray:
         """``M(s, t) = E exp(i (s z + t z^2))`` on the outer product of ``s``
-        and ``t``: the mirror-pair atom sum ``p0 + sum_j 2 p_j cos(s z_j)
-        e^{i t z_j^2}``, even in ``s``, plus the density's ``char_grid``."""
-        z, p = self._mirror_arrays
-        out = (2 * p * np.cos(np.outer(s, z))) @ np.exp(1j * np.outer(z * z, t))
+        and ``t``: the mass at 0 plus the atoms' mirror-pair sum
+        (``_mirror_char``), even in ``s``, plus the density's
+        ``char_grid``."""
+        out = _mirror_char(*self._mirror_arrays, s, t)
         out += self.mass_at_zero
         if self.density is not None:
             out += self.density.char_grid(s, t)
@@ -539,6 +547,26 @@ class Measure1D:
         if self.density is not None:
             m += md * np.exp(cd - c)[:, None]
         return c, m
+
+    def log_laplace(self, theta: np.ndarray) -> tuple:
+        """``L(theta_p) = ln E exp(u_p z + v_p z^2)`` and the tilted mean and
+        covariance of ``(z, z^2)`` for the rows of the ``(P, 2)`` ``theta``.
+        Rows outside the domain (``v >= tilt_cap``), or whose tilted mass
+        vanishes, get ``L = inf`` and NaN moments."""
+        value = np.full(len(theta), math.inf)
+        mom = np.full((len(theta), 5), math.nan)
+        cap = math.inf if self.density is None else self.density.tilt_cap
+        rows = np.flatnonzero(theta[:, 1] < cap)
+        if rows.size:
+            c, m = self.tilted_moments(theta[rows, 0], theta[rows, 1], 4)
+            pos = m[:, 0] > 0
+            rows, c, m = rows[pos], c[pos], m[pos]
+            value[rows] = c + np.log(m[:, 0])
+            mom[rows] = m / m[:, :1]
+        mean = mom[:, 1:3]
+        # cov[i, j] = E[z^(i+j+2)] - E[z^(i+1)] E[z^(j+1)]
+        cov = mom[:, [[2, 3], [3, 4]]] - mean[:, :, None] * mean[:, None, :]
+        return value, mean, cov
 
     def validate(self) -> MomentSummary:
         """``moments``: the measure was validated when it was built."""

@@ -372,8 +372,9 @@ def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
 
     States are the multinomial classes of atom counts (``_Classes``), so
     the cost is polynomial in ``n``.  The full output lists every class
-    with ``T > 0``; more than ``budget`` classes (``comb(n + A - 1, A -
-    1)`` for ``A`` atoms) raise ModelError.
+    with ``T > 0``, so its ``diagnostics['truncated_mass_bound']`` is 0.0;
+    more than ``budget`` classes (``comb(n + A - 1, A - 1)`` for ``A``
+    atoms) raise ModelError.
 
     With ``collapse='S'`` only the marginal of ``S`` is kept (``T`` is
     replaced by its conditional mean per ``S`` value), which is what
@@ -410,7 +411,8 @@ def enumerate_exact(m: TiltedModel, budget: int = 60_000_000,
     w /= total
     return EmpiricalBatch(
         S=S_all, T=T_all, weight=w, method="enumeration", n=n,
-        diagnostics={"log_Z": gmax + math.log(total), "states": states})
+        diagnostics={"log_Z": gmax + math.log(total), "states": states,
+                     "truncated_mass_bound": 0.0})
 
 
 # ---------------------------------------------------------------------------

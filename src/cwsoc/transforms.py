@@ -1,12 +1,12 @@
-"""Log-Laplace surfaces and their convex conjugates.
+"""The convex conjugate of the base's log-Laplace surface.
 
-The object is the log-Laplace transform of the pair law of ``(Z, Z^2)`` for
-``Z`` under a symmetric measure.  Its conjugate (rate function) is a damped
-Newton solve of ``grad L = target``, which also yields the Hessian of the
-conjugate; a flat lift (``z^2`` a.s. constant) runs in the same loop with
-``v`` held at 0.  A density is integrated on its truncated window, so the
-kernel's Gaussian conjugate, which admits every ``x`` (d = 1) and every ``y
-> x^2`` (d = 2), is a closed form in ``kernel`` instead.
+The base owns the log-Laplace transform of ``(Z, Z^2)``,
+``Measure1D.log_laplace``.  Its conjugate (rate function) is a damped Newton
+solve of ``grad L = target`` in the base's own units, which also yields the
+Hessian of the conjugate; a flat lift (``z^2`` a.s. constant) runs in the
+same loop with ``v`` held at 0.  A density is integrated on its truncated
+window, so the kernel's Gaussian conjugate, which admits every ``x`` (d = 1)
+and every ``y > x^2`` (d = 2), is a closed form in ``kernel`` instead.
 """
 from __future__ import annotations
 
@@ -21,56 +21,6 @@ from .measure import Measure1D
 
 class DomainFault(ValueError):
     """Evaluation requested outside the interior of the finiteness domain."""
-
-
-class LogLaplace:
-    """Log-Laplace transform of the law of ``(Z, Z^2)`` for ``Z ~ base``."""
-
-    def __init__(self, base: Measure1D):
-        self.base = base
-
-    def _log_moments(self, theta: np.ndarray, kmax: int):
-        """``(L, mom)`` for the rows of ``theta`` (shape ``(P, 2)``):
-        ``L(theta_p)`` and the tilted moments ``E_p[z^k]``, ``k = 0..kmax``.
-        Rows outside the domain (``v`` at or above the density's
-        ``tilt_cap``), or whose tilted mass vanishes, get ``L = inf`` and NaN
-        moments; no closed form sees them."""
-        value = np.full(len(theta), math.inf)
-        mom = np.full((len(theta), kmax + 1), math.nan)
-        d = self.base.density
-        rows = np.flatnonzero(np.full(len(theta), True) if d is None
-                              else theta[:, 1] < d.tilt_cap)
-        if rows.size:
-            c, m = self.base.tilted_moments(theta[rows, 0], theta[rows, 1],
-                                            kmax)
-            pos = m[:, 0] > 0
-            rows, c, m = rows[pos], c[pos], m[pos]
-            value[rows] = c + np.log(m[:, 0])
-            mom[rows] = m / m[:, :1]
-        return value, mom
-
-    def _stats(self, theta: np.ndarray):
-        """``(L, mean, cov)`` of ``(z, z^2)`` for the rows of ``theta``:
-        shapes ``(P,)``, ``(P, 2)`` and ``(P, 2, 2)``, NaN where ``L`` is
-        inf."""
-        value, mom = self._log_moments(theta, 4)
-        mean = mom[:, 1:3]
-        # cov[i, j] = E[z^(i+j+2)] - E[z^(i+1)] E[z^(j+1)]
-        cov = mom[:, [[2, 3], [3, 4]]] - mean[:, :, None] * mean[:, None, :]
-        return value, mean, cov
-
-    def tilted_stats(self, theta):
-        """Return ``(L(theta), tilted mean of psi, tilted covariance of psi)``."""
-        value, mean, cov = self._stats(
-            np.atleast_1d(np.asarray(theta, dtype=float))[None])
-        if not math.isfinite(value[0]):
-            return math.inf, None, None
-        return float(value[0]), mean[0], cov[0]
-
-    def value(self, theta) -> float:
-        """L(theta) alone (cheaper than the full moment pass)."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))[None]
-        return float(self._log_moments(theta, 0)[0][0])
 
 
 def _cond(cov: np.ndarray) -> np.ndarray:
@@ -108,10 +58,10 @@ class CramerResult:
 
 
 class RateFunction:
-    """Convex conjugate of a log-Laplace surface, solved by damped Newton."""
+    """Convex conjugate of the base's log-Laplace surface, by damped Newton."""
 
-    def __init__(self, source: LogLaplace):
-        self.source = source
+    def __init__(self, base: Measure1D):
+        self.base = base
 
     def solve(self, x) -> CramerResult:
         return self.solve_many([x])[0]
@@ -127,13 +77,25 @@ class RateFunction:
         covariance: its conjugate is finite only on ``y = c0``, so the other
         rows stop up front, and the loop solves the rest with ``v`` held at
         0; their rows are ``degenerate``, with NaN ``v`` entries in ``hess``.
+
+        ``I`` is scale-invariant, so the loop runs in the base's own units
+        (targets over ``D = (s, s^2)``, ``s`` the power of two nearest
+        ``sigma``), where its absolute tolerances hold at every scale.
         """
-        L = self.source
         X = np.array(targets, dtype=float)
         if X.ndim != 2 or X.shape[1] != 2:
             raise ValueError(f"targets must have shape (P, 2), got {X.shape}")
+        s = 2.0 ** round(0.5 * math.log2(self.base.moments.sigma2))
+        D = np.array([s, s * s])
+        DD = np.outer(D, D)
+        X /= D
+
+        def stats(theta):  # (L, mean, cov) at the scaled tilts theta
+            val, mean, cov = self.base.log_laplace(theta / D)
+            return val, mean / D, cov / DD
+
         theta = np.zeros(X.shape)
-        val, mean, cov = L._stats(theta)
+        val, mean, cov = stats(theta)
         results: list = [None] * len(X)
         active = np.arange(len(X))
         flat = len(X) > 0 and bool(_cond(cov[:1])[0] > _COND_LIMIT)
@@ -144,7 +106,7 @@ class RateFunction:
                 results[p] = CramerResult(
                     value=math.inf, argmax=np.zeros(2), hess=None,
                     converged=False, iterations=1, degenerate=True,
-                    message=f"second coordinate degenerate at {c0}; "
+                    message=f"second coordinate degenerate at {c0 * D[1]}; "
                     "target unreachable")
             X[:, 1] = c0
             active = active[~off]
@@ -158,7 +120,7 @@ class RateFunction:
             if hess is None:
                 hess = [None] * len(rows)
             for p, value, argmax, h in zip(rows.tolist(), values.tolist(),
-                                           theta[rows], hess):
+                                           theta[rows] / D, hess):
                 results[p] = CramerResult(
                     value=value, argmax=argmax, hess=h,
                     converged=h is not None, iterations=it, message=message,
@@ -186,7 +148,7 @@ class RateFunction:
                 stop(rows[far], it,
                      "argmax diverged; outside admissible domain")
                 rows = curved(rows[~far], it)
-                hess = _inv(cov[rows])
+                hess = _inv(cov[rows]) / DD
                 if flat:
                     hess[:, 1, :] = hess[:, :, 1] = math.nan
                 stop(rows, it, "degenerate direction v reported as free"
@@ -210,7 +172,7 @@ class RateFunction:
                 cand = theta[rows] + t[left, None] * step[left]
                 # the full moment pass: an accepted candidate is the next
                 # iterate, and its mean and covariance come with its value
-                cval, cmean, ccov = L._stats(cand)
+                cval, cmean, ccov = stats(cand)
                 ok = np.isfinite(cval) & (
                     cval - np.einsum("pi,pi->p", cand, X[rows])
                     <= obj[left] + 0.25 * t[left] * slope[left] + slack[left])
@@ -230,7 +192,7 @@ class RateFunction:
 
 def rate_at_origin(R: RateFunction) -> float:
     """Conjugate value at the origin of the pair lift: -ln(mass at zero)."""
-    p0 = R.source.base.mass_at_zero
+    p0 = R.base.mass_at_zero
     return -math.log(p0) if p0 > 0 else math.inf
 
 
@@ -241,7 +203,7 @@ def rate_expansion_residual(R: RateFunction, g, x: float, y: float) -> float:
     ``F(x, y)``.  The denominator uses the fourth-moment constant matching the
     variant; at the minimum ``(0, sigma^2)`` the ratio is 1 by convention.
     """
-    ms = R.source.base.moments
+    ms = R.base.moments
     s2, mu4 = ms.sigma2, ms.mu4
     sig_pow = s2**3 if g.variant == "star" else s2**2
     coeff = mu4 + g.m4 * sig_pow

@@ -32,7 +32,7 @@ def _gaussian_rate(x, y):
 
 def test_criterion_01_gaussian_rate_oracle(capsys):
     t0 = time.perf_counter()
-    R = transforms.RateFunction(transforms.LogLaplace(measure.gaussian()))
+    R = transforms.RateFunction(measure.gaussian())
     worst = 0.0
     for x in np.linspace(-0.5, 0.5, 21):
         for y in np.linspace(0.6, 2.0, 21):
@@ -50,7 +50,7 @@ def test_criterion_02_rate_expansion(capsys):
     points = [(r * math.cos(a), 1.0 + r * math.sin(a))
               for r in (0.02, 0.05) for a in angles]
     lo, hi = math.inf, -math.inf
-    R = transforms.RateFunction(transforms.LogLaplace(measure.gaussian()))
+    R = transforms.RateFunction(measure.gaussian())
     for g in (model.quadratic(), model.quartic(1.0),
               model.quartic(1.0, "star")):
         for x, y in points:

@@ -64,6 +64,24 @@ class TestDispatch:
         assert doc["message"] == ("curvature vanished; outside admissible "
                                   "domain")
 
+    @pytest.mark.parametrize("spec,x,y,expect", [
+        ({"density": {"kind": "gaussian", "mass": 1, "sigma": 1e-5}},
+         5e-6, 1.2e-10, (0.2 - math.log(0.95)) / 2),
+        ({"atoms": [[-1e-7, 0.5], [1e-7, 0.5]]}, 4e-8, 1e-14,
+         (1.4 * math.log(1.4) + 0.6 * math.log(0.6)) / 2)],
+        ids=["gaussian", "atoms"])
+    def test_rate_eval_off_unit_scale(self, tmp_path, capsys, spec, x, y,
+                                      expect):
+        # the rate solver works in the base's own units
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc, out, _ = run(capsys, "rate", "eval", "--spec", str(path),
+                         "--x", str(x), "--y", str(y))
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["converged"]
+        assert doc["value"] == pytest.approx(expect, rel=0, abs=1e-9)
+
     def test_rate_eval_table_beyond_envelope_exponent(self, tmp_path, capsys):
         # triangle f = 1 - |z|: y = 0.2 > 1/6 needs v > 0.5, which the
         # compact support does not cap
@@ -790,12 +808,17 @@ class TestSimulateVerify:
             "diagnostics"]
         assert type(diag["states"]) is int
         assert type(diag["log_Z"]) is float
+        assert diag["truncated_mass_bound"] == 0.0
 
         report = tmp_path / "lln.json"
         rc, out, _ = run(capsys, "verify", "lln", "--preset", "three-point",
                          "--batch", str(batch), "--out", str(report))
         assert rc == 0
-        assert json.loads(report.read_text())["passed"]
+        doc = json.loads(report.read_text())
+        assert doc["passed"]
+        # the exact law: no sample size, hence no std errors
+        assert doc["details"] == {"exact": True, "truncated_mass_bound": 0.0}
+        assert "se_x" not in doc["moment_table"]
 
         report = tmp_path / "fluct.json"
         rc, out, _ = run(capsys, "verify", "fluct", "--preset", "three-point",
@@ -1202,6 +1225,20 @@ class TestKernelVerify:
                              "0.3", "--c", "1e308", "--out", str(out))
         assert rc == 3
         assert "no mass in the kernel window" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d,c,point", [("1", "1e308", "0.3"),
+                                           ("2", "1e200", "0.3,1.2")])
+    def test_overflowing_box_is_quiet_numeric_failure(self, tmp_path, capsys,
+                                                      d, c, point):
+        out = tmp_path / "k.csv"
+        rc, _, err = run(capsys, "kernel", "verify", "--preset", "gaussian",
+                         "--n", "40", "--d", d, "--points", point, "--c", c,
+                         "--samples", "100", "--out", str(out))
+        assert rc == 3
+        assert err == "error: no mass in the kernel window; estimate " \
+            "unusable\n"
         assert not out.exists()
 
     def test_lattice_base_is_numeric_failure(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from cwsoc.kernel import (
     theorem3_comparison,
 )
 from cwsoc.quadrature import adaptive_gauss_legendre
-from cwsoc.transforms import LogLaplace, RateFunction
+from cwsoc.transforms import RateFunction
 
 
 def pair_density(mu, s):
@@ -203,7 +203,7 @@ class TestTheorem3:
         def refuse(*args, **kwargs):
             raise AssertionError("the kernel built a conjugate solver")
         monkeypatch.setattr(RateFunction, "__init__", refuse)
-        monkeypatch.setattr(LogLaplace, "_stats", refuse)
+        monkeypatch.setattr(measure.Measure1D, "log_laplace", refuse)
         g = measure.gaussian()
         for d, points in ((1, [[0.1], [-0.3]]),
                           (2, [[0.1, 1.05], [0.0, 0.9]])):
@@ -219,7 +219,7 @@ class TestTheorem3:
         # conjugate of the pair lift, to its tolerance
         g = measure.gaussian(sigma=1.5)
         s = SmoothedDensity(base=g, n=20, d=2, samples=2)
-        R = RateFunction(LogLaplace(g))
+        R = RateFunction(g)
         for x in ([0.1, 1.05], [-0.8, 3.0], [1.2, 1.5]):
             theta, J, det = kernel._conjugate(s, np.array(x))
             r = R.solve(x)
@@ -251,6 +251,17 @@ class TestTheorem3:
         with np.errstate(all="ignore"), pytest.raises(KernelError,
                                                       match="no mass"):
             theorem3_comparison(s, [[0.3]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d,c,point", [(1, 1e308, [0.3]),
+                                           (2, 1e200, [0.3, 1.2])])
+    def test_overflowing_box_refused_quietly(self, d, c, point):
+        # the rule overflows on a box this wide; the estimate is refused
+        # with no numpy warning on the way
+        s = SmoothedDensity(base=measure.gaussian(), n=40, d=d, c=c,
+                            samples=100)
+        with pytest.raises(KernelError, match="no mass"):
+            theorem3_comparison(s, [point])
 
     def test_one_draw_refused(self):
         # one draw has no std error; n = 2 draws none

@@ -14,7 +14,14 @@ from cwsoc.limitlaw import (
     verify_fluctuations,
     verify_lln,
 )
-from cwsoc.model import TiltedModel, enumerate_exact, quadratic, quartic
+from cwsoc.model import (
+    EmpiricalBatch,
+    TiltedModel,
+    enumerate_exact,
+    quadratic,
+    quartic,
+    sample_importance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +142,33 @@ class TestVerifyLln:
         assert abs(r.moment_table["mean_y"] - 0.5) < 0.01
         assert r.cramer_flag == "no"
 
+    def test_exact_law_has_no_sample_size(self):
+        # an enumeration is the law itself: no ESS, no std errors, and the
+        # full mode drops no mass
+        m = TiltedModel(rho=measure.three_point(p=0.25), g=quadratic(), n=50)
+        r = verify_lln(m, enumerate_exact(m), tol=0.05)
+        assert r.details == {"exact": True, "truncated_mass_bound": 0.0}
+        assert set(r.moment_table) == {"mean_x", "mean_y", "target_y"}
+
+    def test_recorded_ess_gives_std_errors(self):
+        m = TiltedModel(rho=measure.gaussian(), g=quadratic(), n=16)
+        b = sample_importance(m, 4000, np.random.default_rng(1))
+        ess = b.diagnostics["effective_sample_size"]
+        r = verify_lln(m, b, tol=1.0)
+        assert r.details == {"effective_sample_size": ess}
+        p = b.normalized_weight
+        x = b.S / m.n
+        mean_x = float(np.sum(p * x))
+        assert r.moment_table["se_x"] == pytest.approx(
+            math.sqrt(np.sum(p * (x - mean_x) ** 2) / ess), rel=1e-12)
+        # the same weights with the sampler's record dropped: nothing to
+        # report a sample size from
+        bare = EmpiricalBatch(S=b.S, T=b.T, weight=b.weight,
+                              method="importance", n=m.n)
+        r = verify_lln(m, bare, tol=1.0)
+        assert r.details == {}
+        assert "se_x" not in r.moment_table and "se_y" not in r.moment_table
+
 
 class TestVerifyFluctuations:
     def test_three_point_ladder(self):
@@ -146,6 +180,10 @@ class TestVerifyFluctuations:
             assert r.passed
             assert r.ks_distance < prev
             assert "hypothesis_caveat" in r.details  # lattice measure
+            assert r.details["exact"] is True
+            assert r.details["truncated_mass_bound"] == \
+                b.diagnostics["truncated_mass_bound"]
+            assert "effective_sample_size" not in r.details
             prev = r.ks_distance
 
     def test_universality_across_g(self):
@@ -167,7 +205,6 @@ class TestVerifyFluctuations:
         assert abs(r.moment_table["moment2"] - r.moment_table["moment2_limit"]) < 0.1
 
     def test_gaussian_flag_yes(self):
-        from cwsoc.model import sample_importance
         m = TiltedModel(rho=measure.gaussian(), g=quadratic(), n=16)
         b = sample_importance(m, 20000, np.random.default_rng(1))
         r = verify_fluctuations(m, b, tol_ks=1.0)
@@ -178,7 +215,6 @@ class TestVerifyFluctuations:
         # the triangle f = 1 - |z| has no certified bound, so the report's
         # flag is the one cramer check gives it, with the caveat
         from cwsoc.cramer import check_condition
-        from cwsoc.model import sample_importance
         tri = measure.Measure1D(density=measure.TableDensity(
             [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
         assert check_condition(tri, 2.0, radius=5.0).verdict == "inconclusive"

@@ -12,7 +12,6 @@ from cwsoc import measure
 from cwsoc.model import quadratic, quartic
 from cwsoc.quadrature import adaptive_gauss_legendre
 from cwsoc.transforms import (
-    LogLaplace,
     RateFunction,
     _cond,
     rate_at_origin,
@@ -42,73 +41,84 @@ def three_point_I(p, x, y):
 TRIANGLE = measure.TableDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
 
 
-@pytest.fixture(scope="module")
-def gauss_pair():
-    return LogLaplace(measure.gaussian())
+def stats(base, theta):
+    """``(L, mean, cov)`` of ``base.log_laplace`` at the one tilt
+    ``theta``."""
+    value, mean, cov = base.log_laplace(np.array([theta], dtype=float))
+    return value[0], mean[0], cov[0]
 
 
 @pytest.fixture(scope="module")
-def gauss_rate(gauss_pair):
-    return RateFunction(gauss_pair)
+def gauss_base():
+    return measure.gaussian()
+
+
+@pytest.fixture(scope="module")
+def gauss_rate(gauss_base):
+    return RateFunction(gauss_base)
 
 
 class TestLogLaplace:
     def test_gaussian_closed_form(self):
         # tilts whose tilted law lies well inside the 10 sigma window, which
         # then does not bias them
-        L = LogLaplace(measure.gaussian())
+        m = measure.gaussian()
         for u, v in [(0.0, 0.0), (0.5, 0.2), (2.0, -3.0)]:
-            got = L.value([u, v])
+            got = stats(m, [u, v])[0]
             assert got == pytest.approx(gaussian_L(u, v), abs=1e-10)
 
     @pytest.mark.parametrize("u", [0.3, 2.0, 8.0, -5.0])
     def test_triangle_closed_form(self, u):
         # integral of e^{uz} (1 - |z|) over [-1, 1] = 2 (cosh u - 1) / u^2
-        L = LogLaplace(measure.Measure1D(density=TRIANGLE))
+        m = measure.Measure1D(density=TRIANGLE)
         want = math.log(2 * (math.cosh(u) - 1) / (u * u))
-        assert L.value([u, 0.0]) == pytest.approx(want, rel=0, abs=1e-13)
+        assert stats(m, [u, 0.0])[0] == pytest.approx(want, rel=0, abs=1e-13)
 
-    def test_origin_tilted_stats(self, gauss_pair):
-        _, grad, hess = gauss_pair.tilted_stats([0.0, 0.0])
+    def test_origin_tilted_stats(self, gauss_base):
+        _, grad, hess = stats(gauss_base, [0.0, 0.0])
         np.testing.assert_allclose(grad, [0.0, 1.0], atol=1e-10)
         np.testing.assert_allclose(hess, [[1.0, 0.0], [0.0, 2.0]], atol=1e-9)
 
-    def test_outside_domain_infinite(self, gauss_pair):
-        assert gauss_pair.value([0.0, 0.6]) == math.inf
-        assert gauss_pair.tilted_stats([0.0, 0.5]) == (math.inf, None, None)
+    def test_outside_domain_infinite(self, gauss_base):
+        assert stats(gauss_base, [0.0, 0.6])[0] == math.inf
+        value, mean, cov = stats(gauss_base, [0.0, 0.5])
+        assert value == math.inf
+        assert np.isnan(mean).all() and np.isnan(cov).all()
 
-    def test_finite_difference_gradient(self, gauss_pair):
+    def test_finite_difference_gradient(self, gauss_base):
         theta = np.array([0.3, 0.1])
-        _, grad, _ = gauss_pair.tilted_stats(theta)
+        _, grad, _ = stats(gauss_base, theta)
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (gauss_pair.value(theta + e) - gauss_pair.value(theta - e)) / (2 * h)
+            fd = (stats(gauss_base, theta + e)[0]
+                  - stats(gauss_base, theta - e)[0]) / (2 * h)
             assert fd == pytest.approx(grad[i], rel=1e-6)
 
     def test_atom_measure_exact(self):
-        L = LogLaplace(measure.rademacher())
+        m = measure.rademacher()
         # L(u,v) = v + ln cosh u
         for u, v in [(0.0, 0.0), (1.5, -2.0), (-0.7, 3.0)]:
-            assert L.value([u, v]) == pytest.approx(
+            assert stats(m, [u, v])[0] == pytest.approx(
                 v + math.log(math.cosh(u)), abs=1e-14)
 
     def test_table_tilt_has_no_cap(self):
         # compact support: e^{v z^2} is integrable against the triangle for
         # every v, past the envelope's exponent 0.5; the Gaussian keeps it
-        L = LogLaplace(measure.Measure1D(density=TRIANGLE))
+        m = measure.Measure1D(density=TRIANGLE)
         for v in (0.5, 3.0, -2.0):
             want = integrate.quad(lambda z: math.exp(v * z * z) * (1 - abs(z)),
                                   -1, 1, points=[0])[0]
-            assert L.value([0.0, v]) == pytest.approx(math.log(want), abs=1e-12)
-        assert LogLaplace(measure.gaussian()).value([0.0, 0.5]) == math.inf
+            assert stats(m, [0.0, v])[0] == pytest.approx(math.log(want),
+                                                          abs=1e-12)
+        assert stats(measure.gaussian(), [0.0, 0.5])[0] == math.inf
 
     def test_line_lift(self):
         # the v = 0 slice of the pair surface is the log-Laplace transform
         # of Z alone: u^2 / 2 for N(0, 1)
-        L = LogLaplace(measure.gaussian())
-        assert L.value([0.7, 0.0]) == pytest.approx(0.49 / 2, abs=1e-10)
+        m = measure.gaussian()
+        assert stats(m, [0.7, 0.0])[0] == pytest.approx(0.49 / 2, abs=1e-10)
 
 
 def _normal_stats(sigma, u, v):
@@ -174,19 +184,19 @@ class QuadratureNormal:
 
 
 class TestGaussianClosedForm:
-    """``GaussianDensity.tilted_moments`` behind ``LogLaplace``."""
+    """``GaussianDensity.tilted_moments`` behind ``log_laplace``."""
 
     @pytest.mark.parametrize("sigma", [1.0, 0.7, 2.0])
     def test_untruncated_limit(self, sigma):
-        L = LogLaplace(measure.gaussian(sigma=sigma))
-        R = L.base.density.support_radius
+        m = measure.gaussian(sigma=sigma)
+        R = m.density.support_radius
         checked = 0
         for u in np.linspace(-6, 6, 13) / sigma:
             for v in np.array([-20, -4, -1, 0, 0.2, 0.4, 0.45]) / sigma**2:
                 s = sigma / math.sqrt(1 - 2 * v * sigma**2)
                 if abs(u * s * s) > R - 8 * s:
                     continue
-                value, mean, cov = L.tilted_stats([u, v])
+                value, mean, cov = stats(m, [u, v])
                 want = _normal_stats(sigma, u, v)
                 assert value == pytest.approx(want[0], rel=1e-12, abs=1e-12)
                 np.testing.assert_allclose(mean, want[1], rtol=1e-12,
@@ -207,11 +217,10 @@ class TestGaussianClosedForm:
         d = closed.density
         generic = measure.Measure1D(atoms=closed.atoms,
                                     density=QuadratureNormal(d.mass, d.sigma))
-        Lc, Lg = LogLaplace(closed), LogLaplace(generic)
         rng = np.random.default_rng(6)
         for u, v in zip(rng.uniform(-3, 3, 25), rng.uniform(*v_range, 25)):
-            vc, mc, cc = Lc.tilted_stats([u, v])
-            vg, mg, cg = Lg.tilted_stats([u, v])
+            vc, mc, cc = stats(closed, [u, v])
+            vg, mg, cg = stats(generic, [u, v])
             assert vc == pytest.approx(vg, abs=1e-12)
             np.testing.assert_allclose(mc, mg, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(cc, cg, rtol=1e-9)
@@ -225,7 +234,7 @@ class TestGaussianClosedForm:
         # (12, -20)) is never logged
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, mean, cov = LogLaplace(base).tilted_stats([u, v])
+            value, mean, cov = stats(base, [u, v])
         assert math.isfinite(value)
         assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
         want = _quad_stats(base.density, u, v)
@@ -284,7 +293,7 @@ class TestGaussianClosedForm:
         # 0.09 and 0.009), so the tilted law is nearly flat on it; its mean
         # and covariance of (z, z^2) must still hold to 1e-10
         base = measure.gaussian()
-        value, mean, cov = LogLaplace(base).tilted_stats([u, v])
+        value, mean, cov = stats(base, [u, v])
         want = _quad_stats(base.density, u, v)
         assert value == pytest.approx(want[0], rel=1e-10)
         np.testing.assert_allclose(mean, want[1], rtol=1e-10, atol=1e-12)
@@ -362,14 +371,14 @@ class TestCramerTransform:
         assert _cond(tiny)[0] == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            r = RateFunction(LogLaplace(measure.three_point())).solve(
+            r = RateFunction(measure.three_point()).solve(
                 [0.0, -1.0])
         assert not r.converged
         assert r.message == "curvature vanished; outside admissible domain"
         assert r.iterations == 3
         assert r.value == pytest.approx(413.1268981776484, rel=1e-12)
 
-    def test_fenchel_inequality(self, gauss_pair, gauss_rate):
+    def test_fenchel_inequality(self, gauss_base, gauss_rate):
         rng = np.random.default_rng(3)
         for _ in range(20):
             x, y = rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0)
@@ -377,15 +386,15 @@ class TestCramerTransform:
             r = gauss_rate.solve([x, y])
             assert r.value >= u * x + v * y - gaussian_L(u, v) - 1e-9
 
-    def test_duality_round_trip(self, gauss_pair, gauss_rate):
+    def test_duality_round_trip(self, gauss_base, gauss_rate):
         # grad L at the conjugate argmax recovers the target point
         r = gauss_rate.solve([0.3, 1.4])
-        _, grad, _ = gauss_pair.tilted_stats(r.argmax)
+        _, grad, _ = stats(gauss_base, r.argmax)
         np.testing.assert_allclose(grad, [0.3, 1.4], atol=1e-8)
 
-    def test_hessian_inverse_relation(self, gauss_pair, gauss_rate):
+    def test_hessian_inverse_relation(self, gauss_base, gauss_rate):
         r = gauss_rate.solve([0.2, 1.1])
-        _, _, hess_L = gauss_pair.tilted_stats(r.argmax)
+        _, _, hess_L = stats(gauss_base, r.argmax)
         np.testing.assert_allclose(r.hess @ hess_L, np.eye(2), atol=1e-7)
 
     def test_boundary_target_rejected(self, gauss_rate):
@@ -404,7 +413,7 @@ class TestCramerTransform:
         assert np.linalg.norm(r.argmax) > 1e8
 
     def test_rademacher_degenerate(self):
-        R = RateFunction(LogLaplace(measure.rademacher()))
+        R = RateFunction(measure.rademacher())
         r = R.solve([0.0, 1.0])
         assert r.converged
         assert r.value == pytest.approx(0.0, abs=1e-12)
@@ -418,14 +427,13 @@ class TestCramerTransform:
         # and the same Newton loop solves the rows on y = 1 with v held at 0,
         # with no second zero-tilt pass
         calls = []
-        stats = LogLaplace._stats
+        log_laplace = measure.Measure1D.log_laplace
 
-        def counted(L, theta):
+        def counted(base, theta):
             calls.append(theta.copy())
-            return stats(L, theta)
-        monkeypatch.setattr(LogLaplace, "tilted_stats", None)
-        monkeypatch.setattr(LogLaplace, "_stats", counted)
-        got = RateFunction(LogLaplace(measure.rademacher())).solve_many(
+            return log_laplace(base, theta)
+        monkeypatch.setattr(measure.Measure1D, "log_laplace", counted)
+        got = RateFunction(measure.rademacher()).solve_many(
             [[0.3, 1.0], [0.3, 1.2], [-0.6, 1.0]])
         assert sum(not t.any() for t in calls) == 1
         assert all(r.degenerate for r in got)
@@ -448,7 +456,7 @@ class TestCramerTransform:
     def test_rademacher_line_rate(self):
         # I(x, 1) = ((1+x)ln(1+x) + (1-x)ln(1-x))/2 for the coin flip, with
         # J'' = 1 / (1 - x^2) in the free direction
-        R = RateFunction(LogLaplace(measure.rademacher()))
+        R = RateFunction(measure.rademacher())
         xs = [0.0, 0.4, -0.7, 0.95]
         for x, r in zip(xs, R.solve_many([[x, 1.0] for x in xs])):
             expect = 0.5 * (xlogy(1 + x, 1 + x) + xlogy(1 - x, 1 - x))
@@ -468,7 +476,7 @@ class TestCramerTransform:
             '{"atoms": [[-1.3, 0.5], [1.3, 0.5]]}')
         c0 = base.moments.sigma2
         xs = [0.4, -0.9, 1.2]
-        got = RateFunction(LogLaplace(base)).solve_many([[x, c0] for x in xs])
+        got = RateFunction(base).solve_many([[x, c0] for x in xs])
         for x, r in zip(xs, got):
             a = x / 1.3
             expect = 0.5 * (xlogy(1 + a, 1 + a) + xlogy(1 - a, 1 - a))
@@ -479,7 +487,7 @@ class TestCramerTransform:
     def test_flat_failed_row_keeps_stop_message(self):
         # beyond the atoms the tilt runs off until the curvature vanishes;
         # the row reports that, not the message of a converged flat row
-        r = RateFunction(LogLaplace(measure.rademacher())).solve([1.5, 1.0])
+        r = RateFunction(measure.rademacher()).solve([1.5, 1.0])
         assert not r.converged and r.degenerate and r.hess is None
         assert r.message == "curvature vanished; outside admissible domain"
         assert r.argmax[1] == 0.0
@@ -490,26 +498,26 @@ _FENCHEL_BASES = {"gaussian": measure.gaussian, "rho0": measure.rho_zero,
 
 
 @pytest.fixture(scope="module")
-def fenchel_pairs():
-    return {name: LogLaplace(make()) for name, make in _FENCHEL_BASES.items()}
+def fenchel_bases():
+    return {name: make() for name, make in _FENCHEL_BASES.items()}
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(_FENCHEL_BASES)),
        a=st.floats(-0.95, 0.95), b=st.floats(0.05, 0.95),
        u=st.floats(-4.0, 4.0), v=st.floats(-4.0, 0.45))
-def test_fenchel_inequality_property(fenchel_pairs, name, a, b, u, v):
+def test_fenchel_inequality_property(fenchel_bases, name, a, b, u, v):
     # I(x) >= <theta, x> - L(theta) at an interior target x and a theta in
     # the domain; targets: y - x^2 in [0.1, 1.9] with a density, and
     # |x| <= 0.95 y, y in [0.05, 0.95] on the three-point atoms {-1, 0, 1}
-    L = fenchel_pairs[name]
+    m = fenchel_bases[name]
     if name == "three-point":
         x, y = a * b, b
     else:
         x, y = a, a * a + 2 * b
-    r = RateFunction(L).solve([x, y])
+    r = RateFunction(m).solve([x, y])
     assert r.converged
-    assert r.value >= u * x + v * y - L.value([u, v]) - 1e-9
+    assert r.value >= u * x + v * y - stats(m, [u, v])[0] - 1e-9
 
 
 class TestThreePointOracle:
@@ -518,7 +526,7 @@ class TestThreePointOracle:
     def test_benchmark_grid(self):
         xs, ys = np.linspace(-0.25, 0.25, 21), np.linspace(0.3, 0.9, 21)
         X = np.column_stack([np.repeat(xs, 21), np.tile(ys, 21)])
-        results = RateFunction(LogLaplace(measure.three_point())).solve_many(X)
+        results = RateFunction(measure.three_point()).solve_many(X)
         assert all(r.converged for r in results)
         got = np.array([r.value for r in results])
         np.testing.assert_allclose(got, three_point_I(0.25, *X.T), rtol=0,
@@ -531,7 +539,7 @@ class TestThreePointOracle:
     def test_interior_property(self, p, targets):
         # x = a y with |a| < 1 and y < 1: the interior |x| < y < 1
         X = np.array([(a * y, y) for a, y in targets])
-        results = RateFunction(LogLaplace(measure.three_point(p=p))).solve_many(X)
+        results = RateFunction(measure.three_point(p=p)).solve_many(X)
         for (x, y), r in zip(X, results):
             assert r.converged
             assert r.value == pytest.approx(three_point_I(p, x, y), rel=1e-10,
@@ -546,7 +554,7 @@ class TestThreePointOracle:
     (measure.rademacher, [[0.0, 1.0], [0.0, 1.5], [0.4, 1.0], [-0.7, 1.0]]),
 ], ids=["gaussian", "rademacher"])
 def test_solve_many_matches_solve(base, targets):
-    R = RateFunction(LogLaplace(base()))
+    R = RateFunction(base())
     batch = R.solve_many(targets)
     assert len(batch) == len(targets)
     assert any(not r.converged for r in batch)
@@ -565,13 +573,53 @@ def test_solve_many_rejects_wrong_shape(gauss_rate):
         gauss_rate.solve_many([[0.0, 1.0, 2.0]])
 
 
+class TestBaseUnits:
+    """``I`` of ``(sZ, s^2 Z^2)`` at ``(s x, s^2 y)`` is ``I`` of ``(Z,
+    Z^2)`` at ``(x, y)``: the solve holds its tolerances in the base's own
+    units, at any scale."""
+
+    @pytest.mark.parametrize("sigma", [1e-5, 1e-7])
+    def test_gaussian_off_unit_scale(self, sigma):
+        # the point (0.5, 1.2) of N(0, 1), scaled to N(0, sigma^2)
+        x, y = 0.5 * sigma, 1.2 * sigma**2
+        q = y - x * x
+        r = RateFunction(measure.gaussian(sigma=sigma)).solve([x, y])
+        assert r.converged and not r.degenerate and r.message == ""
+        assert r.value == pytest.approx((0.2 - math.log(0.95)) / 2, rel=0,
+                                        abs=1e-10)
+        np.testing.assert_allclose(
+            r.argmax, [x / q, 0.5 / sigma**2 - 0.5 / q], rtol=1e-8)
+        # J'' is the inverse of the tilted covariance of (z, z^2), whose
+        # determinant is 2 q^3
+        assert np.linalg.det(r.hess) == pytest.approx(0.5 / q**3, rel=1e-6)
+
+    def test_flat_atoms_off_unit_scale(self):
+        # the coin flip on +-1e-7: the flat lift on y = 1e-14, with the
+        # coin flip's rate at x / 1e-7 and J'' = 1 / (a^2 (1 - x^2))
+        a = 1e-7
+        R = RateFunction(measure.Measure1D(atoms=((-a, 0.5), (a, 0.5))))
+        xs = [0.0, 0.4, -0.7, 0.95]
+        got = R.solve_many([[x * a, a * a] for x in xs] + [[0.0, 2 * a * a]])
+        for x, r in zip(xs, got):
+            expect = 0.5 * (xlogy(1 + x, 1 + x) + xlogy(1 - x, 1 - x))
+            assert r.converged and r.degenerate
+            assert r.value == pytest.approx(expect, rel=0, abs=1e-10)
+            assert r.argmax[1] == 0.0
+            assert r.hess[0, 0] == pytest.approx(1 / (a * a * (1 - x * x)),
+                                                 rel=1e-9)
+        assert got[-1].value == math.inf
+        c0 = float(got[-1].message.split()[4].rstrip(";"))
+        assert c0 == pytest.approx(a * a, rel=1e-15)
+        assert got[-1].message.endswith("; target unreachable")
+
+
 class TestRateAtOrigin:
     def test_examples(self):
-        assert rate_at_origin(RateFunction(LogLaplace(measure.rho_zero()))) \
+        assert rate_at_origin(RateFunction(measure.rho_zero())) \
             == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
-        assert rate_at_origin(RateFunction(LogLaplace(measure.gaussian()))) \
+        assert rate_at_origin(RateFunction(measure.gaussian())) \
             == math.inf
-        assert rate_at_origin(RateFunction(LogLaplace(measure.three_point(p=0.25)))) \
+        assert rate_at_origin(RateFunction(measure.three_point(p=0.25))) \
             == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -593,8 +641,8 @@ class TestExpansionResidual:
     def test_uses_the_kept_moments(self, monkeypatch):
         # the residual reads the moments the base kept from its
         # construction, so it does not validate the base or its table again
-        R = RateFunction(LogLaplace(measure.Measure1D(
-            density=measure.TableDensity([-1, 0, 1], [0, 1, 0]))))
+        R = RateFunction(measure.Measure1D(
+            density=measure.TableDensity([-1, 0, 1], [0, 1, 0])))
 
         def refuse(self, *args):
             raise AssertionError("validated again")
