@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .measure import GaussianDensity, Measure1D
+from .quadrature import _HALF_BOX_NODES, _HALF_BOX_WEIGHTS
 
 
 class KernelError(ValueError):
@@ -145,7 +146,7 @@ def _phi_tilted(s: SmoothedDensity, x, theta: np.ndarray) -> tuple:
     mean = float(x[0])
     std = s.base.density.sigma if s.d == 1 else math.sqrt(x[1] - mean * mean)
 
-    gx, gw = np.polynomial.legendre.leggauss(6)
+    gx, gw = _HALF_BOX_NODES, _HALF_BOX_WEIGHTS
     nodes = np.concatenate([(gx - 1) * c / 2, (gx + 1) * c / 2])
     wts = np.concatenate([gw * c / 2, gw * c / 2])
     grid = [g.ravel() for g in np.meshgrid(*[nodes] * s.d, indexing="ij")]

@@ -2,8 +2,9 @@
 
 The rescaled sum converges to the law with density proportional to
 ``exp(-s^4/12)``, whose CDF is a fixed Gauss-Legendre rule on unit knot
-intervals.  Verification reports bundle KS distances, moment comparisons and
-the Cramer-condition flag of the base measure.
+intervals, on the 16 nodes of ``quadrature._rule``'s panels.  Verification
+reports bundle KS distances, moment comparisons and the Cramer-condition flag
+of the base measure.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .cramer import verdict_rule
-from .measure import _NODES, _WEIGHTS
 from .model import EmpiricalBatch, TiltedModel, rescaled_statistic
+from .quadrature import _NODES, _WEIGHTS
 
 
 class LimitLawError(ValueError):

@@ -92,6 +92,14 @@ class Interaction:
             return u * u / 2 - self.m4 * u**4 / 12
         return self.fn(u)
 
+    def quartic_constant(self, moments) -> float:
+        """``mu4 + m4 sigma^{2p}`` of a base's ``moments``, with ``p = 3``
+        for the star variant and ``p = 2`` otherwise: the quartic constant
+        of the limit law (``rescaled_statistic``) and of the expansion of
+        ``I - F`` at its minimum (``transforms.rate_expansion_residual``)."""
+        p = 3 if self.variant == "star" else 2
+        return moments.mu4 + self.m4 * moments.sigma2**p
+
     def F(self, x, y):
         """Tilt functional on ``(x, y) = (S/n, T/n)`` with ``y > 0``: the
         log-weight at ``n = 1``."""
@@ -745,13 +753,12 @@ def _collapsed_moves(dens: GaussianDensity, n, chains, logw_fn, rng):
 def rescaled_statistic(m: TiltedModel, batch: EmpiricalBatch):
     """Rescale ``S`` to the universal fluctuation scale.
 
-    Returns ``(values, weights)`` where values are
-    ``(mu4 + m4 sigma^p)^{1/4} S / (sigma^2 n^{3/4})`` with ``p = 4`` for the
-    standard variant and ``p = 6`` for the star variant.
+    Returns ``(values, weights)`` where values are ``C^{1/4} S / (sigma^2
+    n^{3/4})``, ``C = mu4 + m4 sigma^{2p}`` the interaction's
+    ``quartic_constant``.
     """
     ms = m.rho.moments
-    p = 3 if m.g.variant == "star" else 2
-    const = (ms.mu4 + m.g.m4 * ms.sigma2**p) ** 0.25
+    const = m.g.quartic_constant(ms) ** 0.25
     vals = const * batch.S / (ms.sigma2 * m.n**0.75)
     return vals, batch.normalized_weight
 

@@ -199,21 +199,20 @@ def rate_at_origin(R: RateFunction) -> float:
 def rate_expansion_residual(R: RateFunction, g, x: float, y: float) -> float:
     """(I - F_g)(x, y) divided by its leading quartic/quadratic form.
 
-    ``g`` is an interaction carrying ``m4``, ``variant`` and the functional
-    ``F(x, y)``.  The denominator uses the fourth-moment constant matching the
-    variant; at the minimum ``(0, sigma^2)`` the ratio is 1 by convention.
+    ``g`` is an interaction: its ``quartic_constant`` of the base's moments
+    enters the denominator, and its ``F(x, y)`` the numerator.  At the
+    minimum ``(0, sigma^2)`` the ratio is 1 by convention.
     """
     ms = R.base.moments
     s2, mu4 = ms.sigma2, ms.mu4
-    sig_pow = s2**3 if g.variant == "star" else s2**2
-    coeff = mu4 + g.m4 * sig_pow
     # sigma^2 carries the rounding of its closed form or fixed rule: a target
     # within roundoff of (0, sigma^2) is the minimum, where the rate and the
     # form both vanish
     tol = 8 * np.finfo(float).eps * s2
     if abs(x) <= tol and abs(y - s2) <= tol:
         return 1.0
-    form = coeff * x**4 / (12 * s2**4) + (y - s2) ** 2 / (2 * (mu4 - s2**2))
+    form = (g.quartic_constant(ms) * x**4 / (12 * s2**4)
+            + (y - s2) ** 2 / (2 * (mu4 - s2**2)))
     r = R.solve([x, y])
     if not r.converged:
         raise DomainFault(f"target ({x}, {y}) outside admissible domain")

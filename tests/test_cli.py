@@ -436,7 +436,7 @@ class TestValidationErrors:
         ({"atoms": [], "density": {"kind": "table", "x": [1, 0, -1],
                                    "y": [0, 1, 0]}},
          "table x must be strictly increasing"),
-        # a NaN would send the mass quadrature into an endless bisection
+        # refused when the table is built, before the mass check integrates
         ({"atoms": [], "density": {"kind": "table", "x": [-1, 0, 1],
                                    "y": [0, math.nan, 0]}},
          "table y must be finite"),
@@ -450,8 +450,7 @@ class TestValidationErrors:
         ({"atoms": [], "density": {"kind": "table", "x": OFF_GRID_X,
                                    "y": OFF_GRID_NEGATIVE_Y}},
          "density takes negative values"),
-        # infinite knots would send the mass quadrature into an endless
-        # bisection
+        # refused when the table is built, before the mass check integrates
         ({"atoms": [], "density": {"kind": "table",
                                    "x": [-math.inf, 0, math.inf],
                                    "y": [0, 1, 0]}},
@@ -537,6 +536,10 @@ class TestValidationErrors:
         ("S,T,weight\n", {"method": "importance", "n": 4}, "no rows"),
         ("S,T,weight\nnan,2.0,1.0\n", {"method": "importance", "n": 4},
          "non-finite"),
+        ("S,T,weight\n1.0,2.0,1.0\n", {"method": "importance", "n": [20]},
+         "batch metadata"),
+        ("S,T,weight\n1.0,2.0,1.0\n", {"method": "importance", "n": "abc"},
+         "batch metadata"),
     ])
     def test_malformed_batch(self, tmp_path, capsys, rows, meta, message):
         batch = tmp_path / "b.csv"
@@ -593,6 +596,13 @@ class TestValidationErrors:
         # one draw has no std error
         (["kernel", "verify", "--preset", "gaussian", "--n", "40", "--d", "2",
           "--samples", "1", "--points", "0.1,1.05"], "--samples"),
+        (["simulate", "--preset", "three-point", "--method", "importance",
+          "--n", "0"], "n must be >= 1"),
+        *((["simulate", "--preset", "three-point", "--method", method,
+            "--n", "8", "--count", "0"], "count must be >= 1")
+          for method in ("importance", "metropolis")),
+        (["kernel", "verify", "--preset", "gaussian", "--n", "10",
+          "--points", "0.1,abc"], "--points: could not convert"),
     ])
     def test_bad_analysis_arguments(self, tmp_path, capsys, argv, message):
         if argv[0] != "rate" or argv[1] != "eval":
@@ -683,6 +693,10 @@ class TestValidationErrors:
         ("--spec", None, "Is a directory"),
         ("--config", "{", "Expecting property name"),
         ("--config", None, "No such file"),
+        ("--spec", '{"density": {"kind": "gaussian", "sigma": 0}}',
+         "mass > 0 and sigma > 0"),
+        ("--spec", '{"density": {"kind": "table", "x": [-1, 0, 1], '
+         '"y": [0, 1]}}', "equal-length"),
     ])
     def test_bad_input_file(self, tmp_path, capsys, flag, text, message):
         # text None: a directory in place of the spec, no file for the config

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from cwsoc import measure, model
-from cwsoc.quadrature import adaptive_gauss_legendre
 from cwsoc.measure import (
     GaussianDensity,
     Measure1D,
@@ -291,7 +290,7 @@ _GAUSS_TILTS = [(0.0, 0.0), (0.0, -20.0), (0.0, 0.4999999), (3.0, 0.2),
 
 
 class TestSharedRule:
-    """``measure._rule``, the one fixed rule behind both density kinds: the
+    """``quadrature._rule``, the one fixed rule behind both density kinds: the
     Gaussian cuts two pieces at the exponent's maximum, a table cuts its
     knot intervals and anchors each piece at its end nearer 0."""
 
@@ -374,24 +373,11 @@ class TestValidation:
             TableDensity([-1.0, 0.0, 1.0], [0.0, math.nan, 0.0])
 
     def test_infinite_moments_rejected(self):
-        # a triangle of mass 1 on knots at +-1e100: z^4 overflows, the
-        # quadrature accepts the non-finite panels at once and the base is
-        # refused instead of bisected 40 levels deep
+        # a triangle of mass 1 on knots at +-1e100: z^4 overflows, so the
+        # fixed rule's fourth moment is not finite and the base is refused
         dens = TableDensity([-1e100, 0.0, 1e100], [0.0, 1e-100, 0.0])
         with pytest.raises(MeasureError, match="moments not finite"):
             Measure1D(density=dens)
-
-    def test_quadrature_accepts_nonfinite_panel(self):
-        nodes = []
-
-        def f(z):
-            nodes.append(len(z))
-            assert len(nodes) <= 3, "a non-finite panel was bisected"
-            return np.full_like(z, math.inf)
-
-        with np.errstate(invalid="ignore"):
-            assert adaptive_gauss_legendre(f, -1.0, 1.0) == math.inf
-        assert nodes == [12, 12, 12]  # the panel and its two halves
 
 
 class TestSample:

@@ -83,8 +83,12 @@ class TestInteraction:
         (dict(kind="quadratic", fn=lambda u: u * u / 2), "only with kind"),
         (dict(kind="quadratic", variant="dual"), "unknown variant"),
         (dict(kind="quartic", m4=math.nan), "exceeds"),
+        (dict(kind="custom", fn=lambda u: u * u / 4), r"g\(u\)/u\^2"),
+        (dict(kind="custom", m4=-1e-5, fn=lambda u: u * u / 2),
+         "m4 must be nonnegative"),
     ], ids=["unknown-kind", "custom-without-fn", "fn-not-callable",
-            "fn-with-builtin-kind", "unknown-variant", "nan-m4"])
+            "fn-with-builtin-kind", "unknown-variant", "nan-m4",
+            "custom-wrong-curvature", "custom-negative-m4"])
     def test_bad_interaction_rejected(self, kwargs, match):
         with pytest.raises(InteractionError, match=match):
             model.Interaction(**kwargs)
@@ -426,6 +430,42 @@ def test_full_output_bit_for_bit(rho, n):
         assert got.tobytes() == want.tobytes()
     assert b.diagnostics["log_Z"] == np.max(lw) + math.log(np.sum(w))
     assert b.diagnostics["states"] == len(S)
+
+
+class _CurieWeiss:
+    """The classical Curie-Weiss model at inverse temperature ``beta``:
+    weight ``exp(beta S^2 / (2 n))``, the interface enumerate_exact reads."""
+
+    def __init__(self, rho, n, beta=1.0):
+        self.rho, self.n, self.beta = rho, n, beta
+
+    def log_weight(self, S, T):
+        return self.beta * S * S / (2 * self.n)
+
+
+class TestCurieWeiss:
+    """On rademacher ``T = n``, so the self-organized quadratic weight ``S^2
+    / (2 T)`` is the classical Curie-Weiss weight ``S^2 / (2 n)`` at the
+    critical ``beta = 1``: the exact laws agree bit for bit."""
+
+    @pytest.mark.parametrize("collapse", [None, "S"])
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_critical_curie_weiss_is_soc(self, n, collapse):
+        rho = measure.rademacher()
+        soc = enumerate_exact(TiltedModel(rho=rho, g=quadratic(), n=n),
+                              collapse=collapse)
+        cw = enumerate_exact(_CurieWeiss(rho, n), collapse=collapse)
+        # T = n in every class; the collapsed T is a weighted mean of them
+        np.testing.assert_allclose(soc.T, n, rtol=1e-15)
+        np.testing.assert_array_equal(cw.S, soc.S)
+        np.testing.assert_array_equal(cw.T, soc.T)
+        np.testing.assert_array_equal(cw.weight, soc.weight)
+        assert cw.diagnostics["log_Z"] == soc.diagnostics["log_Z"]
+
+        off = enumerate_exact(_CurieWeiss(rho, n, beta=1.001),
+                              collapse=collapse)
+        assert off.diagnostics["log_Z"] != soc.diagnostics["log_Z"]
+        assert not np.array_equal(off.weight, soc.weight)
 
 
 class TestImportance:
@@ -770,6 +810,17 @@ class TestDerivedStatistics:
             method="importance", n=16)
         vals, _ = rescaled_statistic(m, b)
         assert vals[0] == pytest.approx(4**0.25 * 8.0 / 16**0.75, abs=1e-12)
+
+    def test_rescaled_statistic_star_constant(self):
+        # sigma = 2: sigma^2 = 4 and mu4 = 48, so the star variant's constant
+        # is 48 + 4^3 = 112, the standard one's 48 + 4^2 = 64
+        m = TiltedModel(rho=measure.gaussian(sigma=2.0),
+                        g=quartic(1.0, "star"), n=16)
+        b = model.EmpiricalBatch(
+            S=np.array([8.0]), T=np.array([64.0]), weight=np.array([1.0]),
+            method="importance", n=16)
+        vals, _ = rescaled_statistic(m, b)
+        assert vals[0] == pytest.approx(112**0.25 / 4, abs=1e-9)
 
 
 class TestVaradhanDecay:

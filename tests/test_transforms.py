@@ -10,8 +10,8 @@ from scipy.special import log_ndtr, xlogy
 
 from cwsoc import measure
 from cwsoc.model import quadratic, quartic
-from cwsoc.quadrature import adaptive_gauss_legendre
 from cwsoc.transforms import (
+    DomainFault,
     RateFunction,
     _cond,
     rate_at_origin,
@@ -132,16 +132,22 @@ def _normal_stats(sigma, u, v):
     return L, mean, cov
 
 
-def _quad_stats(density, u, v):
-    # scipy.integrate.quad of the shifted integrand, with break points
-    # around the peak of the tilted density on the window
-    R, sigma = density.support_radius, density.sigma
+def _peak_points(R, sigma, u, v):
+    """The peak of the tilted normal on the window ``[-R, R]``, and break
+    points for scipy.integrate.quad around it."""
     s2 = sigma**2 / (1 - 2 * v * sigma**2)
     mu = u * s2
     peak = min(max(mu, -R), R)
     width = math.sqrt(s2) if abs(mu) <= R else s2 / (abs(mu) - R)
-    points = [p for p in (peak + j * width for j in (-16, -4, -1, 1, 4, 16))
-              if -R < p < R]
+    points = (peak + j * width for j in (-16, -4, -1, 1, 4, 16))
+    return peak, [p for p in points if -R < p < R]
+
+
+def _quad_stats(density, u, v):
+    # scipy.integrate.quad of the shifted integrand, with break points
+    # around the peak of the tilted density on the window
+    R, sigma = density.support_radius, density.sigma
+    peak, points = _peak_points(R, sigma, u, v)
     shift = max(u * z + v * z * z for z in (-R, R, peak))
     m = np.array([integrate.quad(
         lambda z: z**k * math.exp(u * z + v * z * z - shift)
@@ -156,9 +162,10 @@ def _quad_stats(density, u, v):
 
 class QuadratureNormal:
     """Reference for ``GaussianDensity.tilted_moments``: ``mass`` times the
-    normal pdf on its window ``[-R, R]``, integrated by adaptive
-    Gauss-Legendre quadrature to 1e-12 from eight panels, on the scale of
-    the exponent's maximum over the window."""
+    normal pdf on its window ``[-R, R]``, each moment integrated by
+    scipy.integrate.quad to 1e-12 with break points around the peak
+    (``_peak_points``), on the scale of the exponent's maximum over the
+    window."""
 
     def __init__(self, mass, sigma):
         self.mass, self.sigma = mass, sigma
@@ -170,16 +177,15 @@ class QuadratureNormal:
         c = np.abs(u) * R + v * R * R
         inner = (v < 0) & (np.abs(u) < 2 * np.abs(v) * R)
         c[inner] = np.maximum(c[inner], -u[inner] ** 2 / (4 * v[inner]))
-        powers = np.arange(kmax + 1)
         m = np.empty(u.shape + (kmax + 1,))
         for p, (up, vp, cp) in enumerate(zip(u, v, c)):
-            def integrand(z):
-                w = np.exp(up * z + vp * z * z - cp) * self.mass * np.exp(
-                    -z * z / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
-                return w[:, None] * z[:, None] ** powers
-
-            m[p] = adaptive_gauss_legendre(integrand, -R, R, tol=1e-12,
-                                           initial_panels=8)
+            points = _peak_points(R, sigma, up, vp)[1]
+            m[p] = [integrate.quad(
+                lambda z: z**k * math.exp(up * z + vp * z * z - cp)
+                * self.mass * math.exp(-z * z / (2 * sigma**2))
+                / (sigma * math.sqrt(2 * math.pi)), -R, R,
+                points=points or None, epsabs=1e-12, epsrel=0, limit=200)[0]
+                for k in range(kmax + 1)]
         return c, m
 
 
@@ -662,6 +668,18 @@ class TestExpansionResidual:
         g = quartic(1.0, variant="star")
         r = rate_expansion_residual(gauss_rate, g, 0.04, 1.0)
         assert abs(r - 1.0) < 0.05
+
+    def test_star_variant_off_unit_variance(self):
+        # at sigma = 2 the star variant's sigma^6 differs from sigma^4; the
+        # wrong power reads about 1.75 here
+        R = RateFunction(measure.gaussian(sigma=2.0))
+        r = rate_expansion_residual(R, quartic(1.0, "star"), 0.08, 4.0)
+        assert abs(r - 1.0) < 0.05
+
+    def test_unreachable_target(self, gauss_rate):
+        # y = 0.1 < x^2 = 0.25: no tilt reaches the target
+        with pytest.raises(DomainFault, match="outside admissible domain"):
+            rate_expansion_residual(gauss_rate, quadratic(), 0.5, 0.1)
 
     def test_residual_shrinks_with_distance(self, gauss_rate):
         g = quadratic()
