@@ -319,11 +319,15 @@ def _read_batch(path) -> model.EmpiricalBatch:
             names = fh.readline().rstrip("\n").split(",")
             try:
                 meta = json.loads(meta_path.read_text())
-                method, n = meta["method"], int(meta["n"])
+                method, n = meta["method"], meta["n"]
             except KeyError as exc:
                 raise CliError(f"batch metadata {meta_path} lacks {exc}")
             except (OSError, TypeError, ValueError) as exc:
                 raise CliError(f"batch metadata {meta_path}: {exc}")
+            # a JSON integer only: bool is a subclass of int
+            if type(n) is not int or n < 1:
+                raise CliError(f"batch metadata {meta_path}: n must be an "
+                               f"integer >= 1, got {json.dumps(n)}")
             missing = {"S", "T", "weight"} - set(names)
             if missing:
                 raise CliError(

@@ -37,8 +37,16 @@ def _inv(cov: np.ndarray) -> np.ndarray:
     """Inverses of the ``(P, 2, 2)`` matrices: the adjugate over the
     determinant."""
     a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
-    adj = np.stack([np.stack([c, -b], -1), np.stack([-b, a], -1)], -2)
+    adj = np.empty_like(cov)
+    adj[:, 0, 0], adj[:, 1, 1] = c, a
+    adj[:, 0, 1] = adj[:, 1, 0] = -b
     return adj / (a * c - b * b)[:, None, None]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``v``, as ``np.linalg.norm(v,
+    axis=1)`` forms them, without its argument handling."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
 _GTOL = 1e-10  # Newton has converged once |grad L(theta) - x| <= _GTOL
@@ -78,14 +86,29 @@ class RateFunction:
         rows stop up front, and the loop solves the rest with ``v`` held at
         0; their rows are ``degenerate``, with NaN ``v`` entries in ``hess``.
 
+        Newton's start: near its minimum ``(0, sigma^2)`` the base is
+        Gaussian to second order, so a row with ``q = y - x^2 > 0`` starts
+        at the argmax of the conjugate of ``N(0, sigma^2)``, ``theta0 =
+        (x / q, (1 / sigma^2 - 1 / q) / 2)``, wherever Newton's decrement
+        ``g' cov^-1 g`` (``g = grad L - x``) is smaller there than at
+        ``theta = 0``, which requires ``L(theta0)`` finite.  Every other
+        row, and every row of a flat lift, starts at ``theta = 0``.  A row
+        that fails from ``theta0`` is solved again from ``theta = 0`` and
+        reports the iterations of both solves, so the start never costs a
+        row its convergence.
+
         ``I`` is scale-invariant, so the loop runs in the base's own units
         (targets over ``D = (s, s^2)``, ``s`` the power of two nearest
-        ``sigma``), where its absolute tolerances hold at every scale.
+        ``sigma``), where its absolute tolerances hold at every scale.  A
+        row records its iteration, message and status when it stops; the
+        value, argmax and Hessian, which do not move once a row stops, are
+        formed for all rows after the loop.
         """
         X = np.array(targets, dtype=float)
         if X.ndim != 2 or X.shape[1] != 2:
             raise ValueError(f"targets must have shape (P, 2), got {X.shape}")
-        s = 2.0 ** round(0.5 * math.log2(self.base.moments.sigma2))
+        sigma2 = self.base.moments.sigma2
+        s = 2.0 ** round(0.5 * math.log2(sigma2))
         D = np.array([s, s * s])
         DD = np.outer(D, D)
         X /= D
@@ -94,100 +117,145 @@ class RateFunction:
             val, mean, cov = self.base.log_laplace(theta / D)
             return val, mean / D, cov / DD
 
+        P = len(X)
         theta = np.zeros(X.shape)
         val, mean, cov = stats(theta)
-        results: list = [None] * len(X)
-        active = np.arange(len(X))
-        flat = len(X) > 0 and bool(_cond(cov[:1])[0] > _COND_LIMIT)
+        iterations = np.full(P, _MAX_ITER)
+        messages = np.full(P, "", dtype=object)
+        converged = np.zeros(P, dtype=bool)
+        degenerate = np.zeros(P, dtype=bool)
+        off = np.zeros(P, dtype=bool)  # flat-lift rows off the line y = c0
+        started = np.arange(0)  # rows that start at the Gaussian argmax
+        flat = P > 0 and bool(_cond(cov[:1])[0] > _COND_LIMIT)
         if flat:
             c0 = float(mean[0, 1])
             off = np.abs(X[:, 1] - c0) > 1e-9
-            for p in np.flatnonzero(off).tolist():
-                results[p] = CramerResult(
-                    value=math.inf, argmax=np.zeros(2), hess=None,
-                    converged=False, iterations=1, degenerate=True,
-                    message=f"second coordinate degenerate at {c0 * D[1]}; "
-                    "target unreachable")
+            iterations[off] = 1
+            messages[off] = (f"second coordinate degenerate at {c0 * D[1]}; "
+                             "target unreachable")
+            messages[~off] = "degenerate direction v reported as free"
             X[:, 1] = c0
-            active = active[~off]
+        else:
+            # the Gaussian start, where Newton's decrement g' cov^-1 g (g =
+            # grad L - x) is below its value at theta = 0; a flat lift keeps
+            # theta = 0, where v = 0 already holds and the Gaussian's v0
+            # would not.  A start that overflows, or whose L is infinite or
+            # covariance singular, is merely not taken
+            with np.errstate(all="ignore"):
+                q = X[:, 1] - X[:, 0] ** 2
+                started = np.flatnonzero(q > 0)
+                q = q[started]
+                start = np.column_stack([X[started, 0] / q,
+                                         0.5 * (s * s / sigma2 - 1.0 / q)])
+                sval, smean, scov = stats(start)
+                g0, g1 = mean[started] - X[started], smean - X[started]
+                ok = (np.einsum("pi,pij,pj->p", g1, _inv(scov), g1)
+                      < np.einsum("pi,pij,pj->p", g0, _inv(cov[started]),
+                                  g0))
+            started = started[ok]
+            zero = val[started], mean[started], cov[started]
+            theta[started], val[started] = start[ok], sval[ok]
+            mean[started], cov[started] = smean[ok], scov[ok]
 
-        def stop(rows, it, message, hess=None, degenerate=False):
-            """Record the rows' results at their current iterate; only a
-            converged row carries ``hess``."""
-            if not rows.size:
-                return
-            values = np.einsum("pi,pi->p", theta[rows], X[rows]) - val[rows]
-            if hess is None:
-                hess = [None] * len(rows)
-            for p, value, argmax, h in zip(rows.tolist(), values.tolist(),
-                                           theta[rows] / D, hess):
-                results[p] = CramerResult(
-                    value=value, argmax=argmax, hess=h,
-                    converged=h is not None, iterations=it, message=message,
-                    degenerate=degenerate or flat)
-
-        def curved(rows, it):
-            """Stop the rows whose curvature vanished along the path, whose
-            targets sit on the boundary of the admissible domain; return the
-            others."""
-            lost = _cond(cov[rows]) > _COND_LIMIT
-            stop(rows[lost], it, "curvature vanished; outside admissible "
-                 "domain", degenerate=True)
-            return rows[~lost]
-
-        for it in range(1, _MAX_ITER + 1):
-            # a flat lift holds v at 0: no gradient and no cross-curvature
-            # in v, and unit curvature, so every Newton step in v is 0
-            if flat:
-                mean[:, 1], cov[:, 1, 1] = c0, 1.0
-                cov[:, 0, 1] = cov[:, 1, 0] = 0.0
-            done = np.linalg.norm(mean[active] - X[active], axis=1) <= _GTOL
-            if done.any():
-                rows = active[done]
-                far = np.linalg.norm(theta[rows], axis=1) > 1e8
-                stop(rows[far], it,
-                     "argmax diverged; outside admissible domain")
-                rows = curved(rows[~far], it)
-                hess = _inv(cov[rows]) / DD
+        def newton(active):
+            """Run the damped Newton loop on the rows ``active`` until each
+            has converged or stopped."""
+            for it in range(1, _MAX_ITER + 1):
+                # a flat lift holds v at 0: no gradient and no
+                # cross-curvature in v, and unit curvature, so every Newton
+                # step in v is 0
                 if flat:
-                    hess[:, 1, :] = hess[:, :, 1] = math.nan
-                stop(rows, it, "degenerate direction v reported as free"
-                     if flat else "", hess=hess)
-                active = active[~done]
-            active = curved(active, it)
-            if not active.size:
-                break
-            grad = mean[active] - X[active]
-            step = -np.einsum("pij,pj->pi", _inv(cov[active]), grad)
-            # backtracking on the dual objective L(theta) - <theta, x>; the
-            # slack term keeps the search from stalling once the predicted
-            # decrease falls below float precision of the objective
-            obj = val[active] - np.einsum("pi,pi->p", theta[active], X[active])
-            slope = np.einsum("pi,pi->p", grad, step)
-            slack = 1e-14 * (1.0 + np.abs(obj))
-            t = np.ones(len(active))
-            left = np.arange(len(active))  # positions still searching
-            for _ in range(60):
-                rows = active[left]
-                cand = theta[rows] + t[left, None] * step[left]
-                # the full moment pass: an accepted candidate is the next
-                # iterate, and its mean and covariance come with its value
-                cval, cmean, ccov = stats(cand)
-                ok = np.isfinite(cval) & (
-                    cval - np.einsum("pi,pi->p", cand, X[rows])
-                    <= obj[left] + 0.25 * t[left] * slope[left] + slack[left])
-                moved = rows[ok]
-                theta[moved], val[moved] = cand[ok], cval[ok]
-                mean[moved], cov[moved] = cmean[ok], ccov[ok]
-                left = left[~ok]
-                if not left.size:
-                    break
-                t[left] *= 0.5
-            stop(active[left], it,
-                 "line search failed; outside admissible domain")
-            active = np.delete(active, left)
-        stop(active, _MAX_ITER, "max iterations; outside admissible domain")
-        return results
+                    mean[:, 1], cov[:, 1, 1] = c0, 1.0
+                    cov[:, 0, 1] = cov[:, 1, 0] = 0.0
+                # each row's state is gathered once per iteration
+                Xa, ta, ca = X[active], theta[active], cov[active]
+                grad = mean[active] - Xa
+                done = _norms(grad) <= _GTOL
+                far = done & (_norms(ta) > 1e8)
+                # a row whose curvature vanished along the path has its
+                # target on the boundary of the admissible domain
+                lost = ~far & (_cond(ca) > _COND_LIMIT)
+                stopped = done | lost
+                if stopped.any():
+                    iterations[active[stopped]] = it
+                    messages[active[far]] = ("argmax diverged; outside "
+                                             "admissible domain")
+                    messages[active[lost]] = ("curvature vanished; outside "
+                                              "admissible domain")
+                    degenerate[active[lost]] = True
+                    converged[active[done & ~far & ~lost]] = True
+                    keep = ~stopped
+                    active, grad, Xa, ta, ca = (
+                        active[keep], grad[keep], Xa[keep], ta[keep],
+                        ca[keep])
+                if not active.size:
+                    return
+                step = -np.einsum("pij,pj->pi", _inv(ca), grad)
+                # backtracking on the dual objective L(theta) - <theta, x>;
+                # the slack term keeps the search from stalling once the
+                # predicted decrease falls below float precision of the
+                # objective
+                obj = val[active] - np.einsum("pi,pi->p", ta, Xa)
+                slope = np.einsum("pi,pi->p", grad, step)
+                slack = 1e-14 * (1.0 + np.abs(obj))
+                # every row still searching has the same step length t
+                t = 1.0
+                rows, cur, dirn, Xr, o, sl, sk = (
+                    active, ta, step, Xa, obj, slope, slack)
+                for _ in range(60):
+                    cand = cur + t * dirn
+                    # the full moment pass: an accepted candidate is the
+                    # next iterate, and its mean and covariance come with
+                    # its value
+                    cval, cmean, ccov = stats(cand)
+                    ok = np.isfinite(cval) & (
+                        cval - np.einsum("pi,pi->p", cand, Xr)
+                        <= o + 0.25 * t * sl + sk)
+                    moved = rows[ok]
+                    theta[moved], val[moved] = cand[ok], cval[ok]
+                    mean[moved], cov[moved] = cmean[ok], ccov[ok]
+                    if ok.all():
+                        break
+                    rows, cur, dirn, Xr, o, sl, sk = (
+                        z[~ok] for z in (rows, cur, dirn, Xr, o, sl, sk))
+                    t *= 0.5
+                else:
+                    iterations[rows] = it
+                    messages[rows] = ("line search failed; outside "
+                                      "admissible domain")
+                    active = active[~np.isin(active, rows)]
+            messages[active] = "max iterations; outside admissible domain"
+
+        newton(np.flatnonzero(~off))
+        # a row that fails from the Gaussian start is solved again from
+        # theta = 0, so it converges wherever the start at 0 converges; it
+        # reports the iterations of both solves
+        again = ~converged[started]
+        if again.any():
+            rows = started[again]
+            spent = iterations[rows]
+            theta[rows] = 0.0
+            val[rows], mean[rows], cov[rows] = (z[again] for z in zero)
+            iterations[rows], messages[rows] = _MAX_ITER, ""
+            degenerate[rows] = False
+            newton(rows)
+            iterations[rows] += spent
+
+        value = np.einsum("pi,pi->p", theta, X) - val
+        value[off] = math.inf
+        # only a converged row carries the Hessian of the conjugate
+        hess = [None] * P
+        rows = np.flatnonzero(converged)
+        H = _inv(cov[rows]) / DD
+        if flat:
+            H[:, 1, :] = H[:, :, 1] = math.nan
+        for p, h in zip(rows.tolist(), H):
+            hess[p] = h
+        # the fields in their declared order: positional arguments build
+        # a dataclass at less than half the cost of keywords
+        return list(map(CramerResult, value.tolist(), theta / D, hess,
+                        converged.tolist(), iterations.tolist(),
+                        messages.tolist(), (degenerate | flat).tolist()))
 
 
 def rate_at_origin(R: RateFunction) -> float:

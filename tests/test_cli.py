@@ -551,6 +551,25 @@ class TestValidationErrors:
         assert rc == 2
         assert message in err
 
+    @pytest.mark.parametrize("n", [20.9, True, "20", 0])
+    def test_batch_n_must_be_a_json_integer(self, tmp_path, capsys, n):
+        # int() would read 20.9 as 20 and true as 1, and accept "20"
+        batch = tmp_path / "b.csv"
+        rc, _, _ = run(capsys, "simulate", "--preset", "three-point",
+                       "--method", "enumeration", "--n", "20",
+                       "--out", str(batch))
+        assert rc == 0
+        meta_path = batch.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta["n"] = n
+        meta_path.write_text(json.dumps(meta))
+        rc, _, err = run(capsys, "verify", "fluct", "--preset", "three-point",
+                         "--batch", str(batch),
+                         "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        assert f"batch metadata {meta_path}: n must be an integer >= 1, " \
+            f"got {json.dumps(n)}" in err
+
 
     @pytest.mark.parametrize("argv,message", [
         (["rate", "grid", "--preset", "gaussian", "--x-min", "0",

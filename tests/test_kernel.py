@@ -306,6 +306,21 @@ class TestPairWindow:
         assert expect[3] == 0.0 and got[3] == 0.0
         assert got == pytest.approx(expect, rel=1e-12, abs=0)
 
+    def test_samples_spanning_blocks(self):
+        # more near samples than one block of _WINDOW_CELLS cells holds, and
+        # a partial last block: each sample's sum matches the direct one
+        rng = np.random.default_rng(8)
+        U, V = rng.uniform(-0.3, 0.3, (2, 144))
+        W = rng.uniform(0.1, 1.0, 144)
+        a = rng.uniform(-2.0, 2.0, 1000)
+        b = a * a / 2 + rng.uniform(-0.4, 0.6, 1000)
+        got = kernel._pair_window(self.MU, self.S, U, V, W)(a, b)
+        expect = pair_density(self.MU, self.S)(a[:, None] + U,
+                                               b[:, None] + V) @ W
+        near = np.count_nonzero(got)
+        assert near > 2 * kernel._WINDOW_CELLS // 144 and near % 16
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
     def pair_value(self, u, v):
         one = np.zeros(1)
         return kernel._pair_window(self.MU, self.S, one, one, np.ones(1))(

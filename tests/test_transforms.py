@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -577,6 +579,99 @@ def test_solve_many_matches_solve(base, targets):
 def test_solve_many_rejects_wrong_shape(gauss_rate):
     with pytest.raises(ValueError, match="shape"):
         gauss_rate.solve_many([[0.0, 1.0, 2.0]])
+
+
+# the benchmark's rate grids and the CI's triangle grid: base, x range,
+# y range, nx, ny
+_GRIDS = {
+    "gaussian": (measure.gaussian, (-0.5, 0.5), (0.6, 2.0), 11, 11),
+    "rho0": (measure.rho_zero, (-0.3, 0.3), (0.15, 1.0), 11, 11),
+    "three-point": (measure.three_point, (-0.25, 0.25), (0.3, 0.9), 21, 21),
+    "triangle": (lambda: measure.Measure1D(density=TRIANGLE), (-0.5, 0.5),
+                 (0.05, 0.6), 21, 21),
+}
+
+
+def solve_grid(name):
+    make, xs, ys, nx, ny = _GRIDS[name]
+    X = np.column_stack([np.repeat(np.linspace(*xs, nx), ny),
+                         np.tile(np.linspace(*ys, ny), nx)])
+    return RateFunction(make()).solve_many(X)
+
+
+class TestNewtonStart:
+    """A row starts at the argmax of the conjugate of ``N(0, sigma^2)``
+    where Newton's decrement is smaller there than at ``theta = 0``."""
+
+    @pytest.mark.parametrize("name", sorted(_GRIDS))
+    def test_grid_keeps_values_and_stops(self, name):
+        # the values (null where the row did not converge) and the stop
+        # messages, with the rows they stop, of the solve that started every
+        # row at theta = 0
+        pin = json.loads((Path(__file__).parent / "data"
+                          / "rate_grids.json").read_text())[name]
+        got = solve_grid(name)
+        messages = {}
+        for p, r in enumerate(got):
+            if r.message:
+                messages.setdefault(r.message, []).append(p)
+        assert messages == pin["messages"]
+        converged = np.array([r.converged for r in got])
+        want = np.array([math.nan if v is None else v for v in pin["values"]])
+        np.testing.assert_array_equal(converged, np.isfinite(want))
+        np.testing.assert_allclose(
+            [r.value for r in got if r.converged], want[converged], rtol=0,
+            atol=1e-12)
+
+    def test_gaussian_grid_in_two_iterations(self):
+        # the start is the Gaussian's exact argmax: one iteration checks it,
+        # and at most one more step absorbs the quadrature's rounding
+        got = solve_grid("gaussian")
+        assert all(r.converged for r in got)
+        assert max(r.iterations for r in got) <= 2
+
+    @pytest.mark.parametrize("x,y", [(0.0, 1.0), (-0.3, 0.405)])
+    def test_rho0_falls_back_to_zero(self, monkeypatch, x, y):
+        # rho0 (sigma^2 = 1/4): at (0, 1) the start's v0 = 1.5 lies past the
+        # tilt cap 1/2, so L is infinite there; at (-0.3, 0.405) L is finite,
+        # but Newton's decrement there, 2.46, is above its value 0.41 at
+        # theta = 0
+        base = measure.rho_zero()
+        q = y - x * x
+        theta0 = np.array([x / q, (1 / base.moments.sigma2 - 1 / q) / 2])
+
+        def decrement(theta):
+            _, mean, cov = stats(base, theta)
+            g = mean - [x, y]
+            return g @ np.linalg.solve(cov, g)
+        assert not decrement(theta0) < decrement([0.0, 0.0])
+        _, mean, cov = stats(base, [0.0, 0.0])
+        newton = -np.linalg.solve(cov, mean - [x, y])
+        calls = []
+        log_laplace = measure.Measure1D.log_laplace
+
+        def counted(b, theta):
+            calls.append(theta.copy())
+            return log_laplace(b, theta)
+        monkeypatch.setattr(measure.Measure1D, "log_laplace", counted)
+        r = RateFunction(base).solve([x, y])
+        assert r.converged and r.message == ""
+        # the zero-tilt pass, the start, then the first candidate: the full
+        # Newton step from theta = 0
+        assert not calls[0].any()
+        np.testing.assert_allclose(calls[1], [theta0], rtol=1e-15)
+        np.testing.assert_allclose(calls[2], [newton], rtol=1e-12)
+
+    def test_failed_start_solves_again_from_zero(self):
+        # rho0 just inside the edge y = x^2: from the Gaussian start Newton
+        # makes no headway in 100 iterations; solved again from theta = 0,
+        # the row converges in 30 more, to the value and argmax of the solve
+        # that starts at 0, bit for bit
+        r = RateFunction(measure.rho_zero()).solve([-0.95, 0.902501467799])
+        assert r.converged and r.message == "" and not r.degenerate
+        assert r.iterations == 100 + 30
+        assert r.value == 8.746565554640256
+        assert r.argmax.tolist() == [-647227.4728893864, -340645.5383626315]
 
 
 class TestBaseUnits:
