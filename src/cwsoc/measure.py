@@ -48,15 +48,18 @@ _EXP_MAX = 709.0
 def _mirror_char(z, p, s, t) -> np.ndarray:
     """``sum_j 2 p_j cos(s z_j) e^{i t z_j^2}``, the transform of masses
     ``p_j`` at ``+-z_j``, on the outer product of the 1-D ``s`` and ``t``:
-    real cos and sin products, ``_T_BLOCK`` values of ``t`` at a time."""
+    real cos and sin products, ``_T_BLOCK`` values of ``t`` at a time.  One
+    magnitude takes the broadcast product, the same floats as a matmul of
+    inner dimension 1 at a fraction of its cost."""
     cos_s = np.outer(s, z)
     np.cos(cos_s, out=cos_s)
     cos_s *= 2 * p
+    prod = np.multiply if len(z) == 1 else np.matmul
     out = np.empty((len(cos_s), len(t)), dtype=complex)
     for j in range(0, len(t), _T_BLOCK):
         phase = np.outer(z * z, t[j:j + _T_BLOCK])
-        out.real[:, j:j + _T_BLOCK] = cos_s @ np.cos(phase)
-        out.imag[:, j:j + _T_BLOCK] = cos_s @ np.sin(phase)
+        out.real[:, j:j + _T_BLOCK] = prod(cos_s, np.cos(phase))
+        out.imag[:, j:j + _T_BLOCK] = prod(cos_s, np.sin(phase))
     return out
 
 
@@ -134,9 +137,19 @@ class GaussianDensity:
         ``sum Z^2 - (sum Z)^2 / k ~ sigma^2 chi^2_{k-1}``.
         """
         s = rng.normal(0.0, self.sigma * math.sqrt(k), size=size)
+        t = self.block_spread(k, np.empty(np.shape(s)), rng)
+        t += s * s / k
+        return s, t
+
+    def block_spread(self, k: int, out: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """``sum Z^2 - (sum Z)^2 / k ~ sigma^2 chi^2_{k-1}`` of ``k`` i.i.d.
+        draws, independent of ``sum Z``, drawn into the float array
+        ``out``."""
         # 2 Gamma((k-1)/2) is chi^2_{k-1}, and exactly 0 for k = 1
-        q = 2.0 * rng.standard_gamma((k - 1) / 2, size=size)
-        return s, s * s / k + self.sigma**2 * q
+        rng.standard_gamma((k - 1) / 2, out=out)
+        out *= 2.0 * self.sigma**2
+        return out
 
     def char(self, s, t) -> np.ndarray:
         """The characteristic function ``integral of exp(i(s z + t z^2))

@@ -539,14 +539,15 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
     - Pure Gaussian ``rho`` (no atoms, a ``GaussianDensity``): the tilt sees
       a configuration only through ``(S, T)``, and under the base ``S`` and
       ``Q = T - S^2/n`` are independent, ``N(0, n sigma^2)`` and ``sigma^2
-      chi^2_{n-1}``.  So a chain is the pair ``(S, Q)`` alone, and a step is
-      one Metropolis move on ``(S, log Q)`` that costs O(1) per chain
-      whatever ``n`` and ``k`` (``_collapsed_moves``): ``S`` moves on its
-      fluctuation scale ``sigma n^{3/4}`` and ``log Q`` on the ``1/sqrt(n)``
-      scale of a log-``chi^2_{n-1}``, so a few steps cross the tilted law.
-      ``k`` changes nothing in the move; it only converts ``burn_in`` and
-      ``thin`` into steps.  This path draws the untruncated normal, as every
-      ``GaussianDensity`` method but ``tilted_moments`` does.
+      chi^2_{n-1}``.  So a chain is the pair ``(S, T)`` alone, and a step is
+      one independence Metropolis-Hastings move that costs O(1) per chain
+      whatever ``n`` and ``k`` (``_collapsed_moves``): it proposes ``S`` on
+      its fluctuation scale ``sigma n^{3/4}`` and ``Q`` from its base law,
+      whatever the state, and its ratio of target to proposal is bounded,
+      so the chain is uniformly ergodic.  ``k`` changes nothing in the
+      move; it only converts ``burn_in`` and ``thin`` into steps.  This
+      path draws the untruncated normal, as every ``GaussianDensity``
+      method but ``tilted_moments`` does.
     - Every other base (atomic, atom-plus-Gaussian such as ``rho0``, or a
       table density): each chain stores its ``n`` coordinates and a
       step replaces ``k`` contiguous ones with fresh draws from ``rho``, at
@@ -555,18 +556,18 @@ def sample_metropolis(m: TiltedModel, count: int, burn_in: Optional[int] = None,
       blocks lose nothing.
 
     ``diagnostics`` holds the acceptance rate of the steps (on the Gaussian
-    path that of the joint move, about 0.38 at n = 1024), the integrated
-    autocorrelation time, ESS and split-R-hat of the recorded ``S`` and,
-    under the same names with the suffix ``_T``, of the recorded ``T``, and
-    the schedule: ``burn_in`` is the number of proposals made before the
-    first record (the steps times ``k``), ``burn_in_rounds`` the rounds of
-    the default burn-in, ``burn_in_capped`` whether they reached the
-    10 n-sweep cap before the chains agreed, and ``burn_in_rhat`` the largest
-    of the three split-R-hats of the last round (0, False and NaN under an
-    explicit ``burn_in``).  With fewer than 4 records per chain the six
-    statistics of the records are NaN.  At ``k = n`` and tiny ``n`` the
-    Gaussian path makes one step per record, so its ESS per record is low
-    (``S`` at n = 8: 0.18).
+    path about 0.63 at n = 1024), the integrated autocorrelation time, ESS
+    and split-R-hat of the recorded ``S`` and, under the same names with
+    the suffix ``_T``, of the recorded ``T``, and the schedule:
+    ``burn_in`` is the number of proposals made before the first record
+    (the steps times ``k``), ``burn_in_rounds`` the rounds of the default
+    burn-in, ``burn_in_capped`` whether they reached the 10 n-sweep cap
+    before the chains agreed, and ``burn_in_rhat`` the largest of the three
+    split-R-hats of the last round (0, False and NaN under an explicit
+    ``burn_in``).  With fewer than 4 records per chain the six
+    statistics of the records are NaN.  At ``k = n`` the Gaussian path
+    makes one step per record, so its ESS per record of ``S`` is below 1
+    (about 0.41 at n = 8).
     """
     if count < 1:
         raise ModelError("count must be >= 1")
@@ -670,80 +671,113 @@ def _coordinate_moves(rho: Measure1D, n, k, chains, logw_fn, rng):
     """Initial state and moves of chains that store the ``n`` coordinates."""
     # initial states from the product measure, resampled until T > 0
     X = sample_measure(rho, chains * n, rng).reshape(chains, n)
-    T = (X * X).sum(axis=1)
+    state = np.empty((3, chains))   # rows S, T, log w
+    S, T, logw = state
+    T[:] = (X * X).sum(axis=1)
     while np.any(T <= 0):
         dead = T <= 0
         X[dead] = sample_measure(rho, int(dead.sum()) * n, rng).reshape(-1, n)
-        T = (X * X).sum(axis=1)
-    S = X.sum(axis=1)
-    logw = logw_fn(S, T)
+        T[:] = (X * X).sum(axis=1)
+    S[:] = X.sum(axis=1)
+    logw[:] = logw_fn(S, T)
+    new = np.empty_like(state)
 
     def draw(b):
         offsets = rng.integers(0, n - k + 1, size=b).tolist()
         props = sample_measure(rho, b * chains * k, rng).reshape(b, chains, k)
-        return (offsets, props, props.sum(axis=2),
-                (props * props).sum(axis=2), np.log(rng.random((b, chains))))
+        return (offsets, props, np.add.reduce(props, axis=2),
+                np.add.reduce(props * props, axis=2),
+                np.log(rng.random((b, chains))))
 
     def move(draws, i):
         offsets, props, zs, zss, logu = draws
         old = X[:, offsets[i]:offsets[i] + k]   # a view: accepted moves write X
-        S2 = S + zs[i] - old.sum(axis=1)
-        T2 = T + zss[i] - (old * old).sum(axis=1)
-        ok = T2 > 0
-        lw2 = np.where(ok, logw_fn(S2, np.where(ok, T2, 1.0)), -np.inf)
-        acc = ok & (logu[i] < lw2 - logw)
+        new[0] = S + zs[i] - np.add.reduce(old, axis=1)
+        new[1] = T + zss[i] - np.add.reduce(old * old, axis=1)
+        ok = new[1] > 0
+        new[2] = np.where(ok, logw_fn(new[0], np.where(ok, new[1], 1.0)),
+                          -np.inf)
+        # a move to T <= 0 has log w = -inf, so the compare rejects it
+        acc = logu[i] < new[2] - logw
         np.copyto(old, props[i], where=acc[:, None])
-        np.copyto(S, S2, where=acc)
-        np.copyto(T, T2, where=acc)
-        np.copyto(logw, lw2, where=acc)
-        return int(acc.sum())
+        np.copyto(state, new, where=acc)
+        return np.count_nonzero(acc)
 
     batch = max(1, min(2048, 8 * 10**6 // (chains * k) + 1))
     return S, T, draw, move, batch
 
 
+def _proposal_scale(sigma, n):
+    """``s_q = 1.1 sigma n^{3/4}``, the scale of ``S`` in the proposal of
+    ``_collapsed_moves``; at least ``sigma sqrt(n)`` for every ``n >= 1``."""
+    return 1.1 * sigma * n**0.75
+
+
 def _collapsed_moves(dens: GaussianDensity, n, chains, logw_fn, rng):
-    """Initial state and moves of ``(S, Q)`` chains for a pure Gaussian base.
+    """Initial state and moves of ``(S, T)`` chains for a pure Gaussian base.
 
     Under ``N(0, sigma^2)^n``, ``S ~ N(0, n sigma^2)`` and ``Q = T - S^2/n ~
-    sigma^2 chi^2_{n-1}`` are independent, with joint density proportional
-    to ``Q^{(n-3)/2} exp(-T / (2 sigma^2))``.  A move is one Metropolis step
-    on ``(S, log Q)``: ``S' = S + 1.5 sigma n^{3/4} xi`` and ``Q' = Q
-    e^{2 eta}``, ``xi ~ N(0, 1)``, ``eta ~ N(0, 1/n)``.  The tilted ``S``
-    lives on the scale ``sigma n^{3/4}`` (its tilted standard deviation is
-    about ``0.82 sigma n^{3/4}`` for quadratic ``g``) and ``log Q`` on
-    ``sqrt(2/(n-1))``, so a step is 1.4 to 1.8 standard deviations of each
-    coordinate; the scales 1.5 and 1 came from a sweep over {1, 1.5, 2, 3}
-    x {0.5, 1, 1.5} at the benchmark's sizes.  The walk in ``log Q``
-    contributes the Jacobian ``(n - 1) eta`` to the log ratio; for
-    ``n = 1``, ``Q = 0`` and the move walks ``S`` alone.
+    sigma^2 chi^2_{n-1}`` are independent.  A move is an independence
+    Metropolis-Hastings step (Tierney, Ann. Statist. 1994): whatever the
+    state, it proposes ``S ~ N(0, s_q^2)``, ``s_q = _proposal_scale(sigma,
+    n)``, and ``Q`` from its base law (``GaussianDensity.block_spread``, as
+    ``block_sums`` draws it), so the law of ``Q`` cancels from the ratio of
+    target to proposal:
+
+        log(pi / q) = n F(S, T) - S^2 / (2 n sigma^2) + S^2 / (2 s_q^2),
+
+    up to a constant, and ``-inf`` for a proposal with ``T <= 0``.  The
+    ratio is bounded, so the chain is exact and uniformly ergodic (Mengersen
+    and Tweedie, Ann. Statist. 1996): ``g <= u^2/2`` gives ``n F <= n/2`` for
+    both variants, and ``s_q >= sigma sqrt(n)`` makes the ``S`` terms at
+    most 0, so with ``pi`` the base's density times ``e^{n F}``, ``pi / q <=
+    e^{n/2} s_q / (sigma sqrt(n))``.  The tilted ``S`` has standard
+    deviation about ``0.82 sigma n^{3/4}`` for quadratic ``g``; the factor
+    1.1 came from a sweep over {0.9, 1.1, 1.3} (notes/decisions.md).
+
+    As no proposal depends on the state, ``draw(b)`` weighs ``b`` steps'
+    proposals at once into one reused ``(3, b, chains)`` buffer of ``(S, T,
+    log ratio)``, with the thresholds ``log ratio - log u`` beside it.  A
+    move is one compare of a threshold with the state's log ratio, one
+    masked copy of the stacked state ``(S, T, log ratio)`` and a count.
     """
-    S, T = dens.block_sums(n, chains, rng)
-    # T = S * S / n + sigma^2 chi^2 rounds to at least S * S / n, so Q >= 0
-    Q = T - S * S / n
-    half_prec = 0.5 / dens.sigma**2
-    # the log target of (S, log Q), less the Jacobian: n F - T / (2 sigma^2)
-    h = logw_fn(S, T) - T * half_prec
-    s_step = 1.5 * dens.sigma * n**0.75
+    s_q = _proposal_scale(dens.sigma, n)
+    # the S terms of log(pi / q), -c S^2 with c >= 0
+    c = 0.5 / (n * dens.sigma**2) - 0.5 / s_q**2
+
+    def log_ratio(S, T, out):
+        ok = T > 0
+        out[...] = np.where(ok, logw_fn(S, np.where(ok, T, 1.0)) - c * (S * S),
+                            -np.inf)
+
+    state = np.empty((3, chains))   # rows S, T, log ratio
+    S, T, w = state
+    S[:], T[:] = dens.block_sums(n, chains, rng)
+    log_ratio(S, T, w)
+    batch = max(1, min(1024, 2**16 // chains))
+    props = np.empty((3, batch, chains))
+    thresholds = np.empty((batch, chains))
+    acc = np.empty(chains, dtype=bool)
 
     def draw(b):
-        size = (b, chains)
-        dS = rng.normal(0.0, s_step, size=size)
-        eta = rng.normal(0.0, 1.0 / math.sqrt(n), size=size)
-        return dS, np.exp(2.0 * eta), np.log(rng.random(size)) - (n - 1) * eta
+        S2, T2, w2 = prop = props[:, :b]
+        thr = thresholds[:b]
+        rng.standard_normal(out=S2)
+        S2 *= s_q
+        dens.block_spread(n, T2, rng)   # Q, as block_sums draws it
+        T2 += S2 * S2 / n
+        log_ratio(S2, T2, w2)
+        rng.random(out=thr)
+        np.log(thr, out=thr)
+        np.subtract(w2, thr, out=thr)
+        return prop, thr
 
     def move(draws, i):
-        dS, q_factor, logu = (d[i] for d in draws)
-        S2 = S + dS
-        Q2 = Q * q_factor
-        T2 = Q2 + S2 * S2 / n
-        h2 = logw_fn(S2, T2) - T2 * half_prec
-        acc = (T2 > 0) & (logu < h2 - h)
-        for old, new in ((S, S2), (Q, Q2), (T, T2), (h, h2)):
-            np.copyto(old, new, where=acc)
-        return int(np.count_nonzero(acc))
+        prop, thr = draws
+        np.greater(thr[i], w, out=acc)
+        np.copyto(state, prop[:, i], where=acc)
+        return np.count_nonzero(acc)
 
-    batch = max(1, min(2048, 2**18 // chains))
     return S, T, draw, move, batch
 
 

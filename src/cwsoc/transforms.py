@@ -92,10 +92,12 @@ class RateFunction:
         (x / q, (1 / sigma^2 - 1 / q) / 2)``, wherever Newton's decrement
         ``g' cov^-1 g`` (``g = grad L - x``) is smaller there than at
         ``theta = 0``, which requires ``L(theta0)`` finite.  Every other
-        row, and every row of a flat lift, starts at ``theta = 0``.  A row
-        that fails from ``theta0`` is solved again from ``theta = 0`` and
-        reports the iterations of both solves, so the start never costs a
-        row its convergence.
+        row starts at ``theta = 0``: every row of a flat lift, and on a
+        purely atomic base every row outside the open convex hull of
+        ``{(z, z^2)}``, where the conjugate is infinite or its argmax
+        diverges.  A row that fails from ``theta0`` is solved again from
+        ``theta = 0`` and reports the iterations of both solves, so the
+        start never costs a row its convergence.
 
         ``I`` is scale-invariant, so the loop runs in the base's own units
         (targets over ``D = (s, s^2)``, ``s`` the power of two nearest
@@ -143,7 +145,16 @@ class RateFunction:
             # covariance singular, is merely not taken
             with np.errstate(all="ignore"):
                 q = X[:, 1] - X[:, 0] ** 2
-                started = np.flatnonzero(q > 0)
+                inside = q > 0
+                if self.base.ac_mass <= 0:
+                    # a purely atomic base's conjugate is finite only inside
+                    # the open hull of {(z, z^2)}, so no start helps outside
+                    # it: y below z_max^2 and above the chords of z^2
+                    z = np.array([0.0] * (self.base.mass_at_zero > 0) + [
+                        zj for zj, _ in self.base.mirror_magnitudes()]) / s
+                    inside &= (X[:, 1] < z[-1] ** 2) & (
+                        X[:, 1] > np.interp(np.abs(X[:, 0]), z, z * z))
+                started = np.flatnonzero(inside)
                 q = q[started]
                 start = np.column_stack([X[started, 0] / q,
                                          0.5 * (s * s / sigma2 - 1.0 / q)])

@@ -662,6 +662,30 @@ class TestNewtonStart:
         np.testing.assert_allclose(calls[1], [theta0], rtol=1e-15)
         np.testing.assert_allclose(calls[2], [newton], rtol=1e-12)
 
+    @pytest.mark.parametrize("base,targets", [
+        # y below the chord y = |x|, at or above z_max^2 = 1, on the chord
+        (measure.three_point(), [[0.5, 0.3], [0.2, 1.2], [0.0, 1.0],
+                                 [0.5, 0.5]]),
+        # no zero atom: y below the chord y = 1 between -1 and 1
+        (measure.Measure1D(atoms=((-2.0, 0.25), (-1.0, 0.25), (1.0, 0.25),
+                                  (2.0, 0.25))), [[0.2, 0.9], [1.5, 2.2]]),
+    ], ids=["three-point", "four-atom"])
+    def test_atomic_target_outside_hull_starts_at_zero(self, monkeypatch,
+                                                       base, targets):
+        # q = y - x^2 > 0 at each, but the conjugate is infinite (or, on
+        # the hull's edge, its argmax diverges), so the start pass takes no
+        # row and none is solved twice
+        calls = []
+        log_laplace = measure.Measure1D.log_laplace
+
+        def counted(b, theta):
+            calls.append(theta.copy())
+            return log_laplace(b, theta)
+        monkeypatch.setattr(measure.Measure1D, "log_laplace", counted)
+        got = RateFunction(base).solve_many(targets)
+        assert not calls[0].any() and calls[1].shape == (0, 2)
+        assert all(r.iterations < 100 for r in got)
+
     def test_failed_start_solves_again_from_zero(self):
         # rho0 just inside the edge y = x^2: from the Gaussian start Newton
         # makes no headway in 100 iterations; solved again from theta = 0,
